@@ -1,15 +1,13 @@
-// E30 — Late-materialized columnar batches + SIMD kernels vs the row-major
-// vectorized baseline. Four workloads — unfiltered scan→projection, a 10%
-// scan-filter, an unfiltered join-probe, and scan→join→agg — each run in
-// three timed modes over the same 1M-row fact table: row-major vectorized
-// (late materialization off), columnar (late materialization on, scalar
-// kernels, $RQP_SIMD=0), and columnar+SIMD (runtime-dispatched kernels).
-// The timed runs drain the pipeline without keeping result rows — the
-// wholesale transpose at every operator edge is exactly what late
-// materialization elides. A separate identity pass runs all three modes
-// PLUS the scalar interpreter ($RQP_VECTORIZED=0) with rows kept, and the
-// bench aborts on any checksum/row-count/cost divergence, so the speedup
-// table can only be produced by byte-identical executions.
+// E30 — Late-materialized columnar batches with scalar vs SIMD kernels.
+// Four workloads — unfiltered scan→projection, a 10% scan-filter, an
+// unfiltered join-probe, and scan→join→agg — each run on the one execution
+// path (column views plus VM programs) over the same 1M-row fact table,
+// timed twice: with the scalar kernel twins ($RQP_SIMD=0) and with the
+// runtime-dispatched SIMD kernels. The timed runs drain the pipeline
+// without keeping result rows. A separate identity pass runs both kernel
+// levels with rows kept, and the bench aborts on any checksum/row-count/
+// cost divergence, so the speedup table can only be produced by
+// byte-identical executions.
 //
 // Wall-clock numbers are host-dependent; `--deterministic` suppresses them
 // and prints only the invariant columns (output rows, checksum, cost,
@@ -57,9 +55,8 @@ uint64_t Checksum(const QueryResult& r) {
 }
 
 QuerySpec ScanProjectQuery() {
-  // Unfiltered scan with two derived columns: the row-major path transposes
-  // every fact row into a RowBatch before the expression VM sees it; the
-  // columnar path runs the VM stride-free over the raw column vectors.
+  // Unfiltered scan with two derived columns: the expression VM runs
+  // stride-free over the raw column vectors.
   QuerySpec q;
   q.tables.push_back({"fact", nullptr});
   q.derived = {
@@ -81,7 +78,7 @@ QuerySpec ScanFilterQuery() {
 QuerySpec JoinProbeQuery() {
   // Unfiltered 1-dimension star join: every probe row survives. The fused
   // columnar probe gathers only the key column and carries the payload as
-  // (batch, row-id) references; the row path transposes the whole probe.
+  // (batch, row-id) references.
   return workload::StarQuery(1, {kDimRows * 10});
 }
 
@@ -93,25 +90,14 @@ QuerySpec JoinAggQuery() {
   return q;
 }
 
-struct Mode {
-  const char* name;
-  int vectorized;
-  int late_materialize;
-  int simd;
-};
+/// EngineOptions::simd values: 0 = scalar kernel twins, 1 = runtime
+/// dispatch (AVX2 where the host has it).
+constexpr int kSimdLevels[] = {0, 1};
 
-// Timed modes; the scalar interpreter joins only the identity pass.
-constexpr Mode kRow = {"row", 1, 0, 0};
-constexpr Mode kColumnar = {"columnar", 1, 1, 0};
-constexpr Mode kColumnarSimd = {"columnar+simd", 1, 1, 1};
-constexpr Mode kScalar = {"scalar", 0, 0, 0};
-
-Engine MakeEngine(Catalog* catalog, const Mode& m) {
+Engine MakeEngine(Catalog* catalog, int simd) {
   EngineOptions options;
   options.num_threads = 1;  // single-threaded: isolate the per-row hot path
-  options.vectorized = m.vectorized;
-  options.late_materialize = m.late_materialize;
-  options.simd = m.simd;
+  options.simd = simd;
   return Engine(catalog, options);
 }
 
@@ -123,14 +109,14 @@ struct IdentityResult {
   int64_t rows_materialized = 0;
 };
 
-/// Runs every mode once with rows kept and aborts unless all four agree on
-/// checksum, row count, and the deterministic cost clock.
+/// Runs both kernel levels once with rows kept and aborts unless they agree
+/// on checksum, row count, and the deterministic cost clock.
 IdentityResult CheckIdentity(Catalog* catalog, const char* name,
                              const QuerySpec& q) {
   IdentityResult ref;
   bool first = true;
-  for (const Mode& m : {kScalar, kRow, kColumnar, kColumnarSimd}) {
-    Engine engine = MakeEngine(catalog, m);
+  for (const int simd : kSimdLevels) {
+    Engine engine = MakeEngine(catalog, simd);
     engine.AnalyzeAll();
     auto r = bench::ValueOrDie(engine.Run(q, /*keep_rows=*/true), name);
     const uint64_t checksum = Checksum(r);
@@ -138,30 +124,28 @@ IdentityResult CheckIdentity(Catalog* catalog, const char* name,
       ref.checksum = checksum;
       ref.output_rows = r.output_rows;
       ref.cost = r.cost;
+      ref.transposes_elided = r.counters.transposes_elided;
+      ref.rows_materialized = r.counters.rows_materialized;
       first = false;
     } else if (checksum != ref.checksum || r.output_rows != ref.output_rows ||
                std::abs(r.cost - ref.cost) >
                    1e-9 * (1.0 + std::abs(ref.cost))) {
       std::fprintf(stderr,
-                   "FATAL: %s diverged in mode %s (checksum %016" PRIx64
+                   "FATAL: %s diverged at simd=%d (checksum %016" PRIx64
                    " vs %016" PRIx64 ", rows %lld vs %lld, cost %f vs %f)\n",
-                   name, m.name, checksum, ref.checksum,
+                   name, simd, checksum, ref.checksum,
                    static_cast<long long>(r.output_rows),
                    static_cast<long long>(ref.output_rows), r.cost, ref.cost);
       std::abort();
-    }
-    if (m.late_materialize != 0) {
-      ref.transposes_elided = r.counters.transposes_elided;
-      ref.rows_materialized = r.counters.rows_materialized;
     }
   }
   return ref;
 }
 
 /// Best-of-kReps wall time draining the pipeline without keeping rows.
-double TimeMode(Catalog* catalog, const Mode& m, const QuerySpec& q,
-                const char* what) {
-  Engine engine = MakeEngine(catalog, m);
+double TimeLevel(Catalog* catalog, int simd, const QuerySpec& q,
+                 const char* what) {
+  Engine engine = MakeEngine(catalog, simd);
   engine.AnalyzeAll();
   double best_ms = 0;
   for (int rep = 0; rep < kReps; ++rep) {
@@ -177,10 +161,9 @@ double TimeMode(Catalog* catalog, const Mode& m, const QuerySpec& q,
 
 struct JsonRow {
   const char* workload;
-  double row_rows_per_sec;
-  double columnar_rows_per_sec;
+  double scalar_rows_per_sec;
   double simd_rows_per_sec;
-  double speedup;  ///< columnar+simd vs row-major baseline
+  double speedup;  ///< SIMD kernels vs scalar kernel twins
   int64_t output_rows;
   int64_t transposes_elided;
   int64_t rows_materialized;
@@ -190,25 +173,22 @@ void RunWorkload(Catalog* catalog, const char* name, const QuerySpec& q,
                  bool deterministic, TablePrinter* t,
                  std::vector<JsonRow>* json) {
   const IdentityResult id = CheckIdentity(catalog, name, q);
-  const double row_ms = TimeMode(catalog, kRow, q, name);
-  const double col_ms = TimeMode(catalog, kColumnar, q, name);
-  const double simd_ms = TimeMode(catalog, kColumnarSimd, q, name);
-  const double row_rate = kFactRows / row_ms / 1e3;  // Mrows/s
-  const double col_rate = kFactRows / col_ms / 1e3;
+  const double scalar_ms = TimeLevel(catalog, 0, q, name);
+  const double simd_ms = TimeLevel(catalog, 1, q, name);
+  const double scalar_rate = kFactRows / scalar_ms / 1e3;  // Mrows/s
   const double simd_rate = kFactRows / simd_ms / 1e3;
-  const double speedup = simd_rate / row_rate;
+  const double speedup = simd_rate / scalar_rate;
   char checksum_hex[24];
   std::snprintf(checksum_hex, sizeof(checksum_hex), "%016" PRIx64,
                 id.checksum);
-  t->AddRow({name, deterministic ? "-" : TablePrinter::Num(row_rate, 1),
-             deterministic ? "-" : TablePrinter::Num(col_rate, 1),
+  t->AddRow({name, deterministic ? "-" : TablePrinter::Num(scalar_rate, 1),
              deterministic ? "-" : TablePrinter::Num(simd_rate, 1),
              deterministic ? "-" : TablePrinter::Num(speedup, 2) + "x",
              TablePrinter::Int(id.output_rows),
              TablePrinter::Int(id.transposes_elided),
              TablePrinter::Int(id.rows_materialized), checksum_hex});
-  json->push_back({name, row_rate * 1e6, col_rate * 1e6, simd_rate * 1e6,
-                   speedup, id.output_rows, id.transposes_elided,
+  json->push_back({name, scalar_rate * 1e6, simd_rate * 1e6, speedup,
+                   id.output_rows, id.transposes_elided,
                    id.rows_materialized});
 }
 
@@ -225,13 +205,12 @@ void WriteJson(const std::vector<JsonRow>& rows) {
     const JsonRow& r = rows[i];
     std::fprintf(f,
                  "    {\"workload\": \"%s\", "
-                 "\"row_rows_per_sec\": %.0f, "
-                 "\"columnar_rows_per_sec\": %.0f, "
+                 "\"scalar_rows_per_sec\": %.0f, "
                  "\"simd_rows_per_sec\": %.0f, \"speedup\": %.2f, "
                  "\"output_rows\": %lld, \"transposes_elided\": %lld, "
                  "\"rows_materialized\": %lld}%s\n",
-                 r.workload, r.row_rows_per_sec, r.columnar_rows_per_sec,
-                 r.simd_rows_per_sec, r.speedup,
+                 r.workload, r.scalar_rows_per_sec, r.simd_rows_per_sec,
+                 r.speedup,
                  static_cast<long long>(r.output_rows),
                  static_cast<long long>(r.transposes_elided),
                  static_cast<long long>(r.rows_materialized),
@@ -254,19 +233,18 @@ void Run(bool deterministic) {
   BuildStarSchema(&catalog, spec);
 
   bench::Banner("E30",
-                "Late-materialized columnar batches + SIMD vs row-major "
+                "Late-materialized columnar batches: SIMD vs scalar kernels "
                 "(byte-identical)",
                 "Abadi et al. SIGMOD'06 late materialization; Boncz et al. "
                 "CIDR'05 vectorized execution; Dagstuhl 10381 robust "
                 "execution (identical answers under engine variation)");
 
-  std::printf("fact=%lld rows, best of %d reps per timed mode; identity pass "
-              "includes the\nscalar interpreter (checksum+cost abort on any "
+  std::printf("fact=%lld rows, best of %d reps per kernel level; identity "
+              "pass runs both\nlevels (checksum+cost abort on any "
               "divergence)\n\n",
               static_cast<long long>(kFactRows), kReps);
-  TablePrinter t({"workload", "row Mrows/s", "columnar Mrows/s",
-                  "simd Mrows/s", "speedup", "output rows", "elided",
-                  "materialized", "checksum"});
+  TablePrinter t({"workload", "scalar Mrows/s", "simd Mrows/s", "speedup",
+                  "output rows", "elided", "materialized", "checksum"});
   std::vector<JsonRow> json;
   RunWorkload(&catalog, "scan-project", ScanProjectQuery(), deterministic, &t,
               &json);
@@ -276,9 +254,8 @@ void Run(bool deterministic) {
               &json);
   RunWorkload(&catalog, "join-agg", JoinAggQuery(), deterministic, &t, &json);
   t.Print();
-  std::printf("\nidentical checksums and cost in every mode: late "
-              "materialization and SIMD move\nonly the wall clock, never a "
-              "byte of the answer.\n");
+  std::printf("\nidentical checksums and cost at both kernel levels: SIMD "
+              "moves only the\nwall clock, never a byte of the answer.\n");
   if (!deterministic) WriteJson(json);
 }
 

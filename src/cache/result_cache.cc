@@ -296,6 +296,7 @@ bool ResultCache::Lookup(const std::string& key, const Catalog& catalog,
   }
 
   hit->batches = entry->batches;
+  hit->slots = entry->slots;
   hit->rows = entry->rows;
   // A hit costs only the re-emit work: one row_cpu per served row (the
   // patch charges, if any, were added by PatchLocked).
@@ -423,6 +424,7 @@ bool ResultCache::PatchLocked(const std::string& key, Entry* entry,
 
 void ResultCache::Insert(const std::string& key, const QuerySpec& spec,
                          const Catalog& catalog, Snapshot snapshot,
+                         std::vector<std::string> slots,
                          std::vector<RowBatch> batches, int64_t rows) {
   const int64_t pages = PagesFor(rows);
   if (options_.max_entry_pages > 0 && pages > options_.max_entry_pages) {
@@ -433,6 +435,7 @@ void ResultCache::Insert(const std::string& key, const QuerySpec& spec,
   entry.pages = pages;
   entry.checksum = Checksum(batches);
   entry.snapshot = std::move(snapshot);
+  entry.slots = std::move(slots);
   entry.maint = AnalyzeMaintenance(spec, catalog, batches);
   entry.batches =
       std::make_shared<const std::vector<RowBatch>>(std::move(batches));

@@ -81,6 +81,7 @@ class ResultCache : public MemoryRevocable {
   /// than mutating the vector, so a Hit stays valid after release.
   struct Hit {
     std::shared_ptr<const std::vector<RowBatch>> batches;
+    std::vector<std::string> slots;  ///< column names of `batches`
     int64_t rows = 0;
     bool patched = false;
     bool stale = false;
@@ -130,7 +131,8 @@ class ResultCache : public MemoryRevocable {
   /// and the broker still refuses).
   void Insert(const std::string& key, const QuerySpec& spec,
               const Catalog& catalog, Snapshot snapshot,
-              std::vector<RowBatch> batches, int64_t rows);
+              std::vector<std::string> slots, std::vector<RowBatch> batches,
+              int64_t rows);
 
   /// Attaches the broker the cache charges its pages through (the engine's
   /// query-memory broker). Entries cached before attachment are exempt.
@@ -176,6 +178,7 @@ class ResultCache : public MemoryRevocable {
 
   struct Entry {
     std::shared_ptr<const std::vector<RowBatch>> batches;
+    std::vector<std::string> slots;
     int64_t rows = 0;
     int64_t pages = 0;
     /// True when `pages` was granted from the attached broker (entries

@@ -47,24 +47,6 @@ bool ResolveResultCacheEnabled(int configured) {
          !(env[0] == '0' && env[1] == '\0');
 }
 
-/// Resolves EngineOptions::vectorized: -1 defers to $RQP_VECTORIZED, which
-/// defaults ON (only an explicit "0" disables it).
-bool ResolveVectorized(int configured) {
-  if (configured >= 0) return configured != 0;
-  const char* env = std::getenv("RQP_VECTORIZED");
-  return env == nullptr || env[0] == '\0' ||
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-/// Resolves EngineOptions::late_materialize: -1 defers to $RQP_LATE_MAT,
-/// which defaults ON (only an explicit "0" disables it).
-bool ResolveLateMaterialize(int configured) {
-  if (configured >= 0) return configured != 0;
-  const char* env = std::getenv("RQP_LATE_MAT");
-  return env == nullptr || env[0] == '\0' ||
-         !(env[0] == '0' && env[1] == '\0');
-}
-
 /// Applies the $RQP_RESULT_CACHE_PAGES override to the configured budget.
 int64_t ResolveResultCachePages(int64_t configured) {
   if (const char* env = std::getenv("RQP_RESULT_CACHE_PAGES")) {
@@ -90,8 +72,6 @@ Engine::Engine(Catalog* catalog, EngineOptions options)
                       ? MakeEngineTag()
                       : MakeEngineTag() + "-" + options_.engine_tag_suffix) {
   result_cache_enabled_ = ResolveResultCacheEnabled(options_.use_result_cache);
-  vectorized_ = ResolveVectorized(options_.vectorized);
-  late_materialize_ = ResolveLateMaterialize(options_.late_materialize);
   simd_level_ = ResolveSimdLevel(options_.simd);
   ResultCache::Options ro = options_.result_cache;
   ro.max_pages = ResolveResultCachePages(ro.max_pages);
@@ -397,10 +377,10 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
   ResultCache::Snapshot rc_snapshot;
   if (result_cache_enabled_) {
     // Scheduled cache-corruption faults draw from a per-query injector
-    // seeded by the schedule, like the stats perturbation above.
+    // seeded by the query's schedule, like the stats perturbation above.
     std::unique_ptr<FaultInjector> cache_faults;
-    if (!options_.faults.empty()) {
-      cache_faults = std::make_unique<FaultInjector>(options_.faults);
+    if (!faults.empty()) {
+      cache_faults = std::make_unique<FaultInjector>(faults);
     }
     rc_key = PlanCache::Key(spec);
     ResultCache::Hit hit;
@@ -424,6 +404,7 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
       result.result_cache_patched = hit.patched;
       result.result_cache_stale = hit.stale;
       result.output_rows = hit.rows;
+      result.output_slots = std::move(hit.slots);
       result.counters.cost_units = hit.cost_units;
       result.counters.pages_read = hit.pages_read;
       result.counters.rows_processed = hit.rows_processed;
@@ -538,24 +519,9 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
   result.first_plan = plan->Explain();
 
   std::vector<MaterializedLeaf> leaves;
-  ExecCounters accumulated;
   // Abandoned attempts (guardrail trips, POP restarts) still spent real
-  // work: fold their clock and spill traffic into the query's totals.
-  const auto accumulate = [&accumulated](const ExecCounters& c) {
-    accumulated.cost_units += c.cost_units;
-    accumulated.pages_read += c.pages_read;
-    accumulated.spill_pages += c.spill_pages;
-    accumulated.spill_pages_reread += c.spill_pages_reread;
-    accumulated.spill_partitions += c.spill_partitions;
-    accumulated.memory_revocations += c.memory_revocations;
-    accumulated.spill_recursion_depth =
-        std::max(accumulated.spill_recursion_depth, c.spill_recursion_depth);
-    accumulated.parallel_saved_units += c.parallel_saved_units;
-    accumulated.morsels += c.morsels;
-    accumulated.parallel_phases += c.parallel_phases;
-    accumulated.rows_materialized += c.rows_materialized;
-    accumulated.transposes_elided += c.transposes_elided;
-  };
+  // work: every counter they charged folds into the query's totals.
+  ExecCounters accumulated;
   const GuardrailOptions& guard = options_.guardrails;
   const int64_t query_seq = query_seq_.fetch_add(1, std::memory_order_relaxed);
 
@@ -579,8 +545,6 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
   for (int attempt = 0;; ++attempt) {
     ExecContext ctx(broker);
     ctx.set_cost_model(options_.cost_model);
-    ctx.set_vectorized(vectorized_);
-    ctx.set_late_materialize(late_materialize_);
     ctx.set_simd(simd_level_);
     ctx.set_spill_dir(options_.spill_dir);
     std::string query_id = engine_tag_;
@@ -627,7 +591,7 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
       // abandoned attempt to the query, then hedge with the conservative
       // plan (once) or finish unguarded when the breaker opens.
       const ExecContext::GuardrailTrip trip = *ctx.trip();
-      accumulate(ctx.counters());
+      accumulated.Merge(ctx.counters());
       if (trip.kind == ExecContext::GuardrailTrip::Kind::kCardinalityFuse) {
         ++result.fuse_trips;
       } else {
@@ -686,7 +650,7 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
       // POP: a checkpoint fired. Keep the spent work both physically (the
       // materialized intermediate) and in the accounting (cost so far).
       const ExecContext::ReoptRequest& req = *ctx.reopt_request();
-      accumulate(ctx.counters());
+      accumulated.Merge(ctx.counters());
       ++result.reoptimizations;
       // POP re-optimizations count against the same circuit breaker as
       // guardrail retries, bounding total recovery attempts per query.
@@ -737,21 +701,9 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
 
     // Success.
     result.output_rows = *drained;
+    result.output_slots = op.value()->output_slots();
     result.counters = ctx.counters();
-    result.counters.cost_units += accumulated.cost_units;
-    result.counters.pages_read += accumulated.pages_read;
-    result.counters.spill_pages += accumulated.spill_pages;
-    result.counters.spill_pages_reread += accumulated.spill_pages_reread;
-    result.counters.spill_partitions += accumulated.spill_partitions;
-    result.counters.memory_revocations += accumulated.memory_revocations;
-    result.counters.spill_recursion_depth =
-        std::max(result.counters.spill_recursion_depth,
-                 accumulated.spill_recursion_depth);
-    result.counters.parallel_saved_units += accumulated.parallel_saved_units;
-    result.counters.morsels += accumulated.morsels;
-    result.counters.parallel_phases += accumulated.parallel_phases;
-    result.counters.rows_materialized += accumulated.rows_materialized;
-    result.counters.transposes_elided += accumulated.transposes_elided;
+    result.counters.Merge(accumulated);
     result.cost = result.counters.cost_units;
     result.elapsed =
         result.counters.cost_units - result.counters.parallel_saved_units;
@@ -773,6 +725,7 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
     // Run returns, waking any sessions queued on this key.
     if (rc_flight.active()) {
       result_cache_->Insert(rc_key, spec, *catalog_, std::move(rc_snapshot),
+                            result.output_slots,
                             keep_rows ? rows : std::move(rows), *drained);
     }
     if (keep_rows) result.rows = std::move(rows);

@@ -97,23 +97,11 @@ struct EngineOptions {
   /// referenced tables have received at most this many appended rows since
   /// the snapshot. 0 = always fresh (patch or recompute on any change).
   int64_t result_cache_max_staleness = 0;
-  /// Vectorized execution (selection-vector batches + flattened predicate
-  /// bytecode + batched hot-path charging; DESIGN.md §10): -1 = read
-  /// $RQP_VECTORIZED (unset/"" → on, "0" → off), 0 = scalar per-row
-  /// execution, 1 = vectorized. Both paths are byte-identical.
-  int vectorized = -1;
-  /// Late-materialized columnar execution over the vectorized pipeline
-  /// (ColumnBatch views + a single materialization point; DESIGN.md §15):
-  /// -1 = read $RQP_LATE_MAT (unset/"" → on, "0" → off), 0 = row-major
-  /// batches on every edge, 1 = late materialization. Requires vectorized
-  /// execution; silently off when that is off. All modes are byte-identical
-  /// in rows, cost, and every counter except the rows_materialized /
-  /// transposes_elided diagnostics.
-  int late_materialize = -1;
   /// Explicit SIMD kernels (compare+compact, hash mix) inside the
-  /// vectorized VMs: -1 = read $RQP_SIMD (unset/"" → runtime CPU dispatch,
-  /// "0" → scalar), 0 = forced scalar, else runtime dispatch. The kernels
-  /// are integer-exact, so every level produces byte-identical results.
+  /// predicate and join VMs: -1 = read $RQP_SIMD (unset/"" → runtime CPU
+  /// dispatch, "0" → scalar), 0 = forced scalar, else runtime dispatch. The
+  /// kernels are integer-exact, so every level produces byte-identical
+  /// results.
   int simd = -1;
   /// Query memory capacity (pages) of the shared broker.
   int64_t memory_pages = 1 << 20;
@@ -190,6 +178,9 @@ struct QueryResult {
   struct NodeCard { int node_id; double estimated; int64_t actual; };
   std::vector<NodeCard> node_cards;
   std::vector<RowBatch> rows;  ///< filled only when requested
+  /// Qualified names of the output columns, in row order (the final plan's
+  /// layout, which POP re-optimization may change from the first plan's).
+  std::vector<std::string> output_slots;
   /// Indexes auto-created by the soft index tuner during this query
   /// ("table.column").
   std::vector<std::string> indexes_built;
@@ -283,8 +274,11 @@ class Engine {
   PlanCache* plan_cache() { return &plan_cache_; }
   ResultCache* result_cache() { return result_cache_.get(); }
   bool result_cache_enabled() const { return result_cache_enabled_; }
-  bool vectorized() const { return vectorized_; }
-  bool late_materialize() const { return late_materialize_; }
+  /// Always true: column views plus VM programs are the only execution
+  /// mode. Kept for callers that still forward them to
+  /// ExecContext::set_vectorized / set_late_materialize (both no-ops).
+  bool vectorized() const { return true; }
+  bool late_materialize() const { return true; }
   SimdLevel simd_level() const { return simd_level_; }
   MemoryBroker* memory() { return &memory_; }
   EngineOptions* mutable_options() { return &options_; }
@@ -324,8 +318,6 @@ class Engine {
   /// broker pages into a still-live broker.
   std::unique_ptr<ResultCache> result_cache_;
   bool result_cache_enabled_ = false;
-  bool vectorized_ = true;  ///< resolved from options/$RQP_VECTORIZED at ctor
-  bool late_materialize_ = true;  ///< resolved from options/$RQP_LATE_MAT
   SimdLevel simd_level_ = SimdLevel::kScalar;  ///< options/$RQP_SIMD + cpuid
   /// Deterministic spill-directory naming; atomic because concurrent
   /// identical queries (stampedes onto the result cache) run Run() from

@@ -11,7 +11,7 @@ void ColumnBatch::MaterializeInto(RowBatch* out, ExecContext* ctx) const {
   data.resize(base + n_ * ncols);
   int64_t* dst = data.data() + base;
   // Column-at-a-time strided stores: each source (view gather or flat run)
-  // is read sequentially, mirroring the legacy vectorized scan's transpose.
+  // is read sequentially.
   for (size_t c = 0; c < ncols; ++c) {
     const Column& col = cols_[c];
     int64_t* d = dst + c;

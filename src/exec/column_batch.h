@@ -13,8 +13,8 @@ namespace rqp {
 class ExecContext;
 
 /// Late-materialized columnar batch: the unit of data flow on the hot
-/// pipeline edges (scan→filter→map→join-probe→sink) when the
-/// late-materialization gate is on. Each column is either a zero-copy *view*
+/// pipeline edges (scan→filter→map→join-probe→sink). Each column is either
+/// a zero-copy *view*
 /// (a base pointer into full `Table::column()` storage, addressed by
 /// absolute row id) or an owned *flat* vector (addressed by logical
 /// position). Row addressing is batch-level: with a selection vector,
@@ -129,15 +129,14 @@ class ColumnBatch {
   /// Appends every logical row to `out` in row-major order — the single
   /// columnar→row conversion point. Counts the rows in the
   /// rows_materialized diagnostic when `ctx` is non-null (zero cost-clock
-  /// charge: the legacy path transposed these rows without charging either).
+  /// charge: a transpose is not a unit of the simulated clock).
   void MaterializeInto(RowBatch* out, ExecContext* ctx) const;
 
   /// Rewrites every view column as a flat column holding its current values
   /// and drops the selection mapping, so subsequent rows can be appended
   /// flat. Used by producers whose emission switches from view references to
-  /// owned values mid-batch (the join probe crossing into its spill phases)
-  /// — the legacy row path packs output across that transition, so the
-  /// columnar path must too.
+  /// owned values mid-batch (the join probe crossing into its spill phases),
+  /// so output stays packed to kBatchRows across that transition.
   void DemoteViewsToFlat() {
     for (auto& c : cols_) {
       if (!c.is_view) continue;

@@ -68,9 +68,8 @@ struct ExecCounters {
   int64_t morsels_stolen = 0;    ///< straggler morsels moved across shards
   int64_t hot_keys = 0;          ///< heavy-hitter keys diverted to broadcast
   // Late-materialization diagnostics (PR 10). Pure diagnostics with zero
-  // cost-clock charge: the columnar path must keep the clock byte-identical
-  // to the row-major path, so these two are the ONLY counters allowed to
-  // differ across modes (identity tests compare everything else).
+  // cost-clock charge: they record where column views were transposed to
+  // row-major and where they were consumed as views, never moving the clock.
   int64_t rows_materialized = 0;  ///< columnar rows converted to row-major
   int64_t transposes_elided = 0;  ///< rows consumed columnar, never transposed
 
@@ -309,20 +308,11 @@ class ExecContext {
   const CostModel& cost_model() const { return cost_model_; }
   void set_cost_model(const CostModel& cm) { cost_model_ = cm; }
 
-  /// Vectorized execution gate (EngineOptions::vectorized / $RQP_VECTORIZED).
-  /// Operators read this at Open and pick the selection-vector path or the
-  /// per-row scalar path; both produce byte-identical output and identical
-  /// cost-clock totals (DESIGN.md §10).
-  void set_vectorized(bool v) { vectorized_ = v; }
-  bool vectorized() const { return vectorized_; }
-
-  /// Late-materialization gate (EngineOptions::late_materialize /
-  /// $RQP_LATE_MAT). Effective only when vectorized() is also set: the
-  /// columnar batch views are an overlay on the selection-vector path.
-  /// Operators read this at Open to decide whether to flow ColumnBatch views
-  /// to columnar-capable consumers or legacy row-major batches.
-  void set_late_materialize(bool v) { late_materialize_ = v; }
-  bool late_materialize() const { return late_materialize_ && vectorized_; }
+  /// No-ops kept for source compatibility with callers that still forward
+  /// Engine::vectorized() / late_materialize(): every operator runs column
+  /// views plus VM programs (DESIGN.md §15), so there is no gate to set.
+  void set_vectorized(bool) {}
+  void set_late_materialize(bool) {}
 
   /// Resolved SIMD dispatch level (EngineOptions::simd / $RQP_SIMD). Changes
   /// instruction selection in the compare+compact and hash-mix kernels only;
@@ -706,8 +696,6 @@ class ExecContext {
   }
 
   CostModel cost_model_;
-  bool vectorized_ = true;
-  bool late_materialize_ = true;
   SimdLevel simd_ = SimdLevel::kScalar;
   ExecCounters counters_;
   MemoryBroker own_memory_;

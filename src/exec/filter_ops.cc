@@ -11,27 +11,13 @@ Status FilterOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   ResetCount();
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  auto compiled =
-      CompiledPredicate::Compile(predicate_, child_->output_slots());
-  if (!compiled.ok()) return compiled.status();
-  compiled_ = std::move(compiled.value());
-  program_.reset();
-  vectorized_ = ctx->vectorized();
-  if (vectorized_) {
-    // Unflattenable predicates (unbound parameters) fall back to scalar.
-    auto program =
-        PredicateProgram::Compile(predicate_, child_->output_slots());
-    if (program.ok()) {
-      program_ = std::move(program.value());
-    } else {
-      vectorized_ = false;
-    }
-  }
+  auto program = PredicateProgram::Compile(predicate_, child_->output_slots());
+  if (!program.ok()) return program.status();
+  program_ = std::move(program.value());
   // Columnar pass-through needs a child whose view bases are table storage
   // (stable across fetches): the filter packs survivors from several child
   // batches into one output batch over a single set of bases.
-  columnar_ = vectorized_ && ctx->late_materialize() &&
-              child_->supports_columnar() && child_->stable_columnar_views();
+  columnar_ = child_->supports_columnar() && child_->stable_columnar_views();
   return Status::OK();
 }
 
@@ -40,7 +26,7 @@ Status FilterOp::Open(ExecContext* ctx) {
 // (BuildSelection, the SIMD compare+compact entry point) and selective input
 // is refined in place over the absolute row ids. No row is ever copied, and
 // the charge sequence (one whole-batch eval charge between child fetches)
-// matches the row-major vectorized path exactly.
+// matches the row-major path below.
 Status FilterOp::NextColumnar(ColumnBatch* out) {
   const size_t ncols = output_slots().size();
   out->Reset(ncols);
@@ -88,29 +74,21 @@ Status FilterOp::Next(RowBatch* out) {
     col_scratch_.MaterializeInto(out, ctx_);
     return Status::OK();
   }
+  // Row-major input (a non-columnar child): the same bytecode runs over the
+  // batch viewed column-wise at stride = num_cols, with one eval charge per
+  // input batch.
   out->Reset(output_slots().size());
   while (!out->full()) {
     RQP_RETURN_IF_ERROR(child_->Next(&in_));
     if (in_.empty()) break;
-    if (vectorized_) {
-      // One eval charge per input batch, flushed right where the scalar
-      // path's per-row charges would all have landed anyway (between the
-      // two child Next calls) — identical clock at every external charge
-      // point (DESIGN.md §10).
-      ctx_->ChargePredicateEvals(static_cast<int64_t>(in_.num_rows()));
-      const size_t ncols = in_.num_cols();
-      col_ptrs_.resize(ncols);
-      const int64_t* base = in_.data().data();
-      for (size_t c = 0; c < ncols; ++c) col_ptrs_[c] = base + c;
-      program_->BuildSelection(col_ptrs_.data(), /*stride=*/ncols,
-                               in_.num_rows(), &sel_);
-      for (const uint32_t r : sel_) out->AppendRow(in_.row(r));
-    } else {
-      for (size_t r = 0; r < in_.num_rows(); ++r) {
-        ctx_->ChargePredicateEvals(1);
-        if (compiled_->Eval(in_.row(r))) out->AppendRow(in_.row(r));
-      }
-    }
+    ctx_->ChargePredicateEvals(static_cast<int64_t>(in_.num_rows()));
+    const size_t ncols = in_.num_cols();
+    col_ptrs_.resize(ncols);
+    const int64_t* base = in_.data().data();
+    for (size_t c = 0; c < ncols; ++c) col_ptrs_[c] = base + c;
+    program_->BuildSelection(col_ptrs_.data(), /*stride=*/ncols,
+                             in_.num_rows(), &sel_);
+    for (const uint32_t r : sel_) out->AppendRow(in_.row(r));
   }
   CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
@@ -159,26 +137,14 @@ Status MapOp::Open(ExecContext* ctx) {
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   slots_ = child_->output_slots();
   for (const auto& d : derived_) slots_.push_back(d.name);
-  compiled_.clear();
   programs_.clear();
-  vectorized_ = ctx->vectorized();
   const auto& in_slots = child_->output_slots();
   for (const auto& d : derived_) {
-    const ExprPtr folded = FoldExpr(d.expr);
-    auto c = CompiledExpr::Compile(folded, in_slots);
-    if (!c.ok()) return c.status();
-    compiled_.push_back(std::move(c.value()));
-    if (vectorized_) {
-      auto p = ExprProgram::Compile(folded, in_slots);
-      if (p.ok()) {
-        programs_.push_back(std::move(p.value()));
-      } else {
-        vectorized_ = false;  // whole operator falls back to scalar
-      }
-    }
+    auto p = ExprProgram::Compile(FoldExpr(d.expr), in_slots);
+    if (!p.ok()) return p.status();
+    programs_.push_back(std::move(p.value()));
   }
-  columnar_ = vectorized_ && ctx->late_materialize() &&
-              child_->supports_columnar() && child_->stable_columnar_views();
+  columnar_ = child_->supports_columnar() && child_->stable_columnar_views();
   return Status::OK();
 }
 
@@ -244,14 +210,13 @@ Status MapOp::Next(RowBatch* out) {
   RQP_RETURN_IF_ERROR(child_->Next(&in_));
   const size_t n = in_.num_rows();
   const size_t width = in_.num_cols();
-  // Whole-batch eval charge, flushed before any evaluation in BOTH modes:
-  // the clock (and thus guardrail/fault trigger points) agrees between
-  // modes even when an expression errors mid-batch.
+  // Whole-batch eval charge, flushed before any evaluation, so the clock at
+  // every guardrail and fault point is the same whether an expression
+  // errors mid-batch or not.
   if (n > 0 && !derived_.empty()) {
     ctx_->ChargePredicateEvals(static_cast<int64_t>(n * derived_.size()));
   }
-  std::vector<int64_t> row(slots_.size());
-  if (vectorized_ && n > 0) {
+  if (n > 0) {
     col_ptrs_.resize(width);
     const int64_t* base = in_.data().data();
     for (size_t c = 0; c < width; ++c) col_ptrs_[c] = base + c;
@@ -262,23 +227,15 @@ Status MapOp::Next(RowBatch* out) {
                                                  derived_vals_[d].data(),
                                                  &scratch_));
     }
-    for (size_t r = 0; r < n; ++r) {
-      const int64_t* src = in_.row(r);
-      std::copy(src, src + width, row.begin());
-      for (size_t d = 0; d < derived_.size(); ++d) {
-        row[width + d] = derived_vals_[d][r];
-      }
-      out->AppendRow(row);
+  }
+  std::vector<int64_t> row(slots_.size());
+  for (size_t r = 0; r < n; ++r) {
+    const int64_t* src = in_.row(r);
+    std::copy(src, src + width, row.begin());
+    for (size_t d = 0; d < derived_.size(); ++d) {
+      row[width + d] = derived_vals_[d][r];
     }
-  } else {
-    for (size_t r = 0; r < n; ++r) {
-      const int64_t* src = in_.row(r);
-      std::copy(src, src + width, row.begin());
-      for (size_t d = 0; d < compiled_.size(); ++d) {
-        RQP_RETURN_IF_ERROR(compiled_[d].Eval(src, &row[width + d]));
-      }
-      out->AppendRow(row);
-    }
+    out->AppendRow(row);
   }
   ctx_->ChargeRowCpu(static_cast<int64_t>(n));
   CountProduced(ctx_, *out, /*eof=*/out->empty());
@@ -320,8 +277,8 @@ void AdaptiveFilterOp::MaybeReorder() {
 }
 
 Status AdaptiveFilterOp::Next(RowBatch* out) {
-  // Stays scalar under the vectorized gate: its whole point is per-row
-  // adaptive predicate ordering with per-predicate pass-rate statistics.
+  // Per-row by design: its whole point is adaptive predicate ordering with
+  // per-predicate pass-rate statistics.
   out->Reset(output_slots().size());
   while (!out->full()) {
     RQP_RETURN_IF_ERROR(child_->Next(&in_));

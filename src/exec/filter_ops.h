@@ -34,17 +34,16 @@ class FilterOp : public Operator {
  private:
   OperatorPtr child_;
   PredicatePtr predicate_;
-  std::optional<CompiledPredicate> compiled_;
   ExecContext* ctx_ = nullptr;
-  // Vectorized path (ctx->vectorized()): the predicate as flat bytecode run
-  // over the input batch viewed column-wise (stride = num_cols).
-  bool vectorized_ = false;
+  /// The predicate as flat bytecode: run over column views (columnar child)
+  /// or over the input batch viewed column-wise (stride = num_cols).
   std::optional<PredicateProgram> program_;
   RowBatch in_;  ///< reused input batch — no per-Next allocation
   std::vector<const int64_t*> col_ptrs_;
   SelectionVector sel_;
-  // Late-materialized path: the child's column views pass through untouched
-  // and only the selection vector is refined — filtering never copies a row.
+  // Columnar path (a stable columnar child): the child's column views pass
+  // through untouched and only the selection vector is refined — filtering
+  // never copies a row.
   bool columnar_ = false;
   ColumnBatch in_col_;       ///< reused columnar input
   ColumnBatch col_scratch_;  ///< bridge scratch for row-major Next
@@ -73,14 +72,13 @@ class ProjectOp : public Operator {
 
 /// Computes derived columns through the expression layer and appends them
 /// to the child's slots. Each expression is constant-folded (FoldExpr) at
-/// Open and compiled both to a scalar tree-walk (CompiledExpr) and — under
-/// the vectorized gate — to the postfix ExprProgram VM, evaluated
+/// Open and compiled to the postfix ExprProgram VM, evaluated
 /// column-at-a-time over the input batch. Division by zero is the sole
-/// expression runtime error and carries identical fixed text in both modes;
-/// the VM checks every divisor lane before dividing and CASE evaluates both
-/// branches eagerly, so an error occurs in one mode iff in the other, and
-/// the whole-batch eval charge is flushed before evaluation in BOTH modes
-/// so the cost clock agrees even on the error path.
+/// expression runtime error and carries a fixed text; the VM checks every
+/// divisor lane before dividing and CASE evaluates both branches eagerly,
+/// so a batch errors iff one of its rows would, and the whole-batch eval
+/// charge is flushed before evaluation so the clock is the same on the
+/// error path.
 class MapOp : public Operator {
  public:
   MapOp(OperatorPtr child, std::vector<DerivedColumn> derived);
@@ -102,19 +100,18 @@ class MapOp : public Operator {
   OperatorPtr child_;
   std::vector<DerivedColumn> derived_;
   std::vector<std::string> slots_;  ///< child slots + derived names
-  std::vector<CompiledExpr> compiled_;
   ExecContext* ctx_ = nullptr;
-  // Vectorized path: one VM program per derived column, run dense over the
-  // batch (stride = num_cols); falls back to scalar if any compile fails.
-  bool vectorized_ = false;
+  /// One VM program per derived column.
   std::vector<ExprProgram> programs_;
   ExprScratch scratch_;
+  // Row-major path (a non-columnar child): the programs run dense over the
+  // batch at stride = num_cols.
   RowBatch in_;  ///< reused input batch — no per-Next allocation
   std::vector<const int64_t*> col_ptrs_;
   std::vector<std::vector<int64_t>> derived_vals_;
-  // Late-materialized path: child views pass through, derived columns are
-  // computed stride-free straight off the views into flat vectors — input
-  // rows are never copied here.
+  // Columnar path (a stable columnar child): child views pass through,
+  // derived columns are computed stride-free straight off the views into
+  // flat vectors — input rows are never copied here.
   bool columnar_ = false;
   ColumnBatch in_col_;       ///< reused columnar input
   ColumnBatch col_scratch_;  ///< bridge scratch for row-major Next

@@ -33,14 +33,14 @@ void JoinHashTable::Build(const RowBuffer& rows, size_t key_idx) {
   // Floor the bucket count for sparse non-empty tables: with one bucket per
   // row a 2-row table sends half of all probes into a chain walk. Extra
   // buckets only respread keys — match results and order are bucket-count
-  // independent — but they let the vectorized head-fetch pass reject misses
+  // independent — but they let the fused probe's head-fetch pass reject misses
   // without touching a chain. 64 empty heads cost 256 bytes.
   if (n > 0 && buckets < kMinBuckets) buckets = kMinBuckets;
   heads.assign(buckets, kEmpty);
   nexts.resize(n);
   bucket_mask = static_cast<uint64_t>(buckets - 1);
   // Prepend in reverse row order so each chain reads forward in build-row
-  // order — the defined match order both probe modes rely on.
+  // order — the defined match order the probe relies on.
   for (size_t i = n; i-- > 0;) {
     const size_t b = BucketOf(rows.row(i)[key_idx]);
     nexts[i] = heads[b];
@@ -183,7 +183,7 @@ Status HashJoinOp::FinishBuildPhase() {
   for (Partition& part : parts_) {
     if (part.spilled) continue;
     // Empty resident partitions get a 1-bucket table whose single head is
-    // kEmpty: the vectorized probe's head-fetch pass can then load every
+    // kEmpty: the fused probe's head-fetch pass can then load every
     // partition's bucket unconditionally instead of branching on emptiness.
     part.table.Build(part.rows, build_key_idx_);
     if (part.rows.num_rows() == 0) continue;
@@ -241,136 +241,53 @@ Status HashJoinOp::RunBuildFromFile(SpillFile* file) {
 }
 
 Status HashJoinOp::FetchProbeBatch() {
-  if (probe_file_ == nullptr) {
-    if (columnar_) return FetchProbeBatchColumnar();
-    RQP_RETURN_IF_ERROR(probe_child_->Next(&probe_batch_));
-  } else {
-    RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
-  }
-  probe_via_views_ = false;
-  probe_row_ = 0;
-  // Batch boundary = phase boundary: no live match references, safe to shed.
-  if (!probe_batch_.empty()) {
-    RQP_RETURN_IF_ERROR(PollRevocation());
-    if (vectorized_) {
-      // Fused whole-batch probe: charge every probe in one flush, compute
-      // every row's partition in one pass, route spilled-partition rows to
-      // their probe files in row order, and walk the flat hash chains for
-      // resident rows into fused_pairs_. Emission in Next() is then a bare
-      // cursor over precomputed (probe row, build row) pairs. The scalar
-      // path's per-row charges and spill appends all land within this same
-      // batch window, so totals and the clock at every batch boundary agree
-      // (DESIGN.md §10), and spill-file contents stay in row order.
-      const size_t n = probe_batch_.num_rows();
-      ctx_->ChargeHashOps(static_cast<int64_t>(n));
-      probe_keys_.resize(n);
-      probe_parts_.resize(n);
-      const int64_t* key_col = probe_batch_.data().data() + probe_key_idx_;
-      const size_t stride = probe_batch_.num_cols();
-      fused_pairs_.clear();
-      fused_next_ = 0;
-      bool any_spilled = false;
-      for (const Partition& part : parts_) any_spilled |= part.spilled;
-      if (!any_spilled) {
-        // In-memory fast path: a two-pass branchless probe. Mispredicted
-        // per-row branches are what the scalar probe pays for — keys arrive
-        // in random order, so "is this bucket empty" and "does this key
-        // match" never predict. Pass 1 fuses the key gather, the partition
-        // precompute, and an unconditional bucket-head fetch (every resident
-        // partition has a built table, even the empty ones), compacting the
-        // rows with non-empty heads by branch-free index append. Pass 2
-        // walks chains only for those candidates, emitting matches with an
-        // arithmetic k-bump instead of a conditional append. Match order is
-        // unchanged: probe-row major, build-row order within a chain.
-        cand_rows_.resize(n);
-        cand_heads_.resize(n);
-        size_t cands = 0;
-        for (size_t i = 0; i < n; ++i) {
-          const int64_t key = key_col[i * stride];
-          probe_keys_[i] = key;
-          const uint32_t p = static_cast<uint32_t>(PartitionOf(key));
-          probe_parts_[i] = p;
-          const JoinHashTable& t = parts_[p].table;
-          const uint32_t head = t.heads[JoinHashTable::Mix(key) & t.bucket_mask];
-          cand_rows_[cands] = static_cast<uint32_t>(i);
-          cand_heads_[cands] = head;
-          cands += head != JoinHashTable::kEmpty;
-        }
-        size_t k = 0;
-        if (fused_pairs_.size() < cands) fused_pairs_.resize(cands);
-        for (size_t c = 0; c < cands; ++c) {
-          const uint32_t i = cand_rows_[c];
-          const int64_t key = probe_keys_[i];
-          const Partition& part = parts_[probe_parts_[i]];
-          const uint32_t* nexts = part.table.nexts.data();
-          const int64_t* rows = part.rows.data.data();
-          const size_t width = part.rows.num_cols;
-          for (uint32_t r = cand_heads_[c]; r != JoinHashTable::kEmpty;
-               r = nexts[r]) {
-            if (k == fused_pairs_.size()) fused_pairs_.resize(2 * k + 64);
-            fused_pairs_[k] = {i, r};
-            k += rows[r * width + build_key_idx_] == key;
-          }
-        }
-        fused_pairs_.resize(k);
-      } else {
-        // Spill path: keys and partitions still precompute in one stride-1
-        // pass; routing then appends spilled-partition rows in row order.
-        for (size_t i = 0; i < n; ++i) {
-          probe_keys_[i] = key_col[i * stride];
-          probe_parts_[i] = static_cast<uint32_t>(PartitionOf(probe_keys_[i]));
-        }
-        for (size_t i = 0; i < n; ++i) {
-          Partition& part = parts_[probe_parts_[i]];
-          if (part.spilled) {
-            if (part.probe_spill == nullptr) {
-              auto file = ctx_->spill()->Create(probe_cols_);
-              if (!file.ok()) return file.status();
-              part.probe_spill = std::move(file).value();
-            }
-            RQP_RETURN_IF_ERROR(part.probe_spill->AppendRow(probe_batch_.row(i)));
-            continue;
-          }
-          part.table.ForEachMatch(
-              part.rows, build_key_idx_, probe_keys_[i], [&](size_t r) {
-                fused_pairs_.emplace_back(static_cast<uint32_t>(i),
-                                          static_cast<uint32_t>(r));
-              });
-        }
-      }
+  size_t n = 0;
+  if (probe_file_ == nullptr && columnar_) {
+    // Depth-0 columnar fetch: pull the probe child's column views and gather
+    // only the key column. Payload columns are never touched here —
+    // emission references them by absolute row id, and only spill routing
+    // gathers a full row (on demand, counted as materialized).
+    RQP_RETURN_IF_ERROR(probe_child_->NextColumnar(&probe_col_));
+    probe_via_views_ = true;
+    probe_batch_.Clear();
+    n = probe_col_.num_rows();
+    if (n == 0) return Status::OK();
+    ctx_->counters().transposes_elided += static_cast<int64_t>(n);
+    probe_keys_.resize(n);
+    const int64_t* key_base = probe_col_.col(probe_key_idx_).base;
+    if (probe_col_.has_selection()) {
+      const uint32_t* sel = probe_col_.sel().data();
+      for (size_t i = 0; i < n; ++i) probe_keys_[i] = key_base[sel[i]];
+    } else {
+      const int64_t* src = probe_col_.DensePtr(probe_key_idx_);
+      std::copy(src, src + n, probe_keys_.begin());
     }
+  } else {
+    // Row-major probe input: a non-columnar child or a recursive task's
+    // spill file.
+    if (probe_file_ == nullptr) {
+      RQP_RETURN_IF_ERROR(probe_child_->Next(&probe_batch_));
+    } else {
+      RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
+    }
+    probe_via_views_ = false;
+    n = probe_batch_.num_rows();
+    if (n == 0) return Status::OK();
+    probe_keys_.resize(n);
+    const int64_t* key_col = probe_batch_.data().data() + probe_key_idx_;
+    const size_t stride = probe_batch_.num_cols();
+    for (size_t i = 0; i < n; ++i) probe_keys_[i] = key_col[i * stride];
   }
-  return Status::OK();
-}
-
-Status HashJoinOp::FetchProbeBatchColumnar() {
-  // Depth-0 late-materialized fetch: pull the probe child's column views and
-  // run the fused probe off the key column alone. Payload columns are never
-  // touched here — emission references them by absolute row id, and only
-  // spill routing gathers a full row (on demand, counted as materialized).
-  // Charge points, spill-append order, and match order are identical to the
-  // row-major fused probe above, so cost and output stay byte-identical.
-  RQP_RETURN_IF_ERROR(probe_child_->NextColumnar(&probe_col_));
-  probe_via_views_ = true;
-  probe_batch_.Clear();
-  probe_row_ = 0;
-  const size_t n = probe_col_.num_rows();
-  if (n == 0) return Status::OK();
-  ctx_->counters().transposes_elided += static_cast<int64_t>(n);
+  // Batch boundary = phase boundary: no live match references, safe to shed.
   RQP_RETURN_IF_ERROR(PollRevocation());
+  // Fused whole-batch probe: charge every probe in one flush, compute every
+  // row's partition in one pass, route spilled-partition rows to their probe
+  // files in row order, and walk the flat hash chains for resident rows into
+  // fused_pairs_. Emission is then a bare cursor over precomputed (probe
+  // row, build row) pairs.
   ctx_->ChargeHashOps(static_cast<int64_t>(n));
-  probe_keys_.resize(n);
   probe_parts_.resize(n);
   probe_mixes_.resize(n);
-  // Key gather: stride-free off the dense view, or a selection gather.
-  const int64_t* key_base = probe_col_.col(probe_key_idx_).base;
-  if (probe_col_.has_selection()) {
-    const uint32_t* sel = probe_col_.sel().data();
-    for (size_t i = 0; i < n; ++i) probe_keys_[i] = key_base[sel[i]];
-  } else {
-    const int64_t* src = probe_col_.DensePtr(probe_key_idx_);
-    std::copy(src, src + n, probe_keys_.begin());
-  }
   // Whole-batch hash mix; the SIMD kernel is integer-exact, so bucket
   // choice, chain walks, and match order are bit-identical at every level.
   SimdMixBatch(probe_keys_.data(), n, probe_mixes_.data(), ctx_->simd());
@@ -379,6 +296,15 @@ Status HashJoinOp::FetchProbeBatchColumnar() {
   bool any_spilled = false;
   for (const Partition& part : parts_) any_spilled |= part.spilled;
   if (!any_spilled) {
+    // In-memory fast path: a two-pass branchless probe. Keys arrive in
+    // random order, so per-row "is this bucket empty" and "does this key
+    // match" branches never predict. Pass 1 fuses the partition precompute
+    // with an unconditional bucket-head fetch (every resident partition has
+    // a built table, even the empty ones), compacting the rows with
+    // non-empty heads by branch-free index append. Pass 2 walks chains only
+    // for those candidates, emitting matches with an arithmetic k-bump
+    // instead of a conditional append. Match order: probe-row major,
+    // build-row order within a chain.
     cand_rows_.resize(n);
     cand_heads_.resize(n);
     size_t cands = 0;
@@ -408,30 +334,61 @@ Status HashJoinOp::FetchProbeBatchColumnar() {
       }
     }
     fused_pairs_.resize(k);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      probe_parts_[i] = static_cast<uint32_t>(PartitionOf(probe_keys_[i]));
-    }
-    row_scratch_.resize(probe_cols_);
-    for (size_t i = 0; i < n; ++i) {
-      Partition& part = parts_[probe_parts_[i]];
-      if (part.spilled) {
-        if (part.probe_spill == nullptr) {
-          auto file = ctx_->spill()->Create(probe_cols_);
-          if (!file.ok()) return file.status();
-          part.probe_spill = std::move(file).value();
-        }
+    return Status::OK();
+  }
+  // Spill path: partitions precompute in one pass; routing then appends
+  // spilled-partition rows in row order.
+  for (size_t i = 0; i < n; ++i) {
+    probe_parts_[i] = static_cast<uint32_t>(PartitionOf(probe_keys_[i]));
+  }
+  row_scratch_.resize(probe_cols_);
+  for (size_t i = 0; i < n; ++i) {
+    Partition& part = parts_[probe_parts_[i]];
+    if (part.spilled) {
+      if (part.probe_spill == nullptr) {
+        auto file = ctx_->spill()->Create(probe_cols_);
+        if (!file.ok()) return file.status();
+        part.probe_spill = std::move(file).value();
+      }
+      const int64_t* row = row_scratch_.data();
+      if (probe_via_views_) {
         probe_col_.GatherRow(i, row_scratch_.data());
         ctx_->counters().rows_materialized += 1;
-        RQP_RETURN_IF_ERROR(part.probe_spill->AppendRow(row_scratch_.data()));
-        continue;
+      } else {
+        row = probe_batch_.row(i);
       }
-      part.table.ForEachMatch(
-          part.rows, build_key_idx_, probe_keys_[i], [&](size_t r) {
-            fused_pairs_.emplace_back(static_cast<uint32_t>(i),
-                                      static_cast<uint32_t>(r));
-          });
+      RQP_RETURN_IF_ERROR(part.probe_spill->AppendRow(row));
+      continue;
     }
+    part.table.ForEachMatch(
+        part.rows, build_key_idx_, probe_keys_[i], [&](size_t r) {
+          fused_pairs_.emplace_back(static_cast<uint32_t>(i),
+                                    static_cast<uint32_t>(r));
+        });
+  }
+  return Status::OK();
+}
+
+Status HashJoinOp::FetchChunkProbeBatch() {
+  RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
+  fused_pairs_.clear();
+  fused_next_ = 0;
+  if (probe_batch_.empty()) {
+    phase_ = Phase::kChunkLoad;
+    return Status::OK();
+  }
+  // Whole-batch fused probe against the resident chunk, exactly like the
+  // partition probe above.
+  const size_t n = probe_batch_.num_rows();
+  ctx_->ChargeHashOps(static_cast<int64_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    chunk_table_.ForEachMatch(chunk_, build_key_idx_,
+                              probe_batch_.row(i)[probe_key_idx_],
+                              [&](size_t r) {
+                                fused_pairs_.emplace_back(
+                                    static_cast<uint32_t>(i),
+                                    static_cast<uint32_t>(r));
+                              });
   }
   return Status::OK();
 }
@@ -477,9 +434,6 @@ Status HashJoinOp::SetupNextTask() {
   RQP_RETURN_IF_ERROR(probe_file_->Rewind());
   probe_batch_.Clear();
   probe_via_views_ = false;
-  probe_row_ = 0;
-  match_rows_.clear();
-  match_next_ = 0;
   fused_pairs_.clear();
   fused_next_ = 0;
   if (depth_ >= options_.max_recursion) {
@@ -533,9 +487,6 @@ Status HashJoinOp::LoadNextChunk() {
   // One full probe pass per chunk; Rewind makes the re-read pay again.
   RQP_RETURN_IF_ERROR(probe_file_->Rewind());
   probe_batch_.Clear();
-  probe_row_ = 0;
-  match_rows_.clear();
-  match_next_ = 0;
   fused_pairs_.clear();
   fused_next_ = 0;
   phase_ = Phase::kChunkProbe;
@@ -593,7 +544,6 @@ void HashJoinOp::ReleaseAllMemory() {
 Status HashJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   broker_ = ctx->memory();
-  vectorized_ = ctx->vectorized();
   ResetCount();
   done_ = false;
   depth_ = 0;
@@ -604,9 +554,6 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   chunk_ = RowBuffer{};
   chunk_table_.clear();
   probe_batch_.Clear();
-  probe_row_ = 0;
-  match_rows_.clear();
-  match_next_ = 0;
   fused_pairs_.clear();
   fused_next_ = 0;
   columnar_ = false;
@@ -636,12 +583,11 @@ Status HashJoinOp::Open(ExecContext* ctx) {
 
   RQP_RETURN_IF_ERROR(RunBuildFromChild(ctx));
   RQP_RETURN_IF_ERROR(probe_child_->Open(ctx));
-  // Late-materialized fused probe: requires a stable columnar probe child —
-  // emission packs view references from several probe fetches into one
-  // output batch, so the bases must outlive each fetch (decided after the
-  // probe child's Open, which is where it resolves its own gate).
-  columnar_ = vectorized_ && ctx->late_materialize() &&
-              probe_child_->supports_columnar() &&
+  // Columnar fused probe: requires a stable columnar probe child — emission
+  // packs view references from several probe fetches into one output
+  // batch, so the bases must outlive each fetch (decided after the probe
+  // child's Open, which is where it resolves its own columnar capability).
+  columnar_ = probe_child_->supports_columnar() &&
               probe_child_->stable_columnar_views();
   phase_ = Phase::kProbe;
   return Status::OK();
@@ -658,126 +604,43 @@ Status HashJoinOp::Next(RowBatch* out) {
   }
   RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
   out->Reset(slots_.size());
+  // Everything per-row was precomputed at fetch time; emission is a bare
+  // cursor over (probe row, build row) pairs, resumable when the output
+  // batch fills mid-batch.
   while (!out->full() && !done_) {
     switch (phase_) {
-      case Phase::kProbe: {
-        if (vectorized_) {
-          // Everything per-row was precomputed at fetch time; emission is a
-          // bare cursor over (probe row, build row) pairs, resumable when
-          // the output batch fills mid-batch.
-          if (fused_next_ >= fused_pairs_.size()) {
-            RQP_RETURN_IF_ERROR(FetchProbeBatch());
-            if (probe_batch_.empty()) {
-              RQP_RETURN_IF_ERROR(FinishProbePhase());
-            }
-            continue;
-          }
-          while (fused_next_ < fused_pairs_.size() && !out->full()) {
-            const auto& [pr, br] = fused_pairs_[fused_next_++];
-            out->AppendConcat(probe_batch_.row(pr), probe_cols_,
-                              parts_[probe_parts_[pr]].rows.row(br),
-                              build_cols_);
-          }
-          continue;
-        }
-        if (match_next_ < match_rows_.size()) {
-          out->AppendConcat(probe_batch_.row(probe_row_), probe_cols_,
-                            parts_[match_part_].rows.row(
-                                match_rows_[match_next_++]),
-                            build_cols_);
-          continue;
-        }
-        ++probe_row_;
-        if (probe_batch_.empty() || probe_row_ >= probe_batch_.num_rows()) {
+      case Phase::kProbe:
+        if (fused_next_ >= fused_pairs_.size()) {
           RQP_RETURN_IF_ERROR(FetchProbeBatch());
           if (probe_batch_.empty()) {
             RQP_RETURN_IF_ERROR(FinishProbePhase());
-            continue;
           }
-        }
-        const int64_t* row = probe_batch_.row(probe_row_);
-        ctx_->ChargeHashOps(1);
-        const size_t p = PartitionOf(row[probe_key_idx_]);
-        Partition& part = parts_[p];
-        match_rows_.clear();
-        match_next_ = 0;
-        if (part.spilled) {
-          if (part.probe_spill == nullptr) {
-            auto file = ctx_->spill()->Create(probe_cols_);
-            if (!file.ok()) return file.status();
-            part.probe_spill = std::move(file).value();
-          }
-          RQP_RETURN_IF_ERROR(part.probe_spill->AppendRow(row));
           continue;
         }
-        match_part_ = p;
-        part.table.ForEachMatch(part.rows, build_key_idx_,
-                                row[probe_key_idx_],
-                                [&](size_t r) { match_rows_.push_back(r); });
+        while (fused_next_ < fused_pairs_.size() && !out->full()) {
+          const auto& [pr, br] = fused_pairs_[fused_next_++];
+          out->AppendConcat(probe_batch_.row(pr), probe_cols_,
+                            parts_[probe_parts_[pr]].rows.row(br),
+                            build_cols_);
+        }
         continue;
-      }
       case Phase::kTaskSetup:
         RQP_RETURN_IF_ERROR(SetupNextTask());
         continue;
       case Phase::kChunkLoad:
         RQP_RETURN_IF_ERROR(LoadNextChunk());
         continue;
-      case Phase::kChunkProbe: {
-        if (vectorized_) {
-          if (fused_next_ >= fused_pairs_.size()) {
-            RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
-            probe_row_ = 0;
-            if (probe_batch_.empty()) {
-              phase_ = Phase::kChunkLoad;
-              continue;
-            }
-            // Whole-batch fused probe against the resident chunk, exactly
-            // like the partition probe path above.
-            const size_t n = probe_batch_.num_rows();
-            ctx_->ChargeHashOps(static_cast<int64_t>(n));
-            fused_pairs_.clear();
-            fused_next_ = 0;
-            for (size_t i = 0; i < n; ++i) {
-              chunk_table_.ForEachMatch(
-                  chunk_, build_key_idx_,
-                  probe_batch_.row(i)[probe_key_idx_], [&](size_t r) {
-                    fused_pairs_.emplace_back(static_cast<uint32_t>(i),
-                                              static_cast<uint32_t>(r));
-                  });
-            }
-            continue;
-          }
-          while (fused_next_ < fused_pairs_.size() && !out->full()) {
-            const auto& [pr, br] = fused_pairs_[fused_next_++];
-            out->AppendConcat(probe_batch_.row(pr), probe_cols_,
-                              chunk_.row(br), build_cols_);
-          }
+      case Phase::kChunkProbe:
+        if (fused_next_ >= fused_pairs_.size()) {
+          RQP_RETURN_IF_ERROR(FetchChunkProbeBatch());
           continue;
         }
-        if (match_next_ < match_rows_.size()) {
-          out->AppendConcat(probe_batch_.row(probe_row_), probe_cols_,
-                            chunk_.row(match_rows_[match_next_++]),
-                            build_cols_);
-          continue;
+        while (fused_next_ < fused_pairs_.size() && !out->full()) {
+          const auto& [pr, br] = fused_pairs_[fused_next_++];
+          out->AppendConcat(probe_batch_.row(pr), probe_cols_,
+                            chunk_.row(br), build_cols_);
         }
-        ++probe_row_;
-        if (probe_batch_.empty() || probe_row_ >= probe_batch_.num_rows()) {
-          RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
-          probe_row_ = 0;
-          if (probe_batch_.empty()) {
-            phase_ = Phase::kChunkLoad;
-            continue;
-          }
-        }
-        const int64_t* row = probe_batch_.row(probe_row_);
-        ctx_->ChargeHashOps(1);
-        match_rows_.clear();
-        match_next_ = 0;
-        chunk_table_.ForEachMatch(chunk_, build_key_idx_,
-                                  row[probe_key_idx_],
-                                  [&](size_t r) { match_rows_.push_back(r); });
         continue;
-      }
       case Phase::kDone:
         done_ = true;
         continue;
@@ -903,24 +766,7 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
         continue;
       case Phase::kChunkProbe: {
         if (fused_next_ >= fused_pairs_.size()) {
-          RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
-          probe_row_ = 0;
-          if (probe_batch_.empty()) {
-            phase_ = Phase::kChunkLoad;
-            continue;
-          }
-          const size_t n = probe_batch_.num_rows();
-          ctx_->ChargeHashOps(static_cast<int64_t>(n));
-          fused_pairs_.clear();
-          fused_next_ = 0;
-          for (size_t i = 0; i < n; ++i) {
-            chunk_table_.ForEachMatch(
-                chunk_, build_key_idx_,
-                probe_batch_.row(i)[probe_key_idx_], [&](size_t r) {
-                  fused_pairs_.emplace_back(static_cast<uint32_t>(i),
-                                            static_cast<uint32_t>(r));
-                });
-          }
+          RQP_RETURN_IF_ERROR(FetchChunkProbeBatch());
           continue;
         }
         if (views_active) {

@@ -47,11 +47,10 @@ Status MaterializeChild(Operator* child, ExecContext* ctx, RowBuffer* buf);
 ///    by construction even on duplicate build keys.
 ///  - Probe cost: a probe is one mix, one head load, and a short chain walk
 ///    over 8-byte indexes — no node allocations, no pointer-heavy buckets —
-///    which is what the fused vectorized whole-batch probe runs over.
+///    which is what the fused whole-batch probe runs over.
 ///
 /// Buckets mix arbitrary keys together, so every chain visit re-checks the
-/// row's actual key. Shared by the scalar and vectorized probe paths (byte
-/// identity demands one match order, so both modes must use one table).
+/// row's actual key.
 struct JoinHashTable {
   static constexpr uint32_t kEmpty = 0xffffffffu;
   /// Bucket-count floor for non-empty tables (see Build).
@@ -177,8 +176,12 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   Status FinishBuildPhase();
   Status RunBuildFromChild(ExecContext* ctx);
   Status RunBuildFromFile(SpillFile* file);
+  /// Fetches the next probe batch (column views from a stable columnar
+  /// child, else row-major from the child or a recursive task's spill file)
+  /// and runs the fused whole-batch probe into fused_pairs_.
   Status FetchProbeBatch();
-  Status FetchProbeBatchColumnar();
+  /// Chunked-fallback analogue: next probe-file batch against chunk_table_.
+  Status FetchChunkProbeBatch();
   Status FinishProbePhase();
   Status SetupNextTask();
   Status LoadNextChunk();
@@ -208,16 +211,14 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   int64_t build_rows_spilled_ = 0;  ///< depth-0 build rows spilled
   Status shed_error_;  ///< deferred I/O failure from ShedPages
 
-  // Probe state: match_rows_ index either parts_[match_part_].rows (probe
-  // phases) or chunk_ (chunked fallback).
+  // Probe state. The whole probe batch is processed at fetch time — hash
+  // charges flushed in one call, partitions computed in one pass, spilled
+  // rows routed to their probe files in row order, and resident rows'
+  // matches gathered into fused_pairs_ (build rows index parts_ in the
+  // probe phases, chunk_ in the chunked fallback) so emission is a
+  // branch-free cursor walk.
   std::unique_ptr<SpillFile> probe_file_;  ///< recursive probe input
   RowBatch probe_batch_;
-  // Vectorized path (ctx->vectorized()): the whole probe batch is processed
-  // at fetch time — hash charges flushed in one call, partitions computed
-  // in one pass, spilled rows routed to their probe files in row order, and
-  // resident rows' matches gathered into fused_pairs_ so emission is a
-  // branch-free cursor walk instead of a per-row state machine.
-  bool vectorized_ = false;
   std::vector<uint32_t> probe_parts_;
   std::vector<int64_t> probe_keys_;    ///< contiguous key-column gather
   std::vector<uint64_t> probe_mixes_;  ///< SIMD-batched fmix64 of the keys
@@ -225,24 +226,19 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   std::vector<uint32_t> cand_heads_;   ///< their chain heads (pass 2)
   std::vector<std::pair<uint32_t, uint32_t>> fused_pairs_;  ///< (probe, build)
   size_t fused_next_ = 0;
-  // Late-materialized probe (ctx->late_materialize() + a stable columnar
-  // probe child): the fused probe gathers ONLY the key column from the
-  // child's views; payload columns are carried as absolute row ids and
-  // emitted as (base, row-id) references — re-emitted probe columns are
-  // never transposed here. Emission switches to owned flat values when the
-  // spill-recursion/chunk phases take over (their probe rows come back from
-  // disk), demoting any in-flight view batch so output batch boundaries
-  // match the row-major path exactly.
+  // Columnar probe (a stable columnar probe child): the fused probe gathers
+  // ONLY the key column from the child's views; payload columns are carried
+  // as absolute row ids and emitted as (base, row-id) references —
+  // re-emitted probe columns are never transposed here. Emission switches
+  // to owned flat values when the spill-recursion/chunk phases take over
+  // (their probe rows come back from disk), demoting any in-flight view
+  // batch so output batches stay packed to kBatchRows.
   bool columnar_ = false;
   bool probe_via_views_ = false;  ///< current probe batch fetched as views
   ColumnBatch probe_col_;         ///< reused columnar probe input
   ColumnBatch col_scratch_;       ///< bridge scratch for row-major Next
   std::vector<int64_t> row_scratch_;  ///< one gathered row (spill routing)
   std::vector<int64_t*> dst_scratch_;  ///< build-column write cursors (emit)
-  size_t probe_row_ = 0;
-  size_t match_part_ = 0;
-  std::vector<size_t> match_rows_;
-  size_t match_next_ = 0;
   bool done_ = false;
 
   // Chunked-hash fallback state.

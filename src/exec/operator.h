@@ -28,8 +28,9 @@ class Operator {
   virtual void Close() {}
 
   /// Whether this operator can emit ColumnBatch views this execution.
-  /// Decided at Open (late-materialization gate + operator preconditions);
-  /// callers must only invoke NextColumnar when this returns true.
+  /// Decided at Open from what the operator can see (a scan always can; a
+  /// filter, map or join probe can when its input child can); callers must
+  /// only invoke NextColumnar when this returns true.
   virtual bool supports_columnar() const { return false; }
   /// Whether emitted view bases stay valid and unchanged across successive
   /// NextColumnar calls (they point into immutable table storage, not reused

@@ -61,7 +61,6 @@ Status GatherOp::Open(ExecContext* ctx) {
   stage_state_.clear();
   pipeline_slots_.clear();
   output_slots_.clear();
-  compiled_.reset();
   merged_.clear();
   morsel_out_.clear();
   worker_groups_.clear();
@@ -83,20 +82,15 @@ Status GatherOp::Open(ExecContext* ctx) {
   // the same layout a projection-free TableScanOp produces.
   std::vector<size_t> cols;
   RQP_RETURN_IF_ERROR(ResolveProjection(*table_, {}, &cols, &pipeline_slots_));
+  program_.reset();
   if (filter_ != nullptr) {
     std::vector<std::string> all;
     for (size_t c = 0; c < table_->schema().num_columns(); ++c) {
       all.push_back(table_->schema().column(c).name);
     }
-    auto compiled = CompiledPredicate::Compile(filter_, all);
-    if (!compiled.ok()) return compiled.status();
-    compiled_ = std::move(compiled.value());
-    program_.reset();
-    if (ctx->vectorized()) {
-      // Unflattenable predicates fall back to the scalar per-row loop.
-      auto program = PredicateProgram::Compile(filter_, all);
-      if (program.ok()) program_ = std::move(program.value());
-    }
+    auto program = PredicateProgram::Compile(filter_, all);
+    if (!program.ok()) return program.status();
+    program_ = std::move(program.value());
   }
 
   RQP_RETURN_IF_ERROR(MaterializeBuilds(ctx));
@@ -422,10 +416,13 @@ Status GatherOp::ProcessMorsel(const Morsel& m, int /*worker_id*/,
     }
   };
 
+  const auto emit_row = [&](int64_t r) {
+    for (size_t c = 0; c < scan_cols; ++c) row[c] = table_->Value(c, r);
+    ++scan_count;
+    expand(expand, 0);
+  };
   if (program_) {
-    // Vectorized filter: evals are charged per morsel (the worker's local
-    // counters flush at the morsel boundary either way, so the clock is
-    // exactly the scalar path's) and the selection is built straight over
+    // Evals are charged per morsel and the selection is built straight over
     // the table's columns — only survivors get transposed into the
     // pipeline row.
     charge->ChargePredicateEvals(rows);
@@ -435,22 +432,9 @@ Status GatherOp::ProcessMorsel(const Morsel& m, int /*worker_id*/,
     }
     program_->BuildSelection(cols.data(), /*stride=*/1,
                              static_cast<size_t>(rows), sel);
-    for (const uint32_t s : *sel) {
-      const int64_t r = m.begin + s;
-      for (size_t c = 0; c < scan_cols; ++c) row[c] = table_->Value(c, r);
-      ++scan_count;
-      expand(expand, 0);
-    }
+    for (const uint32_t s : *sel) emit_row(m.begin + s);
   } else {
-    for (int64_t r = m.begin; r < m.end; ++r) {
-      for (size_t c = 0; c < scan_cols; ++c) row[c] = table_->Value(c, r);
-      if (compiled_) {
-        charge->ChargePredicateEvals(1);
-        if (!compiled_->Eval(row.data())) continue;
-      }
-      ++scan_count;
-      expand(expand, 0);
-    }
+    for (int64_t r = m.begin; r < m.end; ++r) emit_row(r);
   }
   scan_produced_.fetch_add(scan_count, std::memory_order_relaxed);
   return Status::OK();

@@ -148,10 +148,9 @@ class GatherOp : public Operator, public MemoryRevocable {
   // -- resolved at Open ------------------------------------------------------
   std::vector<std::string> pipeline_slots_;  ///< scan ⧺ build slots
   std::vector<std::string> output_slots_;    ///< pipeline or agg layout
-  std::optional<CompiledPredicate> compiled_;
-  /// Vectorized morsel filter (ctx->vectorized()): the scan predicate as
-  /// flat bytecode run per morsel straight over the table's columns, so
-  /// rejected rows are never transposed into the pipeline row.
+  /// Morsel filter: the scan predicate as flat bytecode run per morsel
+  /// straight over the table's columns, so rejected rows are never
+  /// transposed into the pipeline row.
   std::optional<PredicateProgram> program_;
   std::vector<StageState> stage_state_;
   std::vector<size_t> group_idx_, agg_idx_;  ///< against pipeline_slots_

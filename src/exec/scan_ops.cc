@@ -37,13 +37,10 @@ TableScanOp::TableScanOp(const Table* table, PredicatePtr filter,
 Status TableScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   next_row_ = 0;
-  charged_end_ = 0;
   sel_.clear();
   sel_pos_ = 0;
   sel_base_ = 0;
   program_.reset();
-  vectorized_ = ctx->vectorized();
-  columnar_ = false;
   ResetCount();
   if (projection_error_) {
     return Status::InvalidArgument("bad projection for table " +
@@ -57,181 +54,29 @@ Status TableScanOp::Open(ExecContext* ctx) {
     for (size_t c = 0; c < table_->schema().num_columns(); ++c) {
       all.push_back(table_->schema().column(c).name);
     }
-    auto compiled = CompiledPredicate::Compile(filter_, all);
-    if (!compiled.ok()) return compiled.status();
-    compiled_ = std::move(compiled.value());
-    if (vectorized_) {
-      // Predicates the bytecode compiler can't flatten (unbound parameters)
-      // fall back to the scalar path rather than failing the query.
-      auto program = PredicateProgram::Compile(filter_, all);
-      if (program.ok()) {
-        program_ = std::move(program.value());
-        chunk_cols_.resize(all.size());
-      } else {
-        vectorized_ = false;
-      }
-    }
+    auto program = PredicateProgram::Compile(filter_, all);
+    if (!program.ok()) return program.status();
+    program_ = std::move(program.value());
+    chunk_cols_.resize(all.size());
   }
-  // Without a filter program_ stays null and NextVectorized takes the dense
-  // block-copy path: every chunk row survives, so the transpose streams each
-  // column contiguously with no selection vector at all. That beats the
-  // scalar per-row Value()/AppendRow loop by a wide margin and is what keeps
-  // the unfiltered probe side of a hash join fed at memory speed.
-  //
-  // Under the late-materialization gate the scan goes one step further:
-  // batches become column views over Table::column() storage (dense range or
-  // absolute selection vector) and the transpose moves to whichever consumer
-  // actually needs rows — often nowhere at all.
-  columnar_ = vectorized_ && ctx->late_materialize();
   return Status::OK();
 }
 
 Status TableScanOp::Next(RowBatch* out) {
-  if (columnar_) {
-    // Bridge: the columnar primitive produces (and counts) the batch; the
-    // materialization here is the single conversion point for row-major
-    // consumers and reproduces NextVectorized's batches byte for byte.
-    RQP_RETURN_IF_ERROR(NextColumnar(&col_scratch_));
-    out->Reset(slots_.size());
-    col_scratch_.MaterializeInto(out, ctx_);
-    return Status::OK();
-  }
-  if (vectorized_) return NextVectorized(out);
+  // Row-major consumers get the columnar batch transposed once, here.
+  RQP_RETURN_IF_ERROR(NextColumnar(&col_scratch_));
   out->Reset(slots_.size());
-  const int64_t n = table_->num_rows();
-  std::vector<int64_t> full_row(table_->schema().num_columns());
-  std::vector<int64_t> proj_row(columns_.size());
-  while (next_row_ < n && out->capacity_remaining() > 0) {
-    if (next_row_ >= charged_end_) {
-      RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-      // Charge the whole chunk up front (sequential I/O plus per-row CPU);
-      // chunk boundaries stay aligned to kBatchRows source rows no matter
-      // where the output batch filled up, so the charge totals and the
-      // fault-injection cadence are independent of filter selectivity.
-      const int64_t chunk_end =
-          std::min(n, charged_end_ + static_cast<int64_t>(kBatchRows));
-      const int64_t chunk = chunk_end - charged_end_;
-      RQP_RETURN_IF_ERROR(ctx_->MaybeInjectReadFault(table_->name()));
-      ctx_->ChargeSeqPages((chunk + kRowsPerPage - 1) / kRowsPerPage,
-                           table_->name());
-      ctx_->ChargeRowCpu(chunk);
-      charged_end_ = chunk_end;
-    }
-    int64_t r = next_row_;
-    for (; r < charged_end_ && out->capacity_remaining() > 0; ++r) {
-      if (compiled_) {
-        for (size_t c = 0; c < full_row.size(); ++c) {
-          full_row[c] = table_->Value(c, r);
-        }
-        ctx_->ChargePredicateEvals(1);
-        if (!compiled_->Eval(full_row.data())) continue;
-      }
-      for (size_t c = 0; c < columns_.size(); ++c) {
-        proj_row[c] = table_->Value(columns_[c], r);
-      }
-      out->AppendRow(proj_row);
-    }
-    next_row_ = r;
-  }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
+  col_scratch_.MaterializeInto(out, ctx_);
   return Status::OK();
 }
 
-// Vectorized scan: per source chunk of kBatchRows rows, the filter bytecode
-// builds a selection vector straight over the table's column storage (stride
-// 1, zero-copy) and only surviving rows are transposed into the output. The
-// charge block mirrors the scalar path exactly — guardrail check, fault
-// draw, sequential pages, per-row CPU — followed by the chunk's predicate
-// evals in one flush. In the scalar path all of a chunk's per-row eval
-// charges also land before the next chunk's charge block, so the cost clock
-// agrees at every fault-draw and guardrail point and the output is
-// byte-identical (DESIGN.md §10).
-// Scans of up to this many projected columns transpose through a
-// stack-resident pointer array; wider scans fall back to a heap vector.
-constexpr size_t kMaxDenseCols = 16;
-
-Status TableScanOp::NextVectorized(RowBatch* out) {
-  out->Reset(slots_.size());
-  const int64_t n = table_->num_rows();
-  const size_t ncols = columns_.size();
-  while (out->capacity_remaining() > 0) {
-    if (sel_pos_ >= sel_.size()) {
-      if (next_row_ >= n) break;
-      RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-      const int64_t chunk_end =
-          std::min(n, next_row_ + static_cast<int64_t>(kBatchRows));
-      const int64_t chunk = chunk_end - next_row_;
-      RQP_RETURN_IF_ERROR(ctx_->MaybeInjectReadFault(table_->name()));
-      ctx_->ChargeSeqPages((chunk + kRowsPerPage - 1) / kRowsPerPage,
-                           table_->name());
-      ctx_->ChargeRowCpu(chunk);
-      if (!program_.has_value()) {
-        // Dense path (no filter): the whole chunk survives. Transpose in
-        // row-major write order — the destination stream is sequential and
-        // each source column is a sequential read stream — with no selection
-        // vector and no per-row predicate charges (the scalar path charges
-        // none for an unfiltered scan either).
-        const size_t take = static_cast<size_t>(chunk);
-        std::vector<int64_t>& data = out->mutable_data();
-        const size_t base = data.size();
-        data.resize(base + take * ncols);
-        const int64_t* srcs[kMaxDenseCols];
-        const int64_t** col_ptrs = srcs;
-        std::vector<const int64_t*> wide;
-        if (ncols > kMaxDenseCols) {
-          wide.resize(ncols);
-          col_ptrs = wide.data();
-        }
-        for (size_t c = 0; c < ncols; ++c) {
-          col_ptrs[c] = table_->column(columns_[c]).data() + next_row_;
-        }
-        int64_t* dst = data.data() + base;
-        for (size_t i = 0; i < take; ++i) {
-          for (size_t c = 0; c < ncols; ++c) *dst++ = col_ptrs[c][i];
-        }
-        next_row_ = chunk_end;
-        continue;
-      }
-      ctx_->ChargePredicateEvals(chunk);
-      for (size_t c = 0; c < chunk_cols_.size(); ++c) {
-        chunk_cols_[c] = table_->column(c).data() + next_row_;
-      }
-      program_->BuildSelection(chunk_cols_.data(), /*stride=*/1,
-                               static_cast<size_t>(chunk), &sel_,
-                               ctx_->simd());
-      sel_base_ = next_row_;
-      sel_pos_ = 0;
-      next_row_ = chunk_end;
-    }
-    const size_t take =
-        std::min(sel_.size() - sel_pos_, out->capacity_remaining());
-    // Column-at-a-time gather of the survivors, writing straight into the
-    // batch storage: one resize, then strided stores from each source
-    // column — no per-row Value() calls or AppendRow bookkeeping.
-    std::vector<int64_t>& data = out->mutable_data();
-    const size_t base = data.size();
-    data.resize(base + take * ncols);
-    const uint32_t* sel = sel_.data() + sel_pos_;
-    for (size_t c = 0; c < ncols; ++c) {
-      const int64_t* src = table_->column(columns_[c]).data() + sel_base_;
-      int64_t* dst = data.data() + base + c;
-      for (size_t i = 0; i < take; ++i) dst[i * ncols] = src[sel[i]];
-    }
-    sel_pos_ += take;
-  }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
-  return Status::OK();
-}
-
-// Columnar scan: same chunk cadence and charge blocks as NextVectorized —
-// guardrail check, fault draw, sequential pages, per-row CPU, then the
-// chunk's predicate evals — but survivors are *described*, not copied: the
-// dense path emits one chunk as a view range and the filtered path packs
-// absolute surviving row ids into the batch's selection vector, both over
-// zero-copy bases into Table::column() storage. Batch boundaries match the
-// row-major vectorized path exactly (one chunk per dense batch; filtered
-// batches pack to kBatchRows), so the bridge in Next and every charge point
-// stay byte-identical (DESIGN.md §15).
+// Columnar scan: per source chunk of kBatchRows rows the charge block is a
+// guardrail check, a fault draw, sequential pages, per-row CPU, then the
+// chunk's predicate evals in one flush. The filter bytecode builds a
+// selection vector straight over Table::column() storage (stride 1, zero
+// copy), and survivors are *described*, not copied: the dense path emits
+// one chunk as a view range and the filtered path packs absolute surviving
+// row ids into the batch's selection vector (DESIGN.md §15).
 Status TableScanOp::NextColumnar(ColumnBatch* out) {
   out->Reset(slots_.size());
   out->set_stable_views(true);

@@ -25,10 +25,10 @@ class TableScanOp : public Operator {
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
   void Close() override;
-  bool supports_columnar() const override { return columnar_; }
+  bool supports_columnar() const override { return true; }
   // Views point into the table's immutable column storage — the same bases
   // on every fetch — so consumers may hold them across batches.
-  bool stable_columnar_views() const override { return columnar_; }
+  bool stable_columnar_views() const override { return true; }
   Status NextColumnar(ColumnBatch* out) override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -36,30 +36,22 @@ class TableScanOp : public Operator {
   std::string name() const override { return "TableScan(" + table_->name() + ")"; }
 
  private:
-  Status NextVectorized(RowBatch* out);
-
   const Table* table_;
   PredicatePtr filter_;
   std::vector<size_t> columns_;       // projected source column indices
   std::vector<std::string> slots_;    // qualified output names
-  std::optional<CompiledPredicate> compiled_;
   ExecContext* ctx_ = nullptr;
   int64_t next_row_ = 0;
-  int64_t charged_end_ = 0;  ///< source rows already charged (chunk-aligned)
   bool projection_error_ = false;
-  // Vectorized path (ctx->vectorized()): the filter compiled to flat
-  // bytecode, evaluated column-at-a-time straight over Table::column()
-  // storage — rejected rows are never transposed.
-  bool vectorized_ = false;
+  // The filter compiled to flat bytecode, evaluated column-at-a-time
+  // straight over Table::column() storage — rejected rows are never touched
+  // again. Batches are column views over the same storage; row-major Next
+  // bridges through NextColumnar + MaterializeInto.
   std::optional<PredicateProgram> program_;
   std::vector<const int64_t*> chunk_cols_;  ///< per-chunk column base ptrs
   SelectionVector sel_;    ///< surviving rows of the current chunk
   size_t sel_pos_ = 0;     ///< next unconsumed selection entry
   int64_t sel_base_ = 0;   ///< source row of selection index 0
-  // Late-materialized path (ctx->late_materialize()): batches are column
-  // views over Table::column() storage — survivors are never transposed
-  // here. Row-major Next bridges through NextColumnar + MaterializeInto.
-  bool columnar_ = false;
   ColumnBatch col_scratch_;  ///< bridge scratch — no per-Next allocation
 };
 

@@ -55,7 +55,6 @@ void SortOp::ReleaseAllMemory() {
 Status SortOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   broker_ = ctx->memory();
-  vectorized_ = ctx->vectorized();
   ResetCount();
   next_ = 0;
   external_ = false;
@@ -137,19 +136,12 @@ void SortOp::SortBuffer() {
   const size_t n = rows_.num_rows();
   order_.resize(n);
   std::iota(order_.begin(), order_.end(), 0);
-  if (vectorized_) {
-    // Gather keys once; the comparator then reads a dense array instead of
-    // striding row pointers. Same stable sort on the same key values, so
-    // the resulting permutation is identical to the scalar comparator's.
-    key_gather_.resize(n);
-    for (size_t i = 0; i < n; ++i) key_gather_[i] = rows_.row(i)[key_idx_];
-    std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-      return key_gather_[a] < key_gather_[b];
-    });
-    return;
-  }
+  // Gather keys once; the comparator then reads a dense array instead of
+  // striding row pointers.
+  key_gather_.resize(n);
+  for (size_t i = 0; i < n; ++i) key_gather_[i] = rows_.row(i)[key_idx_];
   std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-    return rows_.row(a)[key_idx_] < rows_.row(b)[key_idx_];
+    return key_gather_[a] < key_gather_[b];
   });
 }
 
@@ -449,10 +441,6 @@ size_t HashAggOp::PartitionOfKey(const int64_t* key, size_t n) const {
   return static_cast<size_t>(h % static_cast<uint64_t>(options_.fan_out));
 }
 
-size_t HashAggOp::PartitionOf(const std::vector<int64_t>& key) const {
-  return PartitionOfKey(key.data(), key.size());
-}
-
 void InitAggAccumulators(const std::vector<AggSpec>& aggs,
                          std::vector<int64_t>* accs) {
   accs->assign(aggs.size(), 0);
@@ -494,20 +482,6 @@ void MergeAggPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
   }
 }
 
-void HashAggOp::InitAccumulators(std::vector<int64_t>* accs) const {
-  InitAggAccumulators(aggs_, accs);
-}
-
-void HashAggOp::MergeInputRow(const int64_t* row,
-                              std::vector<int64_t>* accs) const {
-  MergeAggInputRow(aggs_, agg_idx_, row, accs);
-}
-
-void HashAggOp::MergePartialRow(const int64_t* partial,
-                                std::vector<int64_t>* accs) const {
-  MergeAggPartial(aggs_, partial + group_idx_.size(), accs);
-}
-
 void HashAggOp::InitAggCells(int64_t* acc) const {
   for (size_t a = 0; a < aggs_.size(); ++a) {
     switch (aggs_[a].fn) {
@@ -542,10 +516,10 @@ void HashAggOp::FlushDeferred(const RowBatch& in, bool partial) {
   const size_t kw = group_idx_.size();
   const size_t stride = aggs_.size();
   // Op-major: one aggregate-function dispatch per column, then a tight
-  // gather-accumulate loop over the deferred selection — no per-row switch,
-  // no map lookups. All four functions are commutative and associative in
-  // exact int64 arithmetic, so regrouping rows per column produces the same
-  // accumulator bytes as the scalar row-at-a-time order.
+  // gather-accumulate loop over the deferred selection — no per-row switch.
+  // All four functions are commutative and associative in exact int64
+  // arithmetic, so regrouping rows per column produces the same
+  // accumulator bytes as a row-at-a-time fold.
   for (size_t a = 0; a < stride; ++a) {
     int64_t* cells = flat_.accs.data() + a;
     const size_t src = partial ? kw + a : agg_idx_[a];
@@ -603,7 +577,7 @@ Status HashAggOp::AbsorbBatch(const RowBatch& in, bool partial) {
     }
     // New group: flush the deferred tail first, so if the capacity check
     // below sheds the table, every earlier row of this batch has already
-    // been absorbed — exactly the state the scalar per-row loop would shed.
+    // been absorbed — exactly the state a row-at-a-time fold would shed.
     FlushDeferred(in, partial);
     int64_t* acc = flat_.acc(gid);
     InitAggCells(acc);
@@ -617,7 +591,7 @@ Status HashAggOp::AbsorbBatch(const RowBatch& in, bool partial) {
 Status HashAggOp::EnsureGroupCapacity() {
   while (true) {
     const int64_t needed = std::max<int64_t>(
-        1, (static_cast<int64_t>(GroupCount()) + kRowsPerPage - 1) /
+        1, (static_cast<int64_t>(flat_.num_groups) + kRowsPerPage - 1) /
                kRowsPerPage);
     if (needed <= charged_pages_) return Status::OK();
     if (broker_->available() > 0) {
@@ -625,7 +599,7 @@ Status HashAggOp::EnsureGroupCapacity() {
       continue;
     }
     if (depth_ < options_.max_recursion && !slots_.empty() &&
-        GroupCount() > 1) {
+        flat_.num_groups > 1) {
       RQP_RETURN_IF_ERROR(ShedGroups());
       continue;
     }
@@ -654,19 +628,12 @@ Status HashAggOp::ShedGroups() {
     }
     return file->AppendRow(row.data());
   };
-  if (vectorized_) {
-    // Sorted-id walk = the scalar map's iteration order, so the shed files'
-    // row order is byte-identical between modes.
-    for (uint32_t g : flat_.SortedIds()) {
-      RQP_RETURN_IF_ERROR(shed_one(flat_.key(g), flat_.acc(g)));
-    }
-    flat_.Reset(kw, aggs_.size());
-  } else {
-    for (const auto& [key, accs] : groups_) {
-      RQP_RETURN_IF_ERROR(shed_one(key.data(), accs.data()));
-    }
-    groups_.clear();
+  // Sorted-id walk: shed files hold their rows in key order, independent
+  // of the probe-table layout.
+  for (uint32_t g : flat_.SortedIds()) {
+    RQP_RETURN_IF_ERROR(shed_one(flat_.key(g), flat_.acc(g)));
   }
+  flat_.Reset(kw, aggs_.size());
   broker_->Release(charged_pages_);
   charged_pages_ = 0;
   shed_this_level_ = true;
@@ -688,9 +655,7 @@ Status HashAggOp::SealShedFiles() {
 Status HashAggOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   broker_ = ctx->memory();
-  vectorized_ = ctx->vectorized();
   ResetCount();
-  groups_.clear();
   emit_order_.clear();
   emit_pos_ = 0;
   emitting_ = false;
@@ -722,8 +687,7 @@ Status HashAggOp::Open(ExecContext* ctx) {
   }
 
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  if (vectorized_) flat_.Reset(group_idx_.size(), aggs_.size());
-  std::vector<int64_t> key(group_idx_.size());
+  flat_.Reset(group_idx_.size(), aggs_.size());
   while (true) {
     RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
     RowBatch in;
@@ -733,58 +697,30 @@ Status HashAggOp::Open(ExecContext* ctx) {
     // capacity drop charged during the child's Next is shed as a revocation
     // rather than resolved incidentally by the grow path.
     RQP_RETURN_IF_ERROR(PollRevocation());
-    if (vectorized_) {
-      // One hash-op flush per input batch right where the scalar path's
-      // per-row charges would all land anyway (DESIGN.md §10), then the
-      // batched flat-table kernel.
-      ctx->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
-      RQP_RETURN_IF_ERROR(AbsorbBatch(in, /*partial=*/false));
-      continue;
-    }
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      const int64_t* row = in.row(r);
-      for (size_t g = 0; g < group_idx_.size(); ++g) {
-        key[g] = row[group_idx_[g]];
-      }
-      ctx->ChargeHashOps(1);
-      auto [it, inserted] = groups_.try_emplace(key);
-      if (inserted) {
-        InitAccumulators(&it->second);
-        MergeInputRow(row, &it->second);
-        RQP_RETURN_IF_ERROR(EnsureGroupCapacity());
-      } else {
-        MergeInputRow(row, &it->second);
-      }
-    }
+    // One hash-op flush per input batch (DESIGN.md §10), then the batched
+    // flat-table kernel.
+    ctx->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
+    RQP_RETURN_IF_ERROR(AbsorbBatch(in, /*partial=*/false));
   }
   child_->Close();
 
   if (shed_this_level_ || !shed_files_.empty()) {
     // Spilled: the resident remainder may share keys with shed partitions,
     // so it must go through the partition merge too.
-    if (GroupCount() > 0) RQP_RETURN_IF_ERROR(ShedGroups());
+    if (flat_.num_groups > 0) RQP_RETURN_IF_ERROR(ShedGroups());
     RQP_RETURN_IF_ERROR(SealShedFiles());
     return Status::OK();  // Next() drives ProcessPending()
   }
 
   // Global aggregation over an empty input still yields one row.
-  if (group_slots_.empty() && GroupCount() == 0) {
-    if (vectorized_) {
-      bool inserted = false;
-      key_scratch_.clear();
-      flat_.Upsert(key_scratch_.data(), &inserted);
-      InitAggCells(flat_.acc(0));
-    } else {
-      std::vector<int64_t> accs;
-      InitAccumulators(&accs);
-      groups_.emplace(std::vector<int64_t>{}, std::move(accs));
-    }
+  if (group_slots_.empty() && flat_.num_groups == 0) {
+    bool inserted = false;
+    key_scratch_.clear();
+    flat_.Upsert(key_scratch_.data(), &inserted);
+    InitAggCells(flat_.acc(0));
   }
-  emit_it_ = groups_.begin();
-  if (vectorized_) {
-    emit_order_ = flat_.SortedIds();
-    emit_pos_ = 0;
-  }
+  emit_order_ = flat_.SortedIds();
+  emit_pos_ = 0;
   emitting_ = true;
   return Status::OK();
 }
@@ -798,46 +734,26 @@ Status HashAggOp::ProcessPending() {
     ctx_->counters().spill_recursion_depth = std::max<int64_t>(
         ctx_->counters().spill_recursion_depth, depth_);
     RQP_RETURN_IF_ERROR(task.file->Rewind());
-    std::vector<int64_t> key(group_idx_.size());
     while (true) {
       RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
       RowBatch in;
       RQP_RETURN_IF_ERROR(task.file->ReadBatch(&in));
       if (in.empty()) break;
       RQP_RETURN_IF_ERROR(PollRevocation());
-      if (vectorized_) {
-        ctx_->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
-        RQP_RETURN_IF_ERROR(AbsorbBatch(in, /*partial=*/true));
-        continue;
-      }
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        const int64_t* row = in.row(r);
-        for (size_t g = 0; g < group_idx_.size(); ++g) key[g] = row[g];
-        ctx_->ChargeHashOps(1);
-        auto [it, inserted] = groups_.try_emplace(key);
-        if (inserted) {
-          InitAccumulators(&it->second);
-          MergePartialRow(row, &it->second);
-          RQP_RETURN_IF_ERROR(EnsureGroupCapacity());
-        } else {
-          MergePartialRow(row, &it->second);
-        }
-      }
+      ctx_->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
+      RQP_RETURN_IF_ERROR(AbsorbBatch(in, /*partial=*/true));
     }
     task.file.reset();  // consumed — the temp file is deleted
     if (shed_this_level_) {
       // This partition overflowed again: its state is now split across
       // depth+1 partitions; finish them and recurse (LIFO → depth first).
-      if (GroupCount() > 0) RQP_RETURN_IF_ERROR(ShedGroups());
+      if (flat_.num_groups > 0) RQP_RETURN_IF_ERROR(ShedGroups());
       RQP_RETURN_IF_ERROR(SealShedFiles());
       continue;
     }
-    if (GroupCount() == 0) continue;
-    emit_it_ = groups_.begin();
-    if (vectorized_) {
-      emit_order_ = flat_.SortedIds();
-      emit_pos_ = 0;
-    }
+    if (flat_.num_groups == 0) continue;
+    emit_order_ = flat_.SortedIds();
+    emit_pos_ = 0;
     emitting_ = true;
     return Status::OK();
   }
@@ -849,34 +765,22 @@ Status HashAggOp::Next(RowBatch* out) {
   out->Reset(slots_.size());
   std::vector<int64_t> row(slots_.size());
   while (!out->full()) {
-    const bool have = emitting_ && (vectorized_
-                                        ? emit_pos_ < emit_order_.size()
-                                        : emit_it_ != groups_.end());
-    if (have) {
+    if (emitting_ && emit_pos_ < emit_order_.size()) {
+      const uint32_t g = emit_order_[emit_pos_++];
+      const int64_t* k = flat_.key(g);
+      const int64_t* a = flat_.acc(g);
       size_t c = 0;
-      if (vectorized_) {
-        const uint32_t g = emit_order_[emit_pos_++];
-        const int64_t* k = flat_.key(g);
-        const int64_t* a = flat_.acc(g);
-        for (size_t i = 0; i < group_idx_.size(); ++i) row[c++] = k[i];
-        for (size_t i = 0; i < aggs_.size(); ++i) row[c++] = a[i];
-      } else {
-        for (int64_t g : emit_it_->first) row[c++] = g;
-        for (int64_t a : emit_it_->second) row[c++] = a;
-        ++emit_it_;
-      }
+      for (size_t i = 0; i < group_idx_.size(); ++i) row[c++] = k[i];
+      for (size_t i = 0; i < aggs_.size(); ++i) row[c++] = a[i];
       out->AppendRow(row);
       continue;
     }
     if (emitting_) {
       // Current partition fully emitted; recycle its memory.
       emitting_ = false;
-      groups_.clear();
-      if (vectorized_) {
-        flat_.Reset(group_idx_.size(), aggs_.size());
-        emit_order_.clear();
-        emit_pos_ = 0;
-      }
+      flat_.Reset(group_idx_.size(), aggs_.size());
+      emit_order_.clear();
+      emit_pos_ = 0;
       if (broker_ != nullptr) {
         broker_->Release(charged_pages_);
         charged_pages_ = 0;
@@ -907,7 +811,7 @@ Status HashAggOp::PollRevocation() {
 
 int64_t HashAggOp::ShedPages(int64_t deficit) {
   (void)deficit;
-  if (emitting_ || GroupCount() <= 1 || charged_pages_ <= 1 ||
+  if (emitting_ || flat_.num_groups <= 1 || charged_pages_ <= 1 ||
       depth_ >= options_.max_recursion || slots_.empty()) {
     return 0;
   }
@@ -927,7 +831,6 @@ void HashAggOp::Close() {
     registered_ = false;
   }
   broker_ = nullptr;  // the broker may not outlive this operator
-  groups_.clear();
   flat_.Reset(0, 0);
   emit_order_.clear();
   emit_pos_ = 0;

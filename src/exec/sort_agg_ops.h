@@ -1,7 +1,6 @@
 #ifndef RQP_EXEC_SORT_AGG_OPS_H_
 #define RQP_EXEC_SORT_AGG_OPS_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -60,11 +59,9 @@ class SortOp : public Operator, public MemoryRevocable {
   };
 
   Status ConsumeInput(ExecContext* ctx);
-  /// Stable-sorts the buffered rows into order_. The vectorized path first
-  /// gathers the key column into one contiguous array so the comparator's
-  /// loads are dense instead of striding across full rows; the comparator
-  /// semantics (stable, ascending on the same key values) are unchanged, so
-  /// the resulting order is identical to the scalar sort.
+  /// Stable-sorts the buffered rows into order_, ascending on the key. The
+  /// key column is first gathered into one contiguous array so the
+  /// comparator's loads are dense instead of striding across full rows.
   void SortBuffer();
   Status FlushRun();
   Status MergeRuns();
@@ -80,13 +77,12 @@ class SortOp : public Operator, public MemoryRevocable {
   ExecContext* ctx_ = nullptr;
   MemoryBroker* broker_ = nullptr;
   bool registered_ = false;
-  bool vectorized_ = false;  ///< batched key gather before run sorts
   Status shed_error_;
 
   // In-memory path (doubles as the run-formation buffer).
   RowBuffer rows_;
   std::vector<size_t> order_;
-  std::vector<int64_t> key_gather_;  ///< vectorized contiguous sort keys
+  std::vector<int64_t> key_gather_;  ///< contiguous sort keys
   size_t next_ = 0;
   int64_t buffer_pages_ = 0;
   int64_t merge_pages_ = 0;
@@ -110,9 +106,10 @@ struct AggSpec {
   std::string output_name;
 };
 
-// Shared accumulator semantics — one definition used by HashAggOp, its
-// spilled partial-aggregate merge, and the parallel partial aggregation in
-// GatherOp, so every path produces bit-identical results. All four
+// Shared accumulator semantics — one definition used by the parallel
+// partial aggregation in GatherOp, the shard merge and the result cache;
+// HashAggOp's flat cells implement the same folds, so every path produces
+// bit-identical results. All four
 // functions are decomposable: partials merge commutatively and
 // associatively in exact int64 arithmetic, which is what makes
 // merge-order-independent parallel aggregation deterministic.
@@ -134,15 +131,12 @@ void MergeAggInputRow(const std::vector<AggSpec>& aggs,
 void MergeAggPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
                      std::vector<int64_t>* accs);
 
-/// Flat group table used by the vectorized aggregation kernel: group keys
-/// and accumulators live in two flat row-major arrays indexed by a dense
-/// group id, with an open-addressing probe table (power-of-two, linear
-/// probing) mapping key hashes to ids. Replaces the scalar path's
-/// std::map<vector, vector> group state — no per-group heap allocations and
-/// no O(log n) vector compares per input row. The probe-table layout never
-/// leaks into output: emission and shedding walk SortedIds(), which is
-/// exactly the scalar map's lexicographic key order, so the two modes stay
-/// byte-identical.
+/// Flat group table of the aggregation kernel: group keys and accumulators
+/// live in two flat row-major arrays indexed by a dense group id, with an
+/// open-addressing probe table (power-of-two, linear probing) mapping key
+/// hashes to ids — no per-group heap allocations and no O(log n) vector
+/// compares per input row. The probe-table layout never leaks into output:
+/// emission and shedding walk SortedIds(), the lexicographic key order.
 struct FlatGroups {
   static constexpr uint32_t kEmpty = 0xffffffffu;
 
@@ -164,8 +158,7 @@ struct FlatGroups {
   /// Group ids are stable until Reset() (growth only rehashes buckets).
   uint32_t Upsert(const int64_t* k, bool* inserted);
 
-  /// Group ids sorted lexicographically by key — the scalar std::map's
-  /// iteration order.
+  /// Group ids sorted lexicographically by key.
   std::vector<uint32_t> SortedIds() const;
 
  private:
@@ -213,35 +206,26 @@ class HashAggOp : public Operator, public MemoryRevocable {
   }
 
  private:
-  using GroupMap = std::map<std::vector<int64_t>, std::vector<int64_t>>;
-
   /// A shed partition awaiting recursive re-aggregation.
   struct PendingPartition {
     std::unique_ptr<SpillFile> file;
     int depth = 0;
   };
 
-  size_t PartitionOf(const std::vector<int64_t>& key) const;
   size_t PartitionOfKey(const int64_t* key, size_t n) const;
-  void InitAccumulators(std::vector<int64_t>* accs) const;
-  void MergeInputRow(const int64_t* row, std::vector<int64_t>* accs) const;
-  void MergePartialRow(const int64_t* partial, std::vector<int64_t>* accs) const;
-  /// Resident group count regardless of mode (flat table vs. map).
-  size_t GroupCount() const {
-    return vectorized_ ? flat_.num_groups : groups_.size();
-  }
-  /// Initializes / merges one flat accumulator row (same semantics as the
-  /// vector-based helpers above, over FlatGroups cells).
+  /// Initializes / merges one flat accumulator row (same semantics as
+  /// InitAggAccumulators / MergeAggInputRow / MergeAggPartial, over
+  /// FlatGroups cells).
   void InitAggCells(int64_t* acc) const;
   void MergeRowIntoCells(int64_t* acc, const int64_t* row, bool partial) const;
-  /// Vectorized batch kernel: per-row key assembly + flat-table upsert;
-  /// rows landing on existing groups are deferred and accumulated op-major
-  /// (one aggregate-function dispatch per column per flush) instead of
-  /// per-row. Deferred rows are flushed before every insertion's capacity
-  /// check, so a shed triggered mid-batch writes exactly the state the
-  /// scalar one-row-at-a-time path would have had at the same point.
-  /// `partial` selects MergePartialRow semantics (spilled partial rows:
-  /// keys in the leading cells, counts add instead of increment).
+  /// Batch kernel: per-row key assembly + flat-table upsert; rows landing
+  /// on existing groups are deferred and accumulated op-major (one
+  /// aggregate-function dispatch per column per flush) instead of per-row.
+  /// Deferred rows are flushed before every insertion's capacity check, so
+  /// a shed triggered mid-batch writes exactly the state a one-row-at-a-time
+  /// fold would have had at the same point. `partial` selects partial-row
+  /// semantics (spilled partial rows: keys in the leading cells, counts add
+  /// instead of increment).
   Status AbsorbBatch(const RowBatch& in, bool partial);
   void FlushDeferred(const RowBatch& in, bool partial);
   Status EnsureGroupCapacity();
@@ -258,15 +242,12 @@ class HashAggOp : public Operator, public MemoryRevocable {
   std::vector<std::string> slots_;
   std::vector<size_t> group_idx_;
   std::vector<size_t> agg_idx_;
-  GroupMap groups_;          ///< scalar-mode group state
-  GroupMap::iterator emit_it_;
-  FlatGroups flat_;          ///< vectorized-mode group state
-  std::vector<uint32_t> emit_order_;  ///< vectorized emission (sorted ids)
+  FlatGroups flat_;                   ///< resident group state
+  std::vector<uint32_t> emit_order_;  ///< emission order (sorted ids)
   size_t emit_pos_ = 0;
   std::vector<int64_t> key_scratch_;
   std::vector<uint32_t> def_rows_, def_grps_;  ///< deferred batch rows
   bool emitting_ = false;
-  bool vectorized_ = false;  ///< batched kernel + per-batch hash charging
   ExecContext* ctx_ = nullptr;
   MemoryBroker* broker_ = nullptr;
   bool registered_ = false;

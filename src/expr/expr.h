@@ -48,8 +48,8 @@ struct ExprCmp {
 /// branches are always evaluated and the condition selects between the two
 /// results. This makes error *presence* (division by zero in an untaken
 /// branch) independent of evaluation order, which is what keeps the
-/// row-major scalar tree walk and the op-major vectorized VM byte-identical
-/// — including on which queries fail.
+/// row-major tree walk (CompiledExpr) and the op-major VM (ExprProgram)
+/// bit-identical — including on which queries fail.
 struct ExprCase {
   ExprPtr cond, then_expr, else_expr;
 };
@@ -89,9 +89,9 @@ std::vector<std::string> ExprReferencedColumns(const ExprPtr& e);
 // ---- Evaluation semantics ------------------------------------------------
 
 /// The engine's single typed expression-evaluation error. Deliberately a
-/// fixed text with no row or operator detail: the scalar tree walk hits the
-/// first offending *row* while the vectorized VM hits the first offending
-/// *operator*, and a shared payload-free status is what keeps the two modes
+/// fixed text with no row or operator detail: the tree walk hits the first
+/// offending *row* while the VM hits the first offending *operator*, and a
+/// shared payload-free status is what keeps the two evaluators
 /// indistinguishable when a query fails.
 Status ExprDivisionByZero();
 

@@ -39,8 +39,7 @@ using SelectionVector = std::vector<uint32_t>;
 ///
 /// The program is evaluation-order-equivalent to CompiledPredicate (exact
 /// same boolean result per row; both short-circuit semantics collapse to
-/// pure boolean algebra because leaf evaluation has no side effects), which
-/// is what keeps the vectorized path byte-identical to the scalar one.
+/// pure boolean algebra because leaf evaluation has no side effects).
 class PredicateProgram {
  public:
   /// Compiles `p` against a slot layout (`slots[i]` = name of column i).
@@ -94,7 +93,7 @@ class PredicateProgram {
   /// — one load + compare instead of a log₂(n) probe chain.
   struct InSet {
     /// IN-list bitmap crossover (see kInDenseBitmapSpan in predicate.h —
-    /// one shared constant so the scalar and vectorized paths can't drift).
+    /// one shared constant so CompiledPredicate and this VM can't drift).
     static constexpr int64_t kBitmapSpan = kInDenseBitmapSpan;
 
     std::vector<int64_t> sorted_values;

@@ -17,11 +17,10 @@ enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 /// IN-list membership crossover shared by every evaluator: lists whose
 /// value range spans fewer than this many integers use a dense membership
 /// bitmap (bounds check + one load) instead of a binary search over the
-/// sorted values. CompiledPredicate (scalar) and PredicateProgram
-/// (vectorized) must use the SAME crossover — the two modes are required to
-/// be byte-identical, and while both membership structures give the same
-/// answer, keeping one constant removes the risk of the thresholds
-/// drifting apart silently (they were two hard-coded 4096s before).
+/// sorted values. CompiledPredicate (per row) and PredicateProgram (batch)
+/// use the SAME crossover: both membership structures give the same
+/// answer, and one constant removes the risk of the thresholds drifting
+/// apart silently (they were two hard-coded 4096s before).
 inline constexpr int64_t kInDenseBitmapSpan = 4096;
 
 const char* CmpOpName(CmpOp op);

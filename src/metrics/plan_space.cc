@@ -93,8 +93,6 @@ StatusOr<std::vector<PlanSample>> SamplePlanSpace(
         if (!op.ok()) return op.status();
         ExecContext ctx(engine->memory());
         ctx.set_cost_model(engine->options().cost_model);
-        ctx.set_vectorized(engine->vectorized());
-        ctx.set_late_materialize(engine->late_materialize());
         ctx.set_simd(engine->simd_level());
         auto rows = DrainOperator(op.value().get(), &ctx, nullptr);
         if (!rows.ok()) return rows.status();

@@ -102,8 +102,7 @@ Status ShuffleExchangeOp::Open(ExecContext* ctx) {
   // row on demand — identical rows in identical order (a bridged child
   // would transpose the very same batches), so routing, staging, and every
   // charge are unchanged; only the wholesale transpose is elided.
-  columnar_ = ctx->vectorized() && ctx->late_materialize() &&
-              child_->supports_columnar();
+  columnar_ = child_->supports_columnar();
   return Status::OK();
 }
 
@@ -160,8 +159,7 @@ void ShuffleExchangeOp::Close() {
 Status BroadcastExchangeOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  columnar_ = ctx->vectorized() && ctx->late_materialize() &&
-              child_->supports_columnar();
+  columnar_ = child_->supports_columnar();
   return Status::OK();
 }
 

@@ -552,6 +552,7 @@ StatusOr<QueryResult> ShardedEngine::RunSharded(const QuerySpec& spec,
       continue;
     }
     const QueryResult& res = shard_results[static_cast<size_t>(s)]->value();
+    if (out.output_slots.empty()) out.output_slots = res.output_slots;
     shard_cost += res.cost;
     shard_elapsed_max = std::max(shard_elapsed_max, res.elapsed);
     total.Merge(res.counters);

@@ -1,26 +1,21 @@
-// Late-materialized columnar execution tests (DESIGN.md §15): the columnar
-// scan→filter→map→join-probe pipeline must be byte-identical to both the
-// row-major vectorized path (late materialization off) and the scalar path
-// ($RQP_VECTORIZED=0) — rows, counters, and the deterministic cost clock —
-// at DOP 1 and 4, under 8-page spill grants, seeded fault schedules, and
-// result-cache replay; SIMD kernels ($RQP_SIMD) must not change a byte
-// either. The transposes_elided / rows_materialized diagnostics are the
-// only counters allowed to differ across modes. Runs under the `columnar`
-// ctest label (both sanitizer CI legs).
+// Late-materialized columnar execution tests (DESIGN.md §15): engine
+// answers under 8-page spill grants (the join probe demoting its views
+// mid-batch), a seeded fault schedule, and result-cache replay match the
+// reference evaluator at DOP 1 and 4; the materialization-boundary
+// diagnostics count what they claim; and the SIMD kernels ($RQP_SIMD) are
+// bit-identical to their scalar twins. Runs under the `columnar` ctest
+// label (both sanitizer CI legs, and again with $RQP_SIMD=0).
 #include <gtest/gtest.h>
-
-#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "engine/engine.h"
 #include "expr/expr.h"
 #include "expr/predicate.h"
 #include "expr/simd.h"
-#include "storage/data_generator.h"
+#include "reference_eval.h"
 #include "workload/workloads.h"
 
 namespace rqp {
@@ -28,100 +23,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct ColumnarFixture : ::testing::Test {
-  Catalog catalog;
-
-  void SetUp() override {
-    StarSchemaSpec spec;
-    spec.fact_rows = 20000;
-    spec.dim_rows = 500;
-    spec.num_dimensions = 3;
-    BuildStarSchema(&catalog, spec);
-  }
-
-  std::string SpillDir(const std::string& tag) {
-    return (fs::temp_directory_path() /
-            ("rqp-columnar-test-" + std::to_string(getpid()) + "-" + tag))
-        .string();
-  }
-
-  /// One execution mode of the identity matrix.
-  struct Mode {
-    const char* name;
-    int vectorized;
-    int late_materialize;
-    int simd;  ///< 0 = scalar kernels, 1 = runtime-dispatched SIMD
-  };
-
-  static std::vector<Mode> Modes() {
-    return {
-        {"scalar", 0, 0, 0},
-        {"row-vectorized", 1, 0, 0},
-        {"columnar", 1, 1, 0},
-        {"columnar+simd", 1, 1, 1},
-    };
-  }
-
-  StatusOr<QueryResult> RunMode(const QuerySpec& q, const Mode& m, int dop,
-                                EngineOptions options) {
-    options.vectorized = m.vectorized;
-    options.late_materialize = m.late_materialize;
-    options.simd = m.simd;
-    options.num_threads = dop;
-    Engine engine(&catalog, options);
-    engine.AnalyzeAll();
-    return engine.Run(q, /*keep_rows=*/true);
-  }
-
-  static std::vector<int64_t> Flatten(const QueryResult& r) {
-    std::vector<int64_t> values;
-    for (const auto& b : r.rows) {
-      for (size_t i = 0; i < b.num_rows(); ++i) {
-        const int64_t* row = b.row(i);
-        values.insert(values.end(), row, row + b.num_cols());
-      }
-    }
-    return values;
-  }
-
-  /// Runs `q` in every mode at DOP 1 and 4 against the scalar reference:
-  /// identical output value streams, identical charge counters, identical
-  /// cost up to accumulation-order rounding. transposes_elided and
-  /// rows_materialized are diagnostics and deliberately NOT compared.
-  void CheckAllModesIdentical(const QuerySpec& q,
-                              EngineOptions options = EngineOptions()) {
-    for (const int dop : {1, 4}) {
-      auto scalar = RunMode(q, Modes()[0], dop, options);
-      ASSERT_TRUE(scalar.ok()) << "scalar dop " << dop << ": "
-                               << scalar.status().ToString();
-      const auto reference = Flatten(*scalar);
-      for (size_t m = 1; m < Modes().size(); ++m) {
-        const Mode& mode = Modes()[m];
-        auto got = RunMode(q, mode, dop, options);
-        ASSERT_TRUE(got.ok()) << mode.name << " dop " << dop << ": "
-                              << got.status().ToString();
-        EXPECT_EQ(got->output_rows, scalar->output_rows)
-            << mode.name << " dop " << dop;
-        EXPECT_EQ(Flatten(*got), reference) << mode.name << " dop " << dop;
-        EXPECT_EQ(got->counters.predicate_evals,
-                  scalar->counters.predicate_evals)
-            << mode.name << " dop " << dop;
-        EXPECT_EQ(got->counters.hash_ops, scalar->counters.hash_ops)
-            << mode.name << " dop " << dop;
-        EXPECT_EQ(got->counters.pages_read, scalar->counters.pages_read)
-            << mode.name << " dop " << dop;
-        EXPECT_EQ(got->counters.rows_processed,
-                  scalar->counters.rows_processed)
-            << mode.name << " dop " << dop;
-        EXPECT_EQ(got->counters.spill_pages, scalar->counters.spill_pages)
-            << mode.name << " dop " << dop;
-        EXPECT_NEAR(got->cost, scalar->cost,
-                    1e-9 * (1.0 + std::abs(scalar->cost)))
-            << mode.name << " dop " << dop;
-      }
-    }
-  }
-
+struct ColumnarFixture : ref::StarFixture {
   static QuerySpec JoinAggQuery() {
     QuerySpec q = workload::StarQuery(3, {2500, 3500, 4500});
     q.group_by = {"dim0.band"};
@@ -131,108 +33,73 @@ struct ColumnarFixture : ::testing::Test {
                     {AggFn::kMax, "fact.measure", "max_m"}};
     return q;
   }
+
+  /// Join + derived columns + aggregation over the derived slots.
+  static QuerySpec DerivedJoinAggQuery() {
+    QuerySpec q = workload::StarQuery(2, {2500, 3500});
+    q.derived = {
+        {"m2", MakeArith(MakeArith(MakeColExpr("fact.measure"), ArithOp::kMul,
+                                   MakeConstExpr(2)),
+                         ArithOp::kAdd, MakeConstExpr(1))},
+        {"keyed", MakeArith(MakeColExpr("fact.fk0"), ArithOp::kAdd,
+                            MakeColExpr("fact.fk1"))}};
+    q.group_by = {"dim0.band"};
+    q.aggregates = {{AggFn::kSum, "m2", "sum_m2"},
+                    {AggFn::kMax, "keyed", "max_k"}};
+    return q;
+  }
 };
 
-TEST_F(ColumnarFixture, ScanCorpusIdenticalAcrossAllModes) {
-  auto add = [](PredicatePtr p) {
-    QuerySpec q;
-    q.tables.push_back({"fact", std::move(p)});
-    return q;
-  };
-  // Every kernel-relevant leaf shape: the SIMD compare+compact paths (Eq,
-  // Gt, Lt bounds, Between), non-kernel leaves (In, ColCmp), nested
-  // structure, and the empty result.
-  CheckAllModesIdentical(add(nullptr));  // unfiltered: pure view flow
-  CheckAllModesIdentical(add(MakeBetween("measure", 0, 4000)));
-  CheckAllModesIdentical(add(MakeCmp("measure", CmpOp::kGt, 9000)));
-  CheckAllModesIdentical(add(MakeCmp("measure", CmpOp::kEq, 77)));
-  CheckAllModesIdentical(add(MakeIn("measure", {5, 17, 4099, 9999})));
-  CheckAllModesIdentical(add(MakeOr({MakeCmp("measure", CmpOp::kLt, 100),
-                                     MakeBetween("measure", 9000, 9100)})));
-  CheckAllModesIdentical(
-      add(MakeAnd({MakeCmp("measure", CmpOp::kGe, 1000),
-                   MakeOr({MakeIn("fk0", {1, 2, 3}),
-                           MakeCmp("fk1", CmpOp::kLt, 50)})})));
-  CheckAllModesIdentical(add(MakeColCmp("fk0", CmpOp::kLt, "fk1")));
-  CheckAllModesIdentical(add(MakeCmp("measure", CmpOp::kLt, -1)));  // empty
-}
-
-TEST_F(ColumnarFixture, JoinAndAggIdenticalAcrossAllModes) {
-  CheckAllModesIdentical(workload::StarQuery(3, {2500, 3500, 4500}));
-  CheckAllModesIdentical(JoinAggQuery());
-}
-
-TEST_F(ColumnarFixture, DerivedColumnsIdenticalAcrossAllModes) {
-  // MapOp (expression VM) runs stride-free over column vectors on the
-  // columnar path; derived slots feed the aggregate.
-  QuerySpec q = workload::StarQuery(2, {2500, 3500});
-  q.derived = {
-      {"m2", MakeArith(MakeArith(MakeColExpr("fact.measure"), ArithOp::kMul,
-                                 MakeConstExpr(2)),
-                       ArithOp::kAdd, MakeConstExpr(1))},
-      {"keyed", MakeArith(MakeColExpr("fact.fk0"), ArithOp::kAdd,
-                          MakeColExpr("fact.fk1"))}};
-  q.group_by = {"dim0.band"};
-  q.aggregates = {{AggFn::kSum, "m2", "sum_m2"},
-                  {AggFn::kMax, "keyed", "max_k"}};
-  CheckAllModesIdentical(q);
-}
-
-TEST_F(ColumnarFixture, IdenticalUnderEightPageSpillGrants) {
+TEST_F(ColumnarFixture, EightPageSpillGrantsMatchReference) {
   // 8-page grants: the join spills, and spilled probe routing gathers rows
   // off the column views mid-phase (the DemoteViewsToFlat transition).
-  QuerySpec q = JoinAggQuery();
   EngineOptions options;
   options.memory_pages = 8;
   options.spill_dir = SpillDir("spill");
-  CheckAllModesIdentical(q, options);
+  ref::CheckAgainstReference(&catalog, JoinAggQuery(), options);
+  ref::CheckAgainstReference(&catalog, DerivedJoinAggQuery(), options);
   // It really spilled — otherwise this test proves nothing.
-  auto spilled = RunMode(q, Modes()[2], /*dop=*/1, options);
+  options.num_threads = 1;
+  Engine engine(&catalog, options);
+  engine.AnalyzeAll();
+  auto spilled = engine.Run(JoinAggQuery());
   ASSERT_TRUE(spilled.ok());
   EXPECT_GT(spilled->counters.spill_pages, 0);
   fs::remove_all(options.spill_dir);
 }
 
-TEST_F(ColumnarFixture, IdenticalUnderSeededFaultSchedule) {
+TEST_F(ColumnarFixture, SeededFaultScheduleMatchesReference) {
+  // Mid-query memory drop + per-table I/O slowdown + transient scan
+  // failures: the answer must not move.
   QuerySpec q = workload::StarQuery(3, {2500, 3500, 4500});
   EngineOptions options;
   options.spill_dir = SpillDir("faults");
   options.faults.MemoryDrop(120, 64)
       .IoSlowdown("fact", 2.0, /*at_cost=*/50, /*until_cost=*/600)
       .ScanFailures("fact", 0.2, /*at_cost=*/0, /*until_cost=*/300);
-  CheckAllModesIdentical(q, options);
+  ref::CheckAgainstReference(&catalog, q, options);
+  ref::CheckAgainstReference(&catalog, DerivedJoinAggQuery(), options);
   for (const int dop : {1, 4}) {
-    auto got = RunMode(q, Modes()[3], dop, options);
+    options.num_threads = dop;
+    Engine engine(&catalog, options);
+    engine.AnalyzeAll();
+    auto got = engine.Run(q);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->faults.memory_drops, 1) << "dop " << dop;
   }
   fs::remove_all(options.spill_dir);
 }
 
-TEST_F(ColumnarFixture, IdenticalWithResultCacheReplay) {
+TEST_F(ColumnarFixture, ResultCacheReplayMatchesReference) {
+  // CheckAgainstReference re-runs each query and requires a cache hit that
+  // replays the oracle's rows.
+  EngineOptions options;
+  options.use_result_cache = 1;
   QuerySpec q = workload::StarQuery(2, {2500, 3500});
   q.group_by = {"dim0.band"};
   q.aggregates = {{AggFn::kCount, "", "cnt"}};
-  std::vector<int64_t> reference;
-  for (size_t m = 0; m < Modes().size(); ++m) {
-    EngineOptions options;
-    options.use_result_cache = 1;
-    options.vectorized = Modes()[m].vectorized;
-    options.late_materialize = Modes()[m].late_materialize;
-    options.simd = Modes()[m].simd;
-    Engine engine(&catalog, options);
-    engine.AnalyzeAll();
-    auto first = engine.Run(q, /*keep_rows=*/true);
-    ASSERT_TRUE(first.ok()) << first.status().ToString();
-    auto second = engine.Run(q, /*keep_rows=*/true);  // cached replay
-    ASSERT_TRUE(second.ok()) << second.status().ToString();
-    EXPECT_EQ(Flatten(*second), Flatten(*first)) << Modes()[m].name;
-    if (m == 0) {
-      reference = Flatten(*first);
-    } else {
-      EXPECT_EQ(Flatten(*first), reference) << Modes()[m].name;
-    }
-  }
+  ref::CheckAgainstReference(&catalog, q, options);
+  ref::CheckAgainstReference(&catalog, DerivedJoinAggQuery(), options);
 }
 
 // ---- the materialization-boundary diagnostics ------------------------------
@@ -241,59 +108,17 @@ TEST_F(ColumnarFixture, TransposesElidedPositiveOnColumnarPipeline) {
   // Unfiltered scan → join → agg: every probe-side row flows as column
   // views into the join, so the elision diagnostic must count them — and
   // rows must still materialize exactly once at the row boundary.
-  QuerySpec q = JoinAggQuery();
-  auto columnar = RunMode(q, Modes()[2], /*dop=*/1, EngineOptions());
+  EngineOptions options;
+  options.num_threads = 1;
+  Engine engine(&catalog, options);
+  engine.AnalyzeAll();
+  auto columnar = engine.Run(JoinAggQuery());
   ASSERT_TRUE(columnar.ok());
   EXPECT_GT(columnar->counters.transposes_elided, 0);
   EXPECT_GT(columnar->counters.rows_materialized, 0);
 }
 
-TEST_F(ColumnarFixture, TransposesElidedZeroWhenLateMaterializationOff) {
-  QuerySpec q = JoinAggQuery();
-  for (size_t m : {size_t{0}, size_t{1}}) {  // scalar, row-vectorized
-    auto got = RunMode(q, Modes()[m], /*dop=*/1, EngineOptions());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->counters.transposes_elided, 0) << Modes()[m].name;
-    EXPECT_EQ(got->counters.rows_materialized, 0) << Modes()[m].name;
-  }
-}
-
-// ---- the gates -------------------------------------------------------------
-
-TEST(ColumnarGateTest, LateMaterializeOptionAndEnvResolution) {
-  Catalog catalog;
-  StarSchemaSpec spec;
-  spec.fact_rows = 100;
-  spec.dim_rows = 10;
-  spec.num_dimensions = 1;
-  BuildStarSchema(&catalog, spec);
-
-  const char* saved = std::getenv("RQP_LATE_MAT");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-
-  auto resolved = [&catalog](int configured) {
-    EngineOptions options;
-    options.late_materialize = configured;
-    Engine engine(&catalog, options);
-    return engine.late_materialize();
-  };
-
-  ::unsetenv("RQP_LATE_MAT");
-  EXPECT_TRUE(resolved(-1));   // default ON
-  EXPECT_FALSE(resolved(0));   // explicit off
-  EXPECT_TRUE(resolved(1));    // explicit on
-  ::setenv("RQP_LATE_MAT", "0", 1);
-  EXPECT_FALSE(resolved(-1));  // env disables
-  EXPECT_TRUE(resolved(1));    // option beats env
-  ::setenv("RQP_LATE_MAT", "1", 1);
-  EXPECT_TRUE(resolved(-1));
-
-  if (saved == nullptr) {
-    ::unsetenv("RQP_LATE_MAT");
-  } else {
-    ::setenv("RQP_LATE_MAT", saved_value.c_str(), 1);
-  }
-}
+// ---- the SIMD gate and kernels ---------------------------------------------
 
 TEST(ColumnarGateTest, SimdOptionAndEnvResolution) {
   const char* saved = std::getenv("RQP_SIMD");

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "engine/engine.h"
 #include "storage/data_generator.h"
+#include "workload/workloads.h"
 
 namespace rqp {
 namespace {
@@ -108,6 +110,59 @@ TEST_F(EngineFixture, PopReoptimizesOnBadEstimates) {
   ASSERT_TRUE(result2.ok());
   EXPECT_EQ(result2->output_rows, result->output_rows);
   EXPECT_EQ(result2->reoptimizations, 0);
+}
+
+/// The cost-model-weighted sum of the charge counters. Equals cost_units
+/// whenever no index is descended and no fault multiplies I/O: those are
+/// the only charges that move the clock without a counter of their own.
+double WeightedCharges(const ExecCounters& c, const CostModel& m) {
+  return m.seq_page_read * static_cast<double>(c.pages_read) +
+         m.random_page_read * static_cast<double>(c.random_reads) +
+         m.row_cpu * static_cast<double>(c.rows_processed + c.predicate_evals) +
+         m.hash_op * static_cast<double>(c.hash_ops) +
+         m.compare_op * static_cast<double>(c.compare_ops) +
+         m.spill_page_write * static_cast<double>(c.spill_pages) +
+         m.spill_page_read * static_cast<double>(c.spill_pages_reread);
+}
+
+TEST_F(EngineFixture, AbandonedAttemptsKeepEveryCounter) {
+  // Stale statistics plus the trap query's redundant conjuncts make the
+  // first plan wrong. A POP re-optimization or a guardrail retry abandons
+  // that attempt; its counters must reach QueryResult::counters just as
+  // its cost does.
+  const QuerySpec trap = workload::TrapStarQuery(2, 80, {10000, 10000});
+  AnalyzeOptions stale;
+  stale.stale_fraction = 0.05;
+  Engine plain(&catalog_);
+  plain.AnalyzeAll();
+  auto expected = plain.Run(trap);
+  ASSERT_TRUE(expected.ok());
+  for (const int dop : {1, 4}) {
+    for (const bool guarded : {false, true}) {
+      SCOPED_TRACE(std::string(guarded ? "guardrail" : "pop") + " dop " +
+                   std::to_string(dop));
+      EngineOptions opts;
+      opts.num_threads = dop;
+      opts.optimizer.consider_index_scan = false;
+      opts.optimizer.consider_index_nl = false;
+      if (guarded) {
+        opts.guardrails.enabled = true;
+        opts.guardrails.fuse_factor = 2;
+        opts.guardrails.fuse_min_rows = 100;
+      } else {
+        opts.use_pop = true;
+      }
+      Engine engine(&catalog_, opts);
+      engine.AnalyzeAll(stale);
+      auto r = engine.Run(trap);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->output_rows, expected->output_rows);
+      EXPECT_GE(guarded ? r->guardrail_retries : r->reoptimizations, 1);
+      EXPECT_NEAR(r->counters.cost_units,
+                  WeightedCharges(r->counters, opts.cost_model),
+                  1e-9 * r->counters.cost_units);
+    }
+  }
 }
 
 TEST_F(EngineFixture, FeedbackImprovesSecondRun) {

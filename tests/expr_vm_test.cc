@@ -4,33 +4,27 @@
 // to CompiledExpr's per-row tree walk (folded or not, dense or through a
 // selection vector), the shared IN-bitmap crossover constant keeps
 // CompiledPredicate and PredicateProgram on the same structure, and the
-// engine's Map path (derived columns + aggregates over them) is
-// byte-identical scalar vs vectorized at DOP 1 and 4, under 8-page spill
-// grants and fault injection. Runs under the `expr_vm` ctest label.
+// engine's Map path (derived projection, group-by on a derived slot, CASE,
+// division by zero) matches the reference evaluator at DOP 1 and 4. Runs
+// under the `expr_vm` ctest label.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "engine/engine.h"
 #include "expr/expr.h"
 #include "expr/expr_program.h"
 #include "expr/pred_program.h"
 #include "expr/predicate.h"
 #include "expr/rewriter.h"
-#include "storage/data_generator.h"
+#include "reference_eval.h"
 #include "util/rng.h"
 #include "workload/workloads.h"
 
 namespace rqp {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
 constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
@@ -307,93 +301,11 @@ TEST(InBitmapSpanTest, BothPathsAgreeAcrossTheCrossover) {
   }
 }
 
-// ---- engine-level byte identity through the Map path -----------------------
+// ---- engine answers through the Map path -----------------------------------
 
-struct ExprVmFixture : ::testing::Test {
-  Catalog catalog;
+using ExprVmFixture = ref::StarFixture;
 
-  void SetUp() override {
-    StarSchemaSpec spec;
-    spec.fact_rows = 20000;
-    spec.dim_rows = 500;
-    spec.num_dimensions = 3;
-    BuildStarSchema(&catalog, spec);
-  }
-
-  std::string SpillDir(const std::string& tag) {
-    return (fs::temp_directory_path() /
-            ("rqp-expr-vm-test-" + std::to_string(getpid()) + "-" + tag))
-        .string();
-  }
-
-  StatusOr<QueryResult> RunMode(const QuerySpec& q, bool vectorized, int dop,
-                                EngineOptions options) {
-    options.vectorized = vectorized ? 1 : 0;
-    options.num_threads = dop;
-    Engine engine(&catalog, options);
-    engine.AnalyzeAll();
-    return engine.Run(q, /*keep_rows=*/true);
-  }
-
-  static std::vector<int64_t> Flatten(const QueryResult& r) {
-    std::vector<int64_t> values;
-    for (const auto& b : r.rows) {
-      for (size_t i = 0; i < b.num_rows(); ++i) {
-        const int64_t* row = b.row(i);
-        values.insert(values.end(), row, row + b.num_cols());
-      }
-    }
-    return values;
-  }
-
-  void CheckModesIdentical(const QuerySpec& q,
-                           EngineOptions options = EngineOptions()) {
-    for (const int dop : {1, 4}) {
-      auto scalar = RunMode(q, /*vectorized=*/false, dop, options);
-      ASSERT_TRUE(scalar.ok()) << "scalar dop " << dop << ": "
-                               << scalar.status().ToString();
-      auto vec = RunMode(q, /*vectorized=*/true, dop, options);
-      ASSERT_TRUE(vec.ok()) << "vectorized dop " << dop << ": "
-                            << vec.status().ToString();
-      EXPECT_EQ(vec->output_rows, scalar->output_rows) << "dop " << dop;
-      EXPECT_EQ(Flatten(*vec), Flatten(*scalar)) << "dop " << dop;
-      EXPECT_EQ(vec->counters.predicate_evals, scalar->counters.predicate_evals)
-          << "dop " << dop;
-      EXPECT_EQ(vec->counters.hash_ops, scalar->counters.hash_ops)
-          << "dop " << dop;
-      EXPECT_EQ(vec->counters.pages_read, scalar->counters.pages_read)
-          << "dop " << dop;
-      EXPECT_EQ(vec->counters.rows_processed, scalar->counters.rows_processed)
-          << "dop " << dop;
-      EXPECT_NEAR(vec->cost, scalar->cost,
-                  1e-9 * (1.0 + std::abs(scalar->cost)))
-          << "dop " << dop;
-    }
-  }
-
-  /// Star-join query with derived columns over the joined slots and
-  /// aggregates over the derived slots — the full Map → HashAgg path.
-  QuerySpec DerivedStarQuery() {
-    QuerySpec q = workload::StarQuery(3, {2500, 3500, 4500});
-    q.derived = {
-        {"m2", MakeArith(MakeColExpr("fact.measure"), ArithOp::kMod,
-                         MakeConstExpr(97))},
-        {"m3", MakeCaseExpr(
-                   MakeCmpExpr(MakeColExpr("fact.fk0"), CmpOp::kLt,
-                               MakeConstExpr(250)),
-                   MakeColExpr("fact.measure"),
-                   MakeNegExpr(MakeColExpr("fact.measure")))},
-    };
-    q.group_by = {"dim0.band"};
-    q.aggregates = {{AggFn::kCount, "", "cnt"},
-                    {AggFn::kSum, "m3", "sum_m3"},
-                    {AggFn::kMin, "m3", "min_m3"},
-                    {AggFn::kMax, "m2", "max_m2"}};
-    return q;
-  }
-};
-
-TEST_F(ExprVmFixture, ProjectionByteIdentical) {
+TEST_F(ExprVmFixture, ProjectionMatchesReference) {
   // Derived columns with no aggregation: MapOp output flows straight out.
   QuerySpec q;
   q.tables.push_back({"fact", MakeBetween("measure", 0, 2000)});
@@ -405,10 +317,10 @@ TEST_F(ExprVmFixture, ProjectionByteIdentical) {
                        MakeArith(MakeColExpr("fact.fk0"), ArithOp::kAdd,
                                  MakeConstExpr(1)))},
   };
-  CheckModesIdentical(q);
+  ref::CheckAgainstReference(&catalog, q);
 }
 
-TEST_F(ExprVmFixture, GroupByDerivedSlotByteIdentical) {
+TEST_F(ExprVmFixture, GroupByDerivedSlotMatchesReference) {
   // Grouping on a derived slot exercises Map feeding HashAgg key assembly.
   QuerySpec q;
   q.tables.push_back({"fact", MakeCmp("measure", CmpOp::kLt, 5000)});
@@ -417,75 +329,44 @@ TEST_F(ExprVmFixture, GroupByDerivedSlotByteIdentical) {
   q.group_by = {"bucket"};
   q.aggregates = {{AggFn::kCount, "", "cnt"},
                   {AggFn::kSum, "fact.measure", "sum_m"}};
-  CheckModesIdentical(q);
+  ref::CheckAgainstReference(&catalog, q);
 }
 
-TEST_F(ExprVmFixture, DerivedStarQueryByteIdentical) {
-  CheckModesIdentical(DerivedStarQuery());
+TEST_F(ExprVmFixture, CaseOverStarJoinMatchesReference) {
+  // Star join with derived columns over the joined slots (a modulo and a
+  // CASE) and aggregates over the derived slots — the full Map → HashAgg
+  // path.
+  QuerySpec q = workload::StarQuery(3, {2500, 3500, 4500});
+  q.derived = {
+      {"m2", MakeArith(MakeColExpr("fact.measure"), ArithOp::kMod,
+                       MakeConstExpr(97))},
+      {"m3", MakeCaseExpr(
+                 MakeCmpExpr(MakeColExpr("fact.fk0"), CmpOp::kLt,
+                             MakeConstExpr(250)),
+                 MakeColExpr("fact.measure"),
+                 MakeNegExpr(MakeColExpr("fact.measure")))},
+  };
+  q.group_by = {"dim0.band"};
+  q.aggregates = {{AggFn::kCount, "", "cnt"},
+                  {AggFn::kSum, "m3", "sum_m3"},
+                  {AggFn::kMin, "m3", "min_m3"},
+                  {AggFn::kMax, "m2", "max_m2"}};
+  ref::CheckAgainstReference(&catalog, q);
 }
 
-TEST_F(ExprVmFixture, DerivedByteIdenticalUnderSpill) {
-  EngineOptions options;
-  options.memory_pages = 8;
-  options.spill_dir = SpillDir("spill");
-  CheckModesIdentical(DerivedStarQuery(), options);
-  fs::remove_all(options.spill_dir);
-}
-
-TEST_F(ExprVmFixture, DerivedByteIdenticalUnderFaultInjection) {
-  EngineOptions options;
-  options.spill_dir = SpillDir("faults");
-  options.faults.MemoryDrop(120, 64)
-      .IoSlowdown("fact", 2.0, /*at_cost=*/50, /*until_cost=*/600)
-      .ScanFailures("fact", 0.2, /*at_cost=*/0, /*until_cost=*/300);
-  CheckModesIdentical(DerivedStarQuery(), options);
-  fs::remove_all(options.spill_dir);
-}
-
-TEST_F(ExprVmFixture, DivisionByZeroFailsIdenticallyInBothModes) {
-  // x - x does not fold (no such rule), so every row divides by zero; both
-  // modes must surface the same payload-free status.
+TEST_F(ExprVmFixture, DivisionByZeroMatchesReferenceStatus) {
+  // x - x does not fold (no such rule), so every row divides by zero; the
+  // engine must surface the oracle's payload-free status.
   QuerySpec q;
   q.tables.push_back({"fact", nullptr});
   q.derived = {{"boom", MakeArith(MakeColExpr("fact.measure"), ArithOp::kDiv,
                                   MakeArith(MakeColExpr("fact.fk0"),
                                             ArithOp::kSub,
                                             MakeColExpr("fact.fk0")))}};
-  const Status want = ExprDivisionByZero();
-  for (const int dop : {1, 4}) {
-    for (const int vectorized : {0, 1}) {
-      auto r = RunMode(q, vectorized != 0, dop, EngineOptions());
-      ASSERT_FALSE(r.ok()) << "vectorized=" << vectorized << " dop " << dop;
-      EXPECT_EQ(r.status().ToString(), want.ToString())
-          << "vectorized=" << vectorized << " dop " << dop;
-    }
-  }
-}
-
-TEST_F(ExprVmFixture, CachedResultByteIdenticalAcrossModes) {
-  // Result-cache keys hash the query spec, never the execution mode, so a
-  // cached entry must be indistinguishable from either mode's fresh run —
-  // and the two modes' cached entries must match each other byte for byte.
-  const QuerySpec q = DerivedStarQuery();
-  std::vector<int64_t> cached_flat[2];
-  for (const int vectorized : {0, 1}) {
-    EngineOptions options;
-    options.use_result_cache = 1;
-    options.vectorized = vectorized;
-    options.num_threads = 1;
-    Engine engine(&catalog, options);
-    engine.AnalyzeAll();
-    auto first = engine.Run(q, /*keep_rows=*/true);
-    ASSERT_TRUE(first.ok()) << first.status().ToString();
-    EXPECT_FALSE(first->result_cache_hit) << "vectorized=" << vectorized;
-    auto replay = engine.Run(q, /*keep_rows=*/true);
-    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-    EXPECT_TRUE(replay->result_cache_hit) << "vectorized=" << vectorized;
-    EXPECT_EQ(replay->output_rows, first->output_rows);
-    EXPECT_EQ(Flatten(*replay), Flatten(*first)) << "vectorized=" << vectorized;
-    cached_flat[vectorized] = Flatten(*replay);
-  }
-  EXPECT_EQ(cached_flat[0], cached_flat[1]);
+  const auto want = ref::ReferenceEval(catalog, q);
+  ASSERT_FALSE(want.ok());
+  EXPECT_EQ(want.status().ToString(), ExprDivisionByZero().ToString());
+  ref::CheckAgainstReference(&catalog, q);
 }
 
 }  // namespace

@@ -1,64 +1,23 @@
 // End-to-end integration & property tests: random acyclic join queries are
 // planned by the optimizer (under various option sets and statistics
-// quality) and the executed result is checked against a brute-force
-// reference evaluator. Whatever the estimates say, the answer must be
-// exactly right — the engine-level correctness invariant every robustness
-// feature must preserve.
+// quality) and the executed result is checked against the independent
+// reference evaluator (tests/reference_eval.h). Whatever the estimates say,
+// the answer must be exactly right — the engine-level correctness invariant
+// every robustness feature must preserve.
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "engine/engine.h"
+#include "reference_eval.h"
 #include "storage/data_generator.h"
 #include "util/rng.h"
 #include "workload/workloads.h"
 
 namespace rqp {
 namespace {
-
-/// Brute-force count of the star join result.
-int64_t ReferenceStarCount(const Catalog& catalog, const QuerySpec& spec) {
-  const Table* fact = catalog.GetTable("fact").value();
-  // Precompute per-dimension qualifying id sets.
-  std::map<std::string, std::vector<bool>> dim_ok;
-  std::map<std::string, int> fk_column;
-  for (size_t i = 1; i < spec.tables.size(); ++i) {
-    const auto& ref = spec.tables[i];
-    const Table* dim = catalog.GetTable(ref.table).value();
-    std::vector<bool> ok(static_cast<size_t>(dim->num_rows()), true);
-    if (ref.predicate != nullptr) {
-      for (int64_t r = 0; r < dim->num_rows(); ++r) {
-        ok[static_cast<size_t>(r)] = EvalOnTable(ref.predicate, *dim, r);
-      }
-    }
-    dim_ok[ref.table] = std::move(ok);
-  }
-  for (const auto& j : spec.joins) {
-    fk_column[j.right_table] =
-        fact->ColumnIndex(j.left_column).value();
-  }
-  int64_t count = 0;
-  for (int64_t r = 0; r < fact->num_rows(); ++r) {
-    if (spec.tables[0].predicate != nullptr &&
-        !EvalOnTable(spec.tables[0].predicate, *fact, r)) {
-      continue;
-    }
-    bool all = true;
-    for (const auto& [dim, ok] : dim_ok) {
-      const int64_t fk = fact->Value(
-          static_cast<size_t>(fk_column[dim]), r);
-      if (fk < 0 || static_cast<size_t>(fk) >= ok.size() ||
-          !ok[static_cast<size_t>(fk)]) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ++count;
-  }
-  return count;
-}
 
 class RandomJoinProperty : public ::testing::TestWithParam<int> {};
 
@@ -96,7 +55,8 @@ TEST_P(RandomJoinProperty, OptimizedPlansMatchReference) {
                          : workload::RandomStarQuery(
                                &rng, sspec.num_dimensions, sspec.dim_rows,
                                0.8, 0.01, 0.9);
-    const int64_t expected = ReferenceStarCount(catalog, spec);
+    const auto want = ref::ReferenceEval(catalog, spec);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
 
     // Engine configurations that must all agree.
     for (int config = 0; config < 4; ++config) {
@@ -122,11 +82,12 @@ TEST_P(RandomJoinProperty, OptimizedPlansMatchReference) {
       analyze.num_buckets = rng.Bernoulli(0.5) ? 4 : 64;
       analyze.stale_fraction = rng.Bernoulli(0.3) ? 0.4 : 1.0;
       engine.AnalyzeAll(analyze);
-      auto result = engine.Run(spec);
+      auto result = engine.Run(spec, /*keep_rows=*/true);
       ASSERT_TRUE(result.ok())
           << "seed " << seed << " iter " << iter << " config " << config
           << ": " << result.status().ToString();
-      EXPECT_EQ(result->output_rows, expected)
+      EXPECT_EQ(ref::SortedRows(*result),
+                ref::SortedRows(want.value(), result->output_slots))
           << "seed " << seed << " iter " << iter << " config " << config
           << "\nplan:\n" << result->final_plan;
     }
@@ -153,42 +114,7 @@ TEST(AggregationIntegrationTest, GroupedStarAggregatesMatchReference) {
                      {AggFn::kSum, "fact.measure", "sum_m"},
                      {AggFn::kMin, "fact.measure", "min_m"},
                      {AggFn::kMax, "fact.measure", "max_m"}};
-
-  Engine engine(&catalog);
-  engine.AnalyzeAll();
-  auto result = engine.Run(spec, true);
-  ASSERT_TRUE(result.ok());
-
-  // Reference aggregation.
-  const Table* fact = catalog.GetTable("fact").value();
-  struct Agg { int64_t cnt = 0, sum = 0; int64_t mn = 1 << 30, mx = -1; };
-  std::map<int64_t, Agg> expected;
-  for (int64_t r = 0; r < fact->num_rows(); ++r) {
-    const int64_t fk = fact->Value(0, r);
-    if (fk * 10 > 4000) continue;  // dim attr filter
-    const int64_t band = fk / 10;
-    const int64_t m = fact->Value(1, r);  // measure is column 1 (1 dim)
-    auto& a = expected[band];
-    ++a.cnt;
-    a.sum += m;
-    a.mn = std::min(a.mn, m);
-    a.mx = std::max(a.mx, m);
-  }
-  std::map<int64_t, Agg> got;
-  for (const auto& batch : result->rows) {
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      const int64_t* row = batch.row(r);
-      got[row[0]] = {row[1], row[2], row[3], row[4]};
-    }
-  }
-  ASSERT_EQ(got.size(), expected.size());
-  for (const auto& [band, a] : expected) {
-    ASSERT_TRUE(got.count(band)) << "band " << band;
-    EXPECT_EQ(got[band].cnt, a.cnt) << "band " << band;
-    EXPECT_EQ(got[band].sum, a.sum) << "band " << band;
-    EXPECT_EQ(got[band].mn, a.mn) << "band " << band;
-    EXPECT_EQ(got[band].mx, a.mx) << "band " << band;
-  }
+  ref::CheckAgainstReference(&catalog, spec);
 }
 
 }  // namespace

@@ -486,6 +486,32 @@ TEST_F(ResultCacheFixture, CorruptionDetectedRecomputedNeverServed) {
   const ResultCache::Stats stats = engine.result_cache()->stats();
   EXPECT_GE(stats.corruptions_detected, 1);
   EXPECT_EQ(stats.hits, 0);
+
+  // The per-query schedule (QueryControl::faults) governs cache corruption
+  // like every other fault. An empty override suppresses the engine-level
+  // corruption: the entry the first run left behind is served intact.
+  const FaultSchedule clean;
+  QueryControl suppress;
+  suppress.faults = &clean;
+  auto served = engine.Run(GroupedAggQuery(), /*keep_rows=*/true, &suppress);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->result_cache_hit);
+  EXPECT_EQ(served->faults.cache_corruptions, 0);
+  EXPECT_EQ(Flatten(served->rows), first);
+
+  // A corrupting override on a clean engine damages the cached entry.
+  Engine clean_engine(&catalog_, CachedOptions());
+  clean_engine.AnalyzeAll();
+  MustRun(&clean_engine, GroupedAggQuery());
+  QueryControl corrupt;
+  corrupt.faults = &opts.faults;
+  auto recomputed =
+      clean_engine.Run(GroupedAggQuery(), /*keep_rows=*/true, &corrupt);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  EXPECT_FALSE(recomputed->result_cache_hit);
+  EXPECT_GE(recomputed->faults.cache_corruptions, 1);
+  EXPECT_EQ(Flatten(recomputed->rows), first);
+  EXPECT_GE(clean_engine.result_cache()->stats().corruptions_detected, 1);
 }
 
 TEST_F(ResultCacheFixture, FailedQueryLeavesNoEntry) {

@@ -1,29 +1,22 @@
-// Vectorized-execution tests (DESIGN.md §10): the flattened predicate
+// Predicate-bytecode tests (DESIGN.md §10): the flattened predicate
 // bytecode (PredicateProgram) agrees with CompiledPredicate on every
 // predicate shape, the CIn lookup structures (sorted binary search + dense
-// bitmap fallback) are correct, and the vectorized engine path is
-// byte-identical to the scalar path — at DOP 1 and 4, under 8-page spill
-// grants, fault injection, and result-cache reuse. Runs under the
+// bitmap fallback) are correct, and engine answers for the scan predicate
+// corpus, star joins, join+agg, the equivalence suite, and unbound
+// parameters match the reference evaluator at DOP 1 and 4. Runs under the
 // `vectorized` ctest label (both sanitizer CI legs).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "engine/engine.h"
 #include "expr/pred_program.h"
 #include "expr/predicate.h"
-#include "storage/data_generator.h"
+#include "reference_eval.h"
 #include "workload/workloads.h"
 
 namespace rqp {
 namespace {
-
-namespace fs = std::filesystem;
 
 // ---- PredicateProgram vs CompiledPredicate ---------------------------------
 
@@ -197,105 +190,50 @@ TEST(CInRegressionTest, BitmapAndSearchPathsAgreeOnSharedValues) {
   }
 }
 
-// ---- engine-level byte identity: scalar vs vectorized ----------------------
+// ---- engine answers against the reference evaluator -----------------------
 
-struct VectorizedFixture : ::testing::Test {
-  Catalog catalog;
+using ReferenceFixture = ref::StarFixture;
 
-  void SetUp() override {
-    StarSchemaSpec spec;
-    spec.fact_rows = 20000;
-    spec.dim_rows = 500;
-    spec.num_dimensions = 3;
-    BuildStarSchema(&catalog, spec);
+TEST_F(ReferenceFixture, ScanCorpusMatchesReference) {
+  // Every bytecode shape through the scan: the SIMD compare+compact leaves
+  // (Eq, Gt, Lt bounds, Between), non-kernel leaves (In over a bitmap and
+  // over a wide span, ColCmp), multi-leaf conjunctions (RefineIf over the
+  // first conjunct's survivors), nested structure, no filter at all, and
+  // the empty result.
+  auto add = [](PredicatePtr p) {
+    QuerySpec q;
+    q.tables.push_back({"fact", std::move(p)});
+    return q;
+  };
+  for (const QuerySpec& q : {
+           add(nullptr),
+           add(MakeBetween("measure", 0, 4000)),
+           add(MakeCmp("measure", CmpOp::kGt, 9000)),
+           add(MakeCmp("measure", CmpOp::kEq, 77)),
+           add(MakeIn("measure", {5, 17, 4099, 9999})),
+           add(MakeIn("measure", {0, 5000, 9999})),
+           add(MakeOr({MakeCmp("measure", CmpOp::kLt, 100),
+                       MakeBetween("measure", 9000, 9100)})),
+           add(MakeNot(MakeBetween("measure", 100, 9900))),
+           add(MakeAnd({MakeCmp("measure", CmpOp::kGe, 1000),
+                        MakeCmp("fk0", CmpOp::kLt, 300),
+                        MakeBetween("fk1", 50, 450)})),
+           add(MakeAnd({MakeCmp("measure", CmpOp::kGe, 1000),
+                        MakeOr({MakeIn("fk0", {1, 2, 3}),
+                                MakeCmp("fk1", CmpOp::kLt, 50)})})),
+           add(MakeColCmp("fk0", CmpOp::kLt, "fk1")),
+           add(MakeCmp("measure", CmpOp::kLt, -1)),
+       }) {
+    SCOPED_TRACE(q.tables[0].predicate == nullptr
+                     ? std::string("no filter")
+                     : ToString(q.tables[0].predicate));
+    ref::CheckAgainstReference(&catalog, q);
   }
-
-  std::string SpillDir(const std::string& tag) {
-    return (fs::temp_directory_path() /
-            ("rqp-vectorized-test-" + std::to_string(getpid()) + "-" + tag))
-        .string();
-  }
-
-  StatusOr<QueryResult> RunMode(const QuerySpec& q, bool vectorized, int dop,
-                                EngineOptions options) {
-    options.vectorized = vectorized ? 1 : 0;
-    options.num_threads = dop;
-    Engine engine(&catalog, options);
-    engine.AnalyzeAll();
-    return engine.Run(q, /*keep_rows=*/true);
-  }
-
-  static std::vector<int64_t> Flatten(const QueryResult& r) {
-    std::vector<int64_t> values;
-    for (const auto& b : r.rows) {
-      for (size_t i = 0; i < b.num_rows(); ++i) {
-        const int64_t* row = b.row(i);
-        values.insert(values.end(), row, row + b.num_cols());
-      }
-    }
-    return values;
-  }
-
-  /// Runs `q` scalar and vectorized at DOP 1 and 4 and requires identical
-  /// output value streams AND identical charge totals — the byte-identity
-  /// contract of DESIGN.md §10.
-  void CheckModesIdentical(const QuerySpec& q,
-                           EngineOptions options = EngineOptions()) {
-    for (const int dop : {1, 4}) {
-      auto scalar = RunMode(q, /*vectorized=*/false, dop, options);
-      ASSERT_TRUE(scalar.ok()) << "scalar dop " << dop << ": "
-                               << scalar.status().ToString();
-      auto vec = RunMode(q, /*vectorized=*/true, dop, options);
-      ASSERT_TRUE(vec.ok()) << "vectorized dop " << dop << ": "
-                            << vec.status().ToString();
-      EXPECT_EQ(vec->output_rows, scalar->output_rows) << "dop " << dop;
-      EXPECT_EQ(Flatten(*vec), Flatten(*scalar)) << "dop " << dop;
-      EXPECT_EQ(vec->counters.predicate_evals, scalar->counters.predicate_evals)
-          << "dop " << dop;
-      EXPECT_EQ(vec->counters.hash_ops, scalar->counters.hash_ops)
-          << "dop " << dop;
-      EXPECT_EQ(vec->counters.pages_read, scalar->counters.pages_read)
-          << "dop " << dop;
-      EXPECT_EQ(vec->counters.rows_processed, scalar->counters.rows_processed)
-          << "dop " << dop;
-      // Same charge terms summed in coarser groups: tolerate only
-      // accumulation-order rounding.
-      EXPECT_NEAR(vec->cost, scalar->cost,
-                  1e-9 * (1.0 + std::abs(scalar->cost)))
-          << "dop " << dop;
-    }
-  }
-
-  /// Single-table corpus exercising every bytecode shape through the scan.
-  std::vector<QuerySpec> ScanCorpus() {
-    std::vector<QuerySpec> corpus;
-    auto add = [&corpus](PredicatePtr p) {
-      QuerySpec q;
-      q.tables.push_back({"fact", std::move(p)});
-      corpus.push_back(std::move(q));
-    };
-    add(MakeBetween("measure", 0, 4000));
-    add(MakeCmp("measure", CmpOp::kGt, 9000));
-    add(MakeIn("measure", {5, 17, 4099, 9999}));            // bitmap span
-    add(MakeIn("measure", {0, 5000, 9999}));                // wide span
-    add(MakeOr({MakeCmp("measure", CmpOp::kLt, 100),
-                MakeBetween("measure", 9000, 9100)}));
-    add(MakeNot(MakeBetween("measure", 100, 9900)));
-    add(MakeAnd({MakeCmp("measure", CmpOp::kGe, 1000),
-                 MakeOr({MakeIn("fk0", {1, 2, 3}),
-                         MakeCmp("fk1", CmpOp::kLt, 50)})}));
-    add(MakeColCmp("fk0", CmpOp::kLt, "fk1"));
-    add(MakeCmp("measure", CmpOp::kLt, -1));  // empty result
-    return corpus;
-  }
-};
-
-TEST_F(VectorizedFixture, ScanCorpusByteIdentical) {
-  for (const auto& q : ScanCorpus()) CheckModesIdentical(q);
 }
 
-TEST_F(VectorizedFixture, JoinAndAggByteIdentical) {
-  CheckModesIdentical(workload::StarQuery(3, {2500, 3500, 4500}));
+TEST_F(ReferenceFixture, StarJoinAndJoinAggMatchReference) {
+  ref::CheckAgainstReference(&catalog,
+                             workload::StarQuery(3, {2500, 3500, 4500}));
 
   QuerySpec agg = workload::StarQuery(3, {2500, 3500, 4500});
   agg.group_by = {"dim0.band"};
@@ -303,15 +241,18 @@ TEST_F(VectorizedFixture, JoinAndAggByteIdentical) {
                     {AggFn::kSum, "fact.measure", "sum_m"},
                     {AggFn::kMin, "fact.measure", "min_m"},
                     {AggFn::kMax, "fact.measure", "max_m"}};
-  CheckModesIdentical(agg);
+  ref::CheckAgainstReference(&catalog, agg);
+
+  agg.group_by.clear();  // global aggregate
+  ref::CheckAgainstReference(&catalog, agg);
 }
 
-TEST_F(VectorizedFixture, EquivalenceSuiteByteIdentical) {
+TEST(ReferenceEquivalenceTest, EquivalenceSuiteMatchesReference) {
   // The rewrite-equivalence families (negation, IN-vs-OR, range phrasing,
-  // tautological padding) stress exactly the predicate shapes where bytecode
-  // and tree-walk could diverge.
-  Catalog eq_catalog;
-  Table* t = eq_catalog
+  // tautological padding) stress exactly the predicate shapes where the
+  // bytecode could diverge from the tree walk.
+  Catalog catalog;
+  Table* t = catalog
                  .AddTable("t", Schema({{"a", LogicalType::kInt64, 0, nullptr},
                                         {"b", LogicalType::kInt64, 0, nullptr}}))
                  .value();
@@ -320,136 +261,25 @@ TEST_F(VectorizedFixture, EquivalenceSuiteByteIdentical) {
   t->SetColumnData(1, gen::Uniform(&rng, 5000, 0, 1000));
   for (const auto& family : workload::EquivalenceSuite(1000)) {
     for (const auto& formulation : family.formulations) {
+      SCOPED_TRACE(family.description + ": " + ToString(formulation));
       QuerySpec q;
       q.tables.push_back({"t", formulation});
-      for (const int dop : {1, 4}) {
-        EngineOptions options;
-        options.num_threads = dop;
-        options.vectorized = 0;
-        Engine scalar_engine(&eq_catalog, options);
-        scalar_engine.AnalyzeAll();
-        auto scalar = scalar_engine.Run(q, /*keep_rows=*/true);
-        ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-        options.vectorized = 1;
-        Engine vec_engine(&eq_catalog, options);
-        vec_engine.AnalyzeAll();
-        auto vec = vec_engine.Run(q, /*keep_rows=*/true);
-        ASSERT_TRUE(vec.ok()) << vec.status().ToString();
-        EXPECT_EQ(Flatten(*vec), Flatten(*scalar))
-            << family.description << ": " << ToString(formulation);
-      }
+      ref::CheckAgainstReference(&catalog, q);
     }
   }
 }
 
-TEST_F(VectorizedFixture, ByteIdenticalUnderSpill) {
-  // 8-page grant (the CI sanitizer leg's RQP_TEST_MEMORY_PAGES value):
-  // every blocking operator spills; spilled probe partitions re-read their
-  // batches through the vectorized charging path too.
-  QuerySpec q = workload::StarQuery(3, {2500, 3500, 4500});
-  q.group_by = {"dim0.band"};
-  q.aggregates = {{AggFn::kCount, "", "cnt"},
-                  {AggFn::kSum, "fact.measure", "sum_m"}};
-  EngineOptions options;
-  options.memory_pages = 8;
-  options.spill_dir = SpillDir("spill");
-  CheckModesIdentical(q, options);
-  fs::remove_all(options.spill_dir);
-}
-
-TEST_F(VectorizedFixture, ByteIdenticalUnderFaultInjection) {
-  // Mid-query memory drop + per-table I/O slowdown + transient scan
-  // failures: fault draws key off the cost clock, which the vectorized
-  // charging discipline keeps aligned with the scalar clock at every draw
-  // point.
-  QuerySpec q = workload::StarQuery(3, {2500, 3500, 4500});
-  EngineOptions options;
-  options.spill_dir = SpillDir("faults");
-  options.faults.MemoryDrop(120, 64)
-      .IoSlowdown("fact", 2.0, /*at_cost=*/50, /*until_cost=*/600)
-      .ScanFailures("fact", 0.2, /*at_cost=*/0, /*until_cost=*/300);
-  CheckModesIdentical(q, options);
-  for (const int dop : {1, 4}) {
-    auto vec = RunMode(q, /*vectorized=*/true, dop, options);
-    ASSERT_TRUE(vec.ok());
-    EXPECT_EQ(vec->faults.memory_drops, 1) << "dop " << dop;
-  }
-  fs::remove_all(options.spill_dir);
-}
-
-TEST_F(VectorizedFixture, ByteIdenticalWithResultCache) {
-  // Result-cache reuse on a repeated query: the cached replay must match
-  // the fresh run regardless of which mode produced the cached entry.
-  QuerySpec q = workload::StarQuery(2, {2500, 3500});
-  q.group_by = {"dim0.band"};
-  q.aggregates = {{AggFn::kCount, "", "cnt"}};
-  std::vector<int64_t> reference;
-  for (const int vectorized : {0, 1}) {
-    EngineOptions options;
-    options.use_result_cache = 1;
-    options.vectorized = vectorized;
-    Engine engine(&catalog, options);
-    engine.AnalyzeAll();
-    auto first = engine.Run(q, /*keep_rows=*/true);
-    ASSERT_TRUE(first.ok()) << first.status().ToString();
-    auto second = engine.Run(q, /*keep_rows=*/true);
-    ASSERT_TRUE(second.ok()) << second.status().ToString();
-    EXPECT_EQ(Flatten(*second), Flatten(*first)) << "vectorized=" << vectorized;
-    if (vectorized == 0) {
-      reference = Flatten(*first);
-    } else {
-      EXPECT_EQ(Flatten(*first), reference);
-    }
-  }
-}
-
-TEST_F(VectorizedFixture, UnboundParameterFailsCleanlyInBothModes) {
+TEST_F(ReferenceFixture, UnboundParameterMatchesReferenceStatus) {
   // A parameterized predicate with no params supplied must surface a clean
   // status, not crash: BindParams leaves the placeholder unbound when the
   // param vector is too short, and compilation rejects it.
   QuerySpec q;
   q.tables.push_back({"fact", MakeParamCmp("measure", CmpOp::kLt, 0)});
-  for (const int vectorized : {0, 1}) {
-    auto r = RunMode(q, vectorized != 0, /*dop=*/1, EngineOptions());
-    EXPECT_FALSE(r.ok()) << "vectorized=" << vectorized;
-  }
-}
+  ASSERT_FALSE(ref::ReferenceEval(catalog, q).ok());
+  ref::CheckAgainstReference(&catalog, q);
 
-// ---- the gate --------------------------------------------------------------
-
-TEST(VectorizedGateTest, OptionAndEnvResolution) {
-  Catalog catalog;
-  StarSchemaSpec spec;
-  spec.fact_rows = 100;
-  spec.dim_rows = 10;
-  spec.num_dimensions = 1;
-  BuildStarSchema(&catalog, spec);
-
-  const char* saved = std::getenv("RQP_VECTORIZED");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-
-  auto resolved = [&catalog](int configured) {
-    EngineOptions options;
-    options.vectorized = configured;
-    Engine engine(&catalog, options);
-    return engine.vectorized();
-  };
-
-  ::unsetenv("RQP_VECTORIZED");
-  EXPECT_TRUE(resolved(-1));   // default ON
-  EXPECT_FALSE(resolved(0));   // explicit off
-  EXPECT_TRUE(resolved(1));    // explicit on
-  ::setenv("RQP_VECTORIZED", "0", 1);
-  EXPECT_FALSE(resolved(-1));  // env disables
-  EXPECT_TRUE(resolved(1));    // option beats env
-  ::setenv("RQP_VECTORIZED", "1", 1);
-  EXPECT_TRUE(resolved(-1));
-
-  if (saved == nullptr) {
-    ::unsetenv("RQP_VECTORIZED");
-  } else {
-    ::setenv("RQP_VECTORIZED", saved_value.c_str(), 1);
-  }
+  q.params = {4000};  // bound: an ordinary filter
+  ref::CheckAgainstReference(&catalog, q);
 }
 
 }  // namespace

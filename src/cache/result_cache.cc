@@ -1,7 +1,6 @@
 #include "cache/result_cache.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <set>
 #include <utility>
@@ -329,50 +328,45 @@ bool ResultCache::PatchLocked(const std::string& key, Entry* entry,
   const size_t groups = m.group_cols.size();
   const size_t naggs = m.aggs.size();
 
-  // Decode the cached result into the canonical group map...
-  std::map<std::vector<int64_t>, std::vector<int64_t>> state;
+  // Decode the cached result into a FlatGroups, one partial per group...
+  FlatGroups state;
+  state.Reset(groups, naggs);
   for (const RowBatch& b : *entry->batches) {
     for (size_t r = 0; r < b.num_rows(); ++r) {
       const int64_t* row = b.row(r);
-      std::vector<int64_t> gkey(row, row + groups);
-      state.emplace(std::move(gkey),
-                    std::vector<int64_t>(row + groups, row + groups + naggs));
+      AggFoldPartial(m.aggs, row + groups, state.UpsertAcc(row, m.aggs));
     }
   }
 
-  // ...fold the delta rows in (identical accumulator semantics to
-  // HashAggOp, so the patched cells match a recompute exactly)...
-  std::vector<size_t> identity_idx(naggs);
-  std::iota(identity_idx.begin(), identity_idx.end(), 0);
-  std::vector<int64_t> input(naggs, 0);
+  // ...fold the delta rows in (the same AggFoldInput as HashAggOp, so the
+  // patched cells match a recompute exactly) — `row` gathers a table row
+  // as its group key followed by the aggregate inputs...
+  std::vector<size_t> input_idx(naggs);
+  std::iota(input_idx.begin(), input_idx.end(), groups);
+  std::vector<int64_t> row(groups + naggs, 0);
   const int64_t delta_rows = t->num_rows() - snap->rows;
   for (int64_t r = snap->rows; r < t->num_rows(); ++r) {
     if (m.predicate != nullptr) {
       ++hit->predicate_evals;
       if (!EvalOnTable(m.predicate, *t, r)) continue;
     }
-    std::vector<int64_t> gkey(groups);
-    for (size_t g = 0; g < groups; ++g) {
-      gkey[g] = t->Value(m.group_cols[g], r);
-    }
-    auto [it, inserted] = state.try_emplace(std::move(gkey));
-    if (inserted) InitAggAccumulators(m.aggs, &it->second);
+    for (size_t g = 0; g < groups; ++g) row[g] = t->Value(m.group_cols[g], r);
     for (size_t a = 0; a < naggs; ++a) {
       if (m.aggs[a].fn != AggFn::kCount) {
-        input[a] = t->Value(m.agg_cols[a], r);
+        row[groups + a] = t->Value(m.agg_cols[a], r);
       }
     }
-    MergeAggInputRow(m.aggs, identity_idx, input.data(), &it->second);
+    AggFoldInput(m.aggs, input_idx, row.data(),
+                 state.UpsertAcc(row.data(), m.aggs));
   }
 
-  // ...and re-emit in key order (new groups may have appeared anywhere in
-  // the order). Copy-on-patch: outstanding Hits keep the old vector.
+  // ...and re-emit in SortedIds() key order (new groups may have appeared
+  // anywhere in the order). Copy-on-patch: outstanding Hits keep the old
+  // vector.
   auto patched = std::make_shared<std::vector<RowBatch>>();
   RowBatch batch(groups + naggs);
-  std::vector<int64_t> row(groups + naggs);
-  for (const auto& [gkey, accs] : state) {
-    std::copy(gkey.begin(), gkey.end(), row.begin());
-    std::copy(accs.begin(), accs.end(), row.begin() + groups);
+  for (const uint32_t g : state.SortedIds()) {
+    state.CopyRow(g, row.data());
     batch.AppendRow(row);
     if (batch.full()) {
       patched->push_back(std::move(batch));
@@ -381,7 +375,7 @@ bool ResultCache::PatchLocked(const std::string& key, Entry* entry,
   }
   if (!batch.empty()) patched->push_back(std::move(batch));
 
-  const int64_t new_rows = static_cast<int64_t>(state.size());
+  const auto new_rows = static_cast<int64_t>(state.num_groups);
   const int64_t new_pages = PagesFor(new_rows);
   if (new_pages > entry->pages) {
     const int64_t extra = new_pages - entry->pages;

@@ -9,14 +9,6 @@
 namespace rqp {
 namespace {
 
-/// Finds a slot index by name; returns -1 if absent.
-int FindSlot(const std::vector<std::string>& slots, const std::string& name) {
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::vector<std::string> ConcatSlots(const std::vector<std::string>& a,
                                      const std::vector<std::string>& b) {
   std::vector<std::string> out = a;

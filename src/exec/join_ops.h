@@ -42,9 +42,9 @@ Status MaterializeChild(Operator* child, ExecContext* ctx, RowBuffer* buf);
 ///  - *Defined* match order: chains are built by prepending rows in reverse
 ///    row order, so forward traversal visits equal keys in build-row order.
 ///    unordered_multimap's equal_range order among duplicates is
-///    implementation-defined; build-row order is what the parallel
-///    exchange's probe tables already emit, so serial and DOP > 1 now agree
-///    by construction even on duplicate build keys.
+///    implementation-defined. GatherOp's join stages probe this same
+///    table, so serial and DOP > 1 agree by construction even on duplicate
+///    build keys.
 ///  - Probe cost: a probe is one mix, one head load, and a short chain walk
 ///    over 8-byte indexes — no node allocations, no pointer-heavy buckets —
 ///    which is what the fused whole-batch probe runs over.

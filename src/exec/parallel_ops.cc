@@ -8,18 +8,6 @@
 
 namespace rqp {
 
-namespace {
-
-int FindSlotIdx(const std::vector<std::string>& slots,
-                const std::string& name) {
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-}  // namespace
-
 GatherOp::GatherOp(const Table* table, PredicatePtr filter, int scan_node_id,
                    std::vector<JoinStage> stages, std::optional<AggStage> agg,
                    ParallelOptions opts)
@@ -61,7 +49,9 @@ Status GatherOp::Open(ExecContext* ctx) {
   stage_state_.clear();
   pipeline_slots_.clear();
   output_slots_.clear();
-  merged_.clear();
+  merged_.Reset(0, 0);
+  emit_order_.clear();
+  emit_pos_ = 0;
   morsel_out_.clear();
   worker_groups_.clear();
   worker_pages_.clear();
@@ -137,12 +127,12 @@ Status GatherOp::MaterializeBuilds(ExecContext* ctx) {
     if (!drained.ok()) return drained.status();
     ss.build_slots = spec.build_child->output_slots();
 
-    const int probe_idx = FindSlotIdx(pipeline_slots_, spec.probe_key);
+    const int probe_idx = FindSlot(pipeline_slots_, spec.probe_key);
     if (probe_idx < 0) {
       return Status::InvalidArgument("probe key slot not found: " +
                                      spec.probe_key);
     }
-    const int build_idx = FindSlotIdx(ss.build_slots, spec.build_key);
+    const int build_idx = FindSlot(ss.build_slots, spec.build_key);
     if (build_idx < 0) {
       return Status::InvalidArgument("build key slot not found: " +
                                      spec.build_key);
@@ -160,16 +150,12 @@ Status GatherOp::MaterializeBuilds(ExecContext* ctx) {
 Status GatherOp::BuildHashTables() {
   for (StageState& ss : stage_state_) {
     ss.build_rows.num_cols = ss.build_slots.size();
-    int64_t rows = 0;
     for (const RowBatch& b : *ss.build_batches) {
-      for (size_t r = 0; r < b.num_rows(); ++r) {
-        const int64_t* row = b.row(r);
-        const auto idx = static_cast<uint32_t>(ss.build_rows.num_rows());
-        ss.build_rows.Append(row);
-        ss.table[row[ss.build_key_idx]].push_back(idx);
-      }
-      rows += static_cast<int64_t>(b.num_rows());
+      ss.build_rows.data.insert(ss.build_rows.data.end(), b.data().begin(),
+                                b.data().end());
     }
+    ss.table.Build(ss.build_rows, ss.build_key_idx);
+    const auto rows = static_cast<int64_t>(ss.build_rows.num_rows());
     // Same accounting as HashJoinOp: one hash op per absorbed row plus the
     // build factor for table insertion.
     ctx_->ChargeHashOps(rows);
@@ -208,7 +194,7 @@ Status GatherOp::ResolveAgg() {
   group_idx_.clear();
   agg_idx_.clear();
   for (const auto& g : agg_->group_slots) {
-    const int i = FindSlotIdx(pipeline_slots_, g);
+    const int i = FindSlot(pipeline_slots_, g);
     if (i < 0) return Status::InvalidArgument("group slot not found: " + g);
     group_idx_.push_back(static_cast<size_t>(i));
     output_slots_.push_back(g);
@@ -217,7 +203,7 @@ Status GatherOp::ResolveAgg() {
     if (a.fn == AggFn::kCount) {
       agg_idx_.push_back(0);  // unused
     } else {
-      const int i = FindSlotIdx(pipeline_slots_, a.slot);
+      const int i = FindSlot(pipeline_slots_, a.slot);
       if (i < 0) {
         return Status::InvalidArgument("agg slot not found: " + a.slot);
       }
@@ -236,7 +222,8 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
   const int dop = std::max(1, opts_.num_threads);
   ledger_.assign(static_cast<size_t>(num_morsels), 0.0);
   if (agg_.has_value()) {
-    worker_groups_.assign(static_cast<size_t>(dop), GroupMap{});
+    merged_.Reset(group_idx_.size(), agg_idx_.size());
+    worker_groups_.assign(static_cast<size_t>(dop), merged_);
     worker_pages_.assign(static_cast<size_t>(dop), 0);
   } else {
     morsel_out_.resize(static_cast<size_t>(num_morsels));
@@ -263,38 +250,37 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
   ctx->RecordParallelPhase(num_morsels, total - makespan);
 
   if (agg_.has_value()) {
-    // Fold the workers' partial maps (and anything revocation already shed)
-    // into the merged map. The aggregate functions are commutative and
-    // associative in exact int64 arithmetic, so merge order cannot change
-    // the result; worker-id order keeps it deterministic anyway. The merge
-    // itself is free on the cost clock: it is O(groups × DOP) bookkeeping
-    // next to the probe work, and charging it would make total work
-    // DOP-dependent, muddying the scaling tables.
+    // Fold the workers' partial tables (and anything revocation already
+    // shed) into the merged table. The aggregate functions are commutative
+    // and associative in exact int64 arithmetic, so merge order cannot
+    // change the result; worker-id order keeps it deterministic anyway. The
+    // merge itself is free on the cost clock: it is O(groups × DOP)
+    // bookkeeping next to the probe work, and charging it would make total
+    // work DOP-dependent, muddying the scaling tables.
     for (int w = 0; w < dop; ++w) {
       MergeIntoShared(worker_groups_[static_cast<size_t>(w)]);
-      worker_groups_[static_cast<size_t>(w)].clear();
       int64_t& pages = worker_pages_[static_cast<size_t>(w)];
       if (pages > 0) {
         broker_->Release(pages);
         pages = 0;
       }
     }
-    if (group_idx_.empty() && merged_.empty()) {
+    worker_groups_.clear();
+    if (group_idx_.empty() && merged_.num_groups == 0) {
       // Scalar aggregate over zero rows still yields one row.
-      auto [it, inserted] = merged_.try_emplace(std::vector<int64_t>{});
-      if (inserted) InitAggAccumulators(agg_->aggregates, &it->second);
+      merged_.UpsertAcc(nullptr, agg_->aggregates);
     }
-    // Residency for the merged map, in completion mode: keep granting (the
-    // broker's 1-page progress minimum makes this terminate) even if it
-    // over-commits — the phase is done and emission only shrinks state.
+    // Residency for the merged table, in completion mode: keep granting
+    // (the broker's 1-page progress minimum makes this terminate) even if
+    // it over-commits — the phase is done and emission only shrinks state.
     const int64_t needed_pages =
-        (static_cast<int64_t>(merged_.size()) + kRowsPerPage - 1) /
+        (static_cast<int64_t>(merged_.num_groups) + kRowsPerPage - 1) /
         kRowsPerPage;
     while (merged_charged_pages_ < needed_pages) {
       merged_charged_pages_ +=
           broker_->Grant(needed_pages - merged_charged_pages_);
     }
-    emit_it_ = merged_.begin();
+    emit_order_ = merged_.SortedIds();
     emitting_groups_ = true;
   }
   return Status::OK();
@@ -302,7 +288,7 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
 
 void GatherOp::WorkerLoop(int worker_id) {
   WorkerCharge charge(ctx_, phase_start_cost_);
-  GroupMap* local =
+  FlatGroups* local =
       agg_.has_value() ? &worker_groups_[static_cast<size_t>(worker_id)]
                        : nullptr;
   std::vector<int64_t> row(pipeline_slots_.size());
@@ -312,7 +298,7 @@ void GatherOp::WorkerLoop(int worker_id) {
   SelectionVector sel;
   Morsel m;
   while (!ctx_->cancelled() && cursor_->Claim(&m)) {
-    const Status s = ProcessMorsel(m, worker_id, &charge, local, &row, &key,
+    const Status s = ProcessMorsel(m, &charge, local, &row, &key,
                                    &stage_counts, &col_ptrs, &sel);
     ledger_[static_cast<size_t>(m.id)] = charge.cost();
     charge.Flush();
@@ -343,11 +329,11 @@ void GatherOp::WorkerLoop(int worker_id) {
       }
     }
     if (local != nullptr) {
-      EnsureLocalCapacity(worker_id, *local, &charge);
+      EnsureLocalCapacity(worker_id, *local);
       // Morsel-boundary revocation poll: a mid-query capacity drop is
-      // honored by shedding this worker's partial-aggregate map into the
-      // shared merged map and releasing its pages.
-      if (!local->empty() && broker_->overcommitted()) {
+      // honored by shedding this worker's partial-aggregate table into the
+      // shared merged table and releasing its pages.
+      if (local->num_groups > 0 && broker_->overcommitted()) {
         ShedLocalGroups(worker_id, local, &charge);
       }
     }
@@ -355,8 +341,8 @@ void GatherOp::WorkerLoop(int worker_id) {
   charge.Flush();
 }
 
-Status GatherOp::ProcessMorsel(const Morsel& m, int /*worker_id*/,
-                               WorkerCharge* charge, GroupMap* local_groups,
+Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
+                               FlatGroups* local_groups,
                                std::vector<int64_t>* row_storage,
                                std::vector<int64_t>* key_storage,
                                std::vector<int64_t>* stage_counts,
@@ -395,25 +381,24 @@ Status GatherOp::ProcessMorsel(const Morsel& m, int /*worker_id*/,
           key[g] = row[group_idx_[g]];
         }
         charge->ChargeHashOps(1);
-        auto [it, inserted] = local_groups->try_emplace(key);
-        if (inserted) InitAggAccumulators(agg_->aggregates, &it->second);
-        MergeAggInputRow(agg_->aggregates, agg_idx_, row.data(), &it->second);
+        AggFoldInput(agg_->aggregates, agg_idx_, row.data(),
+                     local_groups->UpsertAcc(key.data(), agg_->aggregates));
       } else {
         out->Append(row.data());
       }
       return;
     }
-    StageState& ss = stage_state_[depth];
+    const StageState& ss = stage_state_[depth];
     charge->ChargeHashOps(1);
-    const auto it = ss.table.find(row[ss.probe_key_idx]);
-    if (it == ss.table.end()) return;
-    for (const uint32_t idx : it->second) {
-      const int64_t* b = ss.build_rows.row(idx);
-      std::copy(b, b + ss.build_slots.size(),
-                row.begin() + static_cast<long>(ss.in_cols));
-      ++(*stage_counts)[depth];
-      self(self, depth + 1);
-    }
+    ss.table.ForEachMatch(
+        ss.build_rows, ss.build_key_idx, row[ss.probe_key_idx],
+        [&](size_t idx) {
+          const int64_t* b = ss.build_rows.row(idx);
+          std::copy(b, b + ss.build_slots.size(),
+                    row.begin() + static_cast<long>(ss.in_cols));
+          ++(*stage_counts)[depth];
+          self(self, depth + 1);
+        });
   };
 
   const auto emit_row = [&](int64_t r) {
@@ -440,20 +425,20 @@ Status GatherOp::ProcessMorsel(const Morsel& m, int /*worker_id*/,
   return Status::OK();
 }
 
-void GatherOp::EnsureLocalCapacity(int worker_id, const GroupMap& local,
-                                   WorkerCharge* /*charge*/) {
+void GatherOp::EnsureLocalCapacity(int worker_id, const FlatGroups& local) {
   const int64_t needed =
-      (static_cast<int64_t>(local.size()) + kRowsPerPage - 1) / kRowsPerPage;
+      (static_cast<int64_t>(local.num_groups) + kRowsPerPage - 1) /
+      kRowsPerPage;
   int64_t& pages = worker_pages_[static_cast<size_t>(worker_id)];
   // Grants may force over-commit (Grant never returns less than 1); the
   // shed branch at the next morsel boundary resolves it.
   while (pages < needed) pages += broker_->Grant(needed - pages);
 }
 
-void GatherOp::ShedLocalGroups(int worker_id, GroupMap* local,
+void GatherOp::ShedLocalGroups(int worker_id, FlatGroups* local,
                                WorkerCharge* charge) {
   MergeIntoShared(*local);
-  local->clear();
+  local->Reset(local->key_width, local->acc_width);
   int64_t& pages = worker_pages_[static_cast<size_t>(worker_id)];
   if (pages > 0) {
     broker_->Release(pages);
@@ -462,12 +447,11 @@ void GatherOp::ShedLocalGroups(int worker_id, GroupMap* local,
   charge->CountRevocation();
 }
 
-void GatherOp::MergeIntoShared(const GroupMap& local) {
+void GatherOp::MergeIntoShared(const FlatGroups& local) {
   std::lock_guard<std::mutex> lock(merged_mu_);
-  for (const auto& [key, accs] : local) {
-    auto [it, inserted] = merged_.try_emplace(key);
-    if (inserted) InitAggAccumulators(agg_->aggregates, &it->second);
-    MergeAggPartial(agg_->aggregates, accs.data(), &it->second);
+  for (uint32_t g = 0; g < local.num_groups; ++g) {
+    AggFoldPartial(agg_->aggregates, local.acc(g),
+                   merged_.UpsertAcc(local.key(g), agg_->aggregates));
   }
 }
 
@@ -477,13 +461,9 @@ Status GatherOp::Next(RowBatch* out) {
   RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
   if (emitting_groups_) {
     std::vector<int64_t> row(output_slots_.size());
-    while (emit_it_ != merged_.end() && out->capacity_remaining() > 0) {
-      const auto& [key, accs] = *emit_it_;
-      std::copy(key.begin(), key.end(), row.begin());
-      std::copy(accs.begin(), accs.end(),
-                row.begin() + static_cast<long>(key.size()));
+    while (emit_pos_ < emit_order_.size() && out->capacity_remaining() > 0) {
+      merged_.CopyRow(emit_order_[emit_pos_++], row.data());
       out->AppendRow(row);
-      ++emit_it_;
     }
     ctx_->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
   } else {

@@ -2,12 +2,10 @@
 #define RQP_EXEC_PARALLEL_OPS_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/join_ops.h"
@@ -36,18 +34,19 @@ namespace rqp {
 ///      which completes at a 1-page grant with byte-identical output.
 ///   2. Parallel probe: the driving table is split into morsels handed out
 ///      by an atomic cursor; each worker scans, filters, probes the shared
-///      read-only hash tables, and either emits into its morsel's private
-///      output slot or folds rows into a thread-local partial-aggregate
-///      map. Charges accumulate in thread-local counters flushed at morsel
-///      boundaries; workers poll cancellation and memory revocation there
-///      too (revocation sheds thread-local aggregate state into the shared
-///      merged map — the build tables are pinned for the phase).
+///      read-only JoinHashTables, and either emits into its morsel's
+///      private output slot or folds rows into a thread-local FlatGroups
+///      partial-aggregate table. Charges accumulate in thread-local
+///      counters flushed at morsel boundaries; workers poll cancellation
+///      and memory revocation there too (revocation sheds thread-local
+///      aggregate state into the shared merged table — the build tables are
+///      pinned for the phase).
 ///   3. Barrier + gather: morsel outputs are concatenated in morsel-id
 ///      order (== table order, so the row stream is byte-identical to the
-///      serial scan at every DOP); partial-aggregate maps are merged in
+///      serial scan at every DOP); partial-aggregate tables are merged in
 ///      worker-id order (order-insensitive anyway: the aggregate functions
-///      are commutative in exact int64 arithmetic) and emitted in key
-///      order, exactly like HashAggOp.
+///      are commutative in exact int64 arithmetic) and emitted in
+///      SortedIds() key order, exactly like HashAggOp.
 ///
 /// The phase's total work lands on the cost clock; the deterministic
 /// list-schedule makespan of the per-morsel costs is recorded through
@@ -100,18 +99,16 @@ class GatherOp : public Operator, public MemoryRevocable {
   }
 
  private:
-  using GroupMap = std::map<std::vector<int64_t>, std::vector<int64_t>>;
-
   /// Run-time state of one join stage. After the build phase the hash table
-  /// is strictly read-only — workers probe it without synchronization.
-  /// Matches are stored in build-row order, matching HashJoinOp's
-  /// JoinHashTable (which also yields matches in build-row order), so the
-  /// serial and parallel probe outputs agree even on duplicate build keys.
+  /// is strictly read-only — workers probe it without synchronization. It
+  /// is HashJoinOp's JoinHashTable, so matches come in build-row order and
+  /// the serial and parallel probe outputs agree even on duplicate build
+  /// keys.
   struct StageState {
     std::shared_ptr<std::vector<RowBatch>> build_batches;
     std::vector<std::string> build_slots;
     RowBuffer build_rows;
-    std::unordered_map<int64_t, std::vector<uint32_t>> table;
+    JoinHashTable table;
     size_t probe_key_idx = 0;  ///< within the pipeline row prefix
     size_t build_key_idx = 0;
     size_t in_cols = 0;   ///< pipeline width upstream of this join
@@ -124,16 +121,15 @@ class GatherOp : public Operator, public MemoryRevocable {
   Status ResolveAgg();
   Status RunParallelPhase(ExecContext* ctx);
   void WorkerLoop(int worker_id);
-  Status ProcessMorsel(const Morsel& m, int worker_id, WorkerCharge* charge,
-                       GroupMap* local_groups, std::vector<int64_t>* row,
+  Status ProcessMorsel(const Morsel& m, WorkerCharge* charge,
+                       FlatGroups* local_groups, std::vector<int64_t>* row,
                        std::vector<int64_t>* key,
                        std::vector<int64_t>* stage_counts,
                        std::vector<const int64_t*>* col_ptrs,
                        SelectionVector* sel);
-  void EnsureLocalCapacity(int worker_id, const GroupMap& local,
-                           WorkerCharge* charge);
-  void ShedLocalGroups(int worker_id, GroupMap* local, WorkerCharge* charge);
-  void MergeIntoShared(const GroupMap& local);
+  void EnsureLocalCapacity(int worker_id, const FlatGroups& local);
+  void ShedLocalGroups(int worker_id, FlatGroups* local, WorkerCharge* charge);
+  void MergeIntoShared(const FlatGroups& local);
   void PublishActuals();
   void ReleaseAllMemory();
 
@@ -166,21 +162,22 @@ class GatherOp : public Operator, public MemoryRevocable {
   double phase_start_cost_ = 0;
   std::vector<double> ledger_;          ///< per-morsel cost, by morsel id
   std::vector<RowBuffer> morsel_out_;   ///< per-morsel output (no-agg mode)
-  std::vector<GroupMap> worker_groups_;
+  std::vector<FlatGroups> worker_groups_;
   std::vector<int64_t> worker_pages_;
   std::atomic<int64_t> scan_produced_{0};
   /// Per-stage produced-row totals (parallel to stages_); shared across
   /// workers, reported to the node fuses at flush boundaries.
   std::unique_ptr<std::atomic<int64_t>[]> stage_produced_;
   std::mutex merged_mu_;  ///< guards merged_ during revocation shedding
-  GroupMap merged_;
+  FlatGroups merged_;
   std::mutex error_mu_;
   Status first_error_;
 
   // -- emission state --------------------------------------------------------
   size_t emit_morsel_ = 0;
   size_t emit_row_ = 0;
-  GroupMap::const_iterator emit_it_;
+  std::vector<uint32_t> emit_order_;  ///< merged_ ids in key order
+  size_t emit_pos_ = 0;
   bool emitting_groups_ = false;
   bool actuals_published_ = false;
 };

@@ -9,14 +9,6 @@
 
 namespace rqp {
 namespace {
-int FindSlotIdx(const std::vector<std::string>& slots,
-                const std::string& name) {
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 // splitmix64 finalizer; the aggregation partitioner salts it with the
 // recursion depth so every level re-partitions with an independent hash.
 uint64_t Mix64(uint64_t x) {
@@ -64,7 +56,7 @@ Status SortOp::Open(ExecContext* ctx) {
   order_.clear();
   runs_.clear();
   cursors_.clear();
-  const int k = FindSlotIdx(child_->output_slots(), key_);
+  const int k = FindSlot(child_->output_slots(), key_);
   if (k < 0) return Status::InvalidArgument("sort key slot not found: " + key_);
   key_idx_ = static_cast<size_t>(k);
   cols_ = child_->output_slots().size();
@@ -397,6 +389,14 @@ uint32_t FlatGroups::Upsert(const int64_t* k, bool* inserted) {
   return g;
 }
 
+int64_t* FlatGroups::UpsertAcc(const int64_t* k,
+                               const std::vector<AggSpec>& aggs) {
+  bool inserted = false;
+  int64_t* a = acc(Upsert(k, &inserted));
+  if (inserted) AggInit(aggs, a);
+  return a;
+}
+
 std::vector<uint32_t> FlatGroups::SortedIds() const {
   std::vector<uint32_t> ids(num_groups);
   std::iota(ids.begin(), ids.end(), 0);
@@ -407,6 +407,49 @@ std::vector<uint32_t> FlatGroups::SortedIds() const {
                                         kb + key_width);
   });
   return ids;
+}
+
+void FlatGroups::CopyRow(uint32_t g, int64_t* out) const {
+  std::copy(key(g), key(g) + key_width, out);
+  std::copy(acc(g), acc(g) + acc_width, out + key_width);
+}
+
+void AggInit(const std::vector<AggSpec>& aggs, int64_t* acc) {
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    switch (aggs[a].fn) {
+      case AggFn::kCount:
+      case AggFn::kSum: acc[a] = 0; break;
+      case AggFn::kMin: acc[a] = std::numeric_limits<int64_t>::max(); break;
+      case AggFn::kMax: acc[a] = std::numeric_limits<int64_t>::min(); break;
+    }
+  }
+}
+
+void AggFoldInput(const std::vector<AggSpec>& aggs,
+                  const std::vector<size_t>& agg_idx, const int64_t* row,
+                  int64_t* acc) {
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    switch (aggs[a].fn) {
+      case AggFn::kCount: ++acc[a]; break;
+      case AggFn::kSum: acc[a] += row[agg_idx[a]]; break;
+      case AggFn::kMin: acc[a] = std::min(acc[a], row[agg_idx[a]]); break;
+      case AggFn::kMax: acc[a] = std::max(acc[a], row[agg_idx[a]]); break;
+    }
+  }
+}
+
+void AggFoldPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
+                    int64_t* acc) {
+  // Partials carry already-aggregated state: counts add (not ++), sums add,
+  // min/max fold.
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    switch (aggs[a].fn) {
+      case AggFn::kCount:
+      case AggFn::kSum: acc[a] += partial[a]; break;
+      case AggFn::kMin: acc[a] = std::min(acc[a], partial[a]); break;
+      case AggFn::kMax: acc[a] = std::max(acc[a], partial[a]); break;
+    }
+  }
 }
 
 // ---- HashAggOp -------------------------------------------------------------
@@ -439,75 +482,6 @@ size_t HashAggOp::PartitionOfKey(const int64_t* key, size_t n) const {
   uint64_t h = Mix64(static_cast<uint64_t>(depth_) + 1);
   for (size_t i = 0; i < n; ++i) h = Mix64(h ^ static_cast<uint64_t>(key[i]));
   return static_cast<size_t>(h % static_cast<uint64_t>(options_.fan_out));
-}
-
-void InitAggAccumulators(const std::vector<AggSpec>& aggs,
-                         std::vector<int64_t>* accs) {
-  accs->assign(aggs.size(), 0);
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].fn == AggFn::kMin) {
-      (*accs)[a] = std::numeric_limits<int64_t>::max();
-    } else if (aggs[a].fn == AggFn::kMax) {
-      (*accs)[a] = std::numeric_limits<int64_t>::min();
-    }
-  }
-}
-
-void MergeAggInputRow(const std::vector<AggSpec>& aggs,
-                      const std::vector<size_t>& agg_idx, const int64_t* row,
-                      std::vector<int64_t>* accs) {
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    int64_t& acc = (*accs)[a];
-    switch (aggs[a].fn) {
-      case AggFn::kCount: ++acc; break;
-      case AggFn::kSum: acc += row[agg_idx[a]]; break;
-      case AggFn::kMin: acc = std::min(acc, row[agg_idx[a]]); break;
-      case AggFn::kMax: acc = std::max(acc, row[agg_idx[a]]); break;
-    }
-  }
-}
-
-void MergeAggPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
-                     std::vector<int64_t>* accs) {
-  // Partials carry already-aggregated state: counts add (not ++), sums add,
-  // min/max fold.
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    int64_t& acc = (*accs)[a];
-    switch (aggs[a].fn) {
-      case AggFn::kCount: acc += partial[a]; break;
-      case AggFn::kSum: acc += partial[a]; break;
-      case AggFn::kMin: acc = std::min(acc, partial[a]); break;
-      case AggFn::kMax: acc = std::max(acc, partial[a]); break;
-    }
-  }
-}
-
-void HashAggOp::InitAggCells(int64_t* acc) const {
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    switch (aggs_[a].fn) {
-      case AggFn::kCount:
-      case AggFn::kSum: acc[a] = 0; break;
-      case AggFn::kMin: acc[a] = std::numeric_limits<int64_t>::max(); break;
-      case AggFn::kMax: acc[a] = std::numeric_limits<int64_t>::min(); break;
-    }
-  }
-}
-
-void HashAggOp::MergeRowIntoCells(int64_t* acc, const int64_t* row,
-                                  bool partial) const {
-  const size_t kw = group_idx_.size();
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    const int64_t v = partial ? row[kw + a]
-                              : (aggs_[a].fn == AggFn::kCount
-                                     ? 0
-                                     : row[agg_idx_[a]]);
-    switch (aggs_[a].fn) {
-      case AggFn::kCount: acc[a] += partial ? v : 1; break;
-      case AggFn::kSum: acc[a] += v; break;
-      case AggFn::kMin: acc[a] = std::min(acc[a], v); break;
-      case AggFn::kMax: acc[a] = std::max(acc[a], v); break;
-    }
-  }
 }
 
 void HashAggOp::FlushDeferred(const RowBatch& in, bool partial) {
@@ -580,8 +554,12 @@ Status HashAggOp::AbsorbBatch(const RowBatch& in, bool partial) {
     // been absorbed — exactly the state a row-at-a-time fold would shed.
     FlushDeferred(in, partial);
     int64_t* acc = flat_.acc(gid);
-    InitAggCells(acc);
-    MergeRowIntoCells(acc, row, partial);
+    AggInit(aggs_, acc);
+    if (partial) {
+      AggFoldPartial(aggs_, row + kw, acc);
+    } else {
+      AggFoldInput(aggs_, agg_idx_, row, acc);
+    }
     RQP_RETURN_IF_ERROR(EnsureGroupCapacity());
   }
   FlushDeferred(in, partial);
@@ -615,23 +593,18 @@ Status HashAggOp::ShedGroups() {
   }
   const size_t kw = group_idx_.size();
   std::vector<int64_t> row(slots_.size());
-  auto shed_one = [&](const int64_t* key, const int64_t* accs) -> Status {
-    size_t c = 0;
-    for (size_t i = 0; i < kw; ++i) row[c++] = key[i];
-    for (size_t a = 0; a < aggs_.size(); ++a) row[c++] = accs[a];
-    auto& file = shed_files_[PartitionOfKey(key, kw)];
+  // Sorted-id walk: shed files hold their rows in key order, independent
+  // of the probe-table layout.
+  for (uint32_t g : flat_.SortedIds()) {
+    auto& file = shed_files_[PartitionOfKey(flat_.key(g), kw)];
     if (file == nullptr) {
       auto created = ctx_->spill()->Create(slots_.size());
       if (!created.ok()) return created.status();
       file = std::move(created).value();
       ++ctx_->counters().spill_partitions;
     }
-    return file->AppendRow(row.data());
-  };
-  // Sorted-id walk: shed files hold their rows in key order, independent
-  // of the probe-table layout.
-  for (uint32_t g : flat_.SortedIds()) {
-    RQP_RETURN_IF_ERROR(shed_one(flat_.key(g), flat_.acc(g)));
+    flat_.CopyRow(g, row.data());
+    RQP_RETURN_IF_ERROR(file->AppendRow(row.data()));
   }
   flat_.Reset(kw, aggs_.size());
   broker_->Release(charged_pages_);
@@ -668,7 +641,7 @@ Status HashAggOp::Open(ExecContext* ctx) {
   agg_idx_.clear();
   const auto& in_slots = child_->output_slots();
   for (const auto& g : group_slots_) {
-    const int i = FindSlotIdx(in_slots, g);
+    const int i = FindSlot(in_slots, g);
     if (i < 0) return Status::InvalidArgument("group slot not found: " + g);
     group_idx_.push_back(static_cast<size_t>(i));
   }
@@ -677,7 +650,7 @@ Status HashAggOp::Open(ExecContext* ctx) {
       agg_idx_.push_back(0);  // unused
       continue;
     }
-    const int i = FindSlotIdx(in_slots, a.slot);
+    const int i = FindSlot(in_slots, a.slot);
     if (i < 0) return Status::InvalidArgument("agg slot not found: " + a.slot);
     agg_idx_.push_back(static_cast<size_t>(i));
   }
@@ -714,10 +687,8 @@ Status HashAggOp::Open(ExecContext* ctx) {
 
   // Global aggregation over an empty input still yields one row.
   if (group_slots_.empty() && flat_.num_groups == 0) {
-    bool inserted = false;
     key_scratch_.clear();
-    flat_.Upsert(key_scratch_.data(), &inserted);
-    InitAggCells(flat_.acc(0));
+    flat_.UpsertAcc(key_scratch_.data(), aggs_);
   }
   emit_order_ = flat_.SortedIds();
   emit_pos_ = 0;
@@ -766,12 +737,7 @@ Status HashAggOp::Next(RowBatch* out) {
   std::vector<int64_t> row(slots_.size());
   while (!out->full()) {
     if (emitting_ && emit_pos_ < emit_order_.size()) {
-      const uint32_t g = emit_order_[emit_pos_++];
-      const int64_t* k = flat_.key(g);
-      const int64_t* a = flat_.acc(g);
-      size_t c = 0;
-      for (size_t i = 0; i < group_idx_.size(); ++i) row[c++] = k[i];
-      for (size_t i = 0; i < aggs_.size(); ++i) row[c++] = a[i];
+      flat_.CopyRow(emit_order_[emit_pos_++], row.data());
       out->AppendRow(row);
       continue;
     }

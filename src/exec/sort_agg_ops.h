@@ -106,30 +106,29 @@ struct AggSpec {
   std::string output_name;
 };
 
-// Shared accumulator semantics — one definition used by the parallel
-// partial aggregation in GatherOp, the shard merge and the result cache;
-// HashAggOp's flat cells implement the same folds, so every path produces
-// bit-identical results. All four
-// functions are decomposable: partials merge commutatively and
-// associatively in exact int64 arithmetic, which is what makes
-// merge-order-independent parallel aggregation deterministic.
+// Shared accumulator semantics over flat accumulator cells — the one
+// definition behind every group-by: HashAggOp, GatherOp's worker and merged
+// tables, the shard merge and the result-cache patch, so every path
+// produces bit-identical results. All four functions are decomposable:
+// partials merge commutatively and associatively in exact int64
+// arithmetic, which is what makes merge-order-independent parallel
+// aggregation deterministic.
 
-/// Initializes one accumulator vector (COUNT/SUM start at 0, MIN at
+/// Initializes one group's accumulator cells (COUNT/SUM start at 0, MIN at
 /// INT64_MAX, MAX at INT64_MIN).
-void InitAggAccumulators(const std::vector<AggSpec>& aggs,
-                         std::vector<int64_t>* accs);
+void AggInit(const std::vector<AggSpec>& aggs, int64_t* acc);
 
-/// Folds one *input* row into accumulators. `agg_idx[a]` is the input-slot
-/// index of aggregate `a` (unused for COUNT).
-void MergeAggInputRow(const std::vector<AggSpec>& aggs,
-                      const std::vector<size_t>& agg_idx, const int64_t* row,
-                      std::vector<int64_t>* accs);
+/// Folds one *input* row into accumulator cells. `agg_idx[a]` is the
+/// input-slot index of aggregate `a` (unused for COUNT).
+void AggFoldInput(const std::vector<AggSpec>& aggs,
+                  const std::vector<size_t>& agg_idx, const int64_t* row,
+                  int64_t* acc);
 
-/// Folds already-aggregated partial state into accumulators (counts add,
-/// sums add, min/max fold). `partial` points at the partial's accumulator
-/// cells (past any group-key prefix).
-void MergeAggPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
-                     std::vector<int64_t>* accs);
+/// Folds already-aggregated partial state into accumulator cells (counts
+/// add, sums add, min/max fold). `partial` points at the partial's
+/// accumulator cells (past any group-key prefix).
+void AggFoldPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
+                    int64_t* acc);
 
 /// Flat group table of the aggregation kernel: group keys and accumulators
 /// live in two flat row-major arrays indexed by a dense group id, with an
@@ -157,9 +156,15 @@ struct FlatGroups {
   /// group's accumulator cells are zero — the caller initializes them.
   /// Group ids are stable until Reset() (growth only rehashes buckets).
   uint32_t Upsert(const int64_t* k, bool* inserted);
+  /// Upsert that starts a new group's cells at AggInit(aggs); returns the
+  /// group's accumulator cells.
+  int64_t* UpsertAcc(const int64_t* k, const std::vector<AggSpec>& aggs);
 
   /// Group ids sorted lexicographically by key.
   std::vector<uint32_t> SortedIds() const;
+
+  /// Writes group `g` as one output row: key cells, then accumulator cells.
+  void CopyRow(uint32_t g, int64_t* out) const;
 
  private:
   uint64_t Hash(const int64_t* k) const;
@@ -213,11 +218,6 @@ class HashAggOp : public Operator, public MemoryRevocable {
   };
 
   size_t PartitionOfKey(const int64_t* key, size_t n) const;
-  /// Initializes / merges one flat accumulator row (same semantics as
-  /// InitAggAccumulators / MergeAggInputRow / MergeAggPartial, over
-  /// FlatGroups cells).
-  void InitAggCells(int64_t* acc) const;
-  void MergeRowIntoCells(int64_t* acc, const int64_t* row, bool partial) const;
   /// Batch kernel: per-row key assembly + flat-table upsert; rows landing
   /// on existing groups are deferred and accumulated op-major (one
   /// aggregate-function dispatch per column per flush) instead of per-row.

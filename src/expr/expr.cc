@@ -127,18 +127,6 @@ std::vector<std::string> ExprReferencedColumns(const ExprPtr& e) {
 
 // ---- CompiledExpr --------------------------------------------------------
 
-namespace {
-
-int FindExprSlot(const std::vector<std::string>& slots,
-                 const std::string& name) {
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-}  // namespace
-
 StatusOr<CompiledExpr> CompiledExpr::Compile(
     const ExprPtr& e, const std::vector<std::string>& slots) {
   if (e == nullptr) {
@@ -160,7 +148,7 @@ StatusOr<CompiledExpr::CNodePtr> CompiledExpr::CompileNode(
       [&](const auto& n) {
         using T = std::decay_t<decltype(n)>;
         if constexpr (std::is_same_v<T, ExprCol>) {
-          const int s = FindExprSlot(slots, n.column);
+          const int s = FindSlot(slots, n.column);
           if (s < 0) {
             error = Status::NotFound("slot for column '" + n.column + "'");
             return;

@@ -44,10 +44,7 @@ Status ExprProgram::EmitNode(const ExprPtr& e,
       [&](const auto& n) {
         using T = std::decay_t<decltype(n)>;
         if constexpr (std::is_same_v<T, ExprCol>) {
-          int slot = -1;
-          for (size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i] == n.column) { slot = static_cast<int>(i); break; }
-          }
+          const int slot = FindSlot(slots, n.column);
           if (slot < 0) {
             error = Status::NotFound("slot for column '" + n.column + "'");
             return;

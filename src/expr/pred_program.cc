@@ -7,13 +7,6 @@ namespace rqp {
 
 namespace {
 
-int FindSlot(const std::vector<std::string>& slots, const std::string& name) {
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 /// Compacts `sel` to the rows where `pred(value)` holds — the tight loop
 /// every single-leaf conjunct runs, specialized per comparison. The store is
 /// unconditional and the cursor advances by the predicate's truth value, so
@@ -91,9 +84,11 @@ void WithCmp(CmpOp op, int64_t rhs, Body body) {
 
 bool PredicateProgram::InSet::Contains(int64_t v) const {
   if (!bitmap.empty()) {
-    const int64_t off = v - min;
-    return off >= 0 && off < static_cast<int64_t>(bitmap.size()) &&
-           bitmap[static_cast<size_t>(off)] != 0;
+    // Unsigned offset: probes below `min` wrap past the end of the bitmap,
+    // and no probe overflows a signed difference.
+    const uint64_t off =
+        static_cast<uint64_t>(v) - static_cast<uint64_t>(min);
+    return off < bitmap.size() && bitmap[off] != 0;
   }
   return std::binary_search(sorted_values.begin(), sorted_values.end(), v);
 }
@@ -203,11 +198,16 @@ Status PredicateProgram::EmitNode(const PredicatePtr& p,
           if (!set.sorted_values.empty()) {
             const int64_t lo = set.sorted_values.front();
             const int64_t hi = set.sorted_values.back();
-            if (hi - lo < InSet::kBitmapSpan) {
+            // Unsigned differences: the span of a list reaching both ends
+            // of int64 does not fit a signed difference.
+            const uint64_t span =
+                static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+            if (span < static_cast<uint64_t>(InSet::kBitmapSpan)) {
               set.min = lo;
-              set.bitmap.assign(static_cast<size_t>(hi - lo + 1), 0);
+              set.bitmap.assign(static_cast<size_t>(span + 1), 0);
               for (const int64_t v : set.sorted_values) {
-                set.bitmap[static_cast<size_t>(v - lo)] = 1;
+                set.bitmap[static_cast<uint64_t>(v) -
+                           static_cast<uint64_t>(lo)] = 1;
               }
             }
           }
@@ -307,12 +307,12 @@ void PredicateProgram::RefineLeaf(const Instr& ins, const int64_t* const* cols,
       const int64_t* col = cols[ins.slot];
       const InSet& set = in_sets_[static_cast<size_t>(ins.in_index)];
       if (!set.bitmap.empty()) {
-        const int64_t min = set.min;
-        const int64_t span = static_cast<int64_t>(set.bitmap.size());
+        const auto min = static_cast<uint64_t>(set.min);
+        const uint64_t span = set.bitmap.size();
         const uint8_t* bits = set.bitmap.data();
         RefineIf(col, stride, sel, [min, span, bits](int64_t v) {
-          const int64_t off = v - min;
-          return off >= 0 && off < span && bits[off] != 0;
+          const uint64_t off = static_cast<uint64_t>(v) - min;
+          return off < span && bits[off] != 0;
         });
       } else {
         RefineIf(col, stride, sel,
@@ -377,12 +377,12 @@ void PredicateProgram::DenseLeaf(const Instr& ins, const int64_t* const* cols,
       const int64_t* col = cols[ins.slot];
       const InSet& set = in_sets_[static_cast<size_t>(ins.in_index)];
       if (!set.bitmap.empty()) {
-        const int64_t min = set.min;
-        const int64_t span = static_cast<int64_t>(set.bitmap.size());
+        const auto min = static_cast<uint64_t>(set.min);
+        const uint64_t span = set.bitmap.size();
         const uint8_t* bits = set.bitmap.data();
         DenseIf(col, stride, n, sel, [min, span, bits](int64_t v) {
-          const int64_t off = v - min;
-          return off >= 0 && off < span && bits[off] != 0;
+          const uint64_t off = static_cast<uint64_t>(v) - min;
+          return off < span && bits[off] != 0;
         });
       } else {
         DenseIf(col, stride, n, sel,

@@ -31,6 +31,13 @@ bool EvalCmp(int64_t lhs, CmpOp op, int64_t rhs) {
   return false;
 }
 
+int FindSlot(const std::vector<std::string>& slots, const std::string& name) {
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i] == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
 PredicatePtr MakeCmp(std::string column, CmpOp op, int64_t value) {
   return std::make_shared<Predicate>(
       Predicate{Comparison{std::move(column), op, value, -1}});
@@ -308,12 +315,6 @@ StatusOr<CompiledPredicate> CompiledPredicate::Compile(
 
 StatusOr<CompiledPredicate::CNodePtr> CompiledPredicate::CompileNode(
     const PredicatePtr& p, const std::vector<std::string>& slots) {
-  auto find_slot = [&](const std::string& name) -> int {
-    for (size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i] == name) return static_cast<int>(i);
-    }
-    return -1;
-  };
   Status error = Status::OK();
   CNodePtr result = std::visit(
       [&](const auto& n) -> CNodePtr {
@@ -324,7 +325,7 @@ StatusOr<CompiledPredicate::CNodePtr> CompiledPredicate::CompileNode(
                 "cannot compile predicate with unbound parameter");
             return nullptr;
           }
-          const int s = find_slot(n.column);
+          const int s = FindSlot(slots, n.column);
           if (s < 0) {
             error = Status::NotFound("slot for column '" + n.column + "'");
             return nullptr;
@@ -332,7 +333,7 @@ StatusOr<CompiledPredicate::CNodePtr> CompiledPredicate::CompileNode(
           return std::make_shared<CNode>(
               CNode{CCmp{static_cast<size_t>(s), n.op, n.value}});
         } else if constexpr (std::is_same_v<T, Between>) {
-          const int s = find_slot(n.column);
+          const int s = FindSlot(slots, n.column);
           if (s < 0) {
             error = Status::NotFound("slot for column '" + n.column + "'");
             return nullptr;
@@ -340,7 +341,7 @@ StatusOr<CompiledPredicate::CNodePtr> CompiledPredicate::CompileNode(
           return std::make_shared<CNode>(
               CNode{CBetween{static_cast<size_t>(s), n.lo, n.hi}});
         } else if constexpr (std::is_same_v<T, InList>) {
-          const int s = find_slot(n.column);
+          const int s = FindSlot(slots, n.column);
           if (s < 0) {
             error = Status::NotFound("slot for column '" + n.column + "'");
             return nullptr;
@@ -351,18 +352,23 @@ StatusOr<CompiledPredicate::CNodePtr> CompiledPredicate::CompileNode(
           if (!in.sorted_values.empty()) {
             const int64_t lo = in.sorted_values.front();
             const int64_t hi = in.sorted_values.back();
-            if (hi - lo < kInBitmapSpan) {
+            // Unsigned differences: the span of a list reaching both ends
+            // of int64 does not fit a signed difference.
+            const uint64_t span =
+                static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+            if (span < static_cast<uint64_t>(kInBitmapSpan)) {
               in.bitmap_min = lo;
-              in.bitmap.assign(static_cast<size_t>(hi - lo + 1), 0);
+              in.bitmap.assign(static_cast<size_t>(span + 1), 0);
               for (const int64_t v : in.sorted_values) {
-                in.bitmap[static_cast<size_t>(v - lo)] = 1;
+                in.bitmap[static_cast<uint64_t>(v) -
+                          static_cast<uint64_t>(lo)] = 1;
               }
             }
           }
           return std::make_shared<CNode>(CNode{std::move(in)});
         } else if constexpr (std::is_same_v<T, ColumnCmp>) {
-          const int ls = find_slot(n.left_column);
-          const int rs = find_slot(n.right_column);
+          const int ls = FindSlot(slots, n.left_column);
+          const int rs = FindSlot(slots, n.right_column);
           if (ls < 0 || rs < 0) {
             error = Status::NotFound(
                 "slot for column '" +
@@ -412,9 +418,10 @@ bool CompiledPredicate::EvalNode(const CNode& n, const int64_t* row) {
           return row[c.slot] >= c.lo && row[c.slot] <= c.hi;
         } else if constexpr (std::is_same_v<T, CIn>) {
           if (!c.bitmap.empty()) {
-            const int64_t off = row[c.slot] - c.bitmap_min;
-            return off >= 0 && off < static_cast<int64_t>(c.bitmap.size()) &&
-                   c.bitmap[static_cast<size_t>(off)] != 0;
+            // Unsigned offset: probes below the minimum wrap past the end.
+            const uint64_t off = static_cast<uint64_t>(row[c.slot]) -
+                                 static_cast<uint64_t>(c.bitmap_min);
+            return off < c.bitmap.size() && c.bitmap[off] != 0;
           }
           return std::binary_search(c.sorted_values.begin(),
                                     c.sorted_values.end(), row[c.slot]);

@@ -26,6 +26,10 @@ inline constexpr int64_t kInDenseBitmapSpan = 4096;
 const char* CmpOpName(CmpOp op);
 bool EvalCmp(int64_t lhs, CmpOp op, int64_t rhs);
 
+/// Index of `name` in a slot layout (`slots[i]` names tuple position i), or
+/// -1 when absent — the one slot lookup the compilers and operators share.
+int FindSlot(const std::vector<std::string>& slots, const std::string& name);
+
 struct Predicate;
 using PredicatePtr = std::shared_ptr<const Predicate>;
 

@@ -478,12 +478,14 @@ StatusOr<QueryResult> ShardedEngine::RunSharded(const QuerySpec& spec,
   const bool aggregated = !spec.aggregates.empty();
   if (aggregated) {
     // All four aggregate functions are decomposable, so the per-shard
-    // outputs are partial-aggregate rows: fold them with the same
-    // MergeAggPartial the spill and parallel paths use, emitting in group
-    // key order — exactly the single-engine HashAgg emission order, which is
-    // what makes aggregate results byte-identical at every shard count.
+    // outputs are partial-aggregate rows: fold them into a FlatGroups with
+    // the same AggFoldPartial the spill and parallel paths use, emitting in
+    // SortedIds() key order — exactly the single-engine HashAgg emission
+    // order, which is what makes aggregate results byte-identical at every
+    // shard count.
     const size_t kw = spec.group_by.size();
-    std::map<std::vector<int64_t>, std::vector<int64_t>> groups;
+    FlatGroups groups;
+    groups.Reset(kw, spec.aggregates.size());
     int64_t in_rows = 0;
     for (int s = 0; s < N; ++s) {
       if (is_pruned(s)) continue;
@@ -492,10 +494,8 @@ StatusOr<QueryResult> ShardedEngine::RunSharded(const QuerySpec& spec,
                                    .rows) {
         for (size_t r = 0; r < b.num_rows(); ++r) {
           const int64_t* row = b.row(r);
-          std::vector<int64_t> key(row, row + kw);
-          auto [git, inserted] = groups.try_emplace(std::move(key));
-          if (inserted) InitAggAccumulators(spec.aggregates, &git->second);
-          MergeAggPartial(spec.aggregates, row + kw, &git->second);
+          AggFoldPartial(spec.aggregates, row + kw,
+                         groups.UpsertAcc(row, spec.aggregates));
           ++in_rows;
         }
       }
@@ -504,17 +504,17 @@ StatusOr<QueryResult> ShardedEngine::RunSharded(const QuerySpec& spec,
     merge_ctx.ChargeRowCpu(in_rows);
     RowBatch batch;
     batch.Reset(kw + spec.aggregates.size());
-    for (const auto& [key, accs] : groups) {
+    std::vector<int64_t> row(kw + spec.aggregates.size());
+    for (const uint32_t g : groups.SortedIds()) {
       if (batch.full()) {
         out.rows.push_back(std::move(batch));
         batch.Reset(kw + spec.aggregates.size());
       }
-      std::vector<int64_t> row = key;
-      row.insert(row.end(), accs.begin(), accs.end());
+      groups.CopyRow(g, row.data());
       batch.AppendRow(row);
     }
     if (!batch.empty()) out.rows.push_back(std::move(batch));
-    out.output_rows = static_cast<int64_t>(groups.size());
+    out.output_rows = static_cast<int64_t>(groups.num_groups);
   } else {
     int64_t rows_total = 0;
     for (int s = 0; s < N; ++s) {

@@ -9,8 +9,10 @@
 // under the `expr_vm` ctest label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -265,39 +267,51 @@ static_assert(CompiledPredicate::kInBitmapSpan == kInDenseBitmapSpan,
               "scalar IN crossover must track the shared constant");
 
 TEST(InBitmapSpanTest, BothPathsAgreeAcrossTheCrossover) {
-  // Two IN lists straddling the crossover: span just inside the bitmap
-  // threshold and span just past it (binary search). Scalar tree walk and
-  // vectorized bytecode must agree on membership for every probe value
-  // around the boundary, whichever structure each one picked.
+  // IN lists straddling the crossover (span just inside the bitmap
+  // threshold and just past it: binary search) and lists at the ends of
+  // int64 (a bitmap at either end, and one list spanning the whole domain)
+  // whose spans and probe offsets overflow a signed difference. The tree
+  // walk and the bytecode, dense and refining, must agree with plain
+  // membership for every probe around each value and at both ends of
+  // int64, whichever structure each one picked.
   const std::vector<std::string> slots = {"a"};
   const int64_t lo = -17;
+  std::vector<std::vector<int64_t>> lists = {
+      {kI64Min, kI64Min + 2}, {kI64Max - 2, kI64Max}, {kI64Min, lo, kI64Max}};
   for (const int64_t span : {kInDenseBitmapSpan - 1, kInDenseBitmapSpan + 1}) {
-    const std::vector<int64_t> values = {lo, lo + 3, lo + span / 2, lo + span};
+    lists.push_back({lo, lo + 3, lo + span / 2, lo + span});
+  }
+  for (const auto& values : lists) {
     auto compiled = CompiledPredicate::Compile(MakeIn("a", values), slots);
     auto program = PredicateProgram::Compile(MakeIn("a", values), slots);
     ASSERT_TRUE(compiled.ok());
     ASSERT_TRUE(program.ok());
 
-    std::vector<int64_t> probes;
+    std::vector<int64_t> probes = {kI64Min, kI64Min + 1, kI64Max - 1,
+                                   kI64Max};
     for (int64_t v = lo - 2; v <= lo + 6; ++v) probes.push_back(v);
     for (const int64_t v : values) {
-      for (int64_t d = -1; d <= 1; ++d) probes.push_back(v + d);
+      if (v > kI64Min) probes.push_back(v - 1);
+      probes.push_back(v);
+      if (v < kI64Max) probes.push_back(v + 1);
     }
-    probes.push_back(lo + span + 2);
-    probes.push_back(kI64Min);
-    probes.push_back(kI64Max);
 
     SelectionVector expect;
     for (size_t i = 0; i < probes.size(); ++i) {
-      const bool want = compiled.value().Eval(&probes[i]);
-      EXPECT_EQ(program.value().EvalRow(&probes[i]), want)
-          << "span " << span << " probe " << probes[i];
+      const bool want = std::find(values.begin(), values.end(), probes[i]) !=
+                        values.end();
+      EXPECT_EQ(compiled.value().Eval(&probes[i]), want) << probes[i];
+      EXPECT_EQ(program.value().EvalRow(&probes[i]), want) << probes[i];
       if (want) expect.push_back(static_cast<uint32_t>(i));
     }
     const int64_t* cols[1] = {probes.data()};
-    SelectionVector sel;
-    program.value().BuildSelection(cols, 1, probes.size(), &sel);
-    EXPECT_EQ(sel, expect) << "span " << span;
+    SelectionVector dense;
+    program.value().BuildSelection(cols, 1, probes.size(), &dense);
+    EXPECT_EQ(dense, expect) << values.front();
+    SelectionVector refined(probes.size());
+    std::iota(refined.begin(), refined.end(), 0u);
+    program.value().FilterSelection(cols, 1, &refined);
+    EXPECT_EQ(refined, expect) << values.front();
   }
 }
 

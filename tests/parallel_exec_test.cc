@@ -1,8 +1,10 @@
 // Morsel-driven parallelism tests: the primitives (morsel cursor, thread
 // pool, deterministic makespan schedule) and the end-to-end determinism
 // contract — every query produces byte-identical output at every DOP,
-// including under fault-injected memory drops and 1-page spill grants.
-// Runs under the `parallel` ctest label (the TSan CI job).
+// including under fault-injected memory drops and 1-page spill grants —
+// and the workers' aggregate revocation path, checked against the
+// reference evaluator. Runs under the `parallel` ctest label (the TSan CI
+// job).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,6 +18,7 @@
 #include "engine/engine.h"
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
+#include "reference_eval.h"
 #include "storage/data_generator.h"
 #include "workload/workloads.h"
 
@@ -212,6 +215,32 @@ TEST_F(ParallelFixture, ByteIdenticalUnderCatastrophicMemoryDrop) {
   ASSERT_TRUE(starved.ok());
   EXPECT_EQ(starved->faults.memory_drops, 1);
   EXPECT_GT(starved->counters.spill_pages, 0);
+  fs::remove_all(options.spill_dir);
+}
+
+TEST_F(ParallelFixture, GroupByUnderMemoryDropShedsWorkerGroups) {
+  // A 1-dim star join grouped on fact.measure: thousands of groups per
+  // worker. The drop to 64 pages over-commits the broker mid-phase, so the
+  // workers shed their partial-aggregate tables into the shared merged
+  // table at morsel boundaries (GatherOp's revocation path). At DOP 1 the
+  // same drop makes HashAggOp spill and emit in shed order, so answers are
+  // compared as row multisets against the reference evaluator.
+  QuerySpec q = workload::StarQuery(1, {5000});
+  q.group_by = {"fact.measure"};
+  q.aggregates = {{AggFn::kCount, "", "cnt"},
+                  {AggFn::kSum, "dim0.band", "sum_band"},
+                  {AggFn::kMin, "dim0.attr", "min_attr"},
+                  {AggFn::kMax, "dim0.attr", "max_attr"}};
+  EngineOptions options;
+  options.spill_dir = SpillDir("agg-drop");
+  options.faults.MemoryDrop(100, 64);
+  ref::CheckAgainstReference(&catalog, q, options);
+
+  auto shed = RunAtDop(q, 4, options);
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->faults.memory_drops, 1);
+  EXPECT_GT(shed->counters.parallel_phases, 0);
+  EXPECT_GT(shed->counters.memory_revocations, 0);
   fs::remove_all(options.spill_dir);
 }
 

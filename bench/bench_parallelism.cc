@@ -10,7 +10,10 @@
 //            engine degrades (to serial execution, to spilling) instead of
 //            failing.
 // Elapsed is simulated, so every number in both tables reproduces exactly
-// on any host, including single-core CI.
+// on any host, including single-core CI. The binary aborts when a DOP changes
+// the total work: every scaling-table DOP must charge exactly what DOP 1
+// charges, and so must the degraded DOP-4 run against DOP 1 under the same
+// memory drop.
 
 #include <cstdio>
 #include <vector>
@@ -56,6 +59,7 @@ void Run() {
   std::printf("scaling: star scan+join+agg, fact=%lld rows, DOP sweep\n",
               static_cast<long long>(kFactRows));
   double serial_elapsed = 0;
+  double serial_cost = 0;
   int64_t serial_rows = 0;
   {
     TablePrinter t({"DOP", "total work", "elapsed", "speedup", "morsels",
@@ -64,6 +68,7 @@ void Run() {
       auto r = bench::ValueOrDie(RunAtDop(&catalog, q, dop), "scaling run");
       if (dop == 1) {
         serial_elapsed = r.elapsed;
+        serial_cost = r.cost;
         serial_rows = r.output_rows;
       }
       t.AddRow({TablePrinter::Int(dop), TablePrinter::Num(r.cost, 0),
@@ -73,6 +78,13 @@ void Run() {
                 TablePrinter::Int(r.output_rows)});
       if (r.output_rows != serial_rows) {
         std::fprintf(stderr, "FATAL: output diverged at DOP %d\n", dop);
+        std::abort();
+      }
+      if (r.cost != serial_cost) {
+        std::fprintf(stderr,
+                     "FATAL: total work %.17g at DOP %d differs from %.17g "
+                     "at DOP 1\n",
+                     r.cost, dop, serial_cost);
         std::abort();
       }
     }
@@ -109,12 +121,22 @@ void Run() {
                 TablePrinter::Int(r.output_rows)});
     }
     // Catastrophic early drop: the gather operator degrades to the serial
-    // tree and spills at starved grants rather than failing.
+    // tree and spills at starved grants rather than failing — doing exactly
+    // the work DOP 1 does under the same drop.
     {
       EngineOptions opts;
       opts.faults.MemoryDrop(5, 4);
       auto r = bench::ValueOrDie(RunAtDop(&catalog, q, 4, opts),
                                  "catastrophic drop");
+      auto serial = bench::ValueOrDie(RunAtDop(&catalog, q, 1, opts),
+                                      "catastrophic drop, DOP 1");
+      if (r.cost != serial.cost) {
+        std::fprintf(stderr,
+                     "FATAL: degraded total work %.17g at DOP 4 differs from "
+                     "%.17g at DOP 1\n",
+                     r.cost, serial.cost);
+        std::abort();
+      }
       t.AddRow({"drop to 4 pages (degrades)", TablePrinter::Int(4),
                 TablePrinter::Num(r.elapsed, 0),
                 TablePrinter::Int(r.counters.spill_pages),

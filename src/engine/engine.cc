@@ -100,20 +100,32 @@ void Engine::DetectAllCorrelations(
   }
 }
 
-CardinalityModel Engine::MakeCardinalityModel() const {
+CardinalityModel Engine::ModelAt(const StatsCatalog* stats,
+                                 double percentile) const {
+  CardinalityOptions card_opts = options_.cardinality;
+  card_opts.percentile = percentile;
   return CardinalityModel(
-      &stats_, options_.cardinality,
-      correlations_.empty() ? nullptr : &correlations_,
-      options_.cardinality.estimator.use_feedback ? &feedback_ : nullptr,
+      stats, card_opts, correlations_.empty() ? nullptr : &correlations_,
+      card_opts.estimator.use_feedback ? &feedback_ : nullptr,
       options_.use_st_histograms ? &st_store_ : nullptr);
 }
 
-Optimizer Engine::MakeOptimizer(const CardinalityModel* model) const {
+OptimizerOptions Engine::PlanOptions(bool pop_checks,
+                                     int64_t memory_pages) const {
   OptimizerOptions opts = options_.optimizer;
-  opts.add_pop_checks = options_.use_pop;
-  opts.cost.memory_pages = memory_.capacity();
+  opts.add_pop_checks = pop_checks;
+  opts.cost.memory_pages = memory_pages;
   opts.cost.exec = options_.cost_model;
-  return Optimizer(catalog_, model, opts);
+  return opts;
+}
+
+CardinalityModel Engine::MakeCardinalityModel() const {
+  return ModelAt(&stats_, options_.cardinality.percentile);
+}
+
+Optimizer Engine::MakeOptimizer(const CardinalityModel* model) const {
+  return Optimizer(catalog_, model,
+                   PlanOptions(options_.use_pop, memory_.capacity()));
 }
 
 StatusOr<PlanNodePtr> Engine::Plan(const QuerySpec& spec) const {
@@ -432,18 +444,9 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
   if (options_.use_rio) {
     auto signature_at = [&](double percentile) -> StatusOr<std::string> {
       std::shared_lock<std::shared_mutex> lock(stats_mu_);
-      CardinalityOptions card_opts = options_.cardinality;
-      card_opts.percentile = percentile;
-      CardinalityModel corner_model(
-          stats_view, card_opts,
-          correlations_.empty() ? nullptr : &correlations_,
-          card_opts.estimator.use_feedback ? &feedback_ : nullptr,
-          options_.use_st_histograms ? &st_store_ : nullptr);
-      OptimizerOptions oo = options_.optimizer;
-      oo.add_pop_checks = false;
-      oo.cost.memory_pages = broker->capacity();
-      oo.cost.exec = options_.cost_model;
-      Optimizer corner_opt(catalog_, &corner_model, oo);
+      const CardinalityModel corner_model = ModelAt(stats_view, percentile);
+      Optimizer corner_opt(catalog_, &corner_model,
+                           PlanOptions(false, broker->capacity()));
       auto r = corner_opt.Optimize(spec);
       if (!r.ok()) return r.status();
       return r.value().plan->Explain(false);
@@ -461,16 +464,11 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
     rio_conservative = !rio_skip_checks && !options_.use_pop;
   }
 
-  CardinalityOptions card_opts = options_.cardinality;
-  if (rio_conservative) card_opts.percentile = options_.rio_high_percentile;
-  CardinalityModel model(
-      stats_view, card_opts, correlations_.empty() ? nullptr : &correlations_,
-      card_opts.estimator.use_feedback ? &feedback_ : nullptr,
-      options_.use_st_histograms ? &st_store_ : nullptr);
-  OptimizerOptions final_opts = options_.optimizer;
-  final_opts.add_pop_checks = options_.use_pop && !rio_skip_checks;
-  final_opts.cost.memory_pages = broker->capacity();
-  final_opts.cost.exec = options_.cost_model;
+  CardinalityModel model =
+      ModelAt(stats_view, rio_conservative ? options_.rio_high_percentile
+                                           : options_.cardinality.percentile);
+  const OptimizerOptions final_opts =
+      PlanOptions(options_.use_pop && !rio_skip_checks, broker->capacity());
   Optimizer optimizer(catalog_, &model, final_opts);
 
   PlanNodePtr plan;
@@ -627,13 +625,8 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
         result.degradation = QueryResult::Degradation::kSafeRetry;
         continue;
       }
-      CardinalityOptions safe_card = options_.cardinality;
-      safe_card.percentile = guard.safe_percentile;
-      CardinalityModel safe_model(
-          stats_view, safe_card,
-          correlations_.empty() ? nullptr : &correlations_,
-          safe_card.estimator.use_feedback ? &feedback_ : nullptr,
-          options_.use_st_histograms ? &st_store_ : nullptr);
+      const CardinalityModel safe_model =
+          ModelAt(stats_view, guard.safe_percentile);
       Optimizer safe_opt(catalog_, &safe_model, final_opts);
       std::shared_lock<std::shared_mutex> stats_lock(stats_mu_);
       auto safe = safe_opt.Optimize(spec, leaves);

@@ -287,6 +287,12 @@ class Engine {
   const std::string& engine_tag() const { return engine_tag_; }
 
  private:
+  /// The one cardinality-model setup: the configured estimator over
+  /// `stats`, with the percentile shift set to `percentile`.
+  CardinalityModel ModelAt(const StatsCatalog* stats, double percentile) const;
+  /// The one optimizer-options setup: the configured options with POP
+  /// checks on or off, costed for a `memory_pages` grant.
+  OptimizerOptions PlanOptions(bool pop_checks, int64_t memory_pages) const;
   void HarvestFeedback(const PlanNode& plan,
                        const std::map<int, int64_t>& actuals);
   void TuneIndexes(const PlanNode& plan,

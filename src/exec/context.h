@@ -53,8 +53,8 @@ struct ExecCounters {
   int64_t spill_recursion_depth = 0;  ///< deepest grace-partitioning level
   int64_t memory_revocations = 0;   ///< revocation polls that shed pages
   // Parallel-execution diagnostics (PR 3). cost_units always accumulates
-  // *total work* (the same at every DOP for the same plan up to a few hash
-  // ops of build-factor rounding, so speedups are honest);
+  // *total work* (exactly the same at every DOP for the same plan, as is
+  // every counter above, so speedups are honest);
   // parallel_saved_units is the work hidden by overlap, computed
   // per parallel phase as total morsel cost minus the deterministic
   // list-schedule makespan. Simulated elapsed time = cost_units -

@@ -275,67 +275,24 @@ Status HashJoinOp::FetchProbeBatch() {
   // Fused whole-batch probe: charge every probe in one flush, compute every
   // row's partition in one pass, route spilled-partition rows to their probe
   // files in row order, and walk the flat hash chains for resident rows into
-  // fused_pairs_. Emission is then a bare cursor over precomputed (probe
+  // probe_.pairs. Emission is then a bare cursor over precomputed (probe
   // row, build row) pairs.
   ctx_->ChargeHashOps(static_cast<int64_t>(n));
-  probe_parts_.resize(n);
-  probe_mixes_.resize(n);
-  // Whole-batch hash mix; the SIMD kernel is integer-exact, so bucket
-  // choice, chain walks, and match order are bit-identical at every level.
-  SimdMixBatch(probe_keys_.data(), n, probe_mixes_.data(), ctx_->simd());
-  fused_pairs_.clear();
   fused_next_ = 0;
-  bool any_spilled = false;
-  for (const Partition& part : parts_) any_spilled |= part.spilled;
-  if (!any_spilled) {
-    // In-memory fast path: a two-pass branchless probe. Keys arrive in
-    // random order, so per-row "is this bucket empty" and "does this key
-    // match" branches never predict. Pass 1 fuses the partition precompute
-    // with an unconditional bucket-head fetch (every resident partition has
-    // a built table, even the empty ones), compacting the rows with
-    // non-empty heads by branch-free index append. Pass 2 walks chains only
-    // for those candidates, emitting matches with an arithmetic k-bump
-    // instead of a conditional append. Match order: probe-row major,
-    // build-row order within a chain.
-    cand_rows_.resize(n);
-    cand_heads_.resize(n);
-    size_t cands = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = static_cast<uint32_t>(PartitionOf(probe_keys_[i]));
-      probe_parts_[i] = p;
-      const JoinHashTable& t = parts_[p].table;
-      const uint32_t head = t.heads[probe_mixes_[i] & t.bucket_mask];
-      cand_rows_[cands] = static_cast<uint32_t>(i);
-      cand_heads_[cands] = head;
-      cands += head != JoinHashTable::kEmpty;
-    }
-    size_t k = 0;
-    if (fused_pairs_.size() < cands) fused_pairs_.resize(cands);
-    for (size_t c = 0; c < cands; ++c) {
-      const uint32_t i = cand_rows_[c];
-      const int64_t key = probe_keys_[i];
-      const Partition& part = parts_[probe_parts_[i]];
-      const uint32_t* nexts = part.table.nexts.data();
-      const int64_t* rows = part.rows.data.data();
-      const size_t width = part.rows.num_cols;
-      for (uint32_t r = cand_heads_[c]; r != JoinHashTable::kEmpty;
-           r = nexts[r]) {
-        if (k == fused_pairs_.size()) fused_pairs_.resize(2 * k + 64);
-        fused_pairs_[k] = {i, r};
-        k += rows[r * width + build_key_idx_] == key;
-      }
-    }
-    fused_pairs_.resize(k);
+  if (build_resident()) {
+    ProbeResident(probe_keys_.data(), n, ctx_->simd(), &probe_);
     return Status::OK();
   }
   // Spill path: partitions precompute in one pass; routing then appends
   // spilled-partition rows in row order.
+  probe_.pairs.clear();
+  probe_.parts.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    probe_parts_[i] = static_cast<uint32_t>(PartitionOf(probe_keys_[i]));
+    probe_.parts[i] = static_cast<uint32_t>(PartitionOf(probe_keys_[i]));
   }
   row_scratch_.resize(probe_cols_);
   for (size_t i = 0; i < n; ++i) {
-    Partition& part = parts_[probe_parts_[i]];
+    Partition& part = parts_[probe_.parts[i]];
     if (part.spilled) {
       if (part.probe_spill == nullptr) {
         auto file = ctx_->spill()->Create(probe_cols_);
@@ -354,16 +311,67 @@ Status HashJoinOp::FetchProbeBatch() {
     }
     part.table.ForEachMatch(
         part.rows, build_key_idx_, probe_keys_[i], [&](size_t r) {
-          fused_pairs_.emplace_back(static_cast<uint32_t>(i),
+          probe_.pairs.emplace_back(static_cast<uint32_t>(i),
                                     static_cast<uint32_t>(r));
         });
   }
   return Status::OK();
 }
 
+bool HashJoinOp::build_resident() const {
+  return std::none_of(parts_.begin(), parts_.end(),
+                      [](const Partition& p) { return p.spilled; });
+}
+
+void HashJoinOp::ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
+                               ProbeScratch* s) const {
+  // A two-pass branchless probe. Keys arrive in random order, so per-row
+  // "is this bucket empty" and "does this key match" branches never
+  // predict. Pass 1 fuses the partition precompute with an unconditional
+  // bucket-head fetch (every resident partition has a built table, even the
+  // empty ones), compacting the keys with non-empty heads by branch-free
+  // index append. Pass 2 walks chains only for those candidates, emitting
+  // matches with an arithmetic k-bump instead of a conditional append.
+  s->parts.resize(n);
+  s->mixes.resize(n);
+  s->cand_rows.resize(n);
+  s->cand_heads.resize(n);
+  // Whole-batch hash mix; the SIMD kernel is integer-exact, so bucket
+  // choice, chain walks, and match order are bit-identical at every level.
+  SimdMixBatch(keys, n, s->mixes.data(), simd);
+  size_t cands = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t p = static_cast<uint32_t>(PartitionOf(keys[i]));
+    s->parts[i] = p;
+    const JoinHashTable& t = parts_[p].table;
+    const uint32_t head = t.heads[s->mixes[i] & t.bucket_mask];
+    s->cand_rows[cands] = static_cast<uint32_t>(i);
+    s->cand_heads[cands] = head;
+    cands += head != JoinHashTable::kEmpty;
+  }
+  auto& pairs = s->pairs;
+  size_t k = 0;
+  if (pairs.size() < cands) pairs.resize(cands);
+  for (size_t c = 0; c < cands; ++c) {
+    const uint32_t i = s->cand_rows[c];
+    const int64_t key = keys[i];
+    const Partition& part = parts_[s->parts[i]];
+    const uint32_t* nexts = part.table.nexts.data();
+    const int64_t* rows = part.rows.data.data();
+    const size_t width = part.rows.num_cols;
+    for (uint32_t r = s->cand_heads[c]; r != JoinHashTable::kEmpty;
+         r = nexts[r]) {
+      if (k == pairs.size()) pairs.resize(2 * k + 64);
+      pairs[k] = {i, r};
+      k += rows[r * width + build_key_idx_] == key;
+    }
+  }
+  pairs.resize(k);
+}
+
 Status HashJoinOp::FetchChunkProbeBatch() {
   RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
-  fused_pairs_.clear();
+  probe_.pairs.clear();
   fused_next_ = 0;
   if (probe_batch_.empty()) {
     phase_ = Phase::kChunkLoad;
@@ -377,7 +385,7 @@ Status HashJoinOp::FetchChunkProbeBatch() {
     chunk_table_.ForEachMatch(chunk_, build_key_idx_,
                               probe_batch_.row(i)[probe_key_idx_],
                               [&](size_t r) {
-                                fused_pairs_.emplace_back(
+                                probe_.pairs.emplace_back(
                                     static_cast<uint32_t>(i),
                                     static_cast<uint32_t>(r));
                               });
@@ -426,7 +434,7 @@ Status HashJoinOp::SetupNextTask() {
   RQP_RETURN_IF_ERROR(probe_file_->Rewind());
   probe_batch_.Clear();
   probe_via_views_ = false;
-  fused_pairs_.clear();
+  probe_.pairs.clear();
   fused_next_ = 0;
   if (depth_ >= options_.max_recursion) {
     // Duplicate-heavy keys defeat re-partitioning; chunked hash probing
@@ -479,7 +487,7 @@ Status HashJoinOp::LoadNextChunk() {
   // One full probe pass per chunk; Rewind makes the re-read pay again.
   RQP_RETURN_IF_ERROR(probe_file_->Rewind());
   probe_batch_.Clear();
-  fused_pairs_.clear();
+  probe_.pairs.clear();
   fused_next_ = 0;
   phase_ = Phase::kChunkProbe;
   return Status::OK();
@@ -533,7 +541,7 @@ void HashJoinOp::ReleaseAllMemory() {
   base_pages_ = 0;
 }
 
-Status HashJoinOp::Open(ExecContext* ctx) {
+Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   ctx_ = ctx;
   broker_ = ctx->memory();
   ResetCount();
@@ -546,7 +554,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   chunk_ = RowBuffer{};
   chunk_table_.clear();
   probe_batch_.Clear();
-  fused_pairs_.clear();
+  probe_.pairs.clear();
   fused_next_ = 0;
   columnar_ = false;
   probe_via_views_ = false;
@@ -574,6 +582,15 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   base_pages_ = broker_->Grant(1);  // progress minimum, held until Close
 
   RQP_RETURN_IF_ERROR(RunBuildFromChild(ctx));
+  build_ready_ = true;
+  return Status::OK();
+}
+
+Status HashJoinOp::Open(ExecContext* ctx) {
+  // A GatherOp that degrades to this serial tree has already run the build;
+  // the probe then starts against exactly the partitions it left.
+  if (!build_ready_) RQP_RETURN_IF_ERROR(OpenBuild(ctx));
+  build_ready_ = false;
   RQP_RETURN_IF_ERROR(probe_child_->Open(ctx));
   // Columnar fused probe: requires a stable columnar probe child — emission
   // packs view references from several probe fetches into one output
@@ -602,17 +619,17 @@ Status HashJoinOp::Next(RowBatch* out) {
   while (!out->full() && !done_) {
     switch (phase_) {
       case Phase::kProbe:
-        if (fused_next_ >= fused_pairs_.size()) {
+        if (fused_next_ >= probe_.pairs.size()) {
           RQP_RETURN_IF_ERROR(FetchProbeBatch());
           if (probe_batch_.empty()) {
             RQP_RETURN_IF_ERROR(FinishProbePhase());
           }
           continue;
         }
-        while (fused_next_ < fused_pairs_.size() && !out->full()) {
-          const auto& [pr, br] = fused_pairs_[fused_next_++];
+        while (fused_next_ < probe_.pairs.size() && !out->full()) {
+          const auto& [pr, br] = probe_.pairs[fused_next_++];
           out->AppendConcat(probe_batch_.row(pr), probe_cols_,
-                            parts_[probe_parts_[pr]].rows.row(br),
+                            parts_[probe_.parts[pr]].rows.row(br),
                             build_cols_);
         }
         continue;
@@ -623,12 +640,12 @@ Status HashJoinOp::Next(RowBatch* out) {
         RQP_RETURN_IF_ERROR(LoadNextChunk());
         continue;
       case Phase::kChunkProbe:
-        if (fused_next_ >= fused_pairs_.size()) {
+        if (fused_next_ >= probe_.pairs.size()) {
           RQP_RETURN_IF_ERROR(FetchChunkProbeBatch());
           continue;
         }
-        while (fused_next_ < fused_pairs_.size() && !out->full()) {
-          const auto& [pr, br] = fused_pairs_[fused_next_++];
+        while (fused_next_ < probe_.pairs.size() && !out->full()) {
+          const auto& [pr, br] = probe_.pairs[fused_next_++];
           out->AppendConcat(probe_batch_.row(pr), probe_cols_,
                             chunk_.row(br), build_cols_);
         }
@@ -656,7 +673,7 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
   while (!out->full() && !done_) {
     switch (phase_) {
       case Phase::kProbe: {
-        if (fused_next_ >= fused_pairs_.size()) {
+        if (fused_next_ >= probe_.pairs.size()) {
           RQP_RETURN_IF_ERROR(FetchProbeBatch());
           const bool fetch_empty =
               probe_via_views_ ? probe_col_.empty() : probe_batch_.empty();
@@ -679,9 +696,9 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
             // one pass with the probe batch's addressing mode hoisted, and
             // write the gathered build columns through raw pointers after a
             // single resize per column.
-            const size_t take = std::min(fused_pairs_.size() - fused_next_,
+            const size_t take = std::min(probe_.pairs.size() - fused_next_,
                                          kBatchRows - out->num_rows());
-            const auto* pairs = fused_pairs_.data() + fused_next_;
+            const auto* pairs = probe_.pairs.data() + fused_next_;
             std::vector<uint32_t>& sel = out->mutable_sel();
             sel.reserve(sel.size() + take);
             if (probe_col_.has_selection()) {
@@ -705,7 +722,7 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
             }
             for (size_t j = 0; j < take; ++j) {
               const int64_t* brow =
-                  parts_[probe_parts_[pairs[j].first]].rows.row(
+                  parts_[probe_.parts[pairs[j].first]].rows.row(
                       pairs[j].second);
               for (size_t c = 0; c < build_cols_; ++c) {
                 dst_scratch_[c][j] = brow[c];
@@ -715,9 +732,9 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
             fused_next_ += take;
             continue;
           }
-          while (fused_next_ < fused_pairs_.size() && !out->full()) {
-            const auto& [pr, br] = fused_pairs_[fused_next_++];
-            const int64_t* brow = parts_[probe_parts_[pr]].rows.row(br);
+          while (fused_next_ < probe_.pairs.size() && !out->full()) {
+            const auto& [pr, br] = probe_.pairs[fused_next_++];
+            const int64_t* brow = parts_[probe_.parts[pr]].rows.row(br);
             // Batch already carries flat rows (unreachable in practice —
             // view emission always precedes flat phases within a batch);
             // gather the probe values so the output stays well-formed.
@@ -736,10 +753,10 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
           out->DemoteViewsToFlat();
           views_active = false;
         }
-        while (fused_next_ < fused_pairs_.size() && !out->full()) {
-          const auto& [pr, br] = fused_pairs_[fused_next_++];
+        while (fused_next_ < probe_.pairs.size() && !out->full()) {
+          const auto& [pr, br] = probe_.pairs[fused_next_++];
           const int64_t* prow = probe_batch_.row(pr);
-          const int64_t* brow = parts_[probe_parts_[pr]].rows.row(br);
+          const int64_t* brow = parts_[probe_.parts[pr]].rows.row(br);
           for (size_t c = 0; c < probe_cols_; ++c) {
             out->col(c).flat.push_back(prow[c]);
           }
@@ -757,7 +774,7 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
         RQP_RETURN_IF_ERROR(LoadNextChunk());
         continue;
       case Phase::kChunkProbe: {
-        if (fused_next_ >= fused_pairs_.size()) {
+        if (fused_next_ >= probe_.pairs.size()) {
           RQP_RETURN_IF_ERROR(FetchChunkProbeBatch());
           continue;
         }
@@ -765,8 +782,8 @@ Status HashJoinOp::NextColumnar(ColumnBatch* out) {
           out->DemoteViewsToFlat();
           views_active = false;
         }
-        while (fused_next_ < fused_pairs_.size() && !out->full()) {
-          const auto& [pr, br] = fused_pairs_[fused_next_++];
+        while (fused_next_ < probe_.pairs.size() && !out->full()) {
+          const auto& [pr, br] = probe_.pairs[fused_next_++];
           const int64_t* prow = probe_batch_.row(pr);
           const int64_t* brow = chunk_.row(br);
           for (size_t c = 0; c < probe_cols_; ++c) {
@@ -799,6 +816,7 @@ void HashJoinOp::Close() {
   // broker pointer so a broker that dies before this operator (a
   // stack-scoped ExecContext) is never touched from the destructor.
   broker_ = nullptr;
+  build_ready_ = false;
   parts_.clear();
   tasks_.clear();
   probe_file_.reset();

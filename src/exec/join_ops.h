@@ -42,9 +42,7 @@ Status MaterializeChild(Operator* child, ExecContext* ctx, RowBuffer* buf);
 ///  - *Defined* match order: chains are built by prepending rows in reverse
 ///    row order, so forward traversal visits equal keys in build-row order.
 ///    unordered_multimap's equal_range order among duplicates is
-///    implementation-defined. GatherOp's join stages probe this same
-///    table, so serial and DOP > 1 agree by construction even on duplicate
-///    build keys.
+///    implementation-defined.
 ///  - Probe cost: a probe is one mix, one head load, and a short chain walk
 ///    over 8-byte indexes — no node allocations, no pointer-heavy buckets —
 ///    which is what the fused whole-batch probe runs over.
@@ -107,11 +105,26 @@ struct JoinHashTable {
 /// chunks, one probe-file pass per chunk), which completes at a 1-page
 /// grant. The operator honors phase-boundary memory revocation: a capacity
 /// shrink makes it shed resident partitions at the next batch boundary.
+///
+/// This is the hash join at every DOP: GatherOp runs the build half
+/// (OpenBuild) of the joins in its segment and has its workers probe their
+/// resident partitions through ProbeResident, the kernel FetchProbeBatch
+/// runs in memory.
 class HashJoinOp : public Operator, public MemoryRevocable {
  public:
   struct Options {
     int fan_out = 8;        ///< grace partitions per recursion level
     int max_recursion = 4;  ///< levels before the chunked-hash fallback
+  };
+
+  /// Caller-owned scratch of the in-memory fused probe, one per probing
+  /// thread, so many threads can probe one build.
+  struct ProbeScratch {
+    std::vector<uint32_t> parts;       ///< partition of each probe key
+    std::vector<uint64_t> mixes;       ///< fmix64 of each probe key
+    std::vector<uint32_t> cand_rows;   ///< keys with non-empty heads
+    std::vector<uint32_t> cand_heads;  ///< their chain heads
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;  ///< (key, build row)
   };
 
   HashJoinOp(OperatorPtr probe_child, OperatorPtr build_child,
@@ -124,6 +137,10 @@ class HashJoinOp : public Operator, public MemoryRevocable {
                    Options()) {}
   ~HashJoinOp() override;
 
+  /// The build half of Open: resolves the key slots, takes the 1-page
+  /// progress grant and runs the grace-partitioned build. Open skips the
+  /// build when OpenBuild already ran since the last Open or Close.
+  Status OpenBuild(ExecContext* ctx);
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
   void Close() override;
@@ -140,6 +157,26 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   /// Fraction of the build side that did not fit in memory at the first
   /// partitioning level (diagnostics).
   double spill_fraction() const { return spill_fraction_; }
+
+  // -- after OpenBuild ------------------------------------------------------
+  /// True when no partition of the current level has spilled.
+  bool build_resident() const;
+  /// Key column within the probe child's slots.
+  size_t probe_key_idx() const { return probe_key_idx_; }
+  /// Number of build-child columns appended to each probe row.
+  size_t build_width() const { return build_cols_; }
+
+  /// The in-memory two-pass fused probe of `n` keys against the resident
+  /// partitions (requires build_resident()). Fills s->parts with each key's
+  /// partition and s->pairs with its matches: key-major, build-row order
+  /// within a key. Reads only the built partitions, so any number of
+  /// threads may probe concurrently, each with its own scratch.
+  void ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
+                     ProbeScratch* s) const;
+  /// The build row of a ProbeResident match (`part` = s.parts[key]).
+  const int64_t* BuildRow(uint32_t part, uint32_t row) const {
+    return parts_[part].rows.row(row);
+  }
 
   /// MemoryRevocable: sheds resident build partitions (largest first) until
   /// `deficit` pages are released or only the 1-page progress minimum
@@ -178,7 +215,7 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   Status RunBuildFromFile(SpillFile* file);
   /// Fetches the next probe batch (column views from a stable columnar
   /// child, else row-major from the child or a recursive task's spill file)
-  /// and runs the fused whole-batch probe into fused_pairs_.
+  /// and runs the fused whole-batch probe into probe_.pairs.
   Status FetchProbeBatch();
   /// Chunked-fallback analogue: next probe-file batch against chunk_table_.
   Status FetchChunkProbeBatch();
@@ -201,6 +238,7 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   MemoryBroker* broker_ = nullptr;  ///< kept for destructor-safe cleanup
   bool registered_ = false;
 
+  bool build_ready_ = false;  ///< OpenBuild ran; Open skips the build
   Phase phase_ = Phase::kDone;
   int depth_ = 0;
   std::vector<Partition> parts_;
@@ -214,17 +252,13 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   // Probe state. The whole probe batch is processed at fetch time — hash
   // charges flushed in one call, partitions computed in one pass, spilled
   // rows routed to their probe files in row order, and resident rows'
-  // matches gathered into fused_pairs_ (build rows index parts_ in the
+  // matches gathered into probe_.pairs (build rows index parts_ in the
   // probe phases, chunk_ in the chunked fallback) so emission is a
   // branch-free cursor walk.
   std::unique_ptr<SpillFile> probe_file_;  ///< recursive probe input
   RowBatch probe_batch_;
-  std::vector<uint32_t> probe_parts_;
-  std::vector<int64_t> probe_keys_;    ///< contiguous key-column gather
-  std::vector<uint64_t> probe_mixes_;  ///< SIMD-batched fmix64 of the keys
-  std::vector<uint32_t> cand_rows_;    ///< rows with non-empty heads (pass 2)
-  std::vector<uint32_t> cand_heads_;   ///< their chain heads (pass 2)
-  std::vector<std::pair<uint32_t, uint32_t>> fused_pairs_;  ///< (probe, build)
+  std::vector<int64_t> probe_keys_;  ///< contiguous key-column gather
+  ProbeScratch probe_;
   size_t fused_next_ = 0;
   // Columnar probe (a stable columnar probe child): the fused probe gathers
   // ONLY the key column from the child's views; payload columns are carried

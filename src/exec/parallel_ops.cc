@@ -1,40 +1,22 @@
 #include "exec/parallel_ops.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "exec/scan_ops.h"
 
 namespace rqp {
 
-GatherOp::GatherOp(const Table* table, PredicatePtr filter, int scan_node_id,
-                   std::vector<JoinStage> stages, std::optional<AggStage> agg,
-                   ParallelOptions opts)
-    : table_(table),
+GatherOp::GatherOp(OperatorPtr serial, std::vector<HashJoinOp*> joins,
+                   const Table* table, PredicatePtr filter, int scan_node_id,
+                   std::optional<AggStage> agg, ParallelOptions opts)
+    : serial_(std::move(serial)),
+      joins_(std::move(joins)),
+      table_(table),
       filter_(std::move(filter)),
       scan_node_id_(scan_node_id),
-      stages_(std::move(stages)),
       agg_(std::move(agg)),
-      opts_(opts) {
-  // Provisional pre-Open slot layout: parents (HashAggOp, MapOp) resolve
-  // their inputs against output_slots() before Open runs, the same contract
-  // every serial operator honors. Open recomputes and validates.
-  std::vector<size_t> cols;
-  (void)ResolveProjection(*table_, {}, &cols, &pipeline_slots_);
-  for (const JoinStage& s : stages_) {
-    const auto& bs = s.build_child->output_slots();
-    pipeline_slots_.insert(pipeline_slots_.end(), bs.begin(), bs.end());
-  }
-  if (agg_.has_value()) {
-    for (const auto& g : agg_->group_slots) output_slots_.push_back(g);
-    for (const auto& a : agg_->aggregates) {
-      output_slots_.push_back(a.output_name);
-    }
-  } else {
-    output_slots_ = pipeline_slots_;
-  }
-}
+      opts_(opts) {}
 
 GatherOp::~GatherOp() {
   ReleaseAllMemory();
@@ -45,10 +27,7 @@ Status GatherOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   broker_ = ctx->memory();
   ResetCount();
-  delegate_.reset();
-  stage_state_.clear();
-  pipeline_slots_.clear();
-  output_slots_.clear();
+  degraded_ = false;
   merged_.Reset(0, 0);
   emit_order_.clear();
   emit_pos_ = 0;
@@ -57,7 +36,7 @@ Status GatherOp::Open(ExecContext* ctx) {
   worker_pages_.clear();
   ledger_.clear();
   scan_produced_.store(0, std::memory_order_relaxed);
-  stage_produced_ = std::make_unique<std::atomic<int64_t>[]>(stages_.size());
+  stage_produced_ = std::make_unique<std::atomic<int64_t>[]>(joins_.size());
   first_error_ = Status::OK();
   emit_morsel_ = 0;
   emit_row_ = 0;
@@ -68,10 +47,24 @@ Status GatherOp::Open(ExecContext* ctx) {
     registered_ = true;
   }
 
-  // The parallel scan emits every column of the driving table, qualified —
-  // the same layout a projection-free TableScanOp produces.
-  std::vector<size_t> cols;
-  RQP_RETURN_IF_ERROR(ResolveProjection(*table_, {}, &cols, &pipeline_slots_));
+  // Serial build, top join first: the order the serial tree's Open builds in.
+  for (auto j = joins_.rbegin(); j != joins_.rend(); ++j) {
+    RQP_RETURN_IF_ERROR((*j)->OpenBuild(ctx));
+  }
+  // Residency decision: workers probe the partitions read-only and cannot
+  // shed them mid-phase. A spilled partition, or a broker over-committed by
+  // a mid-query capacity drop, means memory is the constraint, not CPU —
+  // drain the serial tree instead. Its joins keep the builds above, so it
+  // spills and charges exactly as DOP 1 does.
+  bool resident = !broker_->overcommitted();
+  for (const HashJoinOp* j : joins_) {
+    resident = resident && j->build_resident();
+  }
+  if (!resident) {
+    degraded_ = true;
+    return serial_->Open(ctx);
+  }
+
   program_.reset();
   if (filter_ != nullptr) {
     std::vector<std::string> all;
@@ -82,136 +75,64 @@ Status GatherOp::Open(ExecContext* ctx) {
     if (!program.ok()) return program.status();
     program_ = std::move(program.value());
   }
-
-  RQP_RETURN_IF_ERROR(MaterializeBuilds(ctx));
+  probe_refs_.clear();
+  for (const HashJoinOp* j : joins_) {
+    probe_refs_.push_back(Resolve(j->probe_key_idx()));
+  }
   if (agg_.has_value()) {
-    RQP_RETURN_IF_ERROR(ResolveAgg());
-  } else {
-    output_slots_ = pipeline_slots_;
+    // The aggregation input: every column of the driving table, qualified
+    // (a projection-free TableScanOp's layout), then each join's build row.
+    std::vector<std::string> scan_slots;
+    std::vector<size_t> cols;
+    RQP_RETURN_IF_ERROR(ResolveProjection(*table_, {}, &cols, &scan_slots));
+    RQP_RETURN_IF_ERROR(ResolveFold(
+        joins_.empty() ? scan_slots : joins_.back()->output_slots()));
   }
-
-  // Residency decision: the parallel probe needs every build side resident
-  // at once (the tables are shared read-only across workers and cannot be
-  // shed mid-phase). Ask for it in one grant; a shortfall or a broker
-  // already over-committed by a mid-query capacity drop means memory is the
-  // constraint, not CPU — degrade to the serial spilling tree, which
-  // completes at a 1-page grant with byte-identical output.
-  int64_t needed = 0;
-  for (const StageState& ss : stage_state_) {
-    int64_t rows = 0;
-    for (const RowBatch& b : *ss.build_batches) {
-      rows += static_cast<int64_t>(b.num_rows());
-    }
-    needed += (rows + kRowsPerPage - 1) / kRowsPerPage;
-  }
-  if (needed > 0) {
-    const int64_t grant = broker_->Grant(needed);
-    if (grant < needed || broker_->overcommitted()) {
-      broker_->Release(grant);
-      return BuildSerialFallback(ctx);
-    }
-    build_charged_pages_ = grant;
-  }
-
-  RQP_RETURN_IF_ERROR(BuildHashTables());
   return RunParallelPhase(ctx);
 }
 
-Status GatherOp::MaterializeBuilds(ExecContext* ctx) {
-  for (JoinStage& spec : stages_) {
-    StageState ss;
-    ss.in_cols = pipeline_slots_.size();
-    ss.build_batches = std::make_shared<std::vector<RowBatch>>();
-    auto drained =
-        DrainOperator(spec.build_child.get(), ctx, ss.build_batches.get());
-    if (!drained.ok()) return drained.status();
-    ss.build_slots = spec.build_child->output_slots();
-
-    const int probe_idx = FindSlot(pipeline_slots_, spec.probe_key);
-    if (probe_idx < 0) {
-      return Status::InvalidArgument("probe key slot not found: " +
-                                     spec.probe_key);
-    }
-    const int build_idx = FindSlot(ss.build_slots, spec.build_key);
-    if (build_idx < 0) {
-      return Status::InvalidArgument("build key slot not found: " +
-                                     spec.build_key);
-    }
-    ss.probe_key_idx = static_cast<size_t>(probe_idx);
-    ss.build_key_idx = static_cast<size_t>(build_idx);
-    ss.out_cols = ss.in_cols + ss.build_slots.size();
-    pipeline_slots_.insert(pipeline_slots_.end(), ss.build_slots.begin(),
-                           ss.build_slots.end());
-    stage_state_.push_back(std::move(ss));
+GatherOp::SlotRef GatherOp::Resolve(size_t pipeline_idx) const {
+  size_t base = table_->schema().num_columns();
+  if (pipeline_idx < base) return {0, pipeline_idx};
+  for (size_t j = 0; j < joins_.size(); ++j) {
+    const size_t width = joins_[j]->build_width();
+    if (pipeline_idx < base + width) return {j + 1, pipeline_idx - base};
+    base += width;
   }
-  return Status::OK();
+  return {};  // unreachable: callers pass indexes into the pipeline layout
 }
 
-Status GatherOp::BuildHashTables() {
-  for (StageState& ss : stage_state_) {
-    ss.build_rows.num_cols = ss.build_slots.size();
-    for (const RowBatch& b : *ss.build_batches) {
-      ss.build_rows.data.insert(ss.build_rows.data.end(), b.data().begin(),
-                                b.data().end());
-    }
-    ss.table.Build(ss.build_rows, ss.build_key_idx);
-    const auto rows = static_cast<int64_t>(ss.build_rows.num_rows());
-    // Same accounting as HashJoinOp: one hash op per absorbed row plus the
-    // build factor for table insertion.
-    ctx_->ChargeHashOps(rows);
-    ctx_->ChargeHashOps(static_cast<int64_t>(
-        static_cast<double>(rows) * ctx_->cost_model().hash_build_factor));
-  }
-  return Status::OK();
-}
-
-Status GatherOp::BuildSerialFallback(ExecContext* ctx) {
-  // Reconstruct the exact tree the builder produces at DOP 1, replaying the
-  // already-materialized build rows, so output bytes and spill behavior are
-  // the serial operators' own.
-  OperatorPtr cur = std::make_unique<TableScanOp>(table_, filter_);
-  cur->set_plan_node_id(scan_node_id_);
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    auto build = std::make_unique<VectorSourceOp>(
-        stage_state_[i].build_batches, stage_state_[i].build_slots);
-    auto join =
-        std::make_unique<HashJoinOp>(std::move(cur), std::move(build),
-                                     stages_[i].probe_key, stages_[i].build_key);
-    join->set_plan_node_id(stages_[i].node_id);
-    cur = std::move(join);
-  }
-  if (agg_.has_value()) {
-    auto aggop = std::make_unique<HashAggOp>(std::move(cur), agg_->group_slots,
-                                             agg_->aggregates);
-    aggop->set_plan_node_id(plan_node_id());
-    cur = std::move(aggop);
-  }
-  delegate_ = std::move(cur);
-  return delegate_->Open(ctx);
-}
-
-Status GatherOp::ResolveAgg() {
-  group_idx_.clear();
-  agg_idx_.clear();
+Status GatherOp::ResolveFold(const std::vector<std::string>& pipeline) {
+  fold_refs_.clear();
+  fold_idx_.clear();
   for (const auto& g : agg_->group_slots) {
-    const int i = FindSlot(pipeline_slots_, g);
+    const int i = FindSlot(pipeline, g);
     if (i < 0) return Status::InvalidArgument("group slot not found: " + g);
-    group_idx_.push_back(static_cast<size_t>(i));
-    output_slots_.push_back(g);
+    fold_refs_.push_back(Resolve(static_cast<size_t>(i)));
   }
   for (const auto& a : agg_->aggregates) {
     if (a.fn == AggFn::kCount) {
-      agg_idx_.push_back(0);  // unused
-    } else {
-      const int i = FindSlot(pipeline_slots_, a.slot);
-      if (i < 0) {
-        return Status::InvalidArgument("agg slot not found: " + a.slot);
-      }
-      agg_idx_.push_back(static_cast<size_t>(i));
+      fold_idx_.push_back(0);  // unused
+      continue;
     }
-    output_slots_.push_back(a.output_name);
+    const int i = FindSlot(pipeline, a.slot);
+    if (i < 0) return Status::InvalidArgument("agg slot not found: " + a.slot);
+    fold_idx_.push_back(fold_refs_.size());
+    fold_refs_.push_back(Resolve(static_cast<size_t>(i)));
   }
   return Status::OK();
+}
+
+void GatherOp::Gather(const Worker& w, SlotRef ref, int64_t* out,
+                      size_t stride) const {
+  const size_t n = w.rows.size();
+  if (ref.stage == 0) {
+    const int64_t* col = table_->column(ref.col).data();
+    for (size_t t = 0; t < n; ++t) out[t * stride] = col[w.rows[t]];
+  } else {
+    const std::vector<const int64_t*>& builds = w.builds[ref.stage - 1];
+    for (size_t t = 0; t < n; ++t) out[t * stride] = builds[t][ref.col];
+  }
 }
 
 Status GatherOp::RunParallelPhase(ExecContext* ctx) {
@@ -222,12 +143,12 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
   const int dop = std::max(1, opts_.num_threads);
   ledger_.assign(static_cast<size_t>(num_morsels), 0.0);
   if (agg_.has_value()) {
-    merged_.Reset(group_idx_.size(), agg_idx_.size());
+    merged_.Reset(agg_->group_slots.size(), agg_->aggregates.size());
     worker_groups_.assign(static_cast<size_t>(dop), merged_);
     worker_pages_.assign(static_cast<size_t>(dop), 0);
   } else {
     morsel_out_.resize(static_cast<size_t>(num_morsels));
-    for (RowBuffer& rb : morsel_out_) rb.num_cols = pipeline_slots_.size();
+    for (RowBuffer& rb : morsel_out_) rb.num_cols = output_slots().size();
   }
 
   if (num_morsels > 0) {
@@ -237,6 +158,9 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
       WorkerLoop(0);
     }
   }
+  // The probe is over: release the builds, as each serial join does when
+  // its probe input runs out.
+  for (HashJoinOp* j : joins_) j->Close();
 
   {
     std::lock_guard<std::mutex> lock(error_mu_);
@@ -266,7 +190,7 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
       }
     }
     worker_groups_.clear();
-    if (group_idx_.empty() && merged_.num_groups == 0) {
+    if (agg_->group_slots.empty() && merged_.num_groups == 0) {
       // Scalar aggregate over zero rows still yields one row.
       merged_.UpsertAcc(nullptr, agg_->aggregates);
     }
@@ -291,15 +215,14 @@ void GatherOp::WorkerLoop(int worker_id) {
   FlatGroups* local =
       agg_.has_value() ? &worker_groups_[static_cast<size_t>(worker_id)]
                        : nullptr;
-  std::vector<int64_t> row(pipeline_slots_.size());
-  std::vector<int64_t> key(group_idx_.size());
-  std::vector<int64_t> stage_counts(stage_state_.size(), 0);
-  std::vector<const int64_t*> col_ptrs(table_->schema().num_columns());
-  SelectionVector sel;
+  Worker w;
+  w.cols.resize(table_->schema().num_columns());
+  w.builds.resize(joins_.size());
+  w.next_builds.resize(joins_.size());
+  w.stage_counts.assign(joins_.size(), 0);
   Morsel m;
   while (!ctx_->cancelled() && cursor_->Claim(&m)) {
-    const Status s = ProcessMorsel(m, &charge, local, &row, &key,
-                                   &stage_counts, &col_ptrs, &sel);
+    const Status s = ProcessMorsel(m, &charge, local, &w);
     ledger_[static_cast<size_t>(m.id)] = charge.cost();
     charge.Flush();
     if (!s.ok()) {
@@ -317,15 +240,15 @@ void GatherOp::WorkerLoop(int worker_id) {
       ctx_->ObserveProducedParallel(
           scan_node_id_, scan_produced_.load(std::memory_order_relaxed));
     }
-    for (size_t i = 0; i < stage_state_.size(); ++i) {
-      if (stage_counts[i] == 0) continue;
+    for (size_t i = 0; i < joins_.size(); ++i) {
+      int64_t& count = w.stage_counts[i];
+      if (count == 0) continue;
       const int64_t total =
-          stage_produced_[i].fetch_add(stage_counts[i],
-                                       std::memory_order_relaxed) +
-          stage_counts[i];
-      stage_counts[i] = 0;
-      if (stages_[i].node_id >= 0) {
-        ctx_->ObserveProducedParallel(stages_[i].node_id, total);
+          stage_produced_[i].fetch_add(count, std::memory_order_relaxed) +
+          count;
+      count = 0;
+      if (joins_[i]->plan_node_id() >= 0) {
+        ctx_->ObserveProducedParallel(joins_[i]->plan_node_id(), total);
       }
     }
     if (local != nullptr) {
@@ -342,12 +265,7 @@ void GatherOp::WorkerLoop(int worker_id) {
 }
 
 Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
-                               FlatGroups* local_groups,
-                               std::vector<int64_t>* row_storage,
-                               std::vector<int64_t>* key_storage,
-                               std::vector<int64_t>* stage_counts,
-                               std::vector<const int64_t*>* col_ptrs,
-                               SelectionVector* sel) {
+                               FlatGroups* local_groups, Worker* w) {
   // Deterministic per-morsel fault point: the failure draw is keyed off the
   // morsel id, the fault window off the phase-start clock — identical at
   // every DOP and on every replay.
@@ -364,64 +282,84 @@ Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
                          table_->name());
   charge->ChargeRowCpu(rows);
 
-  std::vector<int64_t>& row = *row_storage;
-  const size_t scan_cols = table_->schema().num_columns();
-  RowBuffer* out =
-      agg_.has_value() ? nullptr : &morsel_out_[static_cast<size_t>(m.id)];
-  int64_t scan_count = 0;
-
-  // Expands the probe chain depth-first. Stage widths nest, so one scratch
-  // row serves every depth: [0, in_cols) is fixed by the caller and the
-  // build columns of stage d land at [in_cols, out_cols).
-  auto expand = [&](auto&& self, size_t depth) -> void {
-    if (depth == stage_state_.size()) {
-      if (local_groups != nullptr) {
-        std::vector<int64_t>& key = *key_storage;
-        for (size_t g = 0; g < group_idx_.size(); ++g) {
-          key[g] = row[group_idx_[g]];
-        }
-        charge->ChargeHashOps(1);
-        AggFoldInput(agg_->aggregates, agg_idx_, row.data(),
-                     local_groups->UpsertAcc(key.data(), agg_->aggregates));
-      } else {
-        out->Append(row.data());
-      }
-      return;
-    }
-    const StageState& ss = stage_state_[depth];
-    charge->ChargeHashOps(1);
-    ss.table.ForEachMatch(
-        ss.build_rows, ss.build_key_idx, row[ss.probe_key_idx],
-        [&](size_t idx) {
-          const int64_t* b = ss.build_rows.row(idx);
-          std::copy(b, b + ss.build_slots.size(),
-                    row.begin() + static_cast<long>(ss.in_cols));
-          ++(*stage_counts)[depth];
-          self(self, depth + 1);
-        });
-  };
-
-  const auto emit_row = [&](int64_t r) {
-    for (size_t c = 0; c < scan_cols; ++c) row[c] = table_->Value(c, r);
-    ++scan_count;
-    expand(expand, 0);
-  };
+  w->rows.clear();
   if (program_) {
     // Evals are charged per morsel and the selection is built straight over
-    // the table's columns — only survivors get transposed into the
-    // pipeline row.
+    // the table's columns.
     charge->ChargePredicateEvals(rows);
-    std::vector<const int64_t*>& cols = *col_ptrs;
-    for (size_t c = 0; c < scan_cols; ++c) {
-      cols[c] = table_->column(c).data() + m.begin;
+    for (size_t c = 0; c < w->cols.size(); ++c) {
+      w->cols[c] = table_->column(c).data() + m.begin;
     }
-    program_->BuildSelection(cols.data(), /*stride=*/1,
-                             static_cast<size_t>(rows), sel);
-    for (const uint32_t s : *sel) emit_row(m.begin + s);
+    program_->BuildSelection(w->cols.data(), /*stride=*/1,
+                             static_cast<size_t>(rows), &w->sel,
+                             ctx_->simd());
+    for (const uint32_t s : w->sel) w->rows.push_back(m.begin + s);
   } else {
-    for (int64_t r = m.begin; r < m.end; ++r) emit_row(r);
+    for (int64_t r = m.begin; r < m.end; ++r) w->rows.push_back(r);
   }
-  scan_produced_.fetch_add(scan_count, std::memory_order_relaxed);
+  scan_produced_.fetch_add(static_cast<int64_t>(w->rows.size()),
+                           std::memory_order_relaxed);
+
+  // Join stages: probe every tuple's key in one call, then carry each match
+  // as its tuple plus this stage's build row. Matches come key-major and in
+  // build-row order within a key, so the tuples stay in the serial joins'
+  // emission order.
+  for (size_t k = 0; k < joins_.size(); ++k) {
+    const HashJoinOp& join = *joins_[k];
+    const size_t n = w->rows.size();
+    w->keys.resize(n);
+    Gather(*w, probe_refs_[k], w->keys.data(), 1);
+    charge->ChargeHashOps(static_cast<int64_t>(n));
+    join.ProbeResident(w->keys.data(), n, ctx_->simd(), &w->probe);
+    const auto& pairs = w->probe.pairs;
+    w->next_rows.resize(pairs.size());
+    for (size_t j = 0; j <= k; ++j) w->next_builds[j].resize(pairs.size());
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const auto [t, r] = pairs[p];
+      w->next_rows[p] = w->rows[t];
+      for (size_t j = 0; j < k; ++j) w->next_builds[j][p] = w->builds[j][t];
+      w->next_builds[k][p] = join.BuildRow(w->probe.parts[t], r);
+    }
+    w->rows.swap(w->next_rows);
+    w->builds.swap(w->next_builds);
+    w->stage_counts[k] += static_cast<int64_t>(pairs.size());
+  }
+
+  const size_t n = w->rows.size();
+  if (n == 0) return Status::OK();
+  if (local_groups != nullptr) {
+    // Gather only the fold cells, column by column, then fold row by row.
+    const size_t width = fold_refs_.size();
+    w->keys.resize(n * width);
+    for (size_t f = 0; f < width; ++f) {
+      Gather(*w, fold_refs_[f], w->keys.data() + f, width);
+    }
+    charge->ChargeHashOps(static_cast<int64_t>(n));
+    for (size_t t = 0; t < n; ++t) {
+      const int64_t* cells = w->keys.data() + t * width;
+      AggFoldInput(agg_->aggregates, fold_idx_, cells,
+                   local_groups->UpsertAcc(cells, agg_->aggregates));
+    }
+    return Status::OK();
+  }
+  // Whole pipeline rows: the scan columns, then each stage's build row.
+  RowBuffer& out = morsel_out_[static_cast<size_t>(m.id)];
+  const size_t row_width = out.num_cols;
+  out.data.resize(n * row_width);
+  int64_t* dst = out.data.data();
+  const size_t scan_cols = table_->schema().num_columns();
+  for (size_t c = 0; c < scan_cols; ++c) {
+    Gather(*w, {0, c}, dst + c, row_width);
+  }
+  size_t base = scan_cols;
+  for (size_t j = 0; j < joins_.size(); ++j) {
+    const size_t width = joins_[j]->build_width();
+    for (size_t t = 0; t < n; ++t) {
+      std::copy(w->builds[j][t], w->builds[j][t] + width,
+                dst + t * row_width + base);
+    }
+    base += width;
+  }
   return Status::OK();
 }
 
@@ -456,11 +394,11 @@ void GatherOp::MergeIntoShared(const FlatGroups& local) {
 }
 
 Status GatherOp::Next(RowBatch* out) {
-  if (delegate_ != nullptr) return delegate_->Next(out);
-  out->Reset(output_slots_.size());
+  if (degraded_) return serial_->Next(out);
+  out->Reset(output_slots().size());
   RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
   if (emitting_groups_) {
-    std::vector<int64_t> row(output_slots_.size());
+    std::vector<int64_t> row(output_slots().size());
     while (emit_pos_ < emit_order_.size() && out->capacity_remaining() > 0) {
       merged_.CopyRow(emit_order_[emit_pos_++], row.data());
       out->AppendRow(row);
@@ -492,8 +430,8 @@ void GatherOp::PublishActuals() {
   if (scan_node_id_ >= 0 && scan_node_id_ != plan_node_id()) {
     actuals[scan_node_id_] = scan_produced_.load(std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    const int id = stages_[i].node_id;
+  for (size_t i = 0; i < joins_.size(); ++i) {
+    const int id = joins_[i]->plan_node_id();
     if (id >= 0 && id != plan_node_id()) {
       actuals[id] = stage_produced_[i].load(std::memory_order_relaxed);
     }
@@ -501,7 +439,11 @@ void GatherOp::PublishActuals() {
 }
 
 void GatherOp::Close() {
-  if (delegate_ != nullptr) delegate_->Close();
+  // A drained serial tree closes its joins as they finish; a parallel phase
+  // closes them at its barrier. Closing again is a no-op, and covers
+  // consumers that stop early.
+  if (degraded_) serial_->Close();
+  for (HashJoinOp* j : joins_) j->Close();
   ReleaseAllMemory();
   if (registered_ && broker_ != nullptr) {
     broker_->Unregister(this);
@@ -512,10 +454,6 @@ void GatherOp::Close() {
 
 void GatherOp::ReleaseAllMemory() {
   if (broker_ == nullptr) return;
-  if (build_charged_pages_ > 0) {
-    broker_->Release(build_charged_pages_);
-    build_charged_pages_ = 0;
-  }
   if (merged_charged_pages_ > 0) {
     broker_->Release(merged_charged_pages_);
     merged_charged_pages_ = 0;

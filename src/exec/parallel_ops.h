@@ -22,25 +22,28 @@ namespace rqp {
 ///
 /// GatherOp executes a right-deep scan → hash-join* → hash-agg? segment on N
 /// workers and funnels the result back into the enclosing single-threaded
-/// Volcano tree, so every non-parallel operator keeps working unchanged.
-/// Phases:
+/// Volcano tree, so every non-parallel operator keeps working unchanged. It
+/// owns the segment's serial tree — the very operators DOP 1 builds — and
+/// adds only a morsel driver. Phases:
 ///
-///   1. Serial build: each join's build side is drained and its hash table
-///      built on the coordinator (build sides are the *small* inputs by
-///      optimizer construction). Residency is granted by the MemoryBroker;
-///      if the grant falls short — tiny grants, mid-query capacity drops —
-///      the operator *degrades to the serial spilling tree* (TableScanOp →
-///      HashJoinOp → HashAggOp over the already-materialized build rows),
-///      which completes at a 1-page grant with byte-identical output.
+///   1. Serial build: each HashJoinOp of the tree runs its own
+///      grace-partitioned build (OpenBuild), top join first, which is the
+///      order the serial tree's Open builds in. If a partition spilled or the
+///      broker is over-committed, memory is the constraint, not CPU: the
+///      operator *degrades to the serial tree* by opening and draining it.
+///      The joins keep the builds they already have, so the degraded run
+///      does exactly the work DOP 1 does.
 ///   2. Parallel probe: the driving table is split into morsels handed out
-///      by an atomic cursor; each worker scans, filters, probes the shared
-///      read-only JoinHashTables, and either emits into its morsel's
-///      private output slot or folds rows into a thread-local FlatGroups
-///      partial-aggregate table. Charges accumulate in thread-local
-///      counters flushed at morsel boundaries; workers poll cancellation
-///      and memory revocation there too (revocation sheds thread-local
-///      aggregate state into the shared merged table — the build tables are
-///      pinned for the phase).
+///      by an atomic cursor. Each worker filters a morsel, then runs it stage
+///      by stage through the joins' read-only partitions with
+///      HashJoinOp::ProbeResident (the kernel of the serial in-memory
+///      probe), carrying one scan row and one build row per stage. It then
+///      either appends whole rows to its morsel's private output slot or
+///      folds the group and aggregate inputs into a thread-local FlatGroups
+///      table. Charges accumulate in thread-local counters flushed at morsel
+///      boundaries; workers poll cancellation and memory revocation there
+///      too (revocation sheds thread-local aggregate state into the shared
+///      merged table — the build partitions are pinned for the phase).
 ///   3. Barrier + gather: morsel outputs are concatenated in morsel-id
 ///      order (== table order, so the row stream is byte-identical to the
 ///      serial scan at every DOP); partial-aggregate tables are merged in
@@ -53,41 +56,32 @@ namespace rqp {
 /// RecordParallelPhase so simulated elapsed time reflects the overlap.
 class GatherOp : public Operator, public MemoryRevocable {
  public:
-  /// One hash join executed inside the parallel pipeline. The build child
-  /// is a fully-built serial operator subtree; probe_key names a slot of
-  /// the pipeline upstream of this join, build_key a build-child slot.
-  struct JoinStage {
-    OperatorPtr build_child;
-    std::string probe_key;
-    std::string build_key;
-    int node_id = -1;
-  };
   /// Optional aggregation at the top of the parallel pipeline.
   struct AggStage {
     std::vector<std::string> group_slots;
     std::vector<AggSpec> aggregates;
   };
 
-  GatherOp(const Table* table, PredicatePtr filter, int scan_node_id,
-           std::vector<JoinStage> stages, std::optional<AggStage> agg,
-           ParallelOptions opts);
+  /// `serial` is the segment as DOP 1 lowers it: a TableScanOp over `table`
+  /// filtered by `filter`, the hash joins `joins` (bottom-up: joins[0]
+  /// probes the scan) and, when `agg` is set, a HashAggOp on top.
+  GatherOp(OperatorPtr serial, std::vector<HashJoinOp*> joins,
+           const Table* table, PredicatePtr filter, int scan_node_id,
+           std::optional<AggStage> agg, ParallelOptions opts);
   ~GatherOp() override;
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
-    return output_slots_;
+    return serial_->output_slots();
   }
   std::string name() const override {
     return "Gather(" + table_->name() + ", dop=" +
            std::to_string(opts_.num_threads) + ")";
   }
 
-  /// True when the memory grant forced the serial spilling fallback.
-  bool degraded_to_serial() const { return delegate_ != nullptr; }
-
-  /// MemoryRevocable: the build hash tables are pinned for the phase and
+  /// MemoryRevocable: the build partitions are pinned for the phase and
   /// worker-local aggregate state sheds itself at morsel boundaries, so the
   /// operator never sheds through this path. Registration exists for the
   /// broker-destroyed-first unwind (OnBrokerDestroyed) like every other
@@ -99,34 +93,34 @@ class GatherOp : public Operator, public MemoryRevocable {
   }
 
  private:
-  /// Run-time state of one join stage. After the build phase the hash table
-  /// is strictly read-only — workers probe it without synchronization. It
-  /// is HashJoinOp's JoinHashTable, so matches come in build-row order and
-  /// the serial and parallel probe outputs agree even on duplicate build
-  /// keys.
-  struct StageState {
-    std::shared_ptr<std::vector<RowBatch>> build_batches;
-    std::vector<std::string> build_slots;
-    RowBuffer build_rows;
-    JoinHashTable table;
-    size_t probe_key_idx = 0;  ///< within the pipeline row prefix
-    size_t build_key_idx = 0;
-    size_t in_cols = 0;   ///< pipeline width upstream of this join
-    size_t out_cols = 0;  ///< in_cols + build child width
+  /// Where a pipeline slot's value lives: column `col` of the scanned table
+  /// (stage 0) or of join stage-1's build row.
+  struct SlotRef {
+    size_t stage = 0;
+    size_t col = 0;
+  };
+  /// One worker's reusable buffers. A tuple in flight is a scan row plus
+  /// one build row per join stage run so far.
+  struct Worker {
+    std::vector<const int64_t*> cols;  ///< morsel column bases
+    SelectionVector sel;
+    std::vector<int64_t> rows, next_rows;  ///< scan row of each tuple
+    /// builds[j][t]: tuple t's build row of join j.
+    std::vector<std::vector<const int64_t*>> builds, next_builds;
+    std::vector<int64_t> keys;  ///< one stage's probe keys, or fold cells
+    HashJoinOp::ProbeScratch probe;
+    std::vector<int64_t> stage_counts;  ///< rows produced per stage
   };
 
-  Status MaterializeBuilds(ExecContext* ctx);
-  Status BuildHashTables();
-  Status BuildSerialFallback(ExecContext* ctx);
-  Status ResolveAgg();
+  SlotRef Resolve(size_t pipeline_idx) const;
+  Status ResolveFold(const std::vector<std::string>& pipeline);
+  /// Writes `ref`'s value for every tuple in flight to out[t * stride].
+  void Gather(const Worker& w, SlotRef ref, int64_t* out,
+              size_t stride) const;
   Status RunParallelPhase(ExecContext* ctx);
   void WorkerLoop(int worker_id);
   Status ProcessMorsel(const Morsel& m, WorkerCharge* charge,
-                       FlatGroups* local_groups, std::vector<int64_t>* row,
-                       std::vector<int64_t>* key,
-                       std::vector<int64_t>* stage_counts,
-                       std::vector<const int64_t*>* col_ptrs,
-                       SelectionVector* sel);
+                       FlatGroups* local_groups, Worker* w);
   void EnsureLocalCapacity(int worker_id, const FlatGroups& local);
   void ShedLocalGroups(int worker_id, FlatGroups* local, WorkerCharge* charge);
   void MergeIntoShared(const FlatGroups& local);
@@ -134,28 +128,29 @@ class GatherOp : public Operator, public MemoryRevocable {
   void ReleaseAllMemory();
 
   // -- construction-time configuration --------------------------------------
+  OperatorPtr serial_;
+  std::vector<HashJoinOp*> joins_;  ///< owned by serial_
   const Table* table_;
   PredicatePtr filter_;
   int scan_node_id_;
-  std::vector<JoinStage> stages_;
   std::optional<AggStage> agg_;
   ParallelOptions opts_;
 
   // -- resolved at Open ------------------------------------------------------
-  std::vector<std::string> pipeline_slots_;  ///< scan ⧺ build slots
-  std::vector<std::string> output_slots_;    ///< pipeline or agg layout
+  bool degraded_ = false;  ///< draining serial_ instead of a parallel phase
   /// Morsel filter: the scan predicate as flat bytecode run per morsel
-  /// straight over the table's columns, so rejected rows are never
-  /// transposed into the pipeline row.
+  /// straight over the table's columns, so rejected rows are never touched
+  /// again.
   std::optional<PredicateProgram> program_;
-  std::vector<StageState> stage_state_;
-  std::vector<size_t> group_idx_, agg_idx_;  ///< against pipeline_slots_
+  std::vector<SlotRef> probe_refs_;  ///< probe key of each join stage
+  /// Fold cells: group keys, then the inputs of the non-COUNT aggregates;
+  /// fold_idx_[a] is aggregate a's cell (unused for COUNT).
+  std::vector<SlotRef> fold_refs_;
+  std::vector<size_t> fold_idx_;
   ExecContext* ctx_ = nullptr;
   MemoryBroker* broker_ = nullptr;
   bool registered_ = false;
-  int64_t build_charged_pages_ = 0;
   int64_t merged_charged_pages_ = 0;
-  OperatorPtr delegate_;  ///< serial spilling fallback (degraded mode)
 
   // -- parallel-phase state --------------------------------------------------
   std::unique_ptr<MorselCursor> cursor_;
@@ -165,7 +160,7 @@ class GatherOp : public Operator, public MemoryRevocable {
   std::vector<FlatGroups> worker_groups_;
   std::vector<int64_t> worker_pages_;
   std::atomic<int64_t> scan_produced_{0};
-  /// Per-stage produced-row totals (parallel to stages_); shared across
+  /// Per-stage produced-row totals (parallel to joins_); shared across
   /// workers, reported to the node fuses at flush boundaries.
   std::unique_ptr<std::atomic<int64_t>[]> stage_produced_;
   std::mutex merged_mu_;  ///< guards merged_ during revocation shedding

@@ -90,7 +90,7 @@ class IndexScanOp : public Operator {
 };
 
 /// Replays previously materialized batches (re-optimization restart source,
-/// join build-side reuse, tests).
+/// tests).
 class VectorSourceOp : public Operator {
  public:
   VectorSourceOp(std::shared_ptr<std::vector<RowBatch>> batches,

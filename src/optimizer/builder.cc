@@ -1,6 +1,5 @@
 #include "optimizer/builder.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "exec/filter_ops.h"
@@ -24,7 +23,6 @@ PredicatePtr Bind(const PredicatePtr& p, const std::vector<int64_t>& params) {
 /// filters, checks, other join algorithms — keeps the serial lowering.
 struct ParallelSegment {
   const PlanNode* agg = nullptr;
-  std::vector<const PlanNode*> joins;  ///< bottom-up: joins[0] probes the scan
   const PlanNode* scan = nullptr;
 };
 
@@ -34,53 +32,41 @@ bool MatchParallelSegment(const PlanNode& plan, ParallelSegment* seg) {
     seg->agg = cur;
     cur = cur->children[0].get();
   }
-  while (cur->op == PlanOp::kHashJoin) {
-    seg->joins.push_back(cur);
-    cur = cur->children[0].get();
-  }
+  while (cur->op == PlanOp::kHashJoin) cur = cur->children[0].get();
   if (cur->op != PlanOp::kTableScan) return false;
   seg->scan = cur;
-  std::reverse(seg->joins.begin(), seg->joins.end());
   return true;
 }
 
-}  // namespace
-
-StatusOr<OperatorPtr> BuildExecutable(const PlanNode& plan,
-                                      const Catalog* catalog,
-                                      const std::vector<int64_t>& params,
-                                      const ParallelOptions* parallel) {
+/// Lowers `plan`. A non-null `segment_joins` means `plan` lies on the probe
+/// spine of a matched parallel segment: it is lowered exactly as at DOP 1
+/// and its HashJoinOps are recorded bottom-up for GatherOp. Build sides are
+/// lowered on their own and may form segments of their own.
+StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
+                            const std::vector<int64_t>& params,
+                            const ParallelOptions* parallel,
+                            std::vector<HashJoinOp*>* segment_joins) {
   auto build_child = [&](size_t i) -> StatusOr<OperatorPtr> {
-    return BuildExecutable(*plan.children[i], catalog, params, parallel);
+    return Lower(*plan.children[i], catalog, params, parallel, segment_joins);
   };
 
-  if (parallel != nullptr && parallel->num_threads > 1 &&
-      parallel->pool != nullptr) {
+  if (segment_joins == nullptr && parallel != nullptr &&
+      parallel->num_threads > 1 && parallel->pool != nullptr) {
     ParallelSegment seg;
     if (MatchParallelSegment(plan, &seg)) {
       auto table = catalog->GetTable(seg.scan->table);
       if (!table.ok()) return table.status();
-      std::vector<GatherOp::JoinStage> stages;
-      for (const PlanNode* j : seg.joins) {
-        // Build sides are full subplans lowered recursively (they run
-        // serially on the coordinator before the parallel probe phase).
-        auto build = BuildExecutable(*j->children[1], catalog, params,
-                                     parallel);
-        if (!build.ok()) return build.status();
-        GatherOp::JoinStage stage;
-        stage.build_child = std::move(build.value());
-        stage.probe_key = j->left_key;
-        stage.build_key = j->right_key;
-        stage.node_id = j->id;
-        stages.push_back(std::move(stage));
-      }
+      std::vector<HashJoinOp*> joins;
+      auto serial = Lower(plan, catalog, params, parallel, &joins);
+      if (!serial.ok()) return serial.status();
       std::optional<GatherOp::AggStage> agg;
       if (seg.agg != nullptr) {
         agg = GatherOp::AggStage{seg.agg->group_by, seg.agg->aggregates};
       }
       OperatorPtr op = std::make_unique<GatherOp>(
-          table.value(), Bind(seg.scan->predicate, params), seg.scan->id,
-          std::move(stages), std::move(agg), *parallel);
+          std::move(serial.value()), std::move(joins), table.value(),
+          Bind(seg.scan->predicate, params), seg.scan->id, std::move(agg),
+          *parallel);
       op->set_plan_node_id(plan.id);
       return op;
     }
@@ -136,11 +122,14 @@ StatusOr<OperatorPtr> BuildExecutable(const PlanNode& plan,
     case PlanOp::kHashJoin: {
       auto probe = build_child(0);
       if (!probe.ok()) return probe.status();
-      auto build = build_child(1);
+      auto build = Lower(*plan.children[1], catalog, params, parallel,
+                         /*segment_joins=*/nullptr);
       if (!build.ok()) return build.status();
-      op = std::make_unique<HashJoinOp>(std::move(probe.value()),
-                                        std::move(build.value()),
-                                        plan.left_key, plan.right_key);
+      auto join = std::make_unique<HashJoinOp>(std::move(probe.value()),
+                                               std::move(build.value()),
+                                               plan.left_key, plan.right_key);
+      if (segment_joins != nullptr) segment_joins->push_back(join.get());
+      op = std::move(join);
       break;
     }
     case PlanOp::kMergeJoin: {
@@ -229,6 +218,15 @@ StatusOr<OperatorPtr> BuildExecutable(const PlanNode& plan,
   }
   op->set_plan_node_id(plan.id);
   return op;
+}
+
+}  // namespace
+
+StatusOr<OperatorPtr> BuildExecutable(const PlanNode& plan,
+                                      const Catalog* catalog,
+                                      const std::vector<int64_t>& params,
+                                      const ParallelOptions* parallel) {
+  return Lower(plan, catalog, params, parallel, /*segment_joins=*/nullptr);
 }
 
 }  // namespace rqp

@@ -16,9 +16,9 @@ namespace rqp {
 /// magic numbers, or a cached parametric plan, executes with the real
 /// values.
 ///
-/// When `parallel` requests DOP > 1, right-deep table-scan → hash-join* →
-/// hash-agg? segments are lowered to a morsel-driven GatherOp instead of
-/// the serial operators; every other plan shape builds unchanged (the
+/// When `parallel` requests DOP > 1, each right-deep table-scan →
+/// hash-join* → hash-agg? segment is lowered to its serial operators wrapped
+/// in a morsel-driven GatherOp; every other plan shape builds unchanged (the
 /// parallel options simply don't apply). Passing nullptr or num_threads <= 1
 /// reproduces the classic single-threaded tree exactly.
 StatusOr<OperatorPtr> BuildExecutable(const PlanNode& plan,

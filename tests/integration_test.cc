@@ -59,7 +59,7 @@ TEST_P(RandomJoinProperty, OptimizedPlansMatchReference) {
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
     // Engine configurations that must all agree.
-    for (int config = 0; config < 4; ++config) {
+    for (int config = 0; config < 5; ++config) {
       EngineOptions opts;
       switch (config) {
         case 0: break;  // default
@@ -73,6 +73,9 @@ TEST_P(RandomJoinProperty, OptimizedPlansMatchReference) {
           opts.use_pop = true;
           opts.use_rio = true;
           opts.cardinality.percentile = 0.5;
+          break;
+        case 4:
+          opts.num_threads = 4;  // scan-join-agg segments run in GatherOp
           break;
       }
       Engine engine(&catalog, opts);

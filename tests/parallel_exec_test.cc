@@ -124,9 +124,28 @@ struct ParallelFixture : ::testing::Test {
     return values;
   }
 
+  // Total work does not depend on DOP: the clock and every cost-bearing
+  // counter match the serial run exactly. The cost model's constants are
+  // dyadic, so even the floating-point clock sums to the same bits in any
+  // order.
+  static void ExpectSameWork(const QueryResult& serial,
+                             const QueryResult& got, int dop) {
+    EXPECT_EQ(got.cost, serial.cost) << "dop " << dop;
+    const ExecCounters& a = serial.counters;
+    const ExecCounters& b = got.counters;
+    EXPECT_EQ(b.pages_read, a.pages_read) << "dop " << dop;
+    EXPECT_EQ(b.random_reads, a.random_reads) << "dop " << dop;
+    EXPECT_EQ(b.rows_processed, a.rows_processed) << "dop " << dop;
+    EXPECT_EQ(b.hash_ops, a.hash_ops) << "dop " << dop;
+    EXPECT_EQ(b.compare_ops, a.compare_ops) << "dop " << dop;
+    EXPECT_EQ(b.predicate_evals, a.predicate_evals) << "dop " << dop;
+    EXPECT_EQ(b.spill_pages, a.spill_pages) << "dop " << dop;
+    EXPECT_EQ(b.spill_pages_reread, a.spill_pages_reread) << "dop " << dop;
+  }
+
   // Runs `q` at DOP 1 and at each higher DOP; requires identical output
-  // value streams (row order AND values — the byte-identity contract) and,
-  // at DOP > 1, that a parallel phase actually ran.
+  // value streams (row order AND values — the byte-identity contract), the
+  // same total work and, at DOP > 1, that a parallel phase actually ran.
   void CheckByteIdentical(const QuerySpec& q,
                           EngineOptions options = EngineOptions(),
                           bool expect_parallel_phase = true) {
@@ -141,6 +160,7 @@ struct ParallelFixture : ::testing::Test {
                             << got.status().ToString();
       EXPECT_EQ(got->output_rows, base->output_rows) << "dop " << dop;
       EXPECT_EQ(Flatten(*got), reference) << "dop " << dop;
+      ExpectSameWork(*base, *got, dop);
       if (expect_parallel_phase) {
         EXPECT_GT(got->counters.parallel_phases, 0) << "dop " << dop;
         EXPECT_GT(got->counters.morsels, 0) << "dop " << dop;
@@ -153,6 +173,11 @@ TEST_F(ParallelFixture, FilteredScanByteIdentical) {
   QuerySpec q;
   q.tables.push_back({"fact", MakeBetween("measure", 0, 4000)});
   CheckByteIdentical(q);
+
+  // Every morsel filters down to nothing: empty morsel outputs.
+  QuerySpec empty;
+  empty.tables.push_back({"fact", MakeBetween("measure", -10, -1)});
+  CheckByteIdentical(empty);
 }
 
 TEST_F(ParallelFixture, StarJoinByteIdentical) {
@@ -167,6 +192,20 @@ TEST_F(ParallelFixture, StarJoinGroupByByteIdentical) {
                   {AggFn::kSum, "fact.measure", "sum_m"},
                   {AggFn::kMin, "fact.measure", "min_m"},
                   {AggFn::kMax, "fact.measure", "max_m"}};
+  CheckByteIdentical(q);
+}
+
+TEST_F(ParallelFixture, DuplicateBuildKeysByteIdentical) {
+  // dim0 ⋈ dim1 on band: every band holds ten dimension rows, so the build
+  // keys repeat and each probe walks a chain of about ten matches. The
+  // duplicate-key join is the fact join's build side and runs as a
+  // parallel segment of its own.
+  QuerySpec q;
+  q.tables.push_back({"fact", MakeBetween("measure", 0, 3000)});
+  q.tables.push_back({"dim0", MakeBetween("attr", 0, 4000)});
+  q.tables.push_back({"dim1", MakeBetween("attr", 0, 2000)});
+  q.joins.push_back({"fact", "fk0", "dim0", "id"});
+  q.joins.push_back({"dim0", "band", "dim1", "band"});
   CheckByteIdentical(q);
 }
 
@@ -267,9 +306,9 @@ TEST_F(ParallelFixture, ElapsedModelShowsSpeedupAndRepeats) {
   auto par_a = RunAtDop(q, 4);
   auto par_b = RunAtDop(q, 4);
   ASSERT_TRUE(serial.ok() && par_a.ok() && par_b.ok());
-  // Total work stays within a whisker of serial (the clock charges every
-  // morsel's full cost; only overlap reduces elapsed)...
-  EXPECT_NEAR(par_a->cost, serial->cost, serial->cost * 0.01);
+  // Total work is exactly serial's (the clock charges every morsel's full
+  // cost; only overlap reduces elapsed)...
+  ExpectSameWork(*serial, *par_a, 4);
   // ...while elapsed drops by at least 2x at DOP 4 on this workload.
   EXPECT_LT(par_a->elapsed, serial->elapsed / 2);
   EXPECT_GT(par_a->counters.parallel_saved_units, 0);

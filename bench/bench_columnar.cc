@@ -1,8 +1,9 @@
 // E30 — Late-materialized columnar batches with scalar vs SIMD kernels.
-// Four workloads — unfiltered scan→projection, a 10% scan-filter, an
-// unfiltered join-probe, and scan→join→agg — each run on the one execution
-// path (column views plus VM programs) over the same 1M-row fact table,
-// timed twice: with the scalar kernel twins ($RQP_SIMD=0) and with the
+// Five workloads — unfiltered scan→projection, a 10% scan-filter, an
+// unfiltered join-probe, scan→join→agg, and a join on sparse build keys
+// (the hashed probe kernel) — each run on the one execution path (column
+// views plus VM programs) over the same 1M-row fact table, timed twice:
+// with the scalar kernel twins ($RQP_SIMD=0) and with the
 // runtime-dispatched SIMD kernels. The timed runs drain the pipeline
 // without keeping result rows. A separate identity pass runs both kernel
 // levels with rows kept, and the bench aborts on any checksum/row-count/
@@ -80,6 +81,16 @@ QuerySpec JoinProbeQuery() {
   // columnar probe gathers only the key column and carries the payload as
   // (batch, row-id) references.
   return workload::StarQuery(1, {kDimRows * 10});
+}
+
+QuerySpec SparseJoinQuery() {
+  // fact.measure = dim0.attr, attr = 10·id: the build keys span ~10x the
+  // build rows, so the probe runs the hashed kernel and its whole-batch hash
+  // mix — the star joins above take the dense-key kernel, which skips it.
+  QuerySpec q;
+  q.tables = {{"fact", nullptr}, {"dim0", nullptr}};
+  q.joins = {{"fact", "measure", "dim0", "attr"}};
+  return q;
 }
 
 QuerySpec JoinAggQuery() {
@@ -253,6 +264,8 @@ void Run(bool deterministic) {
   RunWorkload(&catalog, "join-probe", JoinProbeQuery(), deterministic, &t,
               &json);
   RunWorkload(&catalog, "join-agg", JoinAggQuery(), deterministic, &t, &json);
+  RunWorkload(&catalog, "join-sparse", SparseJoinQuery(), deterministic, &t,
+              &json);
   t.Print();
   std::printf("\nidentical checksums and cost at both kernel levels: SIMD "
               "moves only the\nwall clock, never a byte of the answer.\n");

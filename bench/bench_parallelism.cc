@@ -14,8 +14,17 @@
 // the total work: every scaling-table DOP must charge exactly what DOP 1
 // charges, and so must the degraded DOP-4 run against DOP 1 under the same
 // memory drop.
+//
+// The scaling table also reports the wall clock: the median of 5 timed
+// Engine::Run calls at each DOP after one warm-up, each on a freshly
+// analyzed engine (ANALYZE is outside the timer). Wall time is
+// host-dependent; `--deterministic` prints those two columns as `-`, which
+// is what the CI run-twice diff uses.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -26,6 +35,7 @@ namespace {
 
 constexpr int64_t kFactRows = 200000;
 constexpr int64_t kDimRows = 1000;
+constexpr int kWallReps = 5;
 
 QuerySpec StarAggQuery() {
   QuerySpec q = workload::StarQuery(3, {5000, 7000, 9000});
@@ -43,7 +53,27 @@ StatusOr<QueryResult> RunAtDop(Catalog* catalog, const QuerySpec& q, int dop,
   return engine.Run(q);
 }
 
-void Run() {
+/// Median wall time of Engine::Run at `dop` over kWallReps runs after one
+/// warm-up run.
+double MedianWallMs(Catalog* catalog, const QuerySpec& q, int dop) {
+  std::vector<double> ms;
+  for (int rep = 0; rep <= kWallReps; ++rep) {
+    EngineOptions options;
+    options.num_threads = dop;
+    Engine engine(catalog, options);
+    engine.AnalyzeAll();
+    const auto t0 = std::chrono::steady_clock::now();
+    bench::ValueOrDie(engine.Run(q), "timed run");
+    if (rep == 0) continue;  // warm-up
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+void Run(bool deterministic) {
   Catalog catalog;
   StarSchemaSpec spec;
   spec.fact_rows = kFactRows;
@@ -60,20 +90,26 @@ void Run() {
               static_cast<long long>(kFactRows));
   double serial_elapsed = 0;
   double serial_cost = 0;
+  double serial_wall = 0;
   int64_t serial_rows = 0;
   {
-    TablePrinter t({"DOP", "total work", "elapsed", "speedup", "morsels",
-                    "output rows"});
+    TablePrinter t({"DOP", "total work", "elapsed", "speedup", "wall ms",
+                    "wall speedup", "morsels", "output rows"});
     for (int dop : {1, 2, 4, 8}) {
       auto r = bench::ValueOrDie(RunAtDop(&catalog, q, dop), "scaling run");
+      const double wall = deterministic ? 0 : MedianWallMs(&catalog, q, dop);
       if (dop == 1) {
         serial_elapsed = r.elapsed;
         serial_cost = r.cost;
+        serial_wall = wall;
         serial_rows = r.output_rows;
       }
       t.AddRow({TablePrinter::Int(dop), TablePrinter::Num(r.cost, 0),
                 TablePrinter::Num(r.elapsed, 0),
                 TablePrinter::Num(serial_elapsed / r.elapsed, 2) + "x",
+                deterministic ? "-" : TablePrinter::Num(wall, 1),
+                deterministic ? "-"
+                              : TablePrinter::Num(serial_wall / wall, 2) + "x",
                 TablePrinter::Int(r.counters.morsels),
                 TablePrinter::Int(r.output_rows)});
       if (r.output_rows != serial_rows) {
@@ -91,7 +127,9 @@ void Run() {
     t.Print();
     std::printf("total work is DOP-invariant (the clock charges every "
                 "morsel);\nelapsed follows the deterministic makespan of the "
-                "morsel schedule.\n\n");
+                "morsel schedule.\nwall ms: median of %d Engine::Run calls "
+                "after a warm-up (host-dependent).\n\n",
+                kWallReps);
   }
 
   std::printf("robustness: same query while the environment misbehaves\n");
@@ -153,7 +191,9 @@ void Run() {
 }  // namespace
 }  // namespace rqp
 
-int main() {
-  rqp::Run();
+int main(int argc, char** argv) {
+  const bool deterministic =
+      argc > 1 && std::strcmp(argv[1], "--deterministic") == 0;
+  rqp::Run(deterministic);
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "expr/simd.h"
 
@@ -122,7 +123,9 @@ Status HashJoinOp::SpillPartition(size_t part_idx) {
   part.charged_pages = 0;
   part.rows.data.clear();
   part.table.clear();
+  part.same.clear();
   part.spilled = true;
+  dense_dir_.clear();
   return Status::OK();
 }
 
@@ -183,7 +186,44 @@ Status HashJoinOp::FinishBuildPhase() {
         static_cast<double>(part.rows.num_rows()) *
         ctx_->cost_model().hash_build_factor));
   }
+  BuildDenseDirectory();
   return Status::OK();
+}
+
+void HashJoinOp::BuildDenseDirectory() {
+  dense_dir_.clear();
+  uint64_t rows = 0;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (const Partition& part : parts_) {
+    if (part.spilled) return;
+    for (size_t r = 0; r < part.rows.num_rows(); ++r) {
+      lo = std::min(lo, part.rows.row(r)[build_key_idx_]);
+      hi = std::max(hi, part.rows.row(r)[build_key_idx_]);
+    }
+    rows += part.rows.num_rows();
+  }
+  // Unsigned span: an INT64_MIN..INT64_MAX build gives 2^64 - 1, not a
+  // signed overflow, and stays hashed.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (rows == 0 || span >= kDenseSpanFactor * rows) return;
+  dense_min_ = lo;
+  // span + 1 key slots plus the always-empty clamp slot.
+  dense_dir_.assign(span + 2, kDenseEmpty);
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    Partition& part = parts_[p];
+    part.same.resize(part.rows.num_rows());
+    // Prepend in reverse row order so each key's chain reads forward in
+    // build-row order. Equal keys share a partition, so a non-empty slot
+    // always points into this one; an empty slot's low half is kEmpty.
+    for (size_t i = part.rows.num_rows(); i-- > 0;) {
+      uint64_t& slot =
+          dense_dir_[static_cast<uint64_t>(part.rows.row(i)[build_key_idx_]) -
+                     static_cast<uint64_t>(lo)];
+      part.same[i] = static_cast<uint32_t>(slot);
+      slot = (static_cast<uint64_t>(p) << 32) | i;
+    }
+  }
 }
 
 Status HashJoinOp::RunBuildFromChild(ExecContext* ctx) {
@@ -272,11 +312,12 @@ Status HashJoinOp::FetchProbeBatch() {
   }
   // Batch boundary = phase boundary: no live match references, safe to shed.
   RQP_RETURN_IF_ERROR(PollRevocation());
-  // Fused whole-batch probe: charge every probe in one flush, compute every
-  // row's partition in one pass, route spilled-partition rows to their probe
-  // files in row order, and walk the flat hash chains for resident rows into
-  // probe_.pairs. Emission is then a bare cursor over precomputed (probe
-  // row, build row) pairs.
+  // Fused whole-batch probe: charge every probe in one flush, then either
+  // run ProbeResident (no partition spilled) or compute every row's
+  // partition in one pass, route spilled-partition rows to their probe
+  // files in row order and walk the hash chains for resident rows. Either
+  // way the matches land in probe_.pairs, and emission is a bare cursor
+  // over precomputed (probe row, build row) pairs.
   ctx_->ChargeHashOps(static_cast<int64_t>(n));
   fused_next_ = 0;
   if (build_resident()) {
@@ -325,21 +366,53 @@ bool HashJoinOp::build_resident() const {
 
 void HashJoinOp::ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
                                ProbeScratch* s) const {
-  // A two-pass branchless probe. Keys arrive in random order, so per-row
-  // "is this bucket empty" and "does this key match" branches never
-  // predict. Pass 1 fuses the partition precompute with an unconditional
-  // bucket-head fetch (every resident partition has a built table, even the
-  // empty ones), compacting the keys with non-empty heads by branch-free
-  // index append. Pass 2 walks chains only for those candidates, emitting
-  // matches with an arithmetic k-bump instead of a conditional append.
+  // A two-pass probe. Keys arrive in random order, so a per-row "is there a
+  // chain" branch never predicts: pass 1 fetches every key's chain head
+  // unconditionally and compacts the keys with non-empty chains by
+  // branch-free index append; pass 2 walks chains only for those
+  // candidates.
   s->parts.resize(n);
-  s->mixes.resize(n);
   s->cand_rows.resize(n);
   s->cand_heads.resize(n);
-  // Whole-batch hash mix; the SIMD kernel is integer-exact, so bucket
-  // choice, chain walks, and match order are bit-identical at every level.
-  SimdMixBatch(keys, n, s->mixes.data(), simd);
+  auto& pairs = s->pairs;
   size_t cands = 0;
+  size_t k = 0;
+  if (dense_probe()) {
+    // Dense kernel: one unsigned subtract, one clamp and one directory
+    // load per key. A slot holds only rows of its own key, so no chain
+    // visit compares keys, and every candidate's chain is non-empty.
+    const uint64_t* dir = dense_dir_.data();
+    const uint64_t base = static_cast<uint64_t>(dense_min_);
+    const uint64_t clamp = dense_dir_.size() - 1;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t e =
+          dir[std::min(static_cast<uint64_t>(keys[i]) - base, clamp)];
+      s->parts[i] = static_cast<uint32_t>(e >> 32);
+      s->cand_rows[cands] = static_cast<uint32_t>(i);
+      s->cand_heads[cands] = static_cast<uint32_t>(e);
+      cands += static_cast<uint32_t>(e) != JoinHashTable::kEmpty;
+    }
+    if (pairs.size() < cands) pairs.resize(cands);
+    for (size_t c = 0; c < cands; ++c) {
+      const uint32_t i = s->cand_rows[c];
+      const uint32_t* same = parts_[s->parts[i]].same.data();
+      uint32_t r = s->cand_heads[c];
+      do {
+        if (k == pairs.size()) pairs.resize(2 * k + 64);
+        pairs[k++] = {i, r};
+        r = same[r];
+      } while (r != JoinHashTable::kEmpty);
+    }
+    pairs.resize(k);
+    return;
+  }
+  // Hashed kernel. Pass 1 fuses the partition precompute with the
+  // bucket-head fetch (every resident partition has a built table, even the
+  // empty ones). Whole-batch hash mix; the SIMD kernel is integer-exact, so
+  // bucket choice, chain walks, and match order are bit-identical at every
+  // level.
+  s->mixes.resize(n);
+  SimdMixBatch(keys, n, s->mixes.data(), simd);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t p = static_cast<uint32_t>(PartitionOf(keys[i]));
     s->parts[i] = p;
@@ -349,8 +422,8 @@ void HashJoinOp::ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
     s->cand_heads[cands] = head;
     cands += head != JoinHashTable::kEmpty;
   }
-  auto& pairs = s->pairs;
-  size_t k = 0;
+  // Pass 2: buckets mix keys, so each chain visit emits with an arithmetic
+  // k-bump on the key compare instead of a conditional append.
   if (pairs.size() < cands) pairs.resize(cands);
   for (size_t c = 0; c < cands; ++c) {
     const uint32_t i = s->cand_rows[c];
@@ -414,6 +487,7 @@ Status HashJoinOp::FinishProbePhase() {
     part.charged_pages = 0;
   }
   parts_.clear();
+  dense_dir_.clear();
   probe_file_.reset();
   phase_ = Phase::kTaskSetup;
   return Status::OK();
@@ -548,6 +622,7 @@ Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   done_ = false;
   depth_ = 0;
   parts_.clear();
+  dense_dir_.clear();
   tasks_.clear();
   probe_file_.reset();
   fb_build_.reset();
@@ -818,6 +893,7 @@ void HashJoinOp::Close() {
   broker_ = nullptr;
   build_ready_ = false;
   parts_.clear();
+  dense_dir_.clear();
   tasks_.clear();
   probe_file_.reset();
   fb_build_.reset();

@@ -120,9 +120,9 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   /// Caller-owned scratch of the in-memory fused probe, one per probing
   /// thread, so many threads can probe one build.
   struct ProbeScratch {
-    std::vector<uint32_t> parts;       ///< partition of each probe key
-    std::vector<uint64_t> mixes;       ///< fmix64 of each probe key
-    std::vector<uint32_t> cand_rows;   ///< keys with non-empty heads
+    std::vector<uint32_t> parts;  ///< partition of each key that matched
+    std::vector<uint64_t> mixes;  ///< fmix64 of each probe key (hashed)
+    std::vector<uint32_t> cand_rows;   ///< keys with a non-empty chain
     std::vector<uint32_t> cand_heads;  ///< their chain heads
     std::vector<std::pair<uint32_t, uint32_t>> pairs;  ///< (key, build row)
   };
@@ -166,11 +166,17 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   /// Number of build-child columns appended to each probe row.
   size_t build_width() const { return build_cols_; }
 
+  /// True when the level's resident build carries the dense-key directory,
+  /// so ProbeResident indexes it by key − min instead of hashing.
+  bool dense_probe() const { return !dense_dir_.empty(); }
+
   /// The in-memory two-pass fused probe of `n` keys against the resident
-  /// partitions (requires build_resident()). Fills s->parts with each key's
-  /// partition and s->pairs with its matches: key-major, build-row order
-  /// within a key. Reads only the built partitions, so any number of
-  /// threads may probe concurrently, each with its own scratch.
+  /// partitions (requires build_resident()). Fills s->pairs with the
+  /// matches, key-major and in build-row order within a key, and s->parts
+  /// with the partition of each key that matched (other keys' entries are
+  /// unspecified). Runs the dense kernel when dense_probe(), else the hashed
+  /// one; both give the same pairs. Reads only the built partitions, so any
+  /// number of threads may probe concurrently, each with its own scratch.
   void ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
                      ProbeScratch* s) const;
   /// The build row of a ProbeResident match (`part` = s.parts[key]).
@@ -192,6 +198,8 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   struct Partition {
     RowBuffer rows;  ///< resident build rows (empty once spilled)
     JoinHashTable table;
+    /// Dense kernel: row -> next row with the same key, or kEmpty.
+    std::vector<uint32_t> same;
     std::unique_ptr<SpillFile> build_spill;
     std::unique_ptr<SpillFile> probe_spill;
     int64_t charged_pages = 0;  ///< broker pages held for `rows`
@@ -211,6 +219,9 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   Status EnsurePartitionPage(size_t part_idx);
   Status SpillPartition(size_t part_idx);
   Status FinishBuildPhase();
+  /// Builds dense_dir_ when every partition is resident and the level's
+  /// build keys span fewer than kDenseSpanFactor values per row.
+  void BuildDenseDirectory();
   Status RunBuildFromChild(ExecContext* ctx);
   Status RunBuildFromFile(SpillFile* file);
   /// Fetches the next probe batch (column views from a stable columnar
@@ -242,6 +253,18 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   Phase phase_ = Phase::kDone;
   int depth_ = 0;
   std::vector<Partition> parts_;
+  /// A level's keys are dense when they span fewer than this many values
+  /// per build row, which caps the directory at that many slots per row.
+  static constexpr uint64_t kDenseSpanFactor = 2;
+  /// An empty directory slot: partition 0, row kEmpty.
+  static constexpr uint64_t kDenseEmpty = JoinHashTable::kEmpty;
+  /// Dense-key directory over the resident level: slot key − dense_min_
+  /// holds (partition << 32) | the key's first build row, or kDenseEmpty.
+  /// The last slot is always empty; out-of-range keys clamp to it. Built
+  /// beside the bucket tables, which the spill path keeps using, and
+  /// dropped whenever a partition spills or the level ends.
+  std::vector<uint64_t> dense_dir_;
+  int64_t dense_min_ = 0;
   std::vector<PendingTask> tasks_;  ///< LIFO: bounds live spill files
   int64_t base_pages_ = 0;          ///< 1-page progress minimum
   double spill_fraction_ = 0;

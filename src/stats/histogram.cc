@@ -8,10 +8,16 @@ namespace rqp {
 
 Histogram Histogram::Build(const std::vector<int64_t>& values,
                            int num_buckets) {
-  Histogram h;
-  if (values.empty() || num_buckets <= 0) return h;
+  if (values.empty() || num_buckets <= 0) return Histogram();
   std::vector<int64_t> sorted = values;
   std::sort(sorted.begin(), sorted.end());
+  return BuildSorted(sorted, num_buckets);
+}
+
+Histogram Histogram::BuildSorted(const std::vector<int64_t>& sorted,
+                                 int num_buckets) {
+  Histogram h;
+  if (sorted.empty() || num_buckets <= 0) return h;
   h.total_count_ = static_cast<int64_t>(sorted.size());
   h.min_ = sorted.front();
   h.max_ = sorted.back();

@@ -24,6 +24,9 @@ class Histogram {
   /// Builds an equi-depth histogram with (up to) `num_buckets` buckets.
   /// `values` need not be sorted; a sorted copy is made.
   static Histogram Build(const std::vector<int64_t>& values, int num_buckets);
+  /// Build over values already in ascending order (no copy, no sort).
+  static Histogram BuildSorted(const std::vector<int64_t>& sorted,
+                               int num_buckets);
 
   bool empty() const { return total_count_ == 0; }
   int64_t total_count() const { return total_count_; }

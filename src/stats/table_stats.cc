@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 namespace rqp {
 
@@ -26,14 +25,19 @@ TableStats TableStats::Analyze(const Table& table,
     }
     ColumnStats cs;
     if (!sample.empty()) {
-      cs.min = *std::min_element(sample.begin(), sample.end());
-      cs.max = *std::max_element(sample.begin(), sample.end());
-      cs.histogram = Histogram::Build(sample, options.num_buckets);
+      // One sort serves the bounds, the histogram and the distinct count.
+      std::sort(sample.begin(), sample.end());
+      cs.min = sample.front();
+      cs.max = sample.back();
+      cs.histogram = Histogram::BuildSorted(sample, options.num_buckets);
       // Distinct-count estimate: exact on the sample, scaled (capped) when
       // sampling. A deliberately simple estimator — its inaccuracy under
       // low sample rates is itself one of the robustness hazards studied.
-      std::set<int64_t> distinct(sample.begin(), sample.end());
-      double d = static_cast<double>(distinct.size());
+      size_t distinct = 1;
+      for (size_t i = 1; i < sample.size(); ++i) {
+        distinct += sample[i] != sample[i - 1];
+      }
+      double d = static_cast<double>(distinct);
       if (options.sample_rate < 1.0 &&
           d > 0.9 * static_cast<double>(sample.size())) {
         // Nearly-unique in the sample: extrapolate to the full table.

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "exec/join_ops.h"
 #include "exec/scan_ops.h"
 #include "exec/sort_agg_ops.h"
+#include "expr/simd.h"
 #include "storage/data_generator.h"
 #include "util/rng.h"
 
@@ -129,6 +134,183 @@ TEST(HashJoinTest, BadKeySlotFailsOpen) {
   HashJoinOp join(f.ScanS(), f.ScanR(), "s.nope", "r.id");
   ExecContext ctx;
   EXPECT_FALSE(join.Open(&ctx).ok());
+}
+
+// ---- ProbeResident: dense and hashed kernels against a nested loop ---------
+
+constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+
+/// A table of (k, ord) rows: ord is the row's position, so a join output
+/// names the exact build or probe row it came from.
+std::unique_ptr<Table> KeyTable(const std::string& name,
+                                const std::vector<int64_t>& keys) {
+  auto t = std::make_unique<Table>(
+      name, Schema({{"k", LogicalType::kInt64, 0, nullptr},
+                    {"ord", LogicalType::kInt64, 0, nullptr}}));
+  t->SetColumnData(0, keys);
+  t->SetColumnData(1, gen::Sequential(static_cast<int64_t>(keys.size())));
+  return t;
+}
+
+/// a + d with int64 wraparound: near the int64 ends it probes the other end.
+int64_t WrapAdd(int64_t a, int64_t d) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(d));
+}
+
+/// Probe keys for `build`: every build key, misses around its range, keys
+/// just past both ends, and both ends of int64, shuffled.
+std::vector<int64_t> ProbeKeysFor(const std::vector<int64_t>& build) {
+  std::vector<int64_t> keys = {kMin64, kMin64 + 1, kMax64 - 1, kMax64, 0, -1};
+  if (build.empty()) return keys;
+  const auto [lo, hi] = std::minmax_element(build.begin(), build.end());
+  for (const int64_t edge : {*lo, *hi}) {
+    for (int64_t d = -3; d <= 3; ++d) keys.push_back(WrapAdd(edge, d));
+  }
+  keys.insert(keys.end(), build.begin(), build.end());
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    const int64_t b = build[static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(build.size()) - 1))];
+    keys.push_back(WrapAdd(b, rng.Uniform(-2, 2)));
+  }
+  Rng(9).Shuffle(&keys);
+  return keys;
+}
+
+/// (probe index, build ord) pairs in nested-loop order: probe-key major,
+/// build-row order within a key.
+std::vector<std::pair<int64_t, int64_t>> NestedLoopPairs(
+    const std::vector<int64_t>& probe, const std::vector<int64_t>& build) {
+  std::vector<std::pair<int64_t, int64_t>> out;
+  for (size_t i = 0; i < probe.size(); ++i) {
+    for (size_t j = 0; j < build.size(); ++j) {
+      if (probe[i] == build[j]) {
+        out.emplace_back(static_cast<int64_t>(i), static_cast<int64_t>(j));
+      }
+    }
+  }
+  return out;
+}
+
+/// Builds `build` in memory, asserts which kernel ProbeResident runs, and
+/// requires its exact pair sequence at both SIMD levels.
+void ExpectProbeMatchesNestedLoop(const std::vector<int64_t>& build,
+                                  bool dense) {
+  const std::vector<int64_t> probe = ProbeKeysFor(build);
+  auto b = KeyTable("b", build);
+  auto p = KeyTable("p", probe);
+  HashJoinOp join(std::make_unique<TableScanOp>(p.get()),
+                  std::make_unique<TableScanOp>(b.get()), "p.k", "b.k");
+  ExecContext ctx;
+  ASSERT_TRUE(join.OpenBuild(&ctx).ok());
+  ASSERT_TRUE(join.build_resident());
+  EXPECT_EQ(join.dense_probe(), dense);
+  const auto expected = NestedLoopPairs(probe, build);
+  for (const SimdLevel simd : {SimdLevel::kScalar, ResolveSimdLevel(1)}) {
+    HashJoinOp::ProbeScratch s;
+    join.ProbeResident(probe.data(), probe.size(), simd, &s);
+    std::vector<std::pair<int64_t, int64_t>> got;
+    for (const auto& [i, r] : s.pairs) {
+      const int64_t* row = join.BuildRow(s.parts[i], r);
+      EXPECT_EQ(row[0], probe[i]);
+      got.emplace_back(i, row[1]);
+    }
+    EXPECT_EQ(got, expected);
+  }
+  join.Close();
+}
+
+TEST(ProbeResidentTest, DenseUniqueKeys) {
+  std::vector<int64_t> build = gen::Sequential(3000);
+  Rng(1).Shuffle(&build);
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/true);
+}
+
+TEST(ProbeResidentTest, DenseKeysWithTenRowsPerKey) {
+  std::vector<int64_t> build;
+  for (int64_t i = 0; i < 3000; ++i) build.push_back(100 + i % 300);
+  Rng(2).Shuffle(&build);
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/true);
+}
+
+TEST(ProbeResidentTest, SparseKeysStayHashed) {
+  std::vector<int64_t> build;
+  for (int64_t i = 0; i < 2000; ++i) build.push_back((i % 700) * 1000);
+  Rng(3).Shuffle(&build);
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/false);
+}
+
+TEST(ProbeResidentTest, NegativeDenseKeys) {
+  std::vector<int64_t> build;
+  for (int64_t i = 0; i < 2000; ++i) build.push_back(-1 - i % 900);
+  Rng(4).Shuffle(&build);
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/true);
+}
+
+TEST(ProbeResidentTest, Int64EndsStayHashed) {
+  // max − min is 2^64 − 1: the span must not overflow into "dense".
+  std::vector<int64_t> build = {kMax64, 7, kMin64, 8, kMax64, kMin64, 7};
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/false);
+}
+
+TEST(ProbeResidentTest, SpanThresholdIsTwoPerRow) {
+  // 100 rows: keys 0..98 and one outlier. Span 199 = 2·rows − 1 is dense;
+  // span 200 = 2·rows is hashed.
+  std::vector<int64_t> build = gen::Sequential(99);
+  build.push_back(199);
+  Rng(5).Shuffle(&build);
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/true);
+  std::replace(build.begin(), build.end(), int64_t{199}, int64_t{200});
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/false);
+  // The same spans shifted to the top of int64.
+  for (int64_t& k : build) k = kMax64 - 200 + k;
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/false);
+  std::replace(build.begin(), build.end(), kMax64, kMax64 - 1);
+  ExpectProbeMatchesNestedLoop(build, /*dense=*/true);
+}
+
+TEST(ProbeResidentTest, EmptyAndOneRowBuilds) {
+  ExpectProbeMatchesNestedLoop({}, /*dense=*/false);
+  ExpectProbeMatchesNestedLoop({42}, /*dense=*/true);
+  ExpectProbeMatchesNestedLoop({kMin64}, /*dense=*/true);
+  ExpectProbeMatchesNestedLoop({kMax64}, /*dense=*/true);
+}
+
+TEST(ProbeResidentTest, ShrinkAfterDenseBuildFallsBackToSpillPath) {
+  // A dense build (~10 rows per key) under an ample grant, then a capacity
+  // drop before the probe: the drained join must shed partitions, take the
+  // spill path, and still produce the nested-loop multiset.
+  std::vector<int64_t> build;
+  for (int64_t i = 0; i < 6000; ++i) build.push_back(i % 600);
+  Rng(6).Shuffle(&build);
+  std::vector<int64_t> probe;
+  Rng rng(7);
+  for (int i = 0; i < 10000; ++i) probe.push_back(rng.Uniform(-50, 650));
+  auto b = KeyTable("b", build);
+  auto p = KeyTable("p", probe);
+  MemoryBroker broker(4096);
+  ExecContext ctx(&broker);
+  HashJoinOp join(std::make_unique<TableScanOp>(p.get()),
+                  std::make_unique<TableScanOp>(b.get()), "p.k", "b.k");
+  ASSERT_TRUE(join.OpenBuild(&ctx).ok());
+  ASSERT_TRUE(join.dense_probe());
+  broker.set_capacity(8);
+  std::vector<RowBatch> out;
+  ASSERT_TRUE(DrainOperator(&join, &ctx, &out).ok());
+  EXPECT_GT(ctx.counters().memory_revocations, 0);
+  EXPECT_GT(ctx.counters().spill_partitions, 0);
+  // Output slots: p.k p.ord b.k b.ord.
+  std::vector<std::pair<int64_t, int64_t>> got;
+  for (const RowBatch& batch : out) {
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      ASSERT_EQ(batch.row(r)[0], batch.row(r)[2]);
+      got.emplace_back(batch.row(r)[1], batch.row(r)[3]);
+    }
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, NestedLoopPairs(probe, build));
 }
 
 TEST(MergeJoinTest, MatchesReferenceOnSortedInputs) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <set>
+#include <vector>
 
 #include "stats/correlation.h"
 #include "stats/feedback.h"
@@ -136,6 +140,78 @@ TEST(TableStatsTest, SamplingStillCoversDomain) {
   TableStats stats = TableStats::Analyze(*t, opts);
   const auto& h = stats.column("a").histogram;
   EXPECT_NEAR(h.EstimateRangeFraction(0, 499), 0.5, 0.05);
+}
+
+TEST(TableStatsTest, AnalyzeMatchesSetAndMinmaxReference) {
+  // Uniform, Zipf, constant and int64-extreme columns. The reference redraws
+  // ANALYZE's sample (one Rng over the columns in order), counts distinct
+  // values with a std::set and takes the bounds with std::minmax_element.
+  constexpr int64_t kRows = 5000;
+  constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+  Catalog catalog;
+  Table* t = catalog.AddTable(
+      "t", Schema({{"uniform", LogicalType::kInt64, 0, nullptr},
+                   {"zipf", LogicalType::kInt64, 0, nullptr},
+                   {"constant", LogicalType::kInt64, 0, nullptr},
+                   {"extreme", LogicalType::kInt64, 0, nullptr}})).value();
+  Rng gen_rng(8);
+  // Nearly unique, so the sampled runs take the extrapolation branch.
+  t->SetColumnData(0, gen::Uniform(&gen_rng, kRows, -1000000000, 1000000000));
+  t->SetColumnData(1, gen::Zipf(&gen_rng, kRows, 300, 1.1));
+  t->SetColumnData(2, std::vector<int64_t>(kRows, 7));
+  std::vector<int64_t> extreme = gen::Uniform(&gen_rng, kRows, -3, 3);
+  for (int64_t& v : extreme) v = v < -1 ? kMin64 : v > 1 ? kMax64 : v;
+  t->SetColumnData(3, std::move(extreme));
+
+  for (const double rate : {1.0, 0.3}) {
+    for (const double stale : {1.0, 0.5}) {
+      for (const int buckets : {0, 2, 64}) {
+        SCOPED_TRACE(testing::Message() << "sample_rate=" << rate
+                                        << " stale_fraction=" << stale
+                                        << " num_buckets=" << buckets);
+        AnalyzeOptions opts;
+        opts.sample_rate = rate;
+        opts.stale_fraction = stale;
+        opts.num_buckets = buckets;
+        const TableStats stats = TableStats::Analyze(*t, opts);
+        const int64_t visible = static_cast<int64_t>(kRows * stale);
+        Rng rng(opts.seed);
+        for (size_t c = 0; c < t->schema().num_columns(); ++c) {
+          std::vector<int64_t> sample;
+          for (int64_t r = 0; r < visible; ++r) {
+            if (rate >= 1.0 || rng.Bernoulli(rate)) {
+              sample.push_back(t->Value(c, r));
+            }
+          }
+          ASSERT_FALSE(sample.empty());
+          const ColumnStats& cs = stats.column(t->schema().column(c).name);
+          const auto [lo, hi] =
+              std::minmax_element(sample.begin(), sample.end());
+          EXPECT_EQ(cs.min, *lo);
+          EXPECT_EQ(cs.max, *hi);
+          double d = static_cast<double>(
+              std::set<int64_t>(sample.begin(), sample.end()).size());
+          if (rate < 1.0 && d > 0.9 * static_cast<double>(sample.size())) {
+            d /= rate;
+          }
+          EXPECT_EQ(cs.num_distinct,
+                    std::min<int64_t>(visible, static_cast<int64_t>(d)));
+          const Histogram ref = Histogram::Build(sample, buckets);
+          EXPECT_EQ(cs.histogram.empty(), buckets == 0);
+          ASSERT_EQ(cs.histogram.buckets().size(), ref.buckets().size());
+          for (size_t b = 0; b < ref.buckets().size(); ++b) {
+            EXPECT_EQ(cs.histogram.buckets()[b].lo, ref.buckets()[b].lo);
+            EXPECT_EQ(cs.histogram.buckets()[b].hi, ref.buckets()[b].hi);
+            EXPECT_EQ(cs.histogram.buckets()[b].count,
+                      ref.buckets()[b].count);
+            EXPECT_EQ(cs.histogram.buckets()[b].distinct,
+                      ref.buckets()[b].distinct);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(StatsCatalogTest, AnalyzeAll) {

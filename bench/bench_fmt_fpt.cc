@@ -10,9 +10,9 @@
 #include <memory>
 
 #include "bench/bench_util.h"
-#include "engine/workload_manager.h"
 #include "exec/scan_ops.h"
 #include "exec/sort_agg_ops.h"
+#include "server/simulator.h"
 #include "util/summary.h"
 
 namespace rqp {
@@ -90,24 +90,30 @@ void RunFmt() {
 void RunFpt() {
   std::printf("FPT — Fluctuating Parallelism Test\n\n");
   // Qi: 240 units of work at DOP 2; baselines.
-  WorkloadManagerOptions opts;
+  SimOptions opts;
   opts.capacity_slots = 4;
   opts.max_mpl = 8;
   const double proc_ubl =
-      SimulateWorkload({{"qi", 0, 240, 4, 0}}, opts)[0].response_time();
+      SimulateSchedule({{.name = "qi", .cost = 240, .requested_slots = 4}},
+                       opts)[0]
+          .response_time();
   const double proc_lbl =
-      SimulateWorkload({{"qi", 0, 240, 1, 0}}, opts)[0].response_time();
+      SimulateSchedule({{.name = "qi", .cost = 240, .requested_slots = 1}},
+                       opts)[0]
+          .response_time();
   std::printf("baselines for Qi: procUBL (all 4 slots) = %.0f   "
               "procLBL (1 slot) = %.0f\n\n", proc_ubl, proc_lbl);
 
   TablePrinter t({"Qm demand (slots)", "Qi response", "Qi slowdown vs UBL",
                   "within [procUBL, procLBL]?"});
   for (int qm_slots : {0, 2, 4, 6, 8}) {
-    std::vector<Job> jobs{{"qi", 0, 240, 2, 0}};
+    std::vector<SimJob> jobs{
+        {.name = "qi", .cost = 240, .requested_slots = 2}};
     if (qm_slots > 0) {
-      jobs.push_back({"qm", 20, 600, qm_slots, 0});
+      jobs.push_back({.name = "qm", .arrival = 20, .cost = 600,
+                      .requested_slots = qm_slots});
     }
-    auto outcomes = SimulateWorkload(jobs, opts);
+    auto outcomes = SimulateSchedule(jobs, opts);
     const double qi = outcomes[0].response_time();
     t.AddRow({TablePrinter::Int(qm_slots), TablePrinter::Num(qi, 0),
               TablePrinter::Num(qi / proc_ubl, 2) + "x",

@@ -19,7 +19,6 @@
 #include <cmath>
 
 #include "bench/bench_util.h"
-#include "engine/workload_manager.h"
 #include "server/scheduler.h"
 #include "server/simulator.h"
 #include "util/summary.h"
@@ -86,23 +85,29 @@ void RunE18(Engine* engine, const OrdersSchemaSpec& ospec) {
   // Mixed arrival schedule: transactions every 300 cost units, BI queries
   // every 2500.
   auto make_jobs = [&](bool include_oltp, bool include_olap) {
-    std::vector<Job> jobs;
+    std::vector<SimJob> jobs;
     if (include_oltp) {
       for (size_t i = 0; i < costs.txn.size(); ++i) {
-        jobs.push_back({"txn" + std::to_string(i),
-                        static_cast<double>(i) * 300.0, costs.txn[i], 1, 5});
+        jobs.push_back({.name = "txn" + std::to_string(i),
+                        .arrival = static_cast<double>(i) * 300.0,
+                        .cost = costs.txn[i],
+                        .requested_slots = 1,
+                        .priority = 5});
       }
     }
     if (include_olap) {
       for (size_t i = 0; i < costs.bi.size(); ++i) {
-        jobs.push_back({"bi" + std::to_string(i),
-                        static_cast<double>(i) * 2500.0, costs.bi[i], 4, 1});
+        jobs.push_back({.name = "bi" + std::to_string(i),
+                        .arrival = static_cast<double>(i) * 2500.0,
+                        .cost = costs.bi[i],
+                        .requested_slots = 4,
+                        .priority = 1});
       }
     }
     return jobs;
   };
 
-  auto summarize = [](const std::vector<JobOutcome>& outcomes,
+  auto summarize = [](const std::vector<SimOutcome>& outcomes,
                       const char* prefix) {
     Summary s;
     for (const auto& o : outcomes) {
@@ -117,9 +122,9 @@ void RunE18(Engine* engine, const OrdersSchemaSpec& ospec) {
 
   TablePrinter t({"configuration", "txn mean resp", "txn p95 resp",
                   "BI mean resp"});
-  auto report = [&](const char* name, const std::vector<Job>& jobs,
-                    const WorkloadManagerOptions& options) {
-    auto outcomes = SimulateWorkload(jobs, options);
+  auto report = [&](const char* name, const std::vector<SimJob>& jobs,
+                    const SimOptions& options) {
+    auto outcomes = SimulateSchedule(jobs, options);
     Summary txn = summarize(outcomes, "txn");
     Summary bi = summarize(outcomes, "bi");
     t.AddRow({name,
@@ -128,14 +133,14 @@ void RunE18(Engine* engine, const OrdersSchemaSpec& ospec) {
               bi.empty() ? "-" : TablePrinter::Num(bi.Mean(), 0)});
   };
 
-  WorkloadManagerOptions base;
+  SimOptions base;
   base.max_mpl = 8;
   base.capacity_slots = 4;
   report("OLTP alone", make_jobs(true, false), base);
   report("OLAP alone", make_jobs(false, true), base);
   report("mixed, no management", make_jobs(true, true), base);
 
-  WorkloadManagerOptions managed = base;
+  SimOptions managed = base;
   managed.priority_scheduling = true;
   managed.priority_weighted_sharing = true;
   report("mixed, managed (txn priority shares)", make_jobs(true, true),

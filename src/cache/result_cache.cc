@@ -5,6 +5,8 @@
 #include <set>
 #include <utility>
 
+#include "expr/pred_program.h"
+
 namespace rqp {
 
 namespace {
@@ -345,11 +347,28 @@ bool ResultCache::PatchLocked(const std::string& key, Entry* entry,
   std::iota(input_idx.begin(), input_idx.end(), groups);
   std::vector<int64_t> row(groups + naggs, 0);
   const int64_t delta_rows = t->num_rows() - snap->rows;
-  for (int64_t r = snap->rows; r < t->num_rows(); ++r) {
-    if (m.predicate != nullptr) {
-      ++hit->predicate_evals;
-      if (!EvalOnTable(m.predicate, *t, r)) continue;
+  SelectionVector delta;  // offsets of the folded rows past snap->rows
+  if (m.predicate != nullptr) {
+    // The same bytecode the scan ran, over the appended rows only.
+    auto filter = PredicateProgram::Compile(m.predicate, *t);
+    if (!filter.ok()) {
+      ++stats_.invalidations;
+      EraseLocked(key);
+      return false;
     }
+    hit->predicate_evals += delta_rows;
+    std::vector<const int64_t*> cols(t->schema().num_columns());
+    for (size_t c = 0; c < cols.size(); ++c) {
+      cols[c] = t->column(c).data() + snap->rows;
+    }
+    filter->BuildSelection(cols.data(), /*stride=*/1,
+                           static_cast<size_t>(delta_rows), &delta);
+  } else {
+    delta.resize(static_cast<size_t>(delta_rows));
+    std::iota(delta.begin(), delta.end(), 0u);
+  }
+  for (const uint32_t d : delta) {
+    const int64_t r = snap->rows + d;
     for (size_t g = 0; g < groups; ++g) row[g] = t->Value(m.group_cols[g], r);
     for (size_t a = 0; a < naggs; ++a) {
       if (m.aggs[a].fn != AggFn::kCount) {

@@ -94,37 +94,6 @@ Status FilterOp::Next(RowBatch* out) {
   return Status::OK();
 }
 
-Status ProjectOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
-  RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  mapping_.clear();
-  const auto& in_slots = child_->output_slots();
-  for (const auto& s : slots_) {
-    auto it = std::find(in_slots.begin(), in_slots.end(), s);
-    if (it == in_slots.end()) {
-      return Status::NotFound("projection slot '" + s + "' not in input");
-    }
-    mapping_.push_back(static_cast<size_t>(it - in_slots.begin()));
-  }
-  return Status::OK();
-}
-
-Status ProjectOp::Next(RowBatch* out) {
-  out->Reset(slots_.size());
-  RowBatch in;
-  RQP_RETURN_IF_ERROR(child_->Next(&in));
-  std::vector<int64_t> row(mapping_.size());
-  for (size_t r = 0; r < in.num_rows(); ++r) {
-    const int64_t* src = in.row(r);
-    for (size_t c = 0; c < mapping_.size(); ++c) row[c] = src[mapping_[c]];
-    out->AppendRow(row);
-  }
-  ctx_->ChargeRowCpu(static_cast<int64_t>(in.num_rows()));
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
-  return Status::OK();
-}
-
 MapOp::MapOp(OperatorPtr child, std::vector<DerivedColumn> derived)
     : child_(std::move(child)), derived_(std::move(derived)) {
   slots_ = child_->output_slots();
@@ -246,16 +215,16 @@ Status AdaptiveFilterOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   ResetCount();
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  compiled_.clear();
+  programs_.clear();
   for (const auto& p : predicates_) {
-    auto c = CompiledPredicate::Compile(p, child_->output_slots());
-    if (!c.ok()) return c.status();
-    compiled_.push_back(std::move(c.value()));
+    auto program = PredicateProgram::Compile(p, child_->output_slots());
+    if (!program.ok()) return program.status();
+    programs_.push_back(std::move(program.value()));
   }
-  order_.resize(compiled_.size());
+  order_.resize(programs_.size());
   std::iota(order_.begin(), order_.end(), 0);
-  evals_.assign(compiled_.size(), 1.0);   // Laplace prior
-  passes_.assign(compiled_.size(), 0.5);
+  evals_.assign(programs_.size(), 1.0);   // Laplace prior
+  passes_.assign(programs_.size(), 0.5);
   rows_since_reorder_ = 0;
   return Status::OK();
 }
@@ -288,7 +257,7 @@ Status AdaptiveFilterOp::Next(RowBatch* out) {
       for (size_t k : order_) {
         ctx_->ChargePredicateEvals(1);
         evals_[k] += 1.0;
-        const bool ok = compiled_[k].Eval(in_.row(r));
+        const bool ok = programs_[k].EvalRow(in_.row(r));
         if (ok) passes_[k] += 1.0;
         if (!ok) { pass = false; break; }
       }

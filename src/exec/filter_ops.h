@@ -49,27 +49,6 @@ class FilterOp : public Operator {
   ColumnBatch col_scratch_;  ///< bridge scratch for row-major Next
 };
 
-/// Projects/reorders child slots by qualified name.
-class ProjectOp : public Operator {
- public:
-  ProjectOp(OperatorPtr child, std::vector<std::string> slots)
-      : child_(std::move(child)), slots_(std::move(slots)) {}
-
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
-  void Close() override { child_->Close(); }
-  const std::vector<std::string>& output_slots() const override {
-    return slots_;
-  }
-  std::string name() const override { return "Project"; }
-
- private:
-  OperatorPtr child_;
-  std::vector<std::string> slots_;
-  std::vector<size_t> mapping_;
-  ExecContext* ctx_ = nullptr;
-};
-
 /// Computes derived columns through the expression layer and appends them
 /// to the child's slots. Each expression is constant-folded (FoldExpr) at
 /// Open and compiled to the postfix ExprProgram VM, evaluated
@@ -156,7 +135,7 @@ class AdaptiveFilterOp : public Operator {
   OperatorPtr child_;
   std::vector<PredicatePtr> predicates_;
   Options options_;
-  std::vector<CompiledPredicate> compiled_;
+  std::vector<PredicateProgram> programs_;  ///< one per predicate, EvalRow'd
   std::vector<size_t> order_;
   std::vector<double> evals_;   // decayed evaluation counts per predicate
   std::vector<double> passes_;  // decayed pass counts per predicate

@@ -1005,10 +1005,11 @@ Status NestedLoopsJoinOp::Open(ExecContext* ctx) {
   left_row_ = 0;
   right_row_ = 0;
   left_batch_.Clear();
+  program_.reset();
   if (predicate_ != nullptr) {
-    auto compiled = CompiledPredicate::Compile(predicate_, slots_);
-    if (!compiled.ok()) return compiled.status();
-    compiled_ = std::move(compiled.value());
+    auto program = PredicateProgram::Compile(predicate_, slots_);
+    if (!program.ok()) return program.status();
+    program_ = std::move(program.value());
   }
   RQP_RETURN_IF_ERROR(MaterializeChild(right_child_.get(), ctx, &right_));
   RQP_RETURN_IF_ERROR(left_child_->Open(ctx));
@@ -1031,12 +1032,12 @@ Status NestedLoopsJoinOp::Next(RowBatch* out) {
     while (right_row_ < right_.num_rows() && !out->full()) {
       const int64_t* rrow = right_.row(right_row_++);
       bool pass = true;
-      if (compiled_) {
+      if (program_) {
         std::copy(lrow, lrow + ln, joined.begin());
         std::copy(rrow, rrow + right_.num_cols,
                   joined.begin() + static_cast<long>(ln));
         ctx_->ChargePredicateEvals(1);
-        pass = compiled_->Eval(joined.data());
+        pass = program_->EvalRow(joined.data());
       } else {
         ctx_->ChargeRowCpu(1);
       }

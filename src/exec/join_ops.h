@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "exec/operator.h"
+#include "expr/pred_program.h"
 #include "expr/predicate.h"
 #include "storage/spill.h"
 #include "storage/table.h"
@@ -352,7 +353,8 @@ class NestedLoopsJoinOp : public Operator {
  private:
   OperatorPtr left_child_, right_child_;
   PredicatePtr predicate_;
-  std::optional<CompiledPredicate> compiled_;
+  /// The join predicate over the concatenated pair, EvalRow'd per pair.
+  std::optional<PredicateProgram> program_;
   std::vector<std::string> slots_;
   RowBuffer right_;
   ExecContext* ctx_ = nullptr;

@@ -67,11 +67,7 @@ Status GatherOp::Open(ExecContext* ctx) {
 
   program_.reset();
   if (filter_ != nullptr) {
-    std::vector<std::string> all;
-    for (size_t c = 0; c < table_->schema().num_columns(); ++c) {
-      all.push_back(table_->schema().column(c).name);
-    }
-    auto program = PredicateProgram::Compile(filter_, all);
+    auto program = PredicateProgram::Compile(filter_, *table_);
     if (!program.ok()) return program.status();
     program_ = std::move(program.value());
   }

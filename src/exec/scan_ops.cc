@@ -50,14 +50,10 @@ Status TableScanOp::Open(ExecContext* ctx) {
     // The filter references unqualified column names; compile it against
     // the *full* table layout so residual columns outside the projection
     // still resolve.
-    std::vector<std::string> all;
-    for (size_t c = 0; c < table_->schema().num_columns(); ++c) {
-      all.push_back(table_->schema().column(c).name);
-    }
-    auto program = PredicateProgram::Compile(filter_, all);
+    auto program = PredicateProgram::Compile(filter_, *table_);
     if (!program.ok()) return program.status();
     program_ = std::move(program.value());
-    chunk_cols_.resize(all.size());
+    chunk_cols_.resize(table_->schema().num_columns());
   }
   return Status::OK();
 }
@@ -156,19 +152,20 @@ Status IndexScanOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   next_ = 0;
   row_ids_.clear();
+  program_.reset();
   ResetCount();
   if (projection_error_) {
     return Status::InvalidArgument("bad projection for table " +
                                    table_->name());
   }
   if (filter_ != nullptr) {
-    std::vector<std::string> all;
-    for (size_t c = 0; c < table_->schema().num_columns(); ++c) {
-      all.push_back(table_->schema().column(c).name);
+    auto program = PredicateProgram::Compile(filter_, *table_);
+    if (!program.ok()) return program.status();
+    program_ = std::move(program.value());
+    cols_.resize(table_->schema().num_columns());
+    for (size_t c = 0; c < cols_.size(); ++c) {
+      cols_[c] = table_->column(c).data();
     }
-    auto compiled = CompiledPredicate::Compile(filter_, all);
-    if (!compiled.ok()) return compiled.status();
-    compiled_ = std::move(compiled.value());
   }
   ctx_->ChargeIndexDescend();
   RQP_RETURN_IF_ERROR(ctx_->MaybeInjectReadFault(table_->name()));
@@ -179,27 +176,35 @@ Status IndexScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
+// Fetched rows are filtered in chunks no larger than the batch's remaining
+// capacity: the residual runs over the table's columns with the fetched row
+// ids as the selection, so at most a chunk's worth of survivors lands in
+// the batch and every batch ends on the same fetched row as a
+// row-at-a-time loop would. Each fetched row is charged before its chunk
+// is evaluated.
 Status IndexScanOp::Next(RowBatch* out) {
   out->Reset(slots_.size());
-  std::vector<int64_t> full_row(table_->schema().num_columns());
   std::vector<int64_t> proj_row(columns_.size());
   RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
   while (next_ < row_ids_.size() && !out->full()) {
-    const int64_t r = row_ids_[next_++];
-    // Each qualifying row costs one random page fetch (unclustered index).
-    ctx_->ChargeRandomReads(1, table_->name());
-    ctx_->ChargeRowCpu(1);
-    if (compiled_) {
-      for (size_t c = 0; c < full_row.size(); ++c) {
-        full_row[c] = table_->Value(c, r);
+    const size_t take =
+        std::min(row_ids_.size() - next_, out->capacity_remaining());
+    sel_.clear();
+    for (size_t i = next_; i < next_ + take; ++i) {
+      // Each qualifying row costs one random page fetch (unclustered index).
+      ctx_->ChargeRandomReads(1, table_->name());
+      ctx_->ChargeRowCpu(1);
+      if (program_) ctx_->ChargePredicateEvals(1);
+      sel_.push_back(static_cast<uint32_t>(row_ids_[i]));
+    }
+    next_ += take;
+    if (program_) program_->FilterSelection(cols_.data(), /*stride=*/1, &sel_);
+    for (const uint32_t r : sel_) {
+      for (size_t c = 0; c < columns_.size(); ++c) {
+        proj_row[c] = table_->Value(columns_[c], r);
       }
-      ctx_->ChargePredicateEvals(1);
-      if (!compiled_->Eval(full_row.data())) continue;
+      out->AppendRow(proj_row);
     }
-    for (size_t c = 0; c < columns_.size(); ++c) {
-      proj_row[c] = table_->Value(columns_[c], r);
-    }
-    out->AppendRow(proj_row);
   }
   CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();

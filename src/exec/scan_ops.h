@@ -82,7 +82,10 @@ class IndexScanOp : public Operator {
   PredicatePtr filter_;
   std::vector<size_t> columns_;
   std::vector<std::string> slots_;
-  std::optional<CompiledPredicate> compiled_;
+  /// The residual as bytecode over Table::column() storage at stride 1.
+  std::optional<PredicateProgram> program_;
+  std::vector<const int64_t*> cols_;  ///< every column's base pointer
+  SelectionVector sel_;  ///< fetched row ids of the current chunk
   ExecContext* ctx_ = nullptr;
   std::vector<int64_t> row_ids_;
   size_t next_ = 0;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/context.h"
+#include "expr/pred_program.h"
 #include "expr/predicate.h"
 #include "storage/table.h"
 
@@ -49,7 +50,7 @@ class SharedScan {
 
  private:
   struct Attached {
-    CompiledPredicate compiled;
+    PredicateProgram program;
     bool collect_rows = false;
     int64_t count = 0;
     std::vector<int64_t> rows;

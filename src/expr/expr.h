@@ -125,9 +125,8 @@ inline int64_t WrapMod(int64_t a, int64_t b) {
 }
 
 /// Expression compiled against a slot layout (name -> index) for per-row
-/// tree-walk evaluation over executor tuples — the scalar counterpart of
-/// ExprProgram, and the reference implementation the VM must match
-/// bit-for-bit.
+/// tree-walk evaluation — the scalar counterpart of ExprProgram, kept as the
+/// test oracle the VM must match bit-for-bit. No operator runs it.
 class CompiledExpr {
  public:
   /// `slots[i]` is the column name occupying tuple position i.

@@ -254,52 +254,4 @@ Status ExprProgram::EvalSelection(const int64_t* const* cols, size_t stride,
   return EvalDense(views.data(), 1, n, out, scratch);
 }
 
-Status ExprProgram::EvalRow(const int64_t* row, int64_t* out) const {
-  std::vector<int64_t> stack(max_depth_);
-  size_t depth = 0;
-  for (const Instr& ins : code_) {
-    switch (ins.op) {
-      case Instr::Op::kLoadCol: stack[depth++] = row[ins.slot]; break;
-      case Instr::Op::kLoadConst: stack[depth++] = ins.value; break;
-      case Instr::Op::kNeg:
-        stack[depth - 1] = WrapNeg(stack[depth - 1]);
-        break;
-      case Instr::Op::kAdd:
-        stack[depth - 2] = WrapAdd(stack[depth - 2], stack[depth - 1]);
-        --depth;
-        break;
-      case Instr::Op::kSub:
-        stack[depth - 2] = WrapSub(stack[depth - 2], stack[depth - 1]);
-        --depth;
-        break;
-      case Instr::Op::kMul:
-        stack[depth - 2] = WrapMul(stack[depth - 2], stack[depth - 1]);
-        --depth;
-        break;
-      case Instr::Op::kDiv:
-        if (stack[depth - 1] == 0) return ExprDivisionByZero();
-        stack[depth - 2] = WrapDiv(stack[depth - 2], stack[depth - 1]);
-        --depth;
-        break;
-      case Instr::Op::kMod:
-        if (stack[depth - 1] == 0) return ExprDivisionByZero();
-        stack[depth - 2] = WrapMod(stack[depth - 2], stack[depth - 1]);
-        --depth;
-        break;
-      case Instr::Op::kCmp:
-        stack[depth - 2] =
-            EvalCmp(stack[depth - 2], ins.cmp, stack[depth - 1]) ? 1 : 0;
-        --depth;
-        break;
-      case Instr::Op::kCase:
-        stack[depth - 3] = stack[depth - 3] != 0 ? stack[depth - 2]
-                                                 : stack[depth - 1];
-        depth -= 2;
-        break;
-    }
-  }
-  *out = stack[0];
-  return Status::OK();
-}
-
 }  // namespace rqp

@@ -49,9 +49,6 @@ class ExprProgram {
                        const SelectionVector& sel, int64_t* out,
                        ExprScratch* scratch) const;
 
-  /// Scalar evaluation over the flat program (tests, odd single rows).
-  Status EvalRow(const int64_t* row, int64_t* out) const;
-
   /// Highest slot index referenced plus one.
   size_t num_slots_used() const { return num_slots_used_; }
   size_t num_instructions() const { return code_.size(); }

@@ -150,6 +150,15 @@ StatusOr<PredicateProgram> PredicateProgram::Compile(
   return prog;
 }
 
+StatusOr<PredicateProgram> PredicateProgram::Compile(const PredicatePtr& p,
+                                                     const Table& table) {
+  std::vector<std::string> names;
+  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+    names.push_back(table.schema().column(c).name);
+  }
+  return Compile(p, names);
+}
+
 Status PredicateProgram::EmitNode(const PredicatePtr& p,
                                   const std::vector<std::string>& slots,
                                   PredicateProgram* prog) {
@@ -202,7 +211,7 @@ Status PredicateProgram::EmitNode(const PredicatePtr& p,
             // of int64 does not fit a signed difference.
             const uint64_t span =
                 static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-            if (span < static_cast<uint64_t>(InSet::kBitmapSpan)) {
+            if (span < static_cast<uint64_t>(kInDenseBitmapSpan)) {
               set.min = lo;
               set.bitmap.assign(static_cast<size_t>(span + 1), 0);
               for (const int64_t v : set.sorted_values) {
@@ -562,10 +571,22 @@ bool PredicateProgram::EvalLeafRow(const Instr& ins, const int64_t* row) const {
 }
 
 bool PredicateProgram::EvalRow(const int64_t* row) const {
-  // Postfix depth is bounded by the instruction count of the longest
-  // conjunct; this path is cold (tests, odd rows), so a local buffer is fine.
-  std::vector<char> stack(code_.size() + 1);
+  // Postfix depth is bounded by a conjunct's instruction count: short
+  // conjuncts use the local buffer, and only an unusually long OR/NOT tree
+  // spills to the heap.
+  char local[32];
+  std::vector<char> heap;
   for (const Conjunct& conj : conjuncts_) {
+    const size_t len = conj.end - conj.begin;
+    if (len == 1) {
+      if (!EvalLeafRow(code_[conj.begin], row)) return false;
+      continue;
+    }
+    char* stack = local;
+    if (len > sizeof(local)) {
+      heap.resize(len);
+      stack = heap.data();
+    }
     size_t depth = 0;
     for (uint32_t pc = conj.begin; pc < conj.end; ++pc) {
       const Instr& ins = code_[pc];

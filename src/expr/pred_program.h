@@ -2,10 +2,12 @@
 #define RQP_EXPR_PRED_PROGRAM_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "expr/predicate.h"
 #include "expr/simd.h"
+#include "storage/table.h"
 #include "util/status.h"
 
 namespace rqp {
@@ -16,9 +18,17 @@ namespace rqp {
 /// of materializing rejected rows.
 using SelectionVector = std::vector<uint32_t>;
 
-/// A predicate compiled to a flattened postfix bytecode program, evaluated
-/// column-at-a-time over a selection vector — the vectorized counterpart of
-/// CompiledPredicate's per-row variant-tree walk.
+/// IN-list membership crossover: lists whose value range spans fewer than
+/// this many integers use a dense membership bitmap (bounds check + one
+/// load) instead of a binary search over the sorted values. Both structures
+/// give the same answer; the constant only picks the instructions.
+inline constexpr int64_t kInDenseBitmapSpan = 4096;
+
+/// A predicate compiled to a flattened postfix bytecode program — the one
+/// predicate evaluator every execution path runs. Batch callers evaluate it
+/// column-at-a-time over a selection vector; per-row callers (adaptive
+/// conjunct ordering, nested-loops pairs) call EvalRow on a row they
+/// already hold.
 ///
 /// Layout: the top-level conjunction is split into conjuncts, each a postfix
 /// instruction span over the flat `code_` array (minmath-style: one
@@ -37,14 +47,22 @@ using SelectionVector = std::vector<uint32_t>;
 /// storage); row-major RowBatches pass `data() + slot` for every slot with
 /// stride = num_cols.
 ///
-/// The program is evaluation-order-equivalent to CompiledPredicate (exact
-/// same boolean result per row; both short-circuit semantics collapse to
-/// pure boolean algebra because leaf evaluation has no side effects).
+/// Every entry point returns the same boolean per row as the reference
+/// evaluator EvalOnTable: leaves have no side effects, so short-circuit and
+/// mask-at-a-time evaluation collapse to the same boolean algebra.
+/// Constant conjuncts are pruned at Compile, so `AND(FALSE, x)` compiles
+/// to FALSE without resolving `x`.
 class PredicateProgram {
  public:
   /// Compiles `p` against a slot layout (`slots[i]` = name of column i).
   static StatusOr<PredicateProgram> Compile(
       const PredicatePtr& p, const std::vector<std::string>& slots);
+
+  /// Compiles `p` against `table`'s unqualified column names, so slot i is
+  /// `table.column(i)` — every caller that evaluates straight over table
+  /// storage (at stride 1) compiles through here.
+  static StatusOr<PredicateProgram> Compile(const PredicatePtr& p,
+                                            const Table& table);
 
   /// Refines `sel` in place to the rows satisfying the predicate.
   void FilterSelection(const int64_t* const* cols, size_t stride,
@@ -58,7 +76,9 @@ class PredicateProgram {
                       SelectionVector* sel,
                       SimdLevel simd = SimdLevel::kScalar) const;
 
-  /// Scalar evaluation over the flat program (tests, odd single rows).
+  /// Evaluates one row (`row[slot]`), conjunct by conjunct with early exit
+  /// — the per-row callers' entry point. Single-leaf conjuncts never touch
+  /// the postfix stack.
   bool EvalRow(const int64_t* row) const;
 
   /// Highest slot index referenced plus one (how many column pointers
@@ -89,13 +109,10 @@ class PredicateProgram {
   };
 
   /// IN-list membership structure: sorted values for binary search, with a
-  /// dense bitmap fallback when the value range is narrow (≤ kBitmapSpan)
-  /// — one load + compare instead of a log₂(n) probe chain.
+  /// dense bitmap fallback when the value range is narrow (below
+  /// kInDenseBitmapSpan) — one load + compare instead of a log₂(n) probe
+  /// chain.
   struct InSet {
-    /// IN-list bitmap crossover (see kInDenseBitmapSpan in predicate.h —
-    /// one shared constant so CompiledPredicate and this VM can't drift).
-    static constexpr int64_t kBitmapSpan = kInDenseBitmapSpan;
-
     std::vector<int64_t> sorted_values;
     std::vector<uint8_t> bitmap;  ///< non-empty: use bitmap membership
     int64_t min = 0;

@@ -303,145 +303,4 @@ bool EvalOnTable(const PredicatePtr& p, const Table& table, int64_t row) {
       p->node);
 }
 
-StatusOr<CompiledPredicate> CompiledPredicate::Compile(
-    const PredicatePtr& p, const std::vector<std::string>& slots) {
-  auto root_or = CompileNode(p, slots);
-  if (!root_or.ok()) return root_or.status();
-  CompiledPredicate cp;
-  cp.source_ = p;
-  cp.root_ = root_or.value();
-  return cp;
-}
-
-StatusOr<CompiledPredicate::CNodePtr> CompiledPredicate::CompileNode(
-    const PredicatePtr& p, const std::vector<std::string>& slots) {
-  Status error = Status::OK();
-  CNodePtr result = std::visit(
-      [&](const auto& n) -> CNodePtr {
-        using T = std::decay_t<decltype(n)>;
-        if constexpr (std::is_same_v<T, Comparison>) {
-          if (n.param_index >= 0) {
-            error = Status::FailedPrecondition(
-                "cannot compile predicate with unbound parameter");
-            return nullptr;
-          }
-          const int s = FindSlot(slots, n.column);
-          if (s < 0) {
-            error = Status::NotFound("slot for column '" + n.column + "'");
-            return nullptr;
-          }
-          return std::make_shared<CNode>(
-              CNode{CCmp{static_cast<size_t>(s), n.op, n.value}});
-        } else if constexpr (std::is_same_v<T, Between>) {
-          const int s = FindSlot(slots, n.column);
-          if (s < 0) {
-            error = Status::NotFound("slot for column '" + n.column + "'");
-            return nullptr;
-          }
-          return std::make_shared<CNode>(
-              CNode{CBetween{static_cast<size_t>(s), n.lo, n.hi}});
-        } else if constexpr (std::is_same_v<T, InList>) {
-          const int s = FindSlot(slots, n.column);
-          if (s < 0) {
-            error = Status::NotFound("slot for column '" + n.column + "'");
-            return nullptr;
-          }
-          std::vector<int64_t> sorted = n.values;
-          std::sort(sorted.begin(), sorted.end());
-          CIn in{static_cast<size_t>(s), std::move(sorted), {}, 0};
-          if (!in.sorted_values.empty()) {
-            const int64_t lo = in.sorted_values.front();
-            const int64_t hi = in.sorted_values.back();
-            // Unsigned differences: the span of a list reaching both ends
-            // of int64 does not fit a signed difference.
-            const uint64_t span =
-                static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
-            if (span < static_cast<uint64_t>(kInBitmapSpan)) {
-              in.bitmap_min = lo;
-              in.bitmap.assign(static_cast<size_t>(span + 1), 0);
-              for (const int64_t v : in.sorted_values) {
-                in.bitmap[static_cast<uint64_t>(v) -
-                          static_cast<uint64_t>(lo)] = 1;
-              }
-            }
-          }
-          return std::make_shared<CNode>(CNode{std::move(in)});
-        } else if constexpr (std::is_same_v<T, ColumnCmp>) {
-          const int ls = FindSlot(slots, n.left_column);
-          const int rs = FindSlot(slots, n.right_column);
-          if (ls < 0 || rs < 0) {
-            error = Status::NotFound(
-                "slot for column '" +
-                (ls < 0 ? n.left_column : n.right_column) + "'");
-            return nullptr;
-          }
-          return std::make_shared<CNode>(CNode{CColCmp{
-              static_cast<size_t>(ls), n.op, static_cast<size_t>(rs)}});
-        } else if constexpr (std::is_same_v<T, Conjunction>) {
-          CAnd node;
-          for (const auto& c : n.children) {
-            auto child = CompileNode(c, slots);
-            if (!child.ok()) { error = child.status(); return nullptr; }
-            node.children.push_back(child.value());
-          }
-          return std::make_shared<CNode>(CNode{std::move(node)});
-        } else if constexpr (std::is_same_v<T, Disjunction>) {
-          COr node;
-          for (const auto& c : n.children) {
-            auto child = CompileNode(c, slots);
-            if (!child.ok()) { error = child.status(); return nullptr; }
-            node.children.push_back(child.value());
-          }
-          return std::make_shared<CNode>(CNode{std::move(node)});
-        } else if constexpr (std::is_same_v<T, Negation>) {
-          auto child = CompileNode(n.child, slots);
-          if (!child.ok()) { error = child.status(); return nullptr; }
-          return std::make_shared<CNode>(CNode{CNot{child.value()}});
-        } else if constexpr (std::is_same_v<T, ConstPred>) {
-          return std::make_shared<CNode>(CNode{CConst{n.value}});
-        }
-      },
-      p->node);
-  if (!error.ok()) return error;
-  return result;
-}
-
-bool CompiledPredicate::EvalNode(const CNode& n, const int64_t* row) {
-  return std::visit(
-      [&](const auto& c) -> bool {
-        using T = std::decay_t<decltype(c)>;
-        if constexpr (std::is_same_v<T, CCmp>) {
-          return EvalCmp(row[c.slot], c.op, c.value);
-        } else if constexpr (std::is_same_v<T, CColCmp>) {
-          return EvalCmp(row[c.left_slot], c.op, row[c.right_slot]);
-        } else if constexpr (std::is_same_v<T, CBetween>) {
-          return row[c.slot] >= c.lo && row[c.slot] <= c.hi;
-        } else if constexpr (std::is_same_v<T, CIn>) {
-          if (!c.bitmap.empty()) {
-            // Unsigned offset: probes below the minimum wrap past the end.
-            const uint64_t off = static_cast<uint64_t>(row[c.slot]) -
-                                 static_cast<uint64_t>(c.bitmap_min);
-            return off < c.bitmap.size() && c.bitmap[off] != 0;
-          }
-          return std::binary_search(c.sorted_values.begin(),
-                                    c.sorted_values.end(), row[c.slot]);
-        } else if constexpr (std::is_same_v<T, CAnd>) {
-          for (const auto& k : c.children) {
-            if (!EvalNode(*k, row)) return false;
-          }
-          return true;
-        } else if constexpr (std::is_same_v<T, COr>) {
-          for (const auto& k : c.children) {
-            if (EvalNode(*k, row)) return true;
-          }
-          return false;
-        } else if constexpr (std::is_same_v<T, CNot>) {
-          return !EvalNode(*c.child, row);
-        } else {
-          return c.value;
-        }
-      },
-      n.node);
-}
-
 }  // namespace rqp

@@ -14,15 +14,6 @@ namespace rqp {
 /// Comparison operators supported in selection predicates.
 enum class CmpOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// IN-list membership crossover shared by every evaluator: lists whose
-/// value range spans fewer than this many integers use a dense membership
-/// bitmap (bounds check + one load) instead of a binary search over the
-/// sorted values. CompiledPredicate (per row) and PredicateProgram (batch)
-/// use the SAME crossover: both membership structures give the same
-/// answer, and one constant removes the risk of the thresholds drifting
-/// apart silently (they were two hard-coded 4096s before).
-inline constexpr int64_t kInDenseBitmapSpan = 4096;
-
 const char* CmpOpName(CmpOp op);
 bool EvalCmp(int64_t lhs, CmpOp op, int64_t rhs);
 
@@ -111,51 +102,12 @@ PredicatePtr QualifyColumns(const PredicatePtr& p, const std::string& prefix);
 
 // ---- Evaluation ----------------------------------------------------------
 
-/// Evaluates `p` against row `row` of `table`. Columns are resolved by name
-/// on every call; use CompiledPredicate on hot paths.
+/// Evaluates `p` against row `row` of `table` by walking the tree and
+/// resolving columns by name on every call — the reference evaluator: tests
+/// check every execution path against it, and ActualSelectivity (the ground
+/// truth of the selectivity tests) counts with it. Execution paths run
+/// PredicateProgram instead.
 bool EvalOnTable(const PredicatePtr& p, const Table& table, int64_t row);
-
-/// Predicate compiled against a slot layout (name -> index), for evaluation
-/// over executor tuples without per-row name lookups.
-class CompiledPredicate {
- public:
-  /// `slots[i]` is the column name occupying tuple position i.
-  static StatusOr<CompiledPredicate> Compile(
-      const PredicatePtr& p, const std::vector<std::string>& slots);
-
-  bool Eval(const int64_t* row) const { return EvalNode(*root_, row); }
-  const PredicatePtr& source() const { return source_; }
-
-  /// IN-list bitmap crossover (see kInDenseBitmapSpan).
-  static constexpr int64_t kInBitmapSpan = kInDenseBitmapSpan;
-
- private:
-  struct CNode;
-  using CNodePtr = std::shared_ptr<const CNode>;
-  struct CCmp { size_t slot; CmpOp op; int64_t value; };
-  struct CColCmp { size_t left_slot; CmpOp op; size_t right_slot; };
-  struct CBetween { size_t slot; int64_t lo, hi; };
-  struct CIn {
-    size_t slot;
-    std::vector<int64_t> sorted_values;
-    std::vector<uint8_t> bitmap;  ///< non-empty: use bitmap membership
-    int64_t bitmap_min = 0;
-  };
-  struct CAnd { std::vector<CNodePtr> children; };
-  struct COr { std::vector<CNodePtr> children; };
-  struct CNot { CNodePtr child; };
-  struct CConst { bool value; };
-  struct CNode {
-    std::variant<CCmp, CColCmp, CBetween, CIn, CAnd, COr, CNot, CConst> node;
-  };
-
-  static StatusOr<CNodePtr> CompileNode(
-      const PredicatePtr& p, const std::vector<std::string>& slots);
-  static bool EvalNode(const CNode& n, const int64_t* row);
-
-  PredicatePtr source_;
-  CNodePtr root_;
-};
 
 }  // namespace rqp
 

@@ -48,7 +48,7 @@ struct AdmissionOptions {
   /// arbitration (not by its own guardrails) is re-queued before its
   /// kOverloaded status is surfaced to the client.
   int max_shed_retries = 1;
-  /// Legacy single-tenant pick orders (WorkloadManager semantics): admit
+  /// Legacy single-tenant pick orders (the §5.5 workload experiments): admit
   /// highest priority first instead of FIFO.
   bool priority_scheduling = false;
   /// Weighted-fair queuing across tenants (virtual-time WFQ). When false,

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exec/filter_ops.h"
 #include "exec/scan_ops.h"
 #include "exec/shared_scan.h"
 #include "exec/sort_agg_ops.h"
+#include "expr/pred_program.h"
 #include "storage/data_generator.h"
 #include "util/rng.h"
 
@@ -137,26 +143,6 @@ TEST(FilterOpTest, FiltersOnQualifiedSlots) {
   auto total = DrainOperator(&filter, &ctx, nullptr);
   ASSERT_TRUE(total.ok());
   EXPECT_EQ(*total, 100);
-}
-
-TEST(ProjectOpTest, ReordersSlots) {
-  auto t = MakeTable(10);
-  auto scan = std::make_unique<TableScanOp>(t.get());
-  ProjectOp proj(std::move(scan), {"t.b", "t.a"});
-  ExecContext ctx;
-  std::vector<RowBatch> out;
-  ASSERT_TRUE(DrainOperator(&proj, &ctx, &out).ok());
-  EXPECT_EQ(out[0].row(3)[0], 3);  // b = a%10 = 3
-  EXPECT_EQ(out[0].row(3)[1], 3);  // a = 3
-  EXPECT_EQ(proj.output_slots(), (std::vector<std::string>{"t.b", "t.a"}));
-}
-
-TEST(ProjectOpTest, UnknownSlotFails) {
-  auto t = MakeTable(10);
-  auto scan = std::make_unique<TableScanOp>(t.get());
-  ProjectOp proj(std::move(scan), {"t.nope"});
-  ExecContext ctx;
-  EXPECT_FALSE(proj.Open(&ctx).ok());
 }
 
 TEST(AdaptiveFilterTest, ProducesSameRowsAsStatic) {
@@ -345,6 +331,228 @@ TEST(SharedScanTest, BadPredicateRejectedAtAttach) {
   auto t = MakeTable(10);
   SharedScan scan(t.get());
   EXPECT_FALSE(scan.Attach(MakeCmp("zz", CmpOp::kEq, 0)).ok());
+}
+
+// ---- Table and per-row predicate callers against the reference evaluator --
+//
+// Every caller below runs PredicateProgram; each is checked against
+// EvalOnTable on a table holding negatives and both int64 ends, over a
+// corpus with IN lists on both sides of the bitmap crossover, OR/NOT
+// nesting, column-to-column comparisons, constants and empty AND/OR.
+
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+/// e(k, a, b): k = i - n/2 (the index key, negative through positive) with
+/// the first and last rows at the int64 ends; a and b mix small values with
+/// a pool of negatives, IN-crossover edges and both int64 ends.
+std::unique_ptr<Table> MakeEdgeTable(int64_t n) {
+  auto t = std::make_unique<Table>(
+      "e", Schema({{"k", LogicalType::kInt64, 0, nullptr},
+                   {"a", LogicalType::kInt64, 0, nullptr},
+                   {"b", LogicalType::kInt64, 0, nullptr}}));
+  const int64_t pool[] = {kMin, kMin + 1, -5000, -7,   -1,       0,
+                          1,    7,        50,    4088, 4089,     9999,
+                          kMax - 1, kMax};
+  const int64_t pool_size = sizeof(pool) / sizeof(pool[0]);
+  Rng rng(23);
+  auto draw = [&] {
+    return rng.Uniform(0, 1) == 0 ? pool[rng.Uniform(0, pool_size - 1)]
+                                  : rng.Uniform(-60, 60);
+  };
+  std::vector<int64_t> k(static_cast<size_t>(n)), a(k.size()), b(k.size());
+  for (size_t i = 0; i < k.size(); ++i) {
+    k[i] = static_cast<int64_t>(i) - n / 2;
+    a[i] = draw();
+    b[i] = draw();
+  }
+  k.front() = kMin;
+  k.back() = kMax;
+  t->SetColumnData(0, std::move(k));
+  t->SetColumnData(1, std::move(a));
+  t->SetColumnData(2, std::move(b));
+  return t;
+}
+
+/// Predicates over e's unqualified column names.
+std::vector<PredicatePtr> EdgeCorpus() {
+  const int64_t lo = -7;
+  return {
+      MakeIn("a", {-7, 0, 7, 50}),
+      // Span just inside the bitmap crossover, then just past it.
+      MakeIn("a", {lo, lo + kInDenseBitmapSpan - 1}),
+      MakeIn("a", {lo, lo + kInDenseBitmapSpan}),
+      MakeIn("b", {kMin, 0, kMax}),
+      MakeIn("b", {kMax - 1, kMax}),
+      MakeNot(MakeIn("a", {kMin, kMin + 1})),
+      MakeOr({MakeCmp("a", CmpOp::kLt, 0),
+              MakeNot(MakeBetween("b", -20, 20))}),
+      MakeAnd({MakeOr({MakeIn("a", {1, 3, 7}),
+                       MakeColCmp("a", CmpOp::kGt, "b")}),
+               MakeNot(MakeCmp("k", CmpOp::kEq, 0))}),
+      MakeColCmp("a", CmpOp::kLe, "b"),
+      MakeColCmp("k", CmpOp::kNe, "a"),
+      MakeConst(true),
+      MakeConst(false),
+      MakeAnd({}),
+      MakeOr({}),
+      MakeNot(MakeOr({MakeAnd({}), MakeCmp("a", CmpOp::kEq, 1)})),
+      MakeAnd({MakeCmp("b", CmpOp::kGe, kMin), MakeCmp("a", CmpOp::kLe, kMax),
+               MakeBetween("k", -1000, 1000)}),
+  };
+}
+
+/// Row r of `t`, every column.
+std::vector<int64_t> TableRow(const Table& t, int64_t r) {
+  std::vector<int64_t> row;
+  for (size_t c = 0; c < t.schema().num_columns(); ++c) {
+    row.push_back(t.Value(c, r));
+  }
+  return row;
+}
+
+std::vector<std::vector<int64_t>> Rows(const std::vector<RowBatch>& batches) {
+  std::vector<std::vector<int64_t>> rows;
+  for (const RowBatch& b : batches) {
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      rows.emplace_back(b.row(r), b.row(r) + b.num_cols());
+    }
+  }
+  return rows;
+}
+
+TEST(IndexScanTest, ResidualMatchesReference) {
+  auto t = MakeEdgeTable(6000);
+  SortedIndex idx("e.k", 0);
+  idx.Build(*t);
+  for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+           {kMin, kMax}, {-1500, 1700}, {kMax, kMax}}) {
+    std::vector<int64_t> range;
+    idx.LookupRange(lo, hi, &range);
+    const auto fetched = static_cast<int64_t>(range.size());
+    for (const PredicatePtr& p : EdgeCorpus()) {
+      SCOPED_TRACE(ToString(p) + " over k in [" + std::to_string(lo) + ", " +
+                   std::to_string(hi) + "]");
+      IndexScanOp scan(t.get(), &idx, lo, hi, p);
+      ExecContext ctx;
+      std::vector<RowBatch> out;
+      ASSERT_TRUE(DrainOperator(&scan, &ctx, &out).ok());
+
+      std::vector<std::vector<int64_t>> want;
+      for (const int64_t r : range) {
+        if (EvalOnTable(p, *t, r)) want.push_back(TableRow(*t, r));
+      }
+      auto got = Rows(out);
+      std::sort(want.begin(), want.end());
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want);
+
+      EXPECT_EQ(ctx.counters().random_reads, fetched);
+      EXPECT_EQ(ctx.counters().rows_processed, fetched);
+      EXPECT_EQ(ctx.counters().predicate_evals, fetched);
+      // Chunks never overfill a batch, and a batch ends only when full.
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_LE(out[i].num_rows(), kBatchRows) << "batch " << i;
+        if (i + 1 < out.size()) {
+          EXPECT_EQ(out[i].num_rows(), kBatchRows) << "batch " << i;
+        }
+      }
+      // The clock is the row-at-a-time charge sequence: per fetched row a
+      // random read, its row CPU and one predicate eval, in that order.
+      ExecContext replay;
+      replay.ChargeIndexDescend();
+      replay.ChargeSeqPages((fetched + kRowsPerPage - 1) / kRowsPerPage,
+                            t->name());
+      for (int64_t i = 0; i < fetched; ++i) {
+        replay.ChargeRandomReads(1, t->name());
+        replay.ChargeRowCpu(1);
+        replay.ChargePredicateEvals(1);
+      }
+      EXPECT_EQ(ctx.cost(), replay.cost());
+    }
+  }
+}
+
+TEST(SharedScanTest, EveryQueryMatchesReference) {
+  auto t = MakeEdgeTable(2500);  // two full chunks and a partial one
+  const std::vector<PredicatePtr> corpus = EdgeCorpus();
+  SharedScan scan(t.get());
+  for (const PredicatePtr& p : corpus) {
+    ASSERT_TRUE(scan.Attach(p, /*collect_rows=*/true).ok()) << ToString(p);
+  }
+  ExecContext ctx;
+  ASSERT_TRUE(scan.Execute(&ctx).ok());
+  for (size_t q = 0; q < corpus.size(); ++q) {
+    std::vector<int64_t> want;
+    for (int64_t r = 0; r < t->num_rows(); ++r) {
+      if (EvalOnTable(corpus[q], *t, r)) want.push_back(r);
+    }
+    const int id = static_cast<int>(q);
+    EXPECT_EQ(scan.count(id), static_cast<int64_t>(want.size()))
+        << ToString(corpus[q]);
+    EXPECT_EQ(scan.row_ids(id), want) << ToString(corpus[q]);
+  }
+  const auto queries = static_cast<int64_t>(corpus.size());
+  EXPECT_EQ(ctx.counters().predicate_evals, t->num_rows() * queries);
+  ExecContext replay;
+  replay.ChargeSeqPages(t->num_pages());
+  replay.ChargeRowCpu(t->num_rows());
+  for (int64_t i = 0; i < t->num_rows() * queries; ++i) {
+    replay.ChargePredicateEvals(1);
+  }
+  EXPECT_EQ(ctx.cost(), replay.cost());
+}
+
+/// Predicate lists for AdaptiveFilterOp: each mixes leaf kinds with an
+/// OR/NOT conjunct, a column comparison or a constant.
+std::vector<std::vector<PredicatePtr>> AdaptiveLists() {
+  const std::vector<PredicatePtr> c = EdgeCorpus();
+  return {{c[6], c[1], c[8]},
+          {c[10], c[3], c[7], c[12]},
+          {c[2], c[5], c[9], c[14]},
+          {c[15], c[0], c[4]},
+          {c[11], c[13]},
+          {}};
+}
+
+TEST(AdaptiveFilterTest, SurvivorsMatchReferenceInInputOrder) {
+  auto t = MakeEdgeTable(5000);
+  for (const auto& list : AdaptiveLists()) {
+    std::vector<PredicatePtr> qualified;
+    std::string label;
+    for (const PredicatePtr& p : list) {
+      qualified.push_back(QualifyColumns(p, "e"));
+      label += ToString(p) + "; ";
+    }
+    SCOPED_TRACE(label);
+    std::vector<std::vector<int64_t>> want;
+    int64_t short_circuit_evals = 0;
+    for (int64_t r = 0; r < t->num_rows(); ++r) {
+      bool pass = true;
+      for (const PredicatePtr& p : list) {
+        ++short_circuit_evals;
+        if (!EvalOnTable(p, *t, r)) {
+          pass = false;
+          break;
+        }
+      }
+      if (pass) want.push_back(TableRow(*t, r));
+    }
+    for (const bool adaptive : {false, true}) {
+      AdaptiveFilterOp::Options opt;
+      opt.adaptive = adaptive;
+      opt.reorder_interval = 64;
+      AdaptiveFilterOp f(std::make_unique<TableScanOp>(t.get()), qualified,
+                         opt);
+      ExecContext ctx;
+      std::vector<RowBatch> out;
+      ASSERT_TRUE(DrainOperator(&f, &ctx, &out).ok());
+      EXPECT_EQ(Rows(out), want) << (adaptive ? "adaptive" : "static");
+      if (!adaptive) {
+        EXPECT_EQ(ctx.counters().predicate_evals, short_circuit_evals);
+      }
+    }
+  }
 }
 
 TEST(MemoryBrokerTest, GrantAndRelease) {

@@ -2,9 +2,9 @@
 // semantics-preserving under wraparound arithmetic and the typed
 // division-by-zero error, ExprProgram's op-major bytecode is bit-identical
 // to CompiledExpr's per-row tree walk (folded or not, dense or through a
-// selection vector), the shared IN-bitmap crossover constant keeps
-// CompiledPredicate and PredicateProgram on the same structure, and the
-// engine's Map path (derived projection, group-by on a derived slot, CASE,
+// selection vector), PredicateProgram's IN lists agree with plain
+// membership on both sides of the bitmap crossover, and the engine's Map
+// path (derived projection, group-by on a derived slot, CASE,
 // division by zero) matches the reference evaluator at DOP 1 and 4. Runs
 // under the `expr_vm` ctest label.
 #include <gtest/gtest.h>
@@ -214,11 +214,16 @@ TEST(ExprVmEquivalenceTest, RandomCorpusBitForBit) {
       if (st.ok() && fst.ok()) {
         EXPECT_EQ(fv, want[i]) << ToString(e) << " row " << i;
       }
-      // Scalar VM walk over the flat program.
+      // The VM over a one-row selection: the same value, and the same
+      // error exactly when this row divides by zero.
       int64_t pv = 0;
-      const Status pst = vm.value().EvalRow(&batch[i * 3], &pv);
+      ExprScratch row_scratch;
+      const Status pst = vm.value().EvalSelection(
+          cols, 3, {static_cast<uint32_t>(i)}, &pv, &row_scratch);
       EXPECT_EQ(pst.ok(), st.ok()) << ToString(e) << " row " << i;
-      if (st.ok() && pst.ok()) {
+      if (!pst.ok()) {
+        EXPECT_EQ(pst.ToString(), div0.ToString()) << ToString(e);
+      } else if (st.ok()) {
         EXPECT_EQ(pv, want[i]) << ToString(e) << " row " << i;
       }
     }
@@ -261,19 +266,16 @@ TEST(ExprVmEquivalenceTest, RandomCorpusBitForBit) {
   EXPECT_GT(evaluable, 50);
 }
 
-// ---- shared IN-bitmap crossover (satellite regression) ---------------------
+// ---- IN-bitmap crossover ---------------------------------------------------
 
-static_assert(CompiledPredicate::kInBitmapSpan == kInDenseBitmapSpan,
-              "scalar IN crossover must track the shared constant");
-
-TEST(InBitmapSpanTest, BothPathsAgreeAcrossTheCrossover) {
+TEST(InBitmapSpanTest, EveryEntryPointAgreesAcrossTheCrossover) {
   // IN lists straddling the crossover (span just inside the bitmap
   // threshold and just past it: binary search) and lists at the ends of
   // int64 (a bitmap at either end, and one list spanning the whole domain)
-  // whose spans and probe offsets overflow a signed difference. The tree
-  // walk and the bytecode, dense and refining, must agree with plain
+  // whose spans and probe offsets overflow a signed difference. The
+  // bytecode, per row, dense and refining, must agree with plain
   // membership for every probe around each value and at both ends of
-  // int64, whichever structure each one picked.
+  // int64, whichever structure it picked.
   const std::vector<std::string> slots = {"a"};
   const int64_t lo = -17;
   std::vector<std::vector<int64_t>> lists = {
@@ -282,9 +284,7 @@ TEST(InBitmapSpanTest, BothPathsAgreeAcrossTheCrossover) {
     lists.push_back({lo, lo + 3, lo + span / 2, lo + span});
   }
   for (const auto& values : lists) {
-    auto compiled = CompiledPredicate::Compile(MakeIn("a", values), slots);
     auto program = PredicateProgram::Compile(MakeIn("a", values), slots);
-    ASSERT_TRUE(compiled.ok());
     ASSERT_TRUE(program.ok());
 
     std::vector<int64_t> probes = {kI64Min, kI64Min + 1, kI64Max - 1,
@@ -300,7 +300,6 @@ TEST(InBitmapSpanTest, BothPathsAgreeAcrossTheCrossover) {
     for (size_t i = 0; i < probes.size(); ++i) {
       const bool want = std::find(values.begin(), values.end(), probes[i]) !=
                         values.end();
-      EXPECT_EQ(compiled.value().Eval(&probes[i]), want) << probes[i];
       EXPECT_EQ(program.value().EvalRow(&probes[i]), want) << probes[i];
       if (want) expect.push_back(static_cast<uint32_t>(i));
     }

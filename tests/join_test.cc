@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -339,11 +341,9 @@ TEST(MergeJoinTest, ManyToManyGroups) {
   EXPECT_EQ(DrainOperator(&join, &ctx, nullptr).value(), 12);
 }
 
-TEST(NestedLoopsJoinTest, MatchesReferenceWithPredicate) {
+TEST(NestedLoopsJoinTest, CrossJoinWithoutPredicate) {
   JoinFixture f(200, 1000, 200);
-  NestedLoopsJoinOp join(
-      f.ScanS(), f.ScanR(),
-      nullptr);  // cross join first: 1000 * 200 rows
+  NestedLoopsJoinOp join(f.ScanS(), f.ScanR(), nullptr);  // 1000 * 200 rows
   ExecContext ctx;
   EXPECT_EQ(DrainOperator(&join, &ctx, nullptr).value(), 200000);
 }
@@ -355,16 +355,80 @@ TEST(NestedLoopsJoinTest, ThetaJoin) {
   auto r = std::make_unique<Table>(
       "r", Schema({{"k", LogicalType::kInt64, 0, nullptr}}));
   r->SetColumnData(0, {2, 3, 4});
-  // l.k >= r.k pairs: (2,2),(3,2),(3,3) = 3 rows. Equality predicates only
-  // in our AST, so emulate >= via OR of equalities per value... instead use
-  // equality theta: l.k == r.k - no; test the compiled predicate path with
-  // a conjunction on both sides' columns.
+  // A conjunction with one single-side comparison per input.
   NestedLoopsJoinOp join(std::make_unique<TableScanOp>(l.get()),
                          std::make_unique<TableScanOp>(r.get()),
                          MakeAnd({MakeCmp("l.k", CmpOp::kGe, 2),
                                   MakeCmp("r.k", CmpOp::kLe, 3)}));
   ExecContext ctx;
   EXPECT_EQ(DrainOperator(&join, &ctx, nullptr).value(), 4);  // {2,3}x{2,3}
+}
+
+TEST(NestedLoopsJoinTest, ThetaPredicatesMatchNestedLoopReference) {
+  // l(k, v) and r(k, w) over negatives, small values and both int64 ends.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t pool[] = {kMin, kMin + 1, -9, -1, 0, 1, 2, 5, 9, kMax - 1,
+                          kMax};
+  Rng rng(31);
+  auto column = [&](int64_t n) {
+    std::vector<int64_t> v(static_cast<size_t>(n));
+    const auto last = static_cast<int64_t>(std::size(pool)) - 1;
+    for (auto& x : v) x = pool[rng.Uniform(0, last)];
+    return v;
+  };
+  auto two_columns = [&](const std::string& name, const std::string& second,
+                         int64_t n) {
+    auto t = std::make_unique<Table>(
+        name, Schema({{"k", LogicalType::kInt64, 0, nullptr},
+                      {second, LogicalType::kInt64, 0, nullptr}}));
+    t->SetColumnData(0, column(n));
+    t->SetColumnData(1, column(n));
+    return t;
+  };
+  auto l = two_columns("l", "v", 40);
+  auto r = two_columns("r", "w", 60);
+
+  const std::vector<int64_t> narrow = {-1, 0, 2};     // IN bitmap
+  const std::vector<int64_t> wide = {kMin, 5, kMax};  // IN binary search
+  auto in = [](const std::vector<int64_t>& set, int64_t x) {
+    return std::find(set.begin(), set.end(), x) != set.end();
+  };
+  const PredicatePtr ge = MakeColCmp("l.k", CmpOp::kGe, "r.k");
+  const PredicatePtr mixed = MakeAnd(
+      {ge, MakeOr({MakeIn("l.v", narrow), MakeIn("r.w", wide),
+                   MakeNot(MakeColCmp("l.v", CmpOp::kEq, "r.w"))})});
+  for (const bool with_or : {false, true}) {
+    NestedLoopsJoinOp join(std::make_unique<TableScanOp>(l.get()),
+                           std::make_unique<TableScanOp>(r.get()),
+                           with_or ? mixed : ge);
+    ExecContext ctx;
+    std::vector<RowBatch> out;
+    ASSERT_TRUE(DrainOperator(&join, &ctx, &out).ok());
+    std::vector<std::vector<int64_t>> got;
+    for (const RowBatch& b : out) {
+      for (size_t i = 0; i < b.num_rows(); ++i) {
+        got.emplace_back(b.row(i), b.row(i) + b.num_cols());
+      }
+    }
+    // Left-major pair order, as the operator emits.
+    std::vector<std::vector<int64_t>> want;
+    for (int64_t i = 0; i < l->num_rows(); ++i) {
+      for (int64_t j = 0; j < r->num_rows(); ++j) {
+        const int64_t lk = l->Value(0, i), lv = l->Value(1, i);
+        const int64_t rk = r->Value(0, j), rw = r->Value(1, j);
+        bool pass = EvalCmp(lk, CmpOp::kGe, rk);
+        if (with_or) {
+          pass = pass && (in(narrow, lv) || in(wide, rw) ||
+                          !EvalCmp(lv, CmpOp::kEq, rw));
+        }
+        if (pass) want.push_back({lk, lv, rk, rw});
+      }
+    }
+    EXPECT_EQ(got, want) << (with_or ? ToString(mixed) : ToString(ge));
+    EXPECT_EQ(ctx.counters().predicate_evals,
+              l->num_rows() * r->num_rows());
+  }
 }
 
 TEST(IndexNLJoinTest, MatchesReference) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "expr/pred_program.h"
 #include "expr/predicate.h"
 #include "storage/table.h"
 
@@ -71,15 +72,17 @@ TEST(PredicateTest, ColumnCmpEvaluates) {
             (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(CompiledPredicateTest, ColumnCmpCompiles) {
+TEST(PredProgramTest, ColumnCmpCompiles) {
   auto p = MakeColCmp("x", CmpOp::kLe, "y");
-  auto cp = CompiledPredicate::Compile(p, {"x", "y"});
-  ASSERT_TRUE(cp.ok());
+  auto program = PredicateProgram::Compile(p, {"x", "y"});
+  ASSERT_TRUE(program.ok());
   int64_t row_le[2] = {3, 5};
-  EXPECT_TRUE(cp->Eval(row_le));
+  EXPECT_TRUE(program->EvalRow(row_le));
   int64_t row_gt[2] = {6, 5};
-  EXPECT_FALSE(cp->Eval(row_gt));
-  EXPECT_FALSE(CompiledPredicate::Compile(p, {"x"}).ok());
+  EXPECT_FALSE(program->EvalRow(row_gt));
+  // Either side missing from the layout fails.
+  EXPECT_FALSE(PredicateProgram::Compile(p, {"x"}).ok());
+  EXPECT_FALSE(PredicateProgram::Compile(p, {"y"}).ok());
 }
 
 TEST(PredicateTest, ToStringIsReadable) {
@@ -105,39 +108,36 @@ TEST(PredicateTest, ParamsBindAndDetect) {
   EXPECT_EQ(CountMatches(bound, t), 3);
 }
 
-TEST(CompiledPredicateTest, MatchesInterpretedEval) {
+TEST(PredProgramTest, MissingSlotFails) {
+  auto program = PredicateProgram::Compile(MakeCmp("zz", CmpOp::kEq, 1),
+                                           {"a", "b"});
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().code(), StatusCode::kNotFound);
+  // Against a table the layout is its unqualified column names.
   Table t = MakeTestTable();
-  auto p = MakeAnd({MakeOr({MakeCmp("a", CmpOp::kLe, 2),
-                            MakeCmp("a", CmpOp::kGe, 5)}),
-                    MakeNot(MakeCmp("b", CmpOp::kEq, 10))});
-  auto cp = CompiledPredicate::Compile(p, {"a", "b"});
-  ASSERT_TRUE(cp.ok());
-  for (int64_t r = 0; r < t.num_rows(); ++r) {
-    int64_t row[2] = {t.Value(0, r), t.Value(1, r)};
-    EXPECT_EQ(cp->Eval(row), EvalOnTable(p, t, r)) << "row " << r;
-  }
+  EXPECT_TRUE(PredicateProgram::Compile(MakeCmp("a", CmpOp::kEq, 1), t).ok());
+  EXPECT_FALSE(
+      PredicateProgram::Compile(MakeCmp("t.a", CmpOp::kEq, 1), t).ok());
 }
 
-TEST(CompiledPredicateTest, InListUsesBinarySearch) {
-  auto p = MakeIn("x", {9, 1, 5});
-  auto cp = CompiledPredicate::Compile(p, {"x"});
-  ASSERT_TRUE(cp.ok());
-  int64_t row[1] = {5};
-  EXPECT_TRUE(cp->Eval(row));
-  row[0] = 2;
-  EXPECT_FALSE(cp->Eval(row));
-}
-
-TEST(CompiledPredicateTest, MissingSlotFails) {
-  auto p = MakeCmp("zz", CmpOp::kEq, 1);
-  auto cp = CompiledPredicate::Compile(p, {"a", "b"});
-  EXPECT_FALSE(cp.ok());
-}
-
-TEST(CompiledPredicateTest, UnboundParamFails) {
-  auto p = MakeParamCmp("a", CmpOp::kEq, 0);
-  auto cp = CompiledPredicate::Compile(p, {"a"});
-  EXPECT_FALSE(cp.ok());
+TEST(PredProgramTest, ConstantConjunctsArePrunedBeforeResolution) {
+  // A FALSE conjunct collapses the conjunction before any column resolves,
+  // so an unknown column (or an unbound parameter) beside it compiles.
+  Table t = MakeTestTable();
+  auto never = PredicateProgram::Compile(
+      MakeAnd({MakeConst(false), MakeCmp("zz", CmpOp::kEq, 1)}), t);
+  ASSERT_TRUE(never.ok());
+  EXPECT_EQ(never->num_conjuncts(), 1u);
+  const int64_t row[2] = {1, 10};
+  EXPECT_FALSE(never->EvalRow(row));
+  EXPECT_TRUE(PredicateProgram::Compile(
+                  MakeAnd({MakeParamCmp("a", CmpOp::kEq, 0), MakeConst(false)}),
+                  t)
+                  .ok());
+  // TRUE conjuncts are dropped, but the rest still resolves.
+  EXPECT_FALSE(PredicateProgram::Compile(
+                   MakeAnd({MakeConst(true), MakeCmp("zz", CmpOp::kEq, 1)}), t)
+                   .ok());
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Predicate-bytecode tests (DESIGN.md §10): the flattened predicate
-// bytecode (PredicateProgram) agrees with CompiledPredicate on every
-// predicate shape, the CIn lookup structures (sorted binary search + dense
-// bitmap fallback) are correct, and engine answers for the scan predicate
+// bytecode (PredicateProgram) agrees with the reference evaluator
+// (EvalOnTable) on every predicate shape through every entry point, the IN
+// lookup structures (sorted binary search + dense bitmap fallback) are
+// correct, and engine answers for the scan predicate
 // corpus, star joins, join+agg, the equivalence suite, and unbound
 // parameters match the reference evaluator at DOP 1 and 4. Runs under the
 // `vectorized` ctest label (both sanitizer CI legs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -18,7 +20,7 @@
 namespace rqp {
 namespace {
 
-// ---- PredicateProgram vs CompiledPredicate ---------------------------------
+// ---- PredicateProgram vs the reference evaluator ----------------------------
 
 /// Two-column row set covering negatives, zero, domain edges, and values on
 /// both sides of every constant used by the predicate corpus below.
@@ -64,7 +66,14 @@ std::vector<PredicatePtr> PredicateCorpus() {
   return corpus;
 }
 
-TEST(PredProgramTest, AgreesWithCompiledPredicateEverywhere) {
+/// One int64 column `a` holding `values`, one row each.
+Table OneColumnTable(const std::vector<int64_t>& values) {
+  Table t("t", Schema({{"a", LogicalType::kInt64, 0, nullptr}}));
+  t.SetColumnData(0, values);
+  return t;
+}
+
+TEST(PredProgramTest, AgreesWithReferenceEverywhere) {
   const std::vector<std::string> slots = {"a", "b"};
   const auto rows = TestRows();
 
@@ -73,46 +82,50 @@ TEST(PredProgramTest, AgreesWithCompiledPredicateEverywhere) {
   for (const auto& r : rows) batch.insert(batch.end(), r.begin(), r.end());
   const int64_t* strided_cols[2] = {batch.data(), batch.data() + 1};
 
-  // Columnar copy, for the stride-1 (table scan) path.
+  // The same rows as a table: the oracle's input and the stride-1 (table
+  // scan) path's column storage.
   std::vector<int64_t> col_a, col_b;
   for (const auto& r : rows) {
     col_a.push_back(r[0]);
     col_b.push_back(r[1]);
   }
-  const int64_t* columnar_cols[2] = {col_a.data(), col_b.data()};
+  Table table("t", Schema({{"a", LogicalType::kInt64, 0, nullptr},
+                           {"b", LogicalType::kInt64, 0, nullptr}}));
+  table.SetColumnData(0, col_a);
+  table.SetColumnData(1, col_b);
+  const int64_t* columnar_cols[2] = {table.column(0).data(),
+                                     table.column(1).data()};
 
   for (const auto& p : PredicateCorpus()) {
-    auto compiled = CompiledPredicate::Compile(p, slots);
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    auto program = PredicateProgram::Compile(p, slots);
+    auto program = PredicateProgram::Compile(p, table);
     ASSERT_TRUE(program.ok()) << program.status().ToString();
 
     SelectionVector expect;
     for (size_t i = 0; i < rows.size(); ++i) {
-      const bool want = compiled.value().Eval(rows[i].data());
+      const bool want = EvalOnTable(p, table, static_cast<int64_t>(i));
       EXPECT_EQ(program.value().EvalRow(rows[i].data()), want)
-          << "EvalRow row " << i;
+          << ToString(p) << " EvalRow row " << i;
       if (want) expect.push_back(static_cast<uint32_t>(i));
     }
 
     SelectionVector sel;
     program.value().BuildSelection(strided_cols, /*stride=*/2, rows.size(),
                                    &sel);
-    EXPECT_EQ(sel, expect) << "strided BuildSelection";
+    EXPECT_EQ(sel, expect) << ToString(p) << " strided BuildSelection";
     program.value().BuildSelection(columnar_cols, /*stride=*/1, rows.size(),
                                    &sel);
-    EXPECT_EQ(sel, expect) << "columnar BuildSelection";
+    EXPECT_EQ(sel, expect) << ToString(p) << " columnar BuildSelection";
 
     // FilterSelection refines an arbitrary subset (every other test row).
     SelectionVector odd, odd_expect;
     for (size_t i = 1; i < rows.size(); i += 2) {
       odd.push_back(static_cast<uint32_t>(i));
-      if (compiled.value().Eval(rows[i].data())) {
+      if (EvalOnTable(p, table, static_cast<int64_t>(i))) {
         odd_expect.push_back(static_cast<uint32_t>(i));
       }
     }
     program.value().FilterSelection(strided_cols, /*stride=*/2, &odd);
-    EXPECT_EQ(odd, odd_expect) << "FilterSelection over subset";
+    EXPECT_EQ(odd, odd_expect) << ToString(p) << " FilterSelection";
   }
 }
 
@@ -134,25 +147,45 @@ TEST(PredProgramTest, UnboundParameterIsRejected) {
   EXPECT_FALSE(program.ok());
 }
 
-// ---- CIn regression (satellite: verify binary search & bitmap fallback) ----
+// ---- IN-list regression: binary search and bitmap fallback -----------------
+
+/// Checks `values` as an IN list on every probe: EvalRow and BuildSelection
+/// against the reference evaluator over a one-column table of the probes,
+/// and against `members` (the probes that must match).
+void ExpectInList(const std::vector<int64_t>& values,
+                  const std::vector<int64_t>& probes,
+                  const std::vector<int64_t>& members) {
+  const PredicatePtr in = MakeIn("a", values);
+  const Table t = OneColumnTable(probes);
+  auto program = PredicateProgram::Compile(in, t);
+  ASSERT_TRUE(program.ok());
+  SelectionVector expect;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const bool want = EvalOnTable(in, t, static_cast<int64_t>(i));
+    EXPECT_EQ(want, std::find(members.begin(), members.end(), probes[i]) !=
+                        members.end())
+        << probes[i];
+    EXPECT_EQ(program.value().EvalRow(&probes[i]), want) << probes[i];
+    if (want) expect.push_back(static_cast<uint32_t>(i));
+  }
+  const int64_t* cols[1] = {t.column(0).data()};
+  SelectionVector sel;
+  program.value().BuildSelection(cols, /*stride=*/1, probes.size(), &sel);
+  EXPECT_EQ(sel, expect);
+}
 
 TEST(CInRegressionTest, UnsortedInputIsSortedBeforeBinarySearch) {
-  // Wide span (> kInBitmapSpan) forces the binary-search path. The input
-  // list is descending with duplicates and negatives: if Compile did not
-  // sort it, std::binary_search's precondition would be violated and
+  // Wide span (past kInDenseBitmapSpan) forces the binary-search path. The
+  // input list is descending with duplicates and negatives: if Compile did
+  // not sort it, std::binary_search's precondition would be violated and
   // members would be missed.
   const std::vector<int64_t> values = {9999, 7, 7, -3, 0, 4200, -5000};
-  ASSERT_GT(9999 - (-5000), CompiledPredicate::kInBitmapSpan);
-  auto compiled = CompiledPredicate::Compile(MakeIn("a", values), {"a"});
-  ASSERT_TRUE(compiled.ok());
-  for (const int64_t v : values) {
-    const int64_t row[1] = {v};
-    EXPECT_TRUE(compiled.value().Eval(row)) << v;
-  }
+  ASSERT_GT(9999 - (-5000), kInDenseBitmapSpan);
+  std::vector<int64_t> probes = values;
   for (const int64_t v : {-5001, -4, -1, 1, 8, 4199, 10000}) {
-    const int64_t row[1] = {v};
-    EXPECT_FALSE(compiled.value().Eval(row)) << v;
+    probes.push_back(v);
   }
+  ExpectInList(values, probes, values);
 }
 
 TEST(CInRegressionTest, NarrowRangeUsesBitmapWithSameSemantics) {
@@ -160,17 +193,12 @@ TEST(CInRegressionTest, NarrowRangeUsesBitmapWithSameSemantics) {
   // binary-search semantics exactly, including below-min and above-max
   // probes (the bounds check) and negatives.
   const std::vector<int64_t> values = {-3, 5, 8, 8, 100};
-  ASSERT_LT(100 - (-3), CompiledPredicate::kInBitmapSpan);
-  auto compiled = CompiledPredicate::Compile(MakeIn("a", values), {"a"});
-  ASSERT_TRUE(compiled.ok());
-  for (const int64_t v : values) {
-    const int64_t row[1] = {v};
-    EXPECT_TRUE(compiled.value().Eval(row)) << v;
-  }
+  ASSERT_LT(100 - (-3), kInDenseBitmapSpan);
+  std::vector<int64_t> probes = values;
   for (const int64_t v : {-1000000, -4, -2, 0, 4, 6, 99, 101, 1000000}) {
-    const int64_t row[1] = {v};
-    EXPECT_FALSE(compiled.value().Eval(row)) << v;
+    probes.push_back(v);
   }
+  ExpectInList(values, probes, values);
 }
 
 TEST(CInRegressionTest, BitmapAndSearchPathsAgreeOnSharedValues) {
@@ -180,14 +208,10 @@ TEST(CInRegressionTest, BitmapAndSearchPathsAgreeOnSharedValues) {
   const std::vector<int64_t> narrow = {2, 40, 777};
   std::vector<int64_t> wide = narrow;
   wide.push_back(100000);
-  auto c_narrow = CompiledPredicate::Compile(MakeIn("a", narrow), {"a"});
-  auto c_wide = CompiledPredicate::Compile(MakeIn("a", wide), {"a"});
-  ASSERT_TRUE(c_narrow.ok());
-  ASSERT_TRUE(c_wide.ok());
-  for (int64_t v = -10; v <= 1000; ++v) {
-    const int64_t row[1] = {v};
-    EXPECT_EQ(c_narrow.value().Eval(row), c_wide.value().Eval(row)) << v;
-  }
+  std::vector<int64_t> probes;
+  for (int64_t v = -10; v <= 1000; ++v) probes.push_back(v);
+  ExpectInList(narrow, probes, narrow);
+  ExpectInList(wide, probes, narrow);
 }
 
 // ---- engine answers against the reference evaluator -----------------------
@@ -250,7 +274,7 @@ TEST_F(ReferenceFixture, StarJoinAndJoinAggMatchReference) {
 TEST(ReferenceEquivalenceTest, EquivalenceSuiteMatchesReference) {
   // The rewrite-equivalence families (negation, IN-vs-OR, range phrasing,
   // tautological padding) stress exactly the predicate shapes where the
-  // bytecode could diverge from the tree walk.
+  // bytecode could diverge from the reference evaluator.
   Catalog catalog;
   Table* t = catalog
                  .AddTable("t", Schema({{"a", LogicalType::kInt64, 0, nullptr},

@@ -4,29 +4,35 @@
 
 namespace rqp {
 
+// Column-at-a-time strided stores: each view is read sequentially (a dense
+// range) or gathered through the row ids.
+void ColumnBatch::WriteRows(int64_t* dst, size_t stride) const {
+  if (has_sel_) {
+    WriteRowIds(sel_.data(), n_, dst, stride);
+    return;
+  }
+  for (size_t c = 0; c < bases_.size(); ++c) {
+    const int64_t* src = bases_[c] + phys_begin_;
+    int64_t* d = dst + c;
+    for (size_t i = 0; i < n_; ++i) d[i * stride] = src[i];
+  }
+}
+
+void ColumnBatch::WriteRowIds(const uint32_t* ids, size_t n, int64_t* dst,
+                              size_t stride) const {
+  for (size_t c = 0; c < bases_.size(); ++c) {
+    const int64_t* src = bases_[c];
+    int64_t* d = dst + c;
+    for (size_t i = 0; i < n; ++i) d[i * stride] = src[ids[i]];
+  }
+}
+
 void ColumnBatch::MaterializeInto(RowBatch* out, ExecContext* ctx) const {
-  const size_t ncols = cols_.size();
+  const size_t ncols = bases_.size();
   std::vector<int64_t>& data = out->mutable_data();
   const size_t base = data.size();
   data.resize(base + n_ * ncols);
-  int64_t* dst = data.data() + base;
-  // Column-at-a-time strided stores: each source (view gather or flat run)
-  // is read sequentially.
-  for (size_t c = 0; c < ncols; ++c) {
-    const Column& col = cols_[c];
-    int64_t* d = dst + c;
-    if (!col.is_view) {
-      const int64_t* src = col.flat.data();
-      for (size_t i = 0; i < n_; ++i) d[i * ncols] = src[i];
-    } else if (has_sel_) {
-      const uint32_t* sel = sel_.data();
-      const int64_t* src = col.base;
-      for (size_t i = 0; i < n_; ++i) d[i * ncols] = src[sel[i]];
-    } else {
-      const int64_t* src = col.base + phys_begin_;
-      for (size_t i = 0; i < n_; ++i) d[i * ncols] = src[i];
-    }
-  }
+  WriteRows(data.data() + base, ncols);
   if (ctx != nullptr) {
     ctx->counters().rows_materialized += static_cast<int64_t>(n_);
   }

@@ -68,11 +68,11 @@ struct ExecCounters {
   int64_t rows_broadcast = 0;    ///< rows replicated to all shards
   int64_t morsels_stolen = 0;    ///< straggler morsels moved across shards
   int64_t hot_keys = 0;          ///< heavy-hitter keys diverted to broadcast
-  // Late-materialization diagnostics (PR 10). Pure diagnostics with zero
-  // cost-clock charge: they record where column views were transposed to
-  // row-major and where they were consumed as views, never moving the clock.
-  int64_t rows_materialized = 0;  ///< columnar rows converted to row-major
-  int64_t transposes_elided = 0;  ///< rows consumed columnar, never transposed
+  // Scan-view diagnostics. Pure diagnostics with zero cost-clock charge:
+  // they record where a TableScanOp's column views were written row-major
+  // and where a consumer read them as views, never moving the clock.
+  int64_t rows_materialized = 0;  ///< rows written row-major from scan views
+  int64_t transposes_elided = 0;  ///< scan rows a consumer read as views
 
   void Merge(const ExecCounters& o) {
     cost_units += o.cost_units;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "exec/scan_ops.h"
 #include "expr/rewriter.h"
 
 namespace rqp {
@@ -14,69 +15,10 @@ Status FilterOp::Open(ExecContext* ctx) {
   auto program = PredicateProgram::Compile(predicate_, child_->output_slots());
   if (!program.ok()) return program.status();
   program_ = std::move(program.value());
-  // Columnar pass-through needs a child whose view bases are table storage
-  // (stable across fetches): the filter packs survivors from several child
-  // batches into one output batch over a single set of bases.
-  columnar_ = child_->supports_columnar() && child_->stable_columnar_views();
-  return Status::OK();
-}
-
-// Columnar filter: the child's column views pass through untouched and only
-// the selection is refined — dense input runs the fused iota+compact
-// (BuildSelection, the SIMD compare+compact entry point) and selective input
-// is refined in place over the absolute row ids. No row is ever copied, and
-// the charge sequence (one whole-batch eval charge between child fetches)
-// matches the row-major path below.
-Status FilterOp::NextColumnar(ColumnBatch* out) {
-  const size_t ncols = output_slots().size();
-  out->Reset(ncols);
-  out->set_stable_views(true);
-  out->UseSelection();
-  std::vector<uint32_t>& osel = out->mutable_sel();
-  bool bases_set = false;
-  while (out->num_rows() < kBatchRows) {
-    RQP_RETURN_IF_ERROR(child_->NextColumnar(&in_col_));
-    if (in_col_.empty()) break;
-    ctx_->counters().transposes_elided +=
-        static_cast<int64_t>(in_col_.num_rows());
-    ctx_->ChargePredicateEvals(static_cast<int64_t>(in_col_.num_rows()));
-    if (!bases_set) {
-      for (size_t c = 0; c < ncols; ++c) out->SetView(c, in_col_.col(c).base);
-      bases_set = true;
-    }
-    col_ptrs_.resize(ncols);
-    if (!in_col_.has_selection()) {
-      for (size_t c = 0; c < ncols; ++c) col_ptrs_[c] = in_col_.DensePtr(c);
-      program_->BuildSelection(col_ptrs_.data(), /*stride=*/1,
-                               in_col_.num_rows(), &sel_, ctx_->simd());
-      const uint32_t base = static_cast<uint32_t>(in_col_.phys_begin());
-      for (const uint32_t r : sel_) osel.push_back(base + r);
-      out->set_num_rows(out->num_rows() + sel_.size());
-    } else {
-      // Selective input: bases are absolute, so the child's row ids feed
-      // straight into FilterSelection at stride 1.
-      for (size_t c = 0; c < ncols; ++c) col_ptrs_[c] = in_col_.col(c).base;
-      sel_ = in_col_.sel();
-      program_->FilterSelection(col_ptrs_.data(), /*stride=*/1, &sel_);
-      osel.insert(osel.end(), sel_.begin(), sel_.end());
-      out->set_num_rows(out->num_rows() + sel_.size());
-    }
-  }
-  CountProducedRows(ctx_, static_cast<int64_t>(out->num_rows()),
-                    /*eof=*/out->empty());
   return Status::OK();
 }
 
 Status FilterOp::Next(RowBatch* out) {
-  if (columnar_) {
-    RQP_RETURN_IF_ERROR(NextColumnar(&col_scratch_));
-    out->Reset(output_slots().size());
-    col_scratch_.MaterializeInto(out, ctx_);
-    return Status::OK();
-  }
-  // Row-major input (a non-columnar child): the same bytecode runs over the
-  // batch viewed column-wise at stride = num_cols, with one eval charge per
-  // input batch.
   out->Reset(output_slots().size());
   while (!out->full()) {
     RQP_RETURN_IF_ERROR(child_->Next(&in_));
@@ -113,98 +55,71 @@ Status MapOp::Open(ExecContext* ctx) {
     if (!p.ok()) return p.status();
     programs_.push_back(std::move(p.value()));
   }
-  columnar_ = child_->supports_columnar() && child_->stable_columnar_views();
+  scan_ = dynamic_cast<TableScanOp*>(child_.get());
   return Status::OK();
 }
 
-// Columnar map: input views pass through and each derived column is computed
-// stride-free straight off the child's column storage — dense input runs
-// EvalDense at stride 1 over the view range, selective input runs
-// EvalSelection over the absolute row ids (which gathers each referenced
-// slot once, then evaluates stride-1). The input rows themselves are never
-// copied. Charge order matches the row-major path: whole-batch eval charge
-// before evaluation, per-row CPU after.
-Status MapOp::NextColumnar(ColumnBatch* out) {
-  RQP_RETURN_IF_ERROR(child_->NextColumnar(&in_col_));
-  const size_t n = in_col_.num_rows();
-  const size_t width = in_col_.num_cols();
-  ctx_->counters().transposes_elided += static_cast<int64_t>(n);
-  if (n > 0 && !derived_.empty()) {
-    ctx_->ChargePredicateEvals(static_cast<int64_t>(n * derived_.size()));
-  }
-  out->Reset(slots_.size());
-  for (size_t c = 0; c < width; ++c) out->SetView(c, in_col_.col(c).base);
-  if (in_col_.has_selection()) {
-    out->UseSelection();
-    out->mutable_sel() = in_col_.sel();
-    out->set_num_rows(n);
-  } else {
-    out->SetDense(in_col_.phys_begin(), n);
-  }
-  if (n > 0) {
-    col_ptrs_.resize(width);
-    if (in_col_.has_selection()) {
-      for (size_t c = 0; c < width; ++c) col_ptrs_[c] = in_col_.col(c).base;
-      for (size_t d = 0; d < programs_.size(); ++d) {
-        std::vector<int64_t>& flat = out->col(width + d).flat;
-        flat.resize(n);
-        RQP_RETURN_IF_ERROR(programs_[d].EvalSelection(
-            col_ptrs_.data(), /*stride=*/1, in_col_.sel(), flat.data(),
-            &scratch_));
-      }
-    } else {
-      for (size_t c = 0; c < width; ++c) col_ptrs_[c] = in_col_.DensePtr(c);
-      for (size_t d = 0; d < programs_.size(); ++d) {
-        std::vector<int64_t>& flat = out->col(width + d).flat;
-        flat.resize(n);
-        RQP_RETURN_IF_ERROR(programs_[d].EvalDense(col_ptrs_.data(),
-                                                   /*stride=*/1, n,
-                                                   flat.data(), &scratch_));
-      }
-    }
-  }
-  ctx_->ChargeRowCpu(static_cast<int64_t>(n));
-  CountProducedRows(ctx_, static_cast<int64_t>(n), /*eof=*/out->empty());
-  return Status::OK();
-}
-
+// Derived columns are evaluated column-at-a-time into derived_vals_: over a
+// scan's views stride-free (EvalDense over a dense range, EvalSelection over
+// the absolute row ids, which gathers each referenced slot once), or over
+// input rows at stride = width. Each output row is then written once,
+// straight into the batch. Charge order: whole-batch eval charge before
+// evaluation, per-row CPU after.
 Status MapOp::Next(RowBatch* out) {
-  if (columnar_) {
-    RQP_RETURN_IF_ERROR(NextColumnar(&col_scratch_));
-    out->Reset(slots_.size());
-    col_scratch_.MaterializeInto(out, ctx_);
-    return Status::OK();
-  }
   out->Reset(slots_.size());
-  RQP_RETURN_IF_ERROR(child_->Next(&in_));
-  const size_t n = in_.num_rows();
-  const size_t width = in_.num_cols();
+  size_t n = 0;
+  if (scan_ != nullptr) {
+    RQP_RETURN_IF_ERROR(scan_->NextColumnar(&in_col_));
+    n = in_col_.num_rows();
+    ctx_->counters().transposes_elided += static_cast<int64_t>(n);
+  } else {
+    RQP_RETURN_IF_ERROR(child_->Next(&in_));
+    n = in_.num_rows();
+  }
+  const size_t width = slots_.size() - derived_.size();
   // Whole-batch eval charge, flushed before any evaluation, so the clock at
   // every guardrail and fault point is the same whether an expression
   // errors mid-batch or not.
   if (n > 0 && !derived_.empty()) {
     ctx_->ChargePredicateEvals(static_cast<int64_t>(n * derived_.size()));
   }
+  derived_vals_.resize(programs_.size());
   if (n > 0) {
+    const bool selection = scan_ != nullptr && in_col_.has_selection();
+    const size_t stride = scan_ != nullptr ? 1 : width;
     col_ptrs_.resize(width);
-    const int64_t* base = in_.data().data();
-    for (size_t c = 0; c < width; ++c) col_ptrs_[c] = base + c;
-    derived_vals_.resize(programs_.size());
+    for (size_t c = 0; c < width; ++c) {
+      col_ptrs_[c] = scan_ == nullptr ? in_.data().data() + c
+                     : selection      ? in_col_.base(c)
+                                      : in_col_.DensePtr(c);
+    }
     for (size_t d = 0; d < programs_.size(); ++d) {
       derived_vals_[d].resize(n);
-      RQP_RETURN_IF_ERROR(programs_[d].EvalDense(col_ptrs_.data(), width, n,
-                                                 derived_vals_[d].data(),
-                                                 &scratch_));
+      int64_t* vals = derived_vals_[d].data();
+      RQP_RETURN_IF_ERROR(
+          selection ? programs_[d].EvalSelection(col_ptrs_.data(), 1,
+                                                 in_col_.sel(), vals, &scratch_)
+                    : programs_[d].EvalDense(col_ptrs_.data(), stride, n,
+                                             vals, &scratch_));
     }
   }
-  std::vector<int64_t> row(slots_.size());
-  for (size_t r = 0; r < n; ++r) {
-    const int64_t* src = in_.row(r);
-    std::copy(src, src + width, row.begin());
-    for (size_t d = 0; d < derived_.size(); ++d) {
-      row[width + d] = derived_vals_[d][r];
+  const size_t out_width = slots_.size();
+  std::vector<int64_t>& data = out->mutable_data();
+  data.resize(n * out_width);
+  int64_t* dst = data.data();
+  if (scan_ != nullptr) {
+    in_col_.WriteRows(dst, out_width);
+    ctx_->counters().rows_materialized += static_cast<int64_t>(n);
+  } else {
+    for (size_t r = 0; r < n; ++r) {
+      const int64_t* src = in_.row(r);
+      std::copy(src, src + width, dst + r * out_width);
     }
-    out->AppendRow(row);
+  }
+  for (size_t d = 0; d < derived_vals_.size(); ++d) {
+    const int64_t* vals = derived_vals_[d].data();
+    int64_t* col = dst + width + d;
+    for (size_t r = 0; r < n; ++r) col[r * out_width] = vals[r];
   }
   ctx_->ChargeRowCpu(static_cast<int64_t>(n));
   CountProduced(ctx_, *out, /*eof=*/out->empty());

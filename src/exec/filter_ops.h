@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/column_batch.h"
 #include "exec/operator.h"
 #include "expr/expr.h"
 #include "expr/expr_program.h"
@@ -14,7 +15,13 @@
 
 namespace rqp {
 
-/// Filters child rows by a predicate over qualified slot names.
+class TableScanOp;
+
+/// Filters child rows by a predicate over qualified slot names. The
+/// optimizer places it only above a join (the index-NL-join inner residual
+/// and cyclic-edge residuals), so it reads rows: the bytecode runs over each
+/// input batch viewed column-wise at stride = num_cols, with one eval charge
+/// per input batch.
 class FilterOp : public Operator {
  public:
   FilterOp(OperatorPtr child, PredicatePtr predicate)
@@ -23,9 +30,6 @@ class FilterOp : public Operator {
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  bool supports_columnar() const override { return columnar_; }
-  bool stable_columnar_views() const override { return columnar_; }
-  Status NextColumnar(ColumnBatch* out) override;
   const std::vector<std::string>& output_slots() const override {
     return child_->output_slots();
   }
@@ -35,18 +39,10 @@ class FilterOp : public Operator {
   OperatorPtr child_;
   PredicatePtr predicate_;
   ExecContext* ctx_ = nullptr;
-  /// The predicate as flat bytecode: run over column views (columnar child)
-  /// or over the input batch viewed column-wise (stride = num_cols).
   std::optional<PredicateProgram> program_;
   RowBatch in_;  ///< reused input batch — no per-Next allocation
   std::vector<const int64_t*> col_ptrs_;
   SelectionVector sel_;
-  // Columnar path (a stable columnar child): the child's column views pass
-  // through untouched and only the selection vector is refined — filtering
-  // never copies a row.
-  bool columnar_ = false;
-  ColumnBatch in_col_;       ///< reused columnar input
-  ColumnBatch col_scratch_;  ///< bridge scratch for row-major Next
 };
 
 /// Computes derived columns through the expression layer and appends them
@@ -58,6 +54,11 @@ class FilterOp : public Operator {
 /// so a batch errors iff one of its rows would, and the whole-batch eval
 /// charge is flushed before evaluation so the clock is the same on the
 /// error path.
+///
+/// A TableScanOp child hands over its column views: the programs run over
+/// them stride-free (EvalDense over a dense range, EvalSelection over a
+/// selection) and each output row is written once, straight from the views.
+/// Any other child's rows are evaluated at stride = width and copied once.
 class MapOp : public Operator {
  public:
   MapOp(OperatorPtr child, std::vector<DerivedColumn> derived);
@@ -65,11 +66,6 @@ class MapOp : public Operator {
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
   void Close() override { child_->Close(); }
-  bool supports_columnar() const override { return columnar_; }
-  // Derived columns are flat vectors owned by a scratch batch that is
-  // rewritten every fetch, so Map output views are NOT stable across calls.
-  bool stable_columnar_views() const override { return false; }
-  Status NextColumnar(ColumnBatch* out) override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
   }
@@ -83,17 +79,11 @@ class MapOp : public Operator {
   /// One VM program per derived column.
   std::vector<ExprProgram> programs_;
   ExprScratch scratch_;
-  // Row-major path (a non-columnar child): the programs run dense over the
-  // batch at stride = num_cols.
-  RowBatch in_;  ///< reused input batch — no per-Next allocation
+  TableScanOp* scan_ = nullptr;  ///< the child, when it is a scan (at Open)
+  ColumnBatch in_col_;  ///< reused view input from scan_
+  RowBatch in_;         ///< reused row input from any other child
   std::vector<const int64_t*> col_ptrs_;
-  std::vector<std::vector<int64_t>> derived_vals_;
-  // Columnar path (a stable columnar child): child views pass through,
-  // derived columns are computed stride-free straight off the views into
-  // flat vectors — input rows are never copied here.
-  bool columnar_ = false;
-  ColumnBatch in_col_;       ///< reused columnar input
-  ColumnBatch col_scratch_;  ///< bridge scratch for row-major Next
+  std::vector<std::vector<int64_t>> derived_vals_;  ///< [derived][row]
 };
 
 /// Conjunctive filter with run-time predicate reordering — the A-Greedy /

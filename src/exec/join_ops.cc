@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "exec/scan_ops.h"
 #include "expr/simd.h"
 
 namespace rqp {
@@ -272,21 +273,22 @@ Status HashJoinOp::RunBuildFromFile(SpillFile* file) {
   return FinishBuildPhase();
 }
 
-Status HashJoinOp::FetchProbeBatch() {
+Status HashJoinOp::FetchProbeBatch(bool* eof) {
   size_t n = 0;
-  if (probe_file_ == nullptr && columnar_) {
-    // Depth-0 columnar fetch: pull the probe child's column views and gather
-    // only the key column. Payload columns are never touched here —
-    // emission references them by absolute row id, and only spill routing
-    // gathers a full row (on demand, counted as materialized).
-    RQP_RETURN_IF_ERROR(probe_child_->NextColumnar(&probe_col_));
+  if (probe_file_ == nullptr && scan_probe_ != nullptr) {
+    // Depth-0 view fetch: pull the scan's column views and gather only the
+    // key column. Payload columns are never touched here — emission reads
+    // them by absolute row id, and only spill routing gathers a full row
+    // (on demand, counted as materialized).
+    RQP_RETURN_IF_ERROR(scan_probe_->NextColumnar(&probe_col_));
     probe_via_views_ = true;
     probe_batch_.Clear();
     n = probe_col_.num_rows();
+    *eof = n == 0;
     if (n == 0) return Status::OK();
     ctx_->counters().transposes_elided += static_cast<int64_t>(n);
     probe_keys_.resize(n);
-    const int64_t* key_base = probe_col_.col(probe_key_idx_).base;
+    const int64_t* key_base = probe_col_.base(probe_key_idx_);
     if (probe_col_.has_selection()) {
       const uint32_t* sel = probe_col_.sel().data();
       for (size_t i = 0; i < n; ++i) probe_keys_[i] = key_base[sel[i]];
@@ -295,8 +297,7 @@ Status HashJoinOp::FetchProbeBatch() {
       std::copy(src, src + n, probe_keys_.begin());
     }
   } else {
-    // Row-major probe input: a non-columnar child or a recursive task's
-    // spill file.
+    // Row probe input: any other child or a recursive task's spill file.
     if (probe_file_ == nullptr) {
       RQP_RETURN_IF_ERROR(probe_child_->Next(&probe_batch_));
     } else {
@@ -304,6 +305,7 @@ Status HashJoinOp::FetchProbeBatch() {
     }
     probe_via_views_ = false;
     n = probe_batch_.num_rows();
+    *eof = n == 0;
     if (n == 0) return Status::OK();
     probe_keys_.resize(n);
     const int64_t* key_col = probe_batch_.data().data() + probe_key_idx_;
@@ -631,7 +633,6 @@ Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   probe_batch_.Clear();
   probe_.pairs.clear();
   fused_next_ = 0;
-  columnar_ = false;
   probe_via_views_ = false;
   probe_col_.Reset(0);
   spill_fraction_ = 0;
@@ -667,46 +668,68 @@ Status HashJoinOp::Open(ExecContext* ctx) {
   if (!build_ready_) RQP_RETURN_IF_ERROR(OpenBuild(ctx));
   build_ready_ = false;
   RQP_RETURN_IF_ERROR(probe_child_->Open(ctx));
-  // Columnar fused probe: requires a stable columnar probe child — emission
-  // packs view references from several probe fetches into one output
-  // batch, so the bases must outlive each fetch (decided after the probe
-  // child's Open, which is where it resolves its own columnar capability).
-  columnar_ = probe_child_->supports_columnar() &&
-              probe_child_->stable_columnar_views();
+  scan_probe_ = dynamic_cast<TableScanOp*>(probe_child_.get());
   phase_ = Phase::kProbe;
   return Status::OK();
 }
 
-Status HashJoinOp::Next(RowBatch* out) {
-  if (columnar_) {
-    // Bridge: produce columnar, transpose once. NextColumnar counts the
-    // produced rows; MaterializeInto only counts rows_materialized.
-    RQP_RETURN_IF_ERROR(NextColumnar(&col_scratch_));
-    out->Reset(slots_.size());
-    col_scratch_.MaterializeInto(out, ctx_);
-    return Status::OK();
+// Each call writes the pairs that fit in `out`: never past kBatchRows, so
+// batches pack to kBatchRows across fetches and phase changes alike. View
+// probe rows are written column-at-a-time through the chunk's absolute row
+// ids (computed once); row probe rows are copied whole. Then each build row
+// is copied beside its probe row.
+template <typename BuildRowFn>
+void HashJoinOp::EmitPairs(RowBatch* out, BuildRowFn build_row) {
+  const size_t take = std::min(probe_.pairs.size() - fused_next_,
+                               out->capacity_remaining());
+  const auto* pairs = probe_.pairs.data() + fused_next_;
+  const size_t width = probe_cols_ + build_cols_;
+  std::vector<int64_t>& data = out->mutable_data();
+  const size_t at = data.size();
+  data.resize(at + take * width);
+  int64_t* dst = data.data() + at;
+  if (probe_via_views_) {
+    row_ids_.resize(take);
+    if (probe_col_.has_selection()) {
+      const uint32_t* sel = probe_col_.sel().data();
+      for (size_t j = 0; j < take; ++j) row_ids_[j] = sel[pairs[j].first];
+    } else {
+      const uint32_t begin = static_cast<uint32_t>(probe_col_.phys_begin());
+      for (size_t j = 0; j < take; ++j) row_ids_[j] = begin + pairs[j].first;
+    }
+    probe_col_.WriteRowIds(row_ids_.data(), take, dst, width);
+    ctx_->counters().rows_materialized += static_cast<int64_t>(take);
+  } else {
+    for (size_t j = 0; j < take; ++j) {
+      const int64_t* prow = probe_batch_.row(pairs[j].first);
+      std::copy(prow, prow + probe_cols_, dst + j * width);
+    }
   }
+  for (size_t j = 0; j < take; ++j) {
+    const int64_t* brow = build_row(pairs[j]);
+    std::copy(brow, brow + build_cols_, dst + j * width + probe_cols_);
+  }
+  fused_next_ += take;
+}
+
+Status HashJoinOp::Next(RowBatch* out) {
   RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
   out->Reset(slots_.size());
-  // Everything per-row was precomputed at fetch time; emission is a bare
+  // Everything per-row was precomputed at fetch time; emission walks a
   // cursor over (probe row, build row) pairs, resumable when the output
   // batch fills mid-batch.
   while (!out->full() && !done_) {
     switch (phase_) {
       case Phase::kProbe:
         if (fused_next_ >= probe_.pairs.size()) {
-          RQP_RETURN_IF_ERROR(FetchProbeBatch());
-          if (probe_batch_.empty()) {
-            RQP_RETURN_IF_ERROR(FinishProbePhase());
-          }
+          bool eof = false;
+          RQP_RETURN_IF_ERROR(FetchProbeBatch(&eof));
+          if (eof) RQP_RETURN_IF_ERROR(FinishProbePhase());
           continue;
         }
-        while (fused_next_ < probe_.pairs.size() && !out->full()) {
-          const auto& [pr, br] = probe_.pairs[fused_next_++];
-          out->AppendConcat(probe_batch_.row(pr), probe_cols_,
-                            parts_[probe_.parts[pr]].rows.row(br),
-                            build_cols_);
-        }
+        EmitPairs(out, [this](const std::pair<uint32_t, uint32_t>& p) {
+          return parts_[probe_.parts[p.first]].rows.row(p.second);
+        });
         continue;
       case Phase::kTaskSetup:
         RQP_RETURN_IF_ERROR(SetupNextTask());
@@ -719,11 +742,9 @@ Status HashJoinOp::Next(RowBatch* out) {
           RQP_RETURN_IF_ERROR(FetchChunkProbeBatch());
           continue;
         }
-        while (fused_next_ < probe_.pairs.size() && !out->full()) {
-          const auto& [pr, br] = probe_.pairs[fused_next_++];
-          out->AppendConcat(probe_batch_.row(pr), probe_cols_,
-                            chunk_.row(br), build_cols_);
-        }
+        EmitPairs(out, [this](const std::pair<uint32_t, uint32_t>& p) {
+          return chunk_.row(p.second);
+        });
         continue;
       case Phase::kDone:
         done_ = true;
@@ -731,153 +752,6 @@ Status HashJoinOp::Next(RowBatch* out) {
     }
   }
   CountProduced(ctx_, *out, /*eof=*/out->empty());
-  return Status::OK();
-}
-
-Status HashJoinOp::NextColumnar(ColumnBatch* out) {
-  RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-  out->Reset(slots_.size());
-  // While emitting from the depth-0 fused probe, probe columns go out as
-  // views plus a selection of absolute probe row ids (stable child bases, so
-  // packing across probe fetches is safe) and only the gathered build
-  // columns are owned. The spill-recursion and chunk phases emit owned flat
-  // values — their probe rows come back from disk — and a mid-batch phase
-  // transition demotes the in-flight views, so output batch boundaries match
-  // the row-major path exactly.
-  bool views_active = false;
-  while (!out->full() && !done_) {
-    switch (phase_) {
-      case Phase::kProbe: {
-        if (fused_next_ >= probe_.pairs.size()) {
-          RQP_RETURN_IF_ERROR(FetchProbeBatch());
-          const bool fetch_empty =
-              probe_via_views_ ? probe_col_.empty() : probe_batch_.empty();
-          if (fetch_empty) {
-            RQP_RETURN_IF_ERROR(FinishProbePhase());
-          }
-          continue;
-        }
-        if (probe_via_views_) {
-          if (!views_active && out->num_rows() == 0) {
-            for (size_t c = 0; c < probe_cols_; ++c) {
-              out->SetView(c, probe_col_.col(c).base);
-            }
-            out->UseSelection();
-            views_active = true;
-          }
-          if (views_active) {
-            // Bulk emission: consume exactly the pairs that fit (identical
-            // batch boundaries to the per-row loop), append selection ids in
-            // one pass with the probe batch's addressing mode hoisted, and
-            // write the gathered build columns through raw pointers after a
-            // single resize per column.
-            const size_t take = std::min(probe_.pairs.size() - fused_next_,
-                                         kBatchRows - out->num_rows());
-            const auto* pairs = probe_.pairs.data() + fused_next_;
-            std::vector<uint32_t>& sel = out->mutable_sel();
-            sel.reserve(sel.size() + take);
-            if (probe_col_.has_selection()) {
-              const uint32_t* psel = probe_col_.sel().data();
-              for (size_t j = 0; j < take; ++j) {
-                sel.push_back(psel[pairs[j].first]);
-              }
-            } else {
-              const int64_t pb = probe_col_.phys_begin();
-              for (size_t j = 0; j < take; ++j) {
-                sel.push_back(static_cast<uint32_t>(
-                    pb + static_cast<int64_t>(pairs[j].first)));
-              }
-            }
-            const size_t base_n = out->num_rows();
-            dst_scratch_.resize(build_cols_);
-            for (size_t c = 0; c < build_cols_; ++c) {
-              auto& flat = out->col(probe_cols_ + c).flat;
-              flat.resize(base_n + take);
-              dst_scratch_[c] = flat.data() + base_n;
-            }
-            for (size_t j = 0; j < take; ++j) {
-              const int64_t* brow =
-                  parts_[probe_.parts[pairs[j].first]].rows.row(
-                      pairs[j].second);
-              for (size_t c = 0; c < build_cols_; ++c) {
-                dst_scratch_[c][j] = brow[c];
-              }
-            }
-            out->set_num_rows(base_n + take);
-            fused_next_ += take;
-            continue;
-          }
-          while (fused_next_ < probe_.pairs.size() && !out->full()) {
-            const auto& [pr, br] = probe_.pairs[fused_next_++];
-            const int64_t* brow = parts_[probe_.parts[pr]].rows.row(br);
-            // Batch already carries flat rows (unreachable in practice —
-            // view emission always precedes flat phases within a batch);
-            // gather the probe values so the output stays well-formed.
-            for (size_t c = 0; c < probe_cols_; ++c) {
-              out->col(c).flat.push_back(probe_col_.Value(c, pr));
-            }
-            for (size_t c = 0; c < build_cols_; ++c) {
-              out->col(probe_cols_ + c).flat.push_back(brow[c]);
-            }
-            out->set_num_rows(out->num_rows() + 1);
-          }
-          continue;
-        }
-        // Recursive-task probe rows come from the spill file: flat emission.
-        if (views_active) {
-          out->DemoteViewsToFlat();
-          views_active = false;
-        }
-        while (fused_next_ < probe_.pairs.size() && !out->full()) {
-          const auto& [pr, br] = probe_.pairs[fused_next_++];
-          const int64_t* prow = probe_batch_.row(pr);
-          const int64_t* brow = parts_[probe_.parts[pr]].rows.row(br);
-          for (size_t c = 0; c < probe_cols_; ++c) {
-            out->col(c).flat.push_back(prow[c]);
-          }
-          for (size_t c = 0; c < build_cols_; ++c) {
-            out->col(probe_cols_ + c).flat.push_back(brow[c]);
-          }
-          out->set_num_rows(out->num_rows() + 1);
-        }
-        continue;
-      }
-      case Phase::kTaskSetup:
-        RQP_RETURN_IF_ERROR(SetupNextTask());
-        continue;
-      case Phase::kChunkLoad:
-        RQP_RETURN_IF_ERROR(LoadNextChunk());
-        continue;
-      case Phase::kChunkProbe: {
-        if (fused_next_ >= probe_.pairs.size()) {
-          RQP_RETURN_IF_ERROR(FetchChunkProbeBatch());
-          continue;
-        }
-        if (views_active) {
-          out->DemoteViewsToFlat();
-          views_active = false;
-        }
-        while (fused_next_ < probe_.pairs.size() && !out->full()) {
-          const auto& [pr, br] = probe_.pairs[fused_next_++];
-          const int64_t* prow = probe_batch_.row(pr);
-          const int64_t* brow = chunk_.row(br);
-          for (size_t c = 0; c < probe_cols_; ++c) {
-            out->col(c).flat.push_back(prow[c]);
-          }
-          for (size_t c = 0; c < build_cols_; ++c) {
-            out->col(probe_cols_ + c).flat.push_back(brow[c]);
-          }
-          out->set_num_rows(out->num_rows() + 1);
-        }
-        continue;
-      }
-      case Phase::kDone:
-        done_ = true;
-        continue;
-    }
-  }
-  CountProducedRows(ctx_, static_cast<int64_t>(out->num_rows()),
-                    /*eof=*/out->empty());
   return Status::OK();
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/column_batch.h"
 #include "exec/operator.h"
 #include "expr/pred_program.h"
 #include "expr/predicate.h"
@@ -14,6 +15,8 @@
 #include "storage/table.h"
 
 namespace rqp {
+
+class TableScanOp;
 
 /// Materialized rows with a fixed slot layout — the internal buffer shared
 /// by the blocking join implementations.
@@ -111,6 +114,12 @@ struct JoinHashTable {
 /// (OpenBuild) of the joins in its segment and has its workers probe their
 /// resident partitions through ProbeResident, the kernel FetchProbeBatch
 /// runs in memory.
+///
+/// The probe fetch takes views from a TableScanOp probe child (gathering
+/// only the key column) and rows from any other child and from spill files.
+/// Every phase — resident probe, recursion, chunked fallback — has one
+/// emission: it writes (probe row, build row) pairs into the output
+/// RowBatch, view probe rows column-at-a-time through their row ids.
 class HashJoinOp : public Operator, public MemoryRevocable {
  public:
   struct Options {
@@ -145,11 +154,6 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
   void Close() override;
-  bool supports_columnar() const override { return columnar_; }
-  // Build-side columns are flat vectors rewritten every batch, so join
-  // output views are NOT stable across calls (sink-only consumption).
-  bool stable_columnar_views() const override { return false; }
-  Status NextColumnar(ColumnBatch* out) override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
   }
@@ -225,10 +229,15 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   void BuildDenseDirectory();
   Status RunBuildFromChild(ExecContext* ctx);
   Status RunBuildFromFile(SpillFile* file);
-  /// Fetches the next probe batch (column views from a stable columnar
-  /// child, else row-major from the child or a recursive task's spill file)
-  /// and runs the fused whole-batch probe into probe_.pairs.
-  Status FetchProbeBatch();
+  /// Fetches the next probe batch (column views from a scan probe child,
+  /// else rows from the child or a recursive task's spill file) and runs the
+  /// fused whole-batch probe into probe_.pairs. Sets `*eof` when the input
+  /// is exhausted.
+  Status FetchProbeBatch(bool* eof);
+  /// Writes the next pairs of probe_.pairs that fit in `out`, each as the
+  /// probe row followed by `build_row(pair)`.
+  template <typename BuildRowFn>
+  void EmitPairs(RowBatch* out, BuildRowFn build_row);
   /// Chunked-fallback analogue: next probe-file batch against chunk_table_.
   Status FetchChunkProbeBatch();
   Status FinishProbePhase();
@@ -284,19 +293,15 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   std::vector<int64_t> probe_keys_;  ///< contiguous key-column gather
   ProbeScratch probe_;
   size_t fused_next_ = 0;
-  // Columnar probe (a stable columnar probe child): the fused probe gathers
-  // ONLY the key column from the child's views; payload columns are carried
-  // as absolute row ids and emitted as (base, row-id) references —
-  // re-emitted probe columns are never transposed here. Emission switches
-  // to owned flat values when the spill-recursion/chunk phases take over
-  // (their probe rows come back from disk), demoting any in-flight view
-  // batch so output batches stay packed to kBatchRows.
-  bool columnar_ = false;
+  // View probe (a scan probe child, found at Open): the fused probe gathers
+  // ONLY the key column from the scan's views, and emission reads payload
+  // columns straight from the views through the pairs' absolute row ids —
+  // a probe row is written once, into the output batch.
+  TableScanOp* scan_probe_ = nullptr;
   bool probe_via_views_ = false;  ///< current probe batch fetched as views
-  ColumnBatch probe_col_;         ///< reused columnar probe input
-  ColumnBatch col_scratch_;       ///< bridge scratch for row-major Next
+  ColumnBatch probe_col_;         ///< reused view probe input
+  std::vector<uint32_t> row_ids_;     ///< emitted chunk's probe row ids
   std::vector<int64_t> row_scratch_;  ///< one gathered row (spill routing)
-  std::vector<int64_t*> dst_scratch_;  ///< build-column write cursors (emit)
   bool done_ = false;
 
   // Chunked-hash fallback state.

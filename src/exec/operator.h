@@ -6,13 +6,16 @@
 #include <vector>
 
 #include "exec/batch.h"
-#include "exec/column_batch.h"
 #include "exec/context.h"
 #include "util/status.h"
 
 namespace rqp {
 
 /// Volcano-style physical operator producing row batches.
+///
+/// Every operator hands its parent a RowBatch. TableScanOp alone can also
+/// emit its rows as ColumnBatch views (TableScanOp::NextColumnar); the
+/// consumers that read them find a scan child at Open (DESIGN.md §15).
 ///
 /// Protocol: Open() once, then Next() until it returns an empty batch (EOF),
 /// then Close(). Every operator counts the rows it produces; the engine
@@ -26,25 +29,6 @@ class Operator {
   /// Fills `out` with up to kBatchRows rows; empty batch signals EOF.
   virtual Status Next(RowBatch* out) = 0;
   virtual void Close() {}
-
-  /// Whether this operator can emit ColumnBatch views this execution.
-  /// Decided at Open from what the operator can see (a scan always can; a
-  /// filter, map or join probe can when its input child can); callers must
-  /// only invoke NextColumnar when this returns true.
-  virtual bool supports_columnar() const { return false; }
-  /// Whether emitted view bases stay valid and unchanged across successive
-  /// NextColumnar calls (they point into immutable table storage, not reused
-  /// scratch). Consumers holding views across fetches require this.
-  virtual bool stable_columnar_views() const { return false; }
-  /// Columnar analogue of Next: fills `out` with column views/vectors; empty
-  /// batch signals EOF. On the columnar path this is the counting primitive
-  /// — the row-major Next of a columnar operator bridges through it, so the
-  /// produced-row ledger is updated exactly once either way.
-  virtual Status NextColumnar(ColumnBatch* out) {
-    (void)out;
-    return Status::Internal("operator '" + name() +
-                            "' does not support columnar output");
-  }
 
   /// Names of the output tuple slots (qualified "table.column").
   virtual const std::vector<std::string>& output_slots() const = 0;
@@ -70,8 +54,8 @@ class Operator {
       if (eof) ctx->actual_cardinalities()[plan_node_id_] = rows_produced_;
     }
   }
-  /// Row-count variant of CountProduced for columnar batches (and for the
-  /// bridge in Next, which must not count the materialized copy again).
+  /// Row-count variant of CountProduced for TableScanOp's view batches (its
+  /// Next transposes them and must not count the copy again).
   void CountProducedRows(ExecContext* ctx, int64_t rows, bool eof) {
     rows_produced_ += rows;
     if (ctx != nullptr && plan_node_id_ >= 0) {
@@ -89,7 +73,8 @@ class Operator {
 using OperatorPtr = std::unique_ptr<Operator>;
 
 /// Drains `op` (Open/Next*/Close), appending all batches to `out` (which
-/// may be nullptr to just count). Returns total rows.
+/// may be nullptr to just count). Returns total rows. A count-only drain of
+/// a TableScanOp root counts the scan's views and never transposes them.
 StatusOr<int64_t> DrainOperator(Operator* op, ExecContext* ctx,
                                 std::vector<RowBatch>* out);
 

@@ -59,7 +59,7 @@ Status TableScanOp::Open(ExecContext* ctx) {
 }
 
 Status TableScanOp::Next(RowBatch* out) {
-  // Row-major consumers get the columnar batch transposed once, here.
+  // Row consumers get the view batch transposed once, here.
   RQP_RETURN_IF_ERROR(NextColumnar(&col_scratch_));
   out->Reset(slots_.size());
   col_scratch_.MaterializeInto(out, ctx_);
@@ -75,7 +75,6 @@ Status TableScanOp::Next(RowBatch* out) {
 // row ids into the batch's selection vector (DESIGN.md §15).
 Status TableScanOp::NextColumnar(ColumnBatch* out) {
   out->Reset(slots_.size());
-  out->set_stable_views(true);
   const int64_t n = table_->num_rows();
   const size_t ncols = columns_.size();
   for (size_t c = 0; c < ncols; ++c) {
@@ -227,15 +226,15 @@ StatusOr<int64_t> DrainOperator(Operator* op, ExecContext* ctx,
                                 std::vector<RowBatch>* out) {
   RQP_RETURN_IF_ERROR(op->Open(ctx));
   int64_t total = 0;
-  if (out == nullptr && op->supports_columnar()) {
-    // Count-only drain of a columnar root: consume the views directly and
-    // skip the row-major conversion entirely — the pipeline's final
-    // transpose is elided, not merely deferred. Charge points (inside
+  auto* scan = dynamic_cast<TableScanOp*>(op);
+  if (out == nullptr && scan != nullptr) {
+    // Count-only drain of a scan root: count the views the scan already
+    // produces and never transpose them. Charge points (inside
     // NextColumnar) and the guardrail cadence match the row path exactly.
     ColumnBatch batch;
     while (true) {
       RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-      RQP_RETURN_IF_ERROR(op->NextColumnar(&batch));
+      RQP_RETURN_IF_ERROR(scan->NextColumnar(&batch));
       if (batch.empty()) break;
       total += static_cast<int64_t>(batch.num_rows());
       ctx->counters().transposes_elided += static_cast<int64_t>(batch.num_rows());

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/column_batch.h"
 #include "exec/operator.h"
 #include "expr/pred_program.h"
 #include "expr/predicate.h"
@@ -23,13 +24,13 @@ class TableScanOp : public Operator {
               std::vector<std::string> projection = {});
 
   Status Open(ExecContext* ctx) override;
+  /// NextColumnar, transposed once with MaterializeInto.
   Status Next(RowBatch* out) override;
   void Close() override;
-  bool supports_columnar() const override { return true; }
-  // Views point into the table's immutable column storage — the same bases
-  // on every fetch — so consumers may hold them across batches.
-  bool stable_columnar_views() const override { return true; }
-  Status NextColumnar(ColumnBatch* out) override;
+  /// The scan's rows as views over the table's column storage: the one
+  /// ColumnBatch producer. Next and NextColumnar count, charge and batch
+  /// identically; a consumer calls one of them for the whole scan.
+  Status NextColumnar(ColumnBatch* out);
   const std::vector<std::string>& output_slots() const override {
     return slots_;
   }
@@ -45,14 +46,13 @@ class TableScanOp : public Operator {
   bool projection_error_ = false;
   // The filter compiled to flat bytecode, evaluated column-at-a-time
   // straight over Table::column() storage — rejected rows are never touched
-  // again. Batches are column views over the same storage; row-major Next
-  // bridges through NextColumnar + MaterializeInto.
+  // again. Batches are column views over the same storage.
   std::optional<PredicateProgram> program_;
   std::vector<const int64_t*> chunk_cols_;  ///< per-chunk column base ptrs
   SelectionVector sel_;    ///< surviving rows of the current chunk
   size_t sel_pos_ = 0;     ///< next unconsumed selection entry
   int64_t sel_base_ = 0;   ///< source row of selection index 0
-  ColumnBatch col_scratch_;  ///< bridge scratch — no per-Next allocation
+  ColumnBatch col_scratch_;  ///< Next's view batch — no per-Next allocation
 };
 
 /// Index range scan: descends a sorted index, fetches qualifying rows by

@@ -97,42 +97,14 @@ void ExchangeChannel::Flush() {
 
 Status ShuffleExchangeOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  // Columnar staging: pull the child's column views and gather each routed
-  // row on demand — identical rows in identical order (a bridged child
-  // would transpose the very same batches), so routing, staging, and every
-  // charge are unchanged; only the wholesale transpose is elided.
-  columnar_ = child_->supports_columnar();
-  return Status::OK();
+  return child_->Open(ctx);
 }
 
 Status ShuffleExchangeOp::Next(RowBatch* out) {
-  const size_t ncols = output_slots().size();
-  out->Reset(ncols);
+  out->Reset(output_slots().size());
   RowBatch in;
   while (out->empty()) {
     RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-    if (columnar_) {
-      RQP_RETURN_IF_ERROR(child_->NextColumnar(&in_col_));
-      const size_t n = in_col_.num_rows();
-      if (n == 0) break;  // child EOF; out stays empty -> EOF after charge
-      ctx_->counters().transposes_elided += static_cast<int64_t>(n);
-      row_scratch_.resize(ncols);
-      for (size_t r = 0; r < n; ++r) {
-        in_col_.GatherRow(r, row_scratch_.data());
-        ++ctx_->counters().rows_materialized;
-        const int64_t* row = row_scratch_.data();
-        const int dest = route_(row[key_col_]);
-        if (dest == kBroadcastAll) {
-          channel_->StageBroadcast(row);
-        } else if (dest == self_shard_ || dest == kKeepLocal) {
-          out->AppendRow(row);  // already home: no transfer
-        } else {
-          channel_->StageOwned(dest, row);
-        }
-      }
-      continue;
-    }
     RQP_RETURN_IF_ERROR(child_->Next(&in));
     if (in.empty()) break;  // child EOF; out stays empty -> EOF after charge
     for (size_t r = 0; r < in.num_rows(); ++r) {
@@ -158,30 +130,14 @@ void ShuffleExchangeOp::Close() {
 
 Status BroadcastExchangeOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  columnar_ = child_->supports_columnar();
-  return Status::OK();
+  return child_->Open(ctx);
 }
 
 Status BroadcastExchangeOp::Next(RowBatch* out) {
-  const size_t ncols = output_slots().size();
-  out->Reset(ncols);
+  out->Reset(output_slots().size());
   RowBatch in;
   while (true) {
     RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-    if (columnar_) {
-      RQP_RETURN_IF_ERROR(child_->NextColumnar(&in_col_));
-      const size_t n = in_col_.num_rows();
-      if (n == 0) break;
-      ctx_->counters().transposes_elided += static_cast<int64_t>(n);
-      row_scratch_.resize(ncols);
-      for (size_t r = 0; r < n; ++r) {
-        in_col_.GatherRow(r, row_scratch_.data());
-        ++ctx_->counters().rows_materialized;
-        channel_->StageBroadcast(row_scratch_.data());
-      }
-      continue;
-    }
     RQP_RETURN_IF_ERROR(child_->Next(&in));
     if (in.empty()) break;
     for (size_t r = 0; r < in.num_rows(); ++r) {

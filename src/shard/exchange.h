@@ -106,9 +106,10 @@ inline constexpr int kBroadcastAll = -1;
 inline constexpr int kKeepLocal = -2;
 using RouteFn = std::function<int(int64_t key)>;
 
-/// Repartitioning exchange for one sender shard. Pulls the child (the
-/// sender's local scan — the sender pays for it), routes each row by its key
-/// column, and:
+/// Repartitioning exchange for one sender shard. Pulls the child's rows (the
+/// sender's local scan — the sender pays for it; every routed row is
+/// gathered anyway, so the scan's own Next transposes them), routes each row
+/// by its key column, and:
 ///  - emits rows the sender itself owns (no transfer: they never leave the
 ///    shard) — the operator's output;
 ///  - stages remote-owned rows into the channel;
@@ -137,18 +138,13 @@ class ShuffleExchangeOp : public Operator {
   RouteFn route_;
   ExchangeChannel* channel_;
   ExecContext* ctx_ = nullptr;
-  // Columnar staging input: rows are gathered straight off the child's
-  // column views into the staging cells (one per-row gather, counted as
-  // materialized) instead of transposing a whole RowBatch first.
-  bool columnar_ = false;
-  ColumnBatch in_col_;
-  std::vector<int64_t> row_scratch_;
 };
 
-/// Replicating exchange for one sender shard: every child row is staged to
-/// every shard's broadcast part. Emits nothing — the destination buffers are
-/// the only output (the sender's own copy included, so a broadcast table is
-/// assembled identically on all shards).
+/// Replicating exchange for one sender shard: every child row (read through
+/// the child's Next, like the shuffle) is staged to every shard's broadcast
+/// part. Emits nothing — the destination buffers are the only output (the
+/// sender's own copy included, so a broadcast table is assembled
+/// identically on all shards).
 class BroadcastExchangeOp : public Operator {
  public:
   BroadcastExchangeOp(OperatorPtr child, ExchangeChannel* channel)
@@ -167,9 +163,6 @@ class BroadcastExchangeOp : public Operator {
   OperatorPtr child_;
   ExchangeChannel* channel_;
   ExecContext* ctx_ = nullptr;
-  bool columnar_ = false;  ///< see ShuffleExchangeOp::columnar_
-  ColumnBatch in_col_;
-  std::vector<int64_t> row_scratch_;
 };
 
 }  // namespace rqp

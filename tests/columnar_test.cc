@@ -1,9 +1,9 @@
-// Late-materialized columnar execution tests (DESIGN.md §15): engine
-// answers under 8-page spill grants (the join probe demoting its views
-// mid-batch), a seeded fault schedule, and result-cache replay match the
-// reference evaluator at DOP 1 and 4; the materialization-boundary
-// diagnostics count what they claim; and the SIMD kernels ($RQP_SIMD) are
-// bit-identical to their scalar twins. Runs under the `columnar` ctest
+// Scan-view execution tests (DESIGN.md §15): engine answers under 8-page
+// spill grants (the scan-probed join routing view rows to spill files and
+// recursing), a seeded fault schedule, and result-cache replay match the
+// reference evaluator at DOP 1 and 4; the view-read and row-write
+// diagnostics count exactly what they claim; and the SIMD kernels
+// ($RQP_SIMD) are bit-identical to their scalar twins. Runs under the `columnar` ctest
 // label (both sanitizer CI legs, and again with $RQP_SIMD=0).
 #include <gtest/gtest.h>
 
@@ -12,6 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "exec/filter_ops.h"
+#include "exec/join_ops.h"
+#include "exec/scan_ops.h"
+#include "exec/sort_agg_ops.h"
 #include "expr/expr.h"
 #include "expr/predicate.h"
 #include "expr/simd.h"
@@ -51,8 +55,8 @@ struct ColumnarFixture : ref::StarFixture {
 };
 
 TEST_F(ColumnarFixture, EightPageSpillGrantsMatchReference) {
-  // 8-page grants: the join spills, and spilled probe routing gathers rows
-  // off the column views mid-phase (the DemoteViewsToFlat transition).
+  // 8-page grants: the join spills, spilled probe routing gathers rows off
+  // the scan's views, and recursion emits rows re-read from spill files.
   EngineOptions options;
   options.memory_pages = 8;
   options.spill_dir = SpillDir("spill");
@@ -104,18 +108,41 @@ TEST_F(ColumnarFixture, ResultCacheReplayMatchesReference) {
 
 // ---- the materialization-boundary diagnostics ------------------------------
 
-TEST_F(ColumnarFixture, TransposesElidedPositiveOnColumnarPipeline) {
-  // Unfiltered scan → join → agg: every probe-side row flows as column
-  // views into the join, so the elision diagnostic must count them — and
-  // rows must still materialize exactly once at the row boundary.
-  EngineOptions options;
-  options.num_threads = 1;
-  Engine engine(&catalog, options);
-  engine.AnalyzeAll();
-  auto columnar = engine.Run(JoinAggQuery());
-  ASSERT_TRUE(columnar.ok());
-  EXPECT_GT(columnar->counters.transposes_elided, 0);
-  EXPECT_GT(columnar->counters.rows_materialized, 0);
+TEST_F(ColumnarFixture, DiagnosticsCountViewReadsAndRowWrites) {
+  // transposes_elided counts the scan rows a consumer read as views;
+  // rows_materialized counts the rows written row-major from views.
+  const Table* fact = catalog.GetTable("fact").value();
+  const Table* dim0 = catalog.GetTable("dim0").value();
+  {
+    // Unspilled scan → join → agg: the probe fetch reads every fact row as
+    // views; the join writes its output pairs from them, and the build
+    // scan's Next transposes the dimension rows.
+    auto join = std::make_unique<HashJoinOp>(
+        std::make_unique<TableScanOp>(fact),
+        std::make_unique<TableScanOp>(dim0), "fact.fk0", "dim0.id");
+    const HashJoinOp* j = join.get();
+    HashAggOp agg(std::move(join), {"dim0.band"},
+                  {{AggFn::kCount, "", "cnt"}});
+    ExecContext ctx;
+    std::vector<RowBatch> out;
+    ASSERT_TRUE(DrainOperator(&agg, &ctx, &out).ok());
+    EXPECT_EQ(ctx.counters().spill_pages, 0);
+    EXPECT_GT(j->rows_produced(), 0);
+    EXPECT_EQ(ctx.counters().transposes_elided, fact->num_rows());
+    EXPECT_EQ(ctx.counters().rows_materialized,
+              j->rows_produced() + dim0->num_rows());
+  }
+  {
+    // Scan → map: the map reads the views and writes each row once.
+    MapOp map(std::make_unique<TableScanOp>(fact),
+              {{"m2", MakeArith(MakeColExpr("fact.measure"), ArithOp::kMul,
+                                MakeConstExpr(2))}});
+    ExecContext ctx;
+    std::vector<RowBatch> out;
+    ASSERT_TRUE(DrainOperator(&map, &ctx, &out).ok());
+    EXPECT_EQ(ctx.counters().transposes_elided, fact->num_rows());
+    EXPECT_EQ(ctx.counters().rows_materialized, fact->num_rows());
+  }
 }
 
 // ---- the SIMD gate and kernels ---------------------------------------------

@@ -11,6 +11,7 @@
 #include "exec/scan_ops.h"
 #include "exec/shared_scan.h"
 #include "exec/sort_agg_ops.h"
+#include "expr/expr.h"
 #include "expr/pred_program.h"
 #include "storage/data_generator.h"
 #include "util/rng.h"
@@ -143,6 +144,145 @@ TEST(FilterOpTest, FiltersOnQualifiedSlots) {
   auto total = DrainOperator(&filter, &ctx, nullptr);
   ASSERT_TRUE(total.ok());
   EXPECT_EQ(*total, 100);
+}
+
+// ---- MapOp: scan views and rows give the same batches ---------------------
+
+/// The rows MapOp sees in MapOpTest: `kept` holds the K rows (a, b, keep=1)
+/// with a = 0..K-1 and b in [0, 99]; `full`, also named t, interleaves them
+/// with keep=0 decoys, so scanning it with `keep = 1` selects exactly the
+/// kept rows through a scattered selection.
+struct MapInputs {
+  std::unique_ptr<Table> kept, full;
+  std::shared_ptr<std::vector<RowBatch>> batches;  ///< kept rows, 1024/batch
+  std::vector<std::string> slots = {"t.a", "t.b", "t.keep"};
+
+  MapInputs() {
+    Rng rng(17);
+    std::vector<int64_t> ka, kb, fa, fb, fkeep;
+    for (int64_t i = 0; i < 5000; ++i) {
+      const int64_t b = rng.Uniform(0, 99);
+      if (rng.Uniform(0, 9) < 6) {
+        fa.push_back(static_cast<int64_t>(ka.size()));
+        ka.push_back(fa.back());
+        kb.push_back(b);
+        fkeep.push_back(1);
+      } else {
+        fa.push_back(-1 - i);
+        fkeep.push_back(0);
+      }
+      fb.push_back(b);
+    }
+    const Schema schema({{"a", LogicalType::kInt64, 0, nullptr},
+                         {"b", LogicalType::kInt64, 0, nullptr},
+                         {"keep", LogicalType::kInt64, 0, nullptr}});
+    kept = std::make_unique<Table>("t", schema);
+    full = std::make_unique<Table>("t", schema);
+    batches = std::make_shared<std::vector<RowBatch>>();
+    for (size_t i = 0; i < ka.size(); ++i) {
+      if (i % kBatchRows == 0) batches->emplace_back(3);
+      batches->back().AppendRow({ka[i], kb[i], 1});
+    }
+    kept->SetColumnData(2, std::vector<int64_t>(ka.size(), 1));
+    kept->SetColumnData(0, std::move(ka));
+    kept->SetColumnData(1, std::move(kb));
+    full->SetColumnData(0, std::move(fa));
+    full->SetColumnData(1, std::move(fb));
+    full->SetColumnData(2, std::move(fkeep));
+  }
+
+  /// A dense scan, a filtered scan and a row source of the same rows.
+  std::vector<OperatorPtr> Children() const {
+    std::vector<OperatorPtr> children;
+    children.push_back(std::make_unique<TableScanOp>(kept.get()));
+    children.push_back(std::make_unique<TableScanOp>(
+        full.get(), MakeCmp("keep", CmpOp::kEq, 1)));
+    children.push_back(std::make_unique<VectorSourceOp>(batches, slots));
+    return children;
+  }
+};
+
+/// Drains `map` batch by batch until EOF or the first error.
+Status DrainBatches(MapOp* map, std::vector<RowBatch>* out) {
+  ExecContext ctx;
+  RQP_RETURN_IF_ERROR(map->Open(&ctx));
+  while (true) {
+    RowBatch batch;
+    RQP_RETURN_IF_ERROR(map->Next(&batch));
+    if (batch.empty()) break;
+    out->push_back(std::move(batch));
+  }
+  map->Close();
+  return Status::OK();
+}
+
+TEST(MapOpTest, ScanViewsAndRowsGiveTheSameBatches) {
+  const MapInputs in;
+  const auto a = [] { return MakeColExpr("t.a"); };
+  const auto b = [] { return MakeColExpr("t.b"); };
+  const std::vector<DerivedColumn> derived = {
+      {"m", MakeArith(MakeArith(a(), ArithOp::kMul, MakeConstExpr(3)),
+                      ArithOp::kAdd, b())},
+      {"d", MakeArith(a(), ArithOp::kSub, b())},
+      {"c", MakeCaseExpr(MakeCmpExpr(a(), CmpOp::kGt, b()), a(), b())},
+      {"q", MakeArith(MakeArith(a(), ArithOp::kAdd, MakeConstExpr(11)),
+                      ArithOp::kDiv,
+                      MakeArith(b(), ArithOp::kAdd, MakeConstExpr(1000)))}};
+  std::vector<std::vector<RowBatch>> outs;
+  for (OperatorPtr& child : in.Children()) {
+    MapOp map(std::move(child), derived);
+    outs.emplace_back();
+    ASSERT_TRUE(DrainBatches(&map, &outs.back()).ok());
+  }
+  // The derived values against the tree-walk oracle.
+  std::vector<CompiledExpr> oracle;
+  for (const DerivedColumn& d : derived) {
+    oracle.push_back(CompiledExpr::Compile(d.expr, in.slots).value());
+  }
+  int64_t rows = 0;
+  for (const RowBatch& batch : outs[0]) {
+    ASSERT_EQ(batch.num_cols(), in.slots.size() + derived.size());
+    for (size_t r = 0; r < batch.num_rows(); ++r, ++rows) {
+      const int64_t* row = batch.row(r);
+      ASSERT_EQ(row[0], rows);
+      for (size_t d = 0; d < derived.size(); ++d) {
+        int64_t want = 0;
+        ASSERT_TRUE(oracle[d].Eval(row, &want).ok());
+        EXPECT_EQ(row[in.slots.size() + d], want) << "row " << rows;
+      }
+    }
+  }
+  EXPECT_EQ(rows, in.kept->num_rows());
+  // Same row sequences and the same batch boundaries from all three.
+  for (size_t k = 1; k < outs.size(); ++k) {
+    ASSERT_EQ(outs[k].size(), outs[0].size()) << "child " << k;
+    for (size_t i = 0; i < outs[0].size(); ++i) {
+      EXPECT_EQ(outs[k][i].data(), outs[0][i].data())
+          << "child " << k << " batch " << i;
+    }
+  }
+}
+
+TEST(MapOpTest, DivisionByZeroFailsAtTheSameBatch) {
+  // 1000 / (a - 1500) divides by zero at kept row 1500: the second batch.
+  const MapInputs in;
+  const std::vector<DerivedColumn> derived = {
+      {"twice", MakeArith(MakeColExpr("t.a"), ArithOp::kMul,
+                          MakeConstExpr(2))},
+      {"q", MakeArith(MakeConstExpr(1000), ArithOp::kDiv,
+                      MakeArith(MakeColExpr("t.a"), ArithOp::kSub,
+                                MakeConstExpr(1500)))}};
+  std::vector<std::vector<RowBatch>> outs;
+  for (OperatorPtr& child : in.Children()) {
+    MapOp map(std::move(child), derived);
+    outs.emplace_back();
+    const Status st = DrainBatches(&map, &outs.back());
+    EXPECT_EQ(st.ToString(), ExprDivisionByZero().ToString());
+    ASSERT_EQ(outs.back().size(), 1u);
+    EXPECT_EQ(outs.back()[0].num_rows(), kBatchRows);
+  }
+  EXPECT_EQ(outs[1][0].data(), outs[0][0].data());
+  EXPECT_EQ(outs[2][0].data(), outs[0][0].data());
 }
 
 TEST(AdaptiveFilterTest, ProducesSameRowsAsStatic) {

@@ -315,6 +315,159 @@ TEST(ProbeResidentTest, ShrinkAfterDenseBuildFallsBackToSpillPath) {
   EXPECT_EQ(got, NestedLoopPairs(probe, build));
 }
 
+// ---- One emission: scan views and rows give the same batches --------------
+
+/// What one drain of a spilling HashJoinOp produced.
+struct EmissionRun {
+  std::vector<RowBatch> batches;
+  ExecCounters counters;
+  /// The drain passed the recursion and the chunked-fallback levels inside
+  /// one Next call that returned a full batch mixing two phases' rows.
+  bool recursion_mid_batch = false;
+  bool fallback_mid_batch = false;
+};
+
+/// True when p.ord (slot 1) decreases inside `b`: a new recursion task or
+/// fallback chunk pass started within the batch, because each phase emits
+/// its pairs in probe-row order.
+bool OrdDecreasesWithin(const RowBatch& b) {
+  for (size_t r = 1; r < b.num_rows(); ++r) {
+    if (b.row(r)[1] < b.row(r - 1)[1]) return true;
+  }
+  return false;
+}
+
+/// Drains a join of `probe` against b(k, ord) under a 16-page grant: part
+/// of the build spills at depth 0, recursion re-partitions it at depth 1,
+/// and the heavy key's partition spills again into the depth-2 chunked
+/// fallback.
+EmissionRun DrainSpillingJoin(OperatorPtr probe, const Table* build) {
+  constexpr int kMaxRecursion = 2;
+  HashJoinOp::Options options;
+  options.fan_out = 4;
+  options.max_recursion = kMaxRecursion;
+  HashJoinOp join(std::move(probe), std::make_unique<TableScanOp>(build),
+                  "p.k", "b.k", options);
+  MemoryBroker broker(16);
+  ExecContext ctx(&broker);
+  EmissionRun run;
+  EXPECT_TRUE(join.Open(&ctx).ok());
+  while (true) {
+    const int64_t depth = ctx.counters().spill_recursion_depth;
+    RowBatch batch;
+    EXPECT_TRUE(join.Next(&batch).ok());
+    if (batch.empty()) break;
+    const int64_t reached = ctx.counters().spill_recursion_depth;
+    const bool mixed = batch.full() && OrdDecreasesWithin(batch);
+    if (depth == 0 && reached >= 1 && mixed) run.recursion_mid_batch = true;
+    if (depth < kMaxRecursion && reached >= kMaxRecursion && mixed) {
+      run.fallback_mid_batch = true;
+    }
+    run.batches.push_back(std::move(batch));
+  }
+  join.Close();
+  run.counters = ctx.counters();
+  return run;
+}
+
+std::vector<std::vector<int64_t>> Rows(const std::vector<RowBatch>& batches) {
+  std::vector<std::vector<int64_t>> rows;
+  for (const RowBatch& b : batches) {
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      rows.emplace_back(b.row(r), b.row(r) + b.num_cols());
+    }
+  }
+  return rows;
+}
+
+TEST(HashJoinEmissionTest, ScanViewsAndRowsEmitTheSameBatches) {
+  // b: key 0 x 500 rows (more than the grant, so re-partitioning never
+  // makes it fit) and keys 1..39 x 20 rows; p: 3000 rows whose keys all hit
+  // the build.
+  std::vector<int64_t> build_keys(500, 0);
+  for (int64_t i = 0; i < 780; ++i) build_keys.push_back(1 + i % 39);
+  Rng(21).Shuffle(&build_keys);
+  std::vector<int64_t> probe_keys;
+  Rng rng(22);
+  for (int i = 0; i < 3000; ++i) probe_keys.push_back(rng.Uniform(0, 39));
+  auto b = KeyTable("b", build_keys);
+  auto p = KeyTable("p", probe_keys);
+
+  // Unfiltered: dense views. Filtered: a scattered selection.
+  for (const PredicatePtr& filter :
+       {PredicatePtr(), MakeCmp("k", CmpOp::kNe, 7)}) {
+    SCOPED_TRACE(filter == nullptr ? "dense views" : "selection views");
+    // The same probe rows as a row source, in scan-sized batches.
+    auto rows = std::make_shared<std::vector<RowBatch>>();
+    {
+      TableScanOp scan(p.get(), filter);
+      ExecContext ctx;
+      ASSERT_TRUE(DrainOperator(&scan, &ctx, rows.get()).ok());
+    }
+    int64_t probe_rows = 0;
+    for (const RowBatch& batch : *rows) {
+      probe_rows += static_cast<int64_t>(batch.num_rows());
+    }
+
+    const EmissionRun views = DrainSpillingJoin(
+        std::make_unique<TableScanOp>(p.get(), filter), b.get());
+    const EmissionRun source = DrainSpillingJoin(
+        std::make_unique<VectorSourceOp>(
+            rows, std::vector<std::string>{"p.k", "p.ord"}),
+        b.get());
+
+    EXPECT_TRUE(views.recursion_mid_batch);
+    EXPECT_TRUE(views.fallback_mid_batch);
+    const auto got = Rows(views.batches);
+    EXPECT_EQ(got, Rows(source.batches));
+    ASSERT_EQ(views.batches.size(), source.batches.size());
+    for (size_t i = 0; i < views.batches.size(); ++i) {
+      EXPECT_EQ(views.batches[i].num_rows(), source.batches[i].num_rows());
+      if (i + 1 < views.batches.size()) {
+        EXPECT_EQ(views.batches[i].num_rows(), kBatchRows) << "batch " << i;
+      }
+    }
+
+    // Multiset against a nested loop over the probe rows the scan emits.
+    std::vector<std::vector<int64_t>> want;
+    for (const auto& prow : Rows(*rows)) {
+      for (size_t j = 0; j < build_keys.size(); ++j) {
+        if (prow[0] == build_keys[j]) {
+          want.push_back({prow[0], prow[1], build_keys[j],
+                          static_cast<int64_t>(j)});
+        }
+      }
+    }
+    auto sorted = got;
+    std::sort(sorted.begin(), sorted.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(sorted, want);
+
+    // rows_materialized = view pairs emitted + spilled probe rows gathered
+    // + build rows. Depth 0 emits first and in probe-row order, so its view
+    // pairs are the output's longest prefix with non-decreasing p.ord; every
+    // probe row has a match, so the probe rows it did not emit are exactly
+    // those gathered into spill files.
+    size_t view_pairs = 1;
+    while (view_pairs < got.size() &&
+           got[view_pairs][1] >= got[view_pairs - 1][1]) {
+      ++view_pairs;
+    }
+    std::vector<int64_t> probed;
+    for (size_t i = 0; i < view_pairs; ++i) probed.push_back(got[i][1]);
+    probed.erase(std::unique(probed.begin(), probed.end()), probed.end());
+    const int64_t gathered = probe_rows - static_cast<int64_t>(probed.size());
+    EXPECT_GT(gathered, 0);
+    EXPECT_EQ(views.counters.rows_materialized,
+              static_cast<int64_t>(view_pairs) + gathered +
+                  static_cast<int64_t>(build_keys.size()));
+    EXPECT_EQ(views.counters.transposes_elided, probe_rows);
+    // The row source materializes only the build rows.
+    EXPECT_EQ(source.counters.rows_materialized,
+              static_cast<int64_t>(build_keys.size()));
+  }
+}
+
 TEST(MergeJoinTest, MatchesReferenceOnSortedInputs) {
   JoinFixture f(1000, 5000, 1000);
   auto sorted_s =

@@ -225,7 +225,7 @@ void SegmentMemoryPressure() {
   const int64_t before_pages = engine.result_cache()->total_pages();
 
   engine.memory()->set_capacity(1);
-  engine.memory()->PollRevocation(engine.result_cache());
+  engine.result_cache()->ShedPages(engine.memory()->deficit());
 
   int failures = 0;
   for (const QuerySpec& q : Dashboard()) {

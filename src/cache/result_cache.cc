@@ -32,8 +32,6 @@ bool UnqualifySlot(const std::string& slot, const std::string& table,
 
 }  // namespace
 
-ResultCache::~ResultCache() { Clear(); }
-
 uint64_t ResultCache::Checksum(const std::vector<RowBatch>& batches) {
   uint64_t h = 1469598103934665603ULL;
   for (const RowBatch& b : batches) {
@@ -137,82 +135,27 @@ ResultCache::MaintenanceInfo ResultCache::AnalyzeMaintenance(
   return info;
 }
 
-void ResultCache::AttachBroker(MemoryBroker* broker) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (registered_ && broker_ != nullptr) broker_->Unregister(this);
-  registered_ = false;
-  charged_pages_ = 0;
-  // Entries cached under a previous broker are exempt from the new one:
-  // their grants died with the old broker, so releasing them against the
-  // new broker would corrupt its accounting.
-  ForEachEntryClearCharged();
-  broker_ = broker;
-}
-
-void ResultCache::ForEachEntryClearCharged() {
-  std::vector<std::string> keys;
-  entries_.ForEach([&keys](const std::string& k, const Entry&) {
-    keys.push_back(k);
-  });
-  for (const auto& k : keys) {
-    Entry* e = entries_.Get(k);
-    if (e != nullptr) e->charged = false;
-  }
-}
-
-void ResultCache::OnBrokerDestroyed() {
-  std::lock_guard<std::mutex> lock(mu_);
-  broker_ = nullptr;
-  registered_ = false;
-  charged_pages_ = 0;
-  ForEachEntryClearCharged();
-}
-
-void ResultCache::ReleaseToBroker(int64_t pages) {
-  if (broker_ != nullptr && pages > 0) {
-    broker_->Release(pages);
-    charged_pages_ -= std::min(charged_pages_, pages);
-  }
-}
-
-void ResultCache::UpdateRegistrationLocked() {
-  if (broker_ == nullptr) return;
-  if (!registered_ && charged_pages_ > 0) {
-    broker_->Register(this);
-    registered_ = true;
-  } else if (registered_ && charged_pages_ == 0) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-}
-
 void ResultCache::EraseLocked(const std::string& key) {
   Entry* e = entries_.Get(key);
   if (e == nullptr) return;
-  total_pages_ -= e->pages;
-  if (e->charged) ReleaseToBroker(e->pages);
+  grant_.Shrink(e->pages);
   entries_.Erase(key);
-  UpdateRegistrationLocked();
 }
 
 bool ResultCache::EvictOldestLocked() {
   std::string key;
   Entry victim;
   if (!entries_.EvictOldest(&key, &victim)) return false;
-  total_pages_ -= victim.pages;
-  if (victim.charged) ReleaseToBroker(victim.pages);
+  grant_.Shrink(victim.pages);
   ++stats_.evictions;
-  UpdateRegistrationLocked();
   return true;
 }
 
 bool ResultCache::ReserveLocked(int64_t pages, size_t min_keep) {
-  if (broker_ == nullptr) return true;
-  while (!broker_->TryGrant(pages)) {
+  while (!grant_.TryGrow(pages)) {
     if (entries_.size() <= min_keep) return false;
     EvictOldestLocked();
   }
-  charged_pages_ += pages;
   return true;
 }
 
@@ -400,17 +343,14 @@ bool ResultCache::PatchLocked(const std::string& key, Entry* entry,
     const int64_t extra = new_pages - entry->pages;
     // The entry under patch is MRU (Lookup just touched it), so evicting
     // from the LRU end with min_keep=1 can never evict it.
-    if (entry->charged && !ReserveLocked(extra, 1)) {
+    if (!ReserveLocked(extra, 1)) {
       ++stats_.invalidations;
       EraseLocked(key);
       return false;
     }
-    total_pages_ += extra;
     entry->pages = new_pages;
   } else if (new_pages < entry->pages) {
-    const int64_t freed = entry->pages - new_pages;
-    total_pages_ -= freed;
-    if (entry->charged) ReleaseToBroker(freed);
+    grant_.Shrink(entry->pages - new_pages);
     entry->pages = new_pages;
   }
 
@@ -458,29 +398,28 @@ void ResultCache::Insert(const std::string& key, const QuerySpec& spec,
   while (entries_.size() >= options_.max_entries) {
     if (!EvictOldestLocked()) break;
   }
-  while (options_.max_pages > 0 && total_pages_ + pages > options_.max_pages) {
+  while (options_.max_pages > 0 &&
+         grant_.pages() + pages > options_.max_pages) {
     if (!EvictOldestLocked()) break;
   }
-  if (options_.max_pages > 0 && total_pages_ + pages > options_.max_pages) {
+  if (options_.max_pages > 0 && grant_.pages() + pages > options_.max_pages) {
     return;  // page budget refuses even an empty cache
   }
   if (!ReserveLocked(pages, 0)) {
     return;  // broker refuses even after shedding everything else
   }
-  entry.charged = broker_ != nullptr;
-  total_pages_ += pages;
   entries_.Put(key, std::move(entry));
   ++stats_.inserts;
-  UpdateRegistrationLocked();
 }
 
 int64_t ResultCache::ShedPages(int64_t deficit) {
+  if (deficit <= 0) return 0;
   std::lock_guard<std::mutex> lock(mu_);
   int64_t shed = 0;
   while (shed < deficit && !entries_.empty()) {
-    const int64_t before = total_pages_;
+    const int64_t before = grant_.pages();
     if (!EvictOldestLocked()) break;
-    shed += before - total_pages_;
+    shed += before - grant_.pages();
   }
   return shed;
 }
@@ -493,10 +432,6 @@ void ResultCache::Clear() {
   // Clear is administrative, not capacity pressure; don't let it skew the
   // eviction stat.
   stats_.evictions = before;
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
 }
 
 }  // namespace rqp

@@ -34,10 +34,11 @@ namespace rqp {
 ///    invalidated.
 ///
 /// Robustness integration:
-///  - Memory is charged through the engine's MemoryBroker via TryGrant
-///    (all-or-nothing, no overcommit): cached results compete with query
-///    working memory, and revocation polls shed LRU entries instead of
-///    OOMing (the cache is a MemoryRevocable like any spilling operator).
+///  - Every entry's pages are held by one MemoryGrant on the broker given at
+///    construction (the engine's query-memory broker), grown all-or-nothing
+///    (TryGrow: no overcommit): cached results compete with query working
+///    memory, and ShedPages(broker deficit) sheds LRU entries instead of
+///    OOMing.
 ///  - Single-flight stampede suppression (shared KeyedFlight utility):
 ///    concurrent identical queries wait on the in-flight computation.
 ///  - Fault-injector integration: kCacheCorruption events damage an entry
@@ -46,9 +47,9 @@ namespace rqp {
 ///  - Deterministic cost accounting: a hit charges only re-emit work
 ///    (rows x row_cpu); a patched hit additionally charges the delta scan.
 ///
-/// Thread-safe; lock order is cache mutex -> broker mutex (the broker
-/// never calls back into the cache while holding its own lock).
-class ResultCache : public MemoryRevocable {
+/// Thread-safe; the cache mutex guards the grant, so the lock order is
+/// cache mutex -> broker mutex (the broker never calls into the cache).
+class ResultCache {
  public:
   struct Options {
     size_t max_entries = 64;
@@ -102,9 +103,11 @@ class ResultCache : public MemoryRevocable {
 
   using Flight = KeyedFlight<std::string>::Guard;
 
-  ResultCache() : ResultCache(Options()) {}
-  explicit ResultCache(Options options) : options_(options) {}
-  ~ResultCache() override;
+  /// Charges every entry's pages to `broker`, which must outlive the cache.
+  explicit ResultCache(MemoryBroker* broker)
+      : ResultCache(broker, Options()) {}
+  ResultCache(MemoryBroker* broker, Options options)
+      : options_(options), grant_(broker) {}
 
   /// Epochs of every table `spec` references, as of now. The engine takes
   /// the snapshot *before* execution so rows appended mid-computation are
@@ -134,15 +137,10 @@ class ResultCache : public MemoryRevocable {
               std::vector<std::string> slots, std::vector<RowBatch> batches,
               int64_t rows);
 
-  /// Attaches the broker the cache charges its pages through (the engine's
-  /// query-memory broker). Entries cached before attachment are exempt.
-  void AttachBroker(MemoryBroker* broker);
-
-  /// MemoryRevocable: sheds LRU entries until `deficit` pages are
-  /// released; the cache may shed to empty (no progress minimum — cached
-  /// results are discretionary memory).
-  int64_t ShedPages(int64_t deficit) override;
-  void OnBrokerDestroyed() override;
+  /// Sheds LRU entries until `deficit` pages (the broker's deficit()) are
+  /// returned; the cache may shed to empty (no progress minimum — cached
+  /// results are discretionary memory). Returns the pages shed.
+  int64_t ShedPages(int64_t deficit);
 
   Stats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -154,7 +152,7 @@ class ResultCache : public MemoryRevocable {
   }
   int64_t total_pages() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return total_pages_;
+    return grant_.pages();
   }
   void Clear();
 
@@ -181,9 +179,6 @@ class ResultCache : public MemoryRevocable {
     std::vector<std::string> slots;
     int64_t rows = 0;
     int64_t pages = 0;
-    /// True when `pages` was granted from the attached broker (entries
-    /// cached while no broker was attached are exempt from release).
-    bool charged = false;
     uint64_t checksum = 0;
     Snapshot snapshot;
     MaintenanceInfo maint;
@@ -194,19 +189,14 @@ class ResultCache : public MemoryRevocable {
       const QuerySpec& spec, const Catalog& catalog,
       const std::vector<RowBatch>& batches);
 
-  /// Drops `entry` (must be present), returning its pages to the broker.
+  /// Drops `key`'s entry (if present), returning its pages to the broker.
   /// Caller holds mu_.
   void EraseLocked(const std::string& key);
   bool EvictOldestLocked();
-  /// Grants `pages` from the broker, evicting LRU entries down to
-  /// `min_keep` until it fits. Caller holds mu_. False when nothing more
-  /// can be evicted and the grant still fails.
+  /// Grows the grant by `pages`, evicting LRU entries down to `min_keep`
+  /// until they fit. Caller holds mu_. False when nothing more can be
+  /// evicted and the pages still do not fit.
   bool ReserveLocked(int64_t pages, size_t min_keep);
-  void ReleaseToBroker(int64_t pages);
-  void ForEachEntryClearCharged();
-  /// Registers with the broker while holding pages (lazy, like the
-  /// spilling operators). Caller holds mu_.
-  void UpdateRegistrationLocked();
 
   /// Applies the delta rows to a maintainable entry in place (copy-on-
   /// patch). Returns false — and erases the entry — when patching is not
@@ -219,10 +209,7 @@ class ResultCache : public MemoryRevocable {
   mutable std::mutex mu_;
   LruMap<std::string, Entry> entries_;
   KeyedFlight<std::string> flight_;
-  int64_t total_pages_ = 0;
-  int64_t charged_pages_ = 0;  ///< subset of total_pages_ held from broker_
-  MemoryBroker* broker_ = nullptr;
-  bool registered_ = false;
+  MemoryGrant grant_;  ///< every entry's pages
   Stats stats_;
 };
 

@@ -77,10 +77,9 @@ Engine::Engine(Catalog* catalog, EngineOptions options)
   ro.max_pages = ResolveResultCachePages(ro.max_pages);
   ro.max_staleness = options_.result_cache_max_staleness;
   ro.cost_model = options_.cost_model;
-  result_cache_ = std::make_unique<ResultCache>(ro);
   // Cached results are charged against query memory: they compete with
-  // operator working memory and shed under the same revocation machinery.
-  result_cache_->AttachBroker(&memory_);
+  // operator working memory and shed when the broker runs a deficit.
+  result_cache_ = std::make_unique<ResultCache>(&memory_, ro);
 }
 
 void Engine::AnalyzeAll(const AnalyzeOptions& options) {
@@ -434,7 +433,7 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
     // silently-included state.
     rc_snapshot = ResultCache::TakeSnapshot(spec, *catalog_);
     // Give cached results back before the query claims working memory.
-    memory_.PollRevocation(result_cache_.get());
+    result_cache_->ShedPages(memory_.deficit());
   }
 
   // Rio proactive box check: is one plan optimal across the whole

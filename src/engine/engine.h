@@ -320,8 +320,8 @@ class Engine {
   IndexTuner index_tuner_;
   StHistogramStore st_store_;
   PlanCache plan_cache_;
-  /// Declared after memory_ so it is destroyed first and releases its
-  /// broker pages into a still-live broker.
+  /// Declared after memory_ so it is destroyed first and returns its
+  /// grant's pages to a still-live broker.
   std::unique_ptr<ResultCache> result_cache_;
   bool result_cache_enabled_ = false;
   SimdLevel simd_level_ = SimdLevel::kScalar;  ///< options/$RQP_SIMD + cpuid

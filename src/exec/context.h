@@ -100,27 +100,6 @@ struct ExecCounters {
   }
 };
 
-/// Implemented by memory-adaptive operators that can give granted pages back
-/// mid-query. The broker never calls into an operator asynchronously — so
-/// shedding happens only when the operator itself polls at a phase boundary
-/// (a point with no live references into the memory being shed). Under
-/// parallel execution, workers poll at morsel boundaries; each worker sheds
-/// only its own thread-local state.
-class MemoryRevocable {
- public:
-  virtual ~MemoryRevocable() = default;
-
-  /// Asked to release up to `deficit` granted pages (via Release()), keeping
-  /// at least the 1-page progress minimum. Returns pages actually released.
-  virtual int64_t ShedPages(int64_t deficit) = 0;
-
-  /// The broker is being destroyed while this operator is still registered
-  /// (an error unwound the query without Close). The operator must drop its
-  /// broker pointer — test fixtures may destroy the ExecContext before the
-  /// operators that executed under it.
-  virtual void OnBrokerDestroyed() {}
-};
-
 /// External cancellation token shared between a query's ExecContext and
 /// whoever may kill the query from outside (the scheduler's deadline
 /// enforcement and memory arbitration). Cancel() is one-shot: the first
@@ -161,21 +140,76 @@ class QueryCancelToken {
   std::string reason_;
 };
 
-/// Grants query memory (in pages). Capacity may be changed while queries
-/// run (the FMT fluctuating-memory test); operators observe the new limit
-/// at their next phase boundary when the dynamic policy is enabled.
+class MemoryBroker;
+
+/// The pages one owner holds from one broker — the only way to hold broker
+/// memory. Every page a grant takes comes back when the grant is cleared,
+/// shrunk, reassigned or destroyed, so an operator unwound by an error
+/// without Close() cannot leak pages. A broker destroyed before a grant
+/// that holds pages (a test fixture's stack-scoped ExecContext, a tree that
+/// outlives its context) detaches it: it then holds zero pages from no
+/// broker. Clearing, moving or destroying a grant that holds no pages never
+/// touches its broker.
 ///
-/// Thread-safe (PR 3): grants, releases, and capacity changes may arrive
-/// concurrently from parallel-phase workers; all state is guarded by an
-/// internal mutex. PollRevocation never holds the broker lock across the
-/// operator's ShedPages callback — shedding releases pages, which would
-/// otherwise deadlock on lock re-entry.
+/// A grant belongs to one thread at a time (its operator, or one parallel
+/// worker); the broker's lock guards everything the grants of one broker
+/// share. Revocation is the owner's business: at a phase boundary it reads
+/// MemoryBroker::deficit() and sheds through its own code, so the broker
+/// never calls back into anything.
+class MemoryGrant {
+ public:
+  MemoryGrant() = default;
+  explicit MemoryGrant(MemoryBroker* broker) : broker_(broker) {}
+  ~MemoryGrant() { Clear(); }
+  MemoryGrant(MemoryGrant&& other) noexcept;
+  MemoryGrant& operator=(MemoryGrant&& other) noexcept;
+  MemoryGrant(const MemoryGrant&) = delete;
+  MemoryGrant& operator=(const MemoryGrant&) = delete;
+
+  int64_t pages() const { return pages_; }
+
+  /// Takes up to `n` more pages but never fewer than 1 — even from an
+  /// over-committed broker — so every holder can make progress, at spill
+  /// speed. Returns the pages taken (0 only without a broker).
+  int64_t Grow(int64_t n);
+  /// Takes exactly `n` more pages when they fit under capacity, else
+  /// nothing: no progress floor and no over-commit.
+  bool TryGrow(int64_t n);
+  /// Returns `n` pages (at most all of them) to the broker.
+  void Shrink(int64_t n);
+  /// Returns every page.
+  void Clear() { Shrink(pages_); }
+
+ private:
+  friend class MemoryBroker;
+
+  MemoryBroker* broker_ = nullptr;
+  int64_t pages_ = 0;
+  // The broker's list of the grants that hold pages (guarded by its lock).
+  MemoryGrant* prev_ = nullptr;
+  MemoryGrant* next_ = nullptr;
+};
+
+/// Grants query memory (in pages) through MemoryGrant. Capacity may be
+/// changed while queries run (the FMT fluctuating-memory test, fault-
+/// injected memory drops, the scheduler's arbitration); holders observe the
+/// new limit through deficit() at their next phase boundary.
+///
+/// Thread-safe: grants, returns and capacity changes may arrive concurrently
+/// from parallel-phase workers; all state is guarded by an internal mutex.
 class MemoryBroker {
  public:
   explicit MemoryBroker(int64_t capacity_pages = 1 << 20)
       : capacity_(capacity_pages) {}
   ~MemoryBroker() {
-    for (MemoryRevocable* op : revocables_) op->OnBrokerDestroyed();
+    std::lock_guard<std::mutex> lock(mu_);
+    for (MemoryGrant* g = grants_; g != nullptr;) {
+      MemoryGrant* next = g->next_;
+      g->broker_ = nullptr;
+      g->pages_ = 0;
+      g->prev_ = g->next_ = nullptr;
+      g = next;
+    }
   }
   MemoryBroker(const MemoryBroker&) = delete;
   MemoryBroker& operator=(const MemoryBroker&) = delete;
@@ -188,48 +222,22 @@ class MemoryBroker {
     std::lock_guard<std::mutex> lock(mu_);
     return used_;
   }
-  int64_t available() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_ > used_ ? capacity_ - used_ : 0;
-  }
 
   /// Changes capacity. May be called while grants are outstanding: shrinking
   /// below `used()` is legal (the FMT test and fault injection both do it) —
-  /// no assertion fires, `available()` clamps to zero, and subsequent grants
-  /// shrink to the 1-page progress minimum until enough memory is released.
+  /// no assertion fires, `deficit()` turns positive, and subsequent grants
+  /// shrink to the 1-page progress minimum until enough memory is returned.
   /// Negative capacities clamp to zero.
   void set_capacity(int64_t pages) {
     std::lock_guard<std::mutex> lock(mu_);
     capacity_ = pages < 0 ? 0 : pages;
   }
 
-  /// Grants up to `requested` pages but never less than 1 — even when the
-  /// broker is over-committed after a capacity shrink — so every operator
-  /// can always make progress, at spill speed. Returns the grant size,
-  /// which the caller must eventually Release().
-  int64_t Grant(int64_t requested) {
+  /// Pages held beyond capacity after a shrink (0 when within it): what the
+  /// holders should shed at their next phase boundary.
+  int64_t deficit() const {
     std::lock_guard<std::mutex> lock(mu_);
-    const int64_t avail = capacity_ > used_ ? capacity_ - used_ : 0;
-    const int64_t g = std::max<int64_t>(1, std::min(requested, avail));
-    used_ += g;
-    peak_used_ = std::max(peak_used_, used_);
-    return g;
-  }
-  void Release(int64_t pages) {
-    std::lock_guard<std::mutex> lock(mu_);
-    used_ -= std::min(pages, used_);
-  }
-
-  /// All-or-nothing grant with no progress minimum and no overcommit —
-  /// for *discretionary* memory (the result cache) that must never push
-  /// the broker past capacity the way operator grants may. Returns false
-  /// without taking anything when `pages` doesn't fit.
-  bool TryGrant(int64_t pages) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (pages < 0 || used_ + pages > capacity_) return false;
-    used_ += pages;
-    peak_used_ = std::max(peak_used_, used_);
-    return true;
+    return used_ > capacity_ ? used_ - capacity_ : 0;
   }
 
   /// High-water mark of `used()`; exceeds capacity() exactly when the broker
@@ -239,65 +247,93 @@ class MemoryBroker {
     return peak_used_;
   }
 
-  /// True when a capacity shrink left grants outstanding beyond the limit;
-  /// registered operators should shed at their next phase boundary.
-  bool overcommitted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return used_ > capacity_;
-  }
-
-  // -- phase-boundary revocation --------------------------------------------
-  /// Operators holding multi-page grants register while their grant is live.
-  /// Registration is bookkeeping only (the broker never calls ShedPages
-  /// spontaneously); Unregister is idempotent and safe from destructors.
-  void Register(MemoryRevocable* op) {
-    std::lock_guard<std::mutex> lock(mu_);
-    revocables_.push_back(op);
-  }
-  void Unregister(MemoryRevocable* op) {
-    std::lock_guard<std::mutex> lock(mu_);
-    revocables_.erase(std::remove(revocables_.begin(), revocables_.end(), op),
-                      revocables_.end());
-  }
-  int64_t registered_revocables() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<int64_t>(revocables_.size());
-  }
-
-  /// Phase-boundary revocation poll: when the broker is over-committed, asks
-  /// the polling operator to shed up to the deficit (ShedPages keeps the
-  /// 1-page progress minimum). Returns the pages shed. The deficit is read
-  /// under the lock, but ShedPages runs outside it: the callback releases
-  /// pages through this broker, and another worker may concurrently change
-  /// the picture — shedding a few pages more than the instantaneous deficit
-  /// is harmless, deadlocking is not.
-  int64_t PollRevocation(MemoryRevocable* op) {
-    int64_t deficit;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (used_ <= capacity_) return 0;
-      deficit = used_ - capacity_;
-    }
-    const int64_t shed = op->ShedPages(deficit);
-    if (shed > 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++revocations_honored_;
-    }
-    return shed;
-  }
-  int64_t revocations_honored() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return revocations_honored_;
-  }
-
  private:
+  friend class MemoryGrant;
+
+  // Page movements of one grant, each under one lock acquisition.
+  int64_t Grow(MemoryGrant* g, int64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const int64_t avail = capacity_ > used_ ? capacity_ - used_ : 0;
+    const int64_t taken = std::max<int64_t>(1, std::min(n, avail));
+    TakeLocked(g, taken);
+    return taken;
+  }
+  bool TryGrow(MemoryGrant* g, int64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (n < 0 || used_ + n > capacity_) return false;
+    TakeLocked(g, n);
+    return true;
+  }
+  void Shrink(MemoryGrant* g, int64_t n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    used_ -= n;
+    g->pages_ -= n;
+    if (g->pages_ > 0) return;
+    // Unlink: the grant holds nothing, so a later destruction of this
+    // broker has nothing to detach.
+    (g->prev_ != nullptr ? g->prev_->next_ : grants_) = g->next_;
+    if (g->next_ != nullptr) g->next_->prev_ = g->prev_;
+    g->prev_ = g->next_ = nullptr;
+  }
+  /// Hands `from`'s pages and list position to `to` (a moved grant).
+  void Move(MemoryGrant* from, MemoryGrant* to) {
+    std::lock_guard<std::mutex> lock(mu_);
+    to->pages_ = from->pages_;
+    from->pages_ = 0;
+    to->prev_ = from->prev_;
+    to->next_ = from->next_;
+    (to->prev_ != nullptr ? to->prev_->next_ : grants_) = to;
+    if (to->next_ != nullptr) to->next_->prev_ = to;
+    from->prev_ = from->next_ = nullptr;
+  }
+  void TakeLocked(MemoryGrant* g, int64_t n) {
+    if (n == 0) return;
+    if (g->pages_ == 0) {
+      // Link: the grant now holds pages this broker must detach if it dies
+      // first.
+      g->next_ = grants_;
+      if (grants_ != nullptr) grants_->prev_ = g;
+      grants_ = g;
+    }
+    g->pages_ += n;
+    used_ += n;
+    peak_used_ = std::max(peak_used_, used_);
+  }
+
   mutable std::mutex mu_;
   int64_t capacity_;
   int64_t used_ = 0;
   int64_t peak_used_ = 0;
-  std::vector<MemoryRevocable*> revocables_;
-  int64_t revocations_honored_ = 0;
+  MemoryGrant* grants_ = nullptr;  ///< head of the grants holding pages
 };
+
+inline MemoryGrant::MemoryGrant(MemoryGrant&& other) noexcept
+    : broker_(other.broker_) {
+  if (other.pages_ > 0) broker_->Move(&other, this);
+  other.broker_ = nullptr;
+}
+
+inline MemoryGrant& MemoryGrant::operator=(MemoryGrant&& other) noexcept {
+  if (this == &other) return *this;
+  Clear();
+  broker_ = other.broker_;
+  if (other.pages_ > 0) broker_->Move(&other, this);
+  other.broker_ = nullptr;
+  return *this;
+}
+
+inline int64_t MemoryGrant::Grow(int64_t n) {
+  return broker_ == nullptr ? 0 : broker_->Grow(this, n);
+}
+
+inline bool MemoryGrant::TryGrow(int64_t n) {
+  return broker_ != nullptr && broker_->TryGrow(this, n);
+}
+
+inline void MemoryGrant::Shrink(int64_t n) {
+  n = std::min(n, pages_);
+  if (n > 0) broker_->Shrink(this, n);
+}
 
 /// Per-query execution context: cost clock, memory, and the re-optimization
 /// mailbox used by POP CHECK operators.

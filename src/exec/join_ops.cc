@@ -80,16 +80,6 @@ HashJoinOp::HashJoinOp(OperatorPtr probe_child, OperatorPtr build_child,
   fan_mask_ = (f & (f - 1)) == 0 ? f - 1 : 0;
 }
 
-HashJoinOp::~HashJoinOp() {
-  // DrainOperator does not Close() on error paths: grants and registration
-  // must not outlive the operator.
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-}
-
 size_t HashJoinOp::PartitionOf(int64_t key) const {
   // splitmix64-style finalizer salted by recursion depth, so each level
   // splits keys independently — and independently of the JoinHashTable
@@ -120,7 +110,7 @@ Status HashJoinOp::SpillPartition(size_t part_idx) {
   if (depth_ == 0) {
     build_rows_spilled_ += static_cast<int64_t>(part.rows.num_rows());
   }
-  ctx_->memory()->Release(part.charged_pages);
+  resident_.Shrink(part.charged_pages);
   part.charged_pages = 0;
   part.rows.data.clear();
   part.table.clear();
@@ -130,29 +120,33 @@ Status HashJoinOp::SpillPartition(size_t part_idx) {
   return Status::OK();
 }
 
+int HashJoinOp::LargestResident() const {
+  int victim = -1;
+  int64_t victim_pages = 0;
+  for (size_t i = 0; i < parts_.size(); ++i) {
+    if (!parts_[i].spilled && parts_[i].charged_pages > victim_pages) {
+      victim_pages = parts_[i].charged_pages;
+      victim = static_cast<int>(i);
+    }
+  }
+  return victim;
+}
+
 Status HashJoinOp::EnsurePartitionPage(size_t part_idx) {
   while (true) {
     Partition& part = parts_[part_idx];
     if (part.spilled) return Status::OK();  // evicted below; rows on disk
-    if (ctx_->memory()->available() > 0) {
-      ctx_->memory()->Grant(1);
+    if (resident_.TryGrow(1)) {
       ++part.charged_pages;
       return Status::OK();
     }
     // Memory exhausted: evict the largest resident partition (ties broken
     // by lowest index, keeping runs deterministic).
-    int victim = -1;
-    int64_t victim_pages = 0;
-    for (size_t i = 0; i < parts_.size(); ++i) {
-      if (!parts_[i].spilled && parts_[i].charged_pages > victim_pages) {
-        victim_pages = parts_[i].charged_pages;
-        victim = static_cast<int>(i);
-      }
-    }
+    const int victim = LargestResident();
     if (victim < 0) {
       // Nothing left to evict: take the 1-page progress minimum (the broker
       // over-commits rather than deadlocks).
-      ctx_->memory()->Grant(1);
+      resident_.Grow(1);
       ++part.charged_pages;
       return Status::OK();
     }
@@ -239,7 +233,7 @@ Status HashJoinOp::RunBuildFromChild(ExecContext* ctx) {
     // Poll at batch start (the phase boundary) before absorbing rows, so a
     // capacity drop charged during the child's Next is shed as a revocation
     // rather than resolved incidentally by the eviction path.
-    RQP_RETURN_IF_ERROR(PollRevocation());
+    RQP_RETURN_IF_ERROR(Shed());
     ctx->ChargeHashOps(static_cast<int64_t>(batch.num_rows()));
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       ++build_rows_total_;
@@ -264,7 +258,7 @@ Status HashJoinOp::RunBuildFromFile(SpillFile* file) {
     RowBatch batch;
     RQP_RETURN_IF_ERROR(file->ReadBatch(&batch));
     if (batch.empty()) break;
-    RQP_RETURN_IF_ERROR(PollRevocation());
+    RQP_RETURN_IF_ERROR(Shed());
     ctx_->ChargeHashOps(static_cast<int64_t>(batch.num_rows()));
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       RQP_RETURN_IF_ERROR(PartitionBuildRow(batch.row(r)));
@@ -313,7 +307,7 @@ Status HashJoinOp::FetchProbeBatch(bool* eof) {
     for (size_t i = 0; i < n; ++i) probe_keys_[i] = key_col[i * stride];
   }
   // Batch boundary = phase boundary: no live match references, safe to shed.
-  RQP_RETURN_IF_ERROR(PollRevocation());
+  RQP_RETURN_IF_ERROR(Shed());
   // Fused whole-batch probe: charge every probe in one flush, then either
   // run ProbeResident (no partition spilled) or compute every row's
   // partition in one pass, route spilled-partition rows to their probe
@@ -485,9 +479,8 @@ Status HashJoinOp::FinishProbePhase() {
       // Pairs with an empty side produce no matches; dropping the
       // SpillFiles removes their temp files immediately.
     }
-    ctx_->memory()->Release(part.charged_pages);
-    part.charged_pages = 0;
   }
+  resident_.Clear();
   parts_.clear();
   dense_dir_.clear();
   probe_file_.reset();
@@ -528,17 +521,14 @@ Status HashJoinOp::SetupNextTask() {
 
 Status HashJoinOp::LoadNextChunk() {
   // Chunk boundary = phase boundary: renegotiate the grant so capacity
-  // changes (grow or shrink) take effect on the next chunk.
-  if (chunk_pages_ > 0) {
-    ctx_->memory()->Release(chunk_pages_);
-    chunk_pages_ = 0;
-  }
+  // changes (grow or shrink) take effect on the next chunk. The chunk takes
+  // everything available, or the 1-page floor.
+  chunk_grant_.Clear();
   chunk_ = RowBuffer{};
   chunk_.num_cols = build_cols_;
   chunk_table_.clear();
-  chunk_pages_ =
-      ctx_->memory()->Grant(std::max<int64_t>(1, ctx_->memory()->available()));
-  const int64_t max_rows = chunk_pages_ * kRowsPerPage;
+  chunk_grant_.Grow(std::numeric_limits<int64_t>::max());
+  const int64_t max_rows = chunk_grant_.pages() * kRowsPerPage;
   while (static_cast<int64_t>(chunk_.num_rows()) < max_rows) {
     RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
     RowBatch batch;
@@ -549,8 +539,7 @@ Status HashJoinOp::LoadNextChunk() {
   }
   if (chunk_.num_rows() == 0) {
     // Build file exhausted: this fallback task is complete.
-    ctx_->memory()->Release(chunk_pages_);
-    chunk_pages_ = 0;
+    chunk_grant_.Clear();
     fb_build_.reset();
     probe_file_.reset();
     phase_ = Phase::kTaskSetup;
@@ -569,57 +558,22 @@ Status HashJoinOp::LoadNextChunk() {
   return Status::OK();
 }
 
-int64_t HashJoinOp::ShedPages(int64_t deficit) {
-  // Only resident partitions are sheddable; the chunked fallback and the
-  // 1-page progress minimum renegotiate at their own boundaries.
+Status HashJoinOp::Shed() {
+  const int64_t deficit = ctx_->memory()->deficit();
   int64_t released = 0;
-  while (released < deficit) {
-    int victim = -1;
-    int64_t victim_pages = 0;
-    for (size_t i = 0; i < parts_.size(); ++i) {
-      if (!parts_[i].spilled && parts_[i].charged_pages > victim_pages) {
-        victim_pages = parts_[i].charged_pages;
-        victim = static_cast<int>(i);
-      }
-    }
+  Status s;
+  while (s.ok() && released < deficit) {
+    const int victim = LargestResident();
     if (victim < 0) break;
-    released += victim_pages;
-    const Status s = SpillPartition(static_cast<size_t>(victim));
-    if (!s.ok()) {
-      shed_error_ = s;
-      break;
-    }
+    released += parts_[static_cast<size_t>(victim)].charged_pages;
+    s = SpillPartition(static_cast<size_t>(victim));
   }
-  return released;
-}
-
-Status HashJoinOp::PollRevocation() {
-  if (!ctx_->memory()->overcommitted()) return Status::OK();
-  const int64_t shed = ctx_->memory()->PollRevocation(this);
-  if (shed > 0) ++ctx_->counters().memory_revocations;
-  if (!shed_error_.ok()) {
-    Status s = shed_error_;
-    shed_error_ = Status::OK();
-    return s;
-  }
-  return Status::OK();
-}
-
-void HashJoinOp::ReleaseAllMemory() {
-  if (broker_ == nullptr) return;
-  for (Partition& part : parts_) {
-    broker_->Release(part.charged_pages);
-    part.charged_pages = 0;
-  }
-  broker_->Release(chunk_pages_);
-  chunk_pages_ = 0;
-  broker_->Release(base_pages_);
-  base_pages_ = 0;
+  if (released > 0) ++ctx_->counters().memory_revocations;
+  return s;
 }
 
 Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   ctx_ = ctx;
-  broker_ = ctx->memory();
   ResetCount();
   done_ = false;
   depth_ = 0;
@@ -638,7 +592,6 @@ Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   spill_fraction_ = 0;
   build_rows_total_ = 0;
   build_rows_spilled_ = 0;
-  shed_error_ = Status::OK();
 
   const int pk = FindSlot(probe_child_->output_slots(), probe_key_);
   const int bk = FindSlot(build_child_->output_slots(), build_key_);
@@ -651,11 +604,10 @@ Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   probe_cols_ = probe_child_->output_slots().size();
   build_cols_ = build_child_->output_slots().size();
 
-  if (!registered_) {
-    broker_->Register(this);
-    registered_ = true;
-  }
-  base_pages_ = broker_->Grant(1);  // progress minimum, held until Close
+  base_ = MemoryGrant(ctx->memory());
+  base_.Grow(1);
+  resident_ = MemoryGrant(ctx->memory());
+  chunk_grant_ = MemoryGrant(ctx->memory());
 
   RQP_RETURN_IF_ERROR(RunBuildFromChild(ctx));
   build_ready_ = true;
@@ -756,15 +708,9 @@ Status HashJoinOp::Next(RowBatch* out) {
 }
 
 void HashJoinOp::Close() {
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-  // All grants are released and the operator is unregistered: drop the
-  // broker pointer so a broker that dies before this operator (a
-  // stack-scoped ExecContext) is never touched from the destructor.
-  broker_ = nullptr;
+  base_.Clear();
+  resident_.Clear();
+  chunk_grant_.Clear();
   build_ready_ = false;
   parts_.clear();
   dense_dir_.clear();
@@ -898,7 +844,11 @@ Status NestedLoopsJoinOp::Next(RowBatch* out) {
   while (!out->full() && !done_) {
     if (left_batch_.empty() || left_row_ >= left_batch_.num_rows()) {
       RQP_RETURN_IF_ERROR(left_child_->Next(&left_batch_));
-      if (left_batch_.empty()) { done_ = true; break; }
+      if (left_batch_.empty()) {
+        left_child_->Close();  // streamed input exhausted: free its memory
+        done_ = true;
+        break;
+      }
       left_row_ = 0;
       right_row_ = 0;
     }
@@ -982,7 +932,11 @@ Status IndexNLJoinOp::Next(RowBatch* out) {
     ++outer_row_;
     if (outer_batch_.empty() || outer_row_ >= outer_batch_.num_rows()) {
       RQP_RETURN_IF_ERROR(outer_child_->Next(&outer_batch_));
-      if (outer_batch_.empty()) { done_ = true; break; }
+      if (outer_batch_.empty()) {
+        outer_child_->Close();  // streamed input exhausted: free its memory
+        done_ = true;
+        break;
+      }
       outer_row_ = 0;
     }
     const int64_t key = outer_batch_.row(outer_row_)[outer_key_idx_];
@@ -1140,7 +1094,10 @@ Status GJoinOp::EmitAll() {
     const size_t build_key = build_left ? left_key_idx_ : right_key_idx_;
     const size_t probe_key = build_left ? right_key_idx_ : left_key_idx_;
     const int64_t build_pages = std::max<int64_t>(1, build.num_pages());
-    const int64_t granted = ctx_->memory()->Grant(build_pages);
+    // Held for the build and probe; returned on every exit, guardrail trips
+    // inside the probe loop included.
+    MemoryGrant grant(ctx_->memory());
+    const int64_t granted = grant.Grow(build_pages);
     if (granted < build_pages) {
       const double f = 1.0 - static_cast<double>(granted) /
                                  static_cast<double>(build_pages);
@@ -1166,7 +1123,6 @@ Status GJoinOp::EmitAll() {
                            emit(l, r);
                          });
     }
-    ctx_->memory()->Release(granted);
   }
   flush();
   return Status::OK();

@@ -107,8 +107,10 @@ struct JoinHashTable {
 /// processed recursively with a level-dependent hash; at `max_recursion`
 /// the operator falls back to chunked hash probing (memory-sized build
 /// chunks, one probe-file pass per chunk), which completes at a 1-page
-/// grant. The operator honors phase-boundary memory revocation: a capacity
-/// shrink makes it shed resident partitions at the next batch boundary.
+/// grant. Its pages are three MemoryGrants: the 1-page progress minimum,
+/// the resident partitions and the fallback's chunk. The operator honors
+/// phase-boundary memory revocation: a capacity shrink makes it shed
+/// resident partitions at the next batch boundary.
 ///
 /// This is the hash join at every DOP: GatherOp runs the build half
 /// (OpenBuild) of the joins in its segment and has its workers probe their
@@ -120,7 +122,7 @@ struct JoinHashTable {
 /// Every phase — resident probe, recursion, chunked fallback — has one
 /// emission: it writes (probe row, build row) pairs into the output
 /// RowBatch, view probe rows column-at-a-time through their row ids.
-class HashJoinOp : public Operator, public MemoryRevocable {
+class HashJoinOp : public Operator {
  public:
   struct Options {
     int fan_out = 8;        ///< grace partitions per recursion level
@@ -145,7 +147,6 @@ class HashJoinOp : public Operator, public MemoryRevocable {
       : HashJoinOp(std::move(probe_child), std::move(build_child),
                    std::move(probe_key_slot), std::move(build_key_slot),
                    Options()) {}
-  ~HashJoinOp() override;
 
   /// The build half of Open: resolves the key slots, takes the 1-page
   /// progress grant and runs the grace-partitioned build. Open skips the
@@ -189,15 +190,6 @@ class HashJoinOp : public Operator, public MemoryRevocable {
     return parts_[part].rows.row(row);
   }
 
-  /// MemoryRevocable: sheds resident build partitions (largest first) until
-  /// `deficit` pages are released or only the 1-page progress minimum
-  /// remains. Called only from this operator's own phase-boundary polls.
-  int64_t ShedPages(int64_t deficit) override;
-  void OnBrokerDestroyed() override {
-    broker_ = nullptr;
-    registered_ = false;
-  }
-
  private:
   /// One grace partition at the current recursion level.
   struct Partition {
@@ -207,7 +199,7 @@ class HashJoinOp : public Operator, public MemoryRevocable {
     std::vector<uint32_t> same;
     std::unique_ptr<SpillFile> build_spill;
     std::unique_ptr<SpillFile> probe_spill;
-    int64_t charged_pages = 0;  ///< broker pages held for `rows`
+    int64_t charged_pages = 0;  ///< resident_ pages held for `rows`
     bool spilled = false;
   };
 
@@ -223,6 +215,13 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   Status PartitionBuildRow(const int64_t* row);
   Status EnsurePartitionPage(size_t part_idx);
   Status SpillPartition(size_t part_idx);
+  /// The resident partition holding the most pages (ties: lowest index), or
+  /// -1 when none holds any.
+  int LargestResident() const;
+  /// Phase-boundary revocation: spills resident partitions, largest first,
+  /// until the broker's deficit is covered. The chunk and the progress
+  /// minimum renegotiate at their own boundaries.
+  Status Shed();
   Status FinishBuildPhase();
   /// Builds dense_dir_ when every partition is resident and the level's
   /// build keys span fewer than kDenseSpanFactor values per row.
@@ -243,8 +242,6 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   Status FinishProbePhase();
   Status SetupNextTask();
   Status LoadNextChunk();
-  Status PollRevocation();
-  void ReleaseAllMemory();
 
   OperatorPtr probe_child_, build_child_;
   std::string probe_key_, build_key_;
@@ -256,8 +253,9 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   size_t probe_key_idx_ = 0, build_key_idx_ = 0;
   size_t probe_cols_ = 0, build_cols_ = 0;
   ExecContext* ctx_ = nullptr;
-  MemoryBroker* broker_ = nullptr;  ///< kept for destructor-safe cleanup
-  bool registered_ = false;
+  MemoryGrant base_;      ///< 1-page progress minimum, held until Close
+  MemoryGrant resident_;  ///< Σ charged_pages of the level's partitions
+  MemoryGrant chunk_grant_;  ///< the chunked fallback's chunk
 
   bool build_ready_ = false;  ///< OpenBuild ran; Open skips the build
   Phase phase_ = Phase::kDone;
@@ -276,11 +274,9 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   std::vector<uint64_t> dense_dir_;
   int64_t dense_min_ = 0;
   std::vector<PendingTask> tasks_;  ///< LIFO: bounds live spill files
-  int64_t base_pages_ = 0;          ///< 1-page progress minimum
   double spill_fraction_ = 0;
   int64_t build_rows_total_ = 0;    ///< depth-0 build rows seen
   int64_t build_rows_spilled_ = 0;  ///< depth-0 build rows spilled
-  Status shed_error_;  ///< deferred I/O failure from ShedPages
 
   // Probe state. The whole probe batch is processed at fetch time — hash
   // charges flushed in one call, partitions computed in one pass, spilled
@@ -308,7 +304,6 @@ class HashJoinOp : public Operator, public MemoryRevocable {
   std::unique_ptr<SpillFile> fb_build_;
   RowBuffer chunk_;
   JoinHashTable chunk_table_;
-  int64_t chunk_pages_ = 0;
 };
 
 /// Sort-merge join over inputs already sorted on their key slots.

@@ -18,14 +18,9 @@ GatherOp::GatherOp(OperatorPtr serial, std::vector<HashJoinOp*> joins,
       agg_(std::move(agg)),
       opts_(opts) {}
 
-GatherOp::~GatherOp() {
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) broker_->Unregister(this);
-}
-
 Status GatherOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  broker_ = ctx->memory();
+  merged_grant_ = MemoryGrant(ctx->memory());
   ResetCount();
   degraded_ = false;
   merged_.Reset(0, 0);
@@ -33,7 +28,7 @@ Status GatherOp::Open(ExecContext* ctx) {
   emit_pos_ = 0;
   morsel_out_.clear();
   worker_groups_.clear();
-  worker_pages_.clear();
+  worker_grants_.clear();
   ledger_.clear();
   scan_produced_.store(0, std::memory_order_relaxed);
   stage_produced_ = std::make_unique<std::atomic<int64_t>[]>(joins_.size());
@@ -42,10 +37,6 @@ Status GatherOp::Open(ExecContext* ctx) {
   emit_row_ = 0;
   emitting_groups_ = false;
   actuals_published_ = false;
-  if (!registered_) {
-    broker_->Register(this);
-    registered_ = true;
-  }
 
   // Serial build, top join first: the order the serial tree's Open builds in.
   for (auto j = joins_.rbegin(); j != joins_.rend(); ++j) {
@@ -56,7 +47,7 @@ Status GatherOp::Open(ExecContext* ctx) {
   // a mid-query capacity drop, means memory is the constraint, not CPU —
   // drain the serial tree instead. Its joins keep the builds above, so it
   // spills and charges exactly as DOP 1 does.
-  bool resident = !broker_->overcommitted();
+  bool resident = ctx->memory()->deficit() == 0;
   for (const HashJoinOp* j : joins_) {
     resident = resident && j->build_resident();
   }
@@ -141,7 +132,7 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
   if (agg_.has_value()) {
     merged_.Reset(agg_->group_slots.size(), agg_->aggregates.size());
     worker_groups_.assign(static_cast<size_t>(dop), merged_);
-    worker_pages_.assign(static_cast<size_t>(dop), 0);
+    for (int w = 0; w < dop; ++w) worker_grants_.emplace_back(ctx->memory());
   } else {
     morsel_out_.resize(static_cast<size_t>(num_morsels));
     for (RowBuffer& rb : morsel_out_) rb.num_cols = output_slots().size();
@@ -179,11 +170,7 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
     // work DOP-dependent, muddying the scaling tables.
     for (int w = 0; w < dop; ++w) {
       MergeIntoShared(worker_groups_[static_cast<size_t>(w)]);
-      int64_t& pages = worker_pages_[static_cast<size_t>(w)];
-      if (pages > 0) {
-        broker_->Release(pages);
-        pages = 0;
-      }
+      worker_grants_[static_cast<size_t>(w)].Clear();
     }
     worker_groups_.clear();
     if (agg_->group_slots.empty() && merged_.num_groups == 0) {
@@ -196,9 +183,8 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
     const int64_t needed_pages =
         (static_cast<int64_t>(merged_.num_groups) + kRowsPerPage - 1) /
         kRowsPerPage;
-    while (merged_charged_pages_ < needed_pages) {
-      merged_charged_pages_ +=
-          broker_->Grant(needed_pages - merged_charged_pages_);
+    while (merged_grant_.pages() < needed_pages) {
+      merged_grant_.Grow(needed_pages - merged_grant_.pages());
     }
     emit_order_ = merged_.SortedIds();
     emitting_groups_ = true;
@@ -252,7 +238,7 @@ void GatherOp::WorkerLoop(int worker_id) {
       // Morsel-boundary revocation poll: a mid-query capacity drop is
       // honored by shedding this worker's partial-aggregate table into the
       // shared merged table and releasing its pages.
-      if (local->num_groups > 0 && broker_->overcommitted()) {
+      if (local->num_groups > 0 && ctx_->memory()->deficit() > 0) {
         ShedLocalGroups(worker_id, local, &charge);
       }
     }
@@ -363,21 +349,17 @@ void GatherOp::EnsureLocalCapacity(int worker_id, const FlatGroups& local) {
   const int64_t needed =
       (static_cast<int64_t>(local.num_groups) + kRowsPerPage - 1) /
       kRowsPerPage;
-  int64_t& pages = worker_pages_[static_cast<size_t>(worker_id)];
-  // Grants may force over-commit (Grant never returns less than 1); the
-  // shed branch at the next morsel boundary resolves it.
-  while (pages < needed) pages += broker_->Grant(needed - pages);
+  MemoryGrant& grant = worker_grants_[static_cast<size_t>(worker_id)];
+  // Grants may force over-commit (Grow never takes less than 1); the shed
+  // branch at the next morsel boundary resolves it.
+  while (grant.pages() < needed) grant.Grow(needed - grant.pages());
 }
 
 void GatherOp::ShedLocalGroups(int worker_id, FlatGroups* local,
                                WorkerCharge* charge) {
   MergeIntoShared(*local);
   local->Reset(local->key_width, local->acc_width);
-  int64_t& pages = worker_pages_[static_cast<size_t>(worker_id)];
-  if (pages > 0) {
-    broker_->Release(pages);
-    pages = 0;
-  }
+  worker_grants_[static_cast<size_t>(worker_id)].Clear();
   charge->CountRevocation();
 }
 
@@ -440,26 +422,8 @@ void GatherOp::Close() {
   // consumers that stop early.
   if (degraded_) serial_->Close();
   for (HashJoinOp* j : joins_) j->Close();
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-  broker_ = nullptr;  // the broker may not outlive this operator
-}
-
-void GatherOp::ReleaseAllMemory() {
-  if (broker_ == nullptr) return;
-  if (merged_charged_pages_ > 0) {
-    broker_->Release(merged_charged_pages_);
-    merged_charged_pages_ = 0;
-  }
-  for (int64_t& pages : worker_pages_) {
-    if (pages > 0) {
-      broker_->Release(pages);
-      pages = 0;
-    }
-  }
+  merged_grant_.Clear();
+  worker_grants_.clear();
 }
 
 }  // namespace rqp

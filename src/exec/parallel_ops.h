@@ -41,9 +41,10 @@ namespace rqp {
 ///      either appends whole rows to its morsel's private output slot or
 ///      folds the group and aggregate inputs into a thread-local FlatGroups
 ///      table. Charges accumulate in thread-local counters flushed at morsel
-///      boundaries; workers poll cancellation and memory revocation there
-///      too (revocation sheds thread-local aggregate state into the shared
-///      merged table — the build partitions are pinned for the phase).
+///      boundaries; workers poll cancellation and the broker's deficit there
+///      too (a worker sheds its thread-local aggregate state into the shared
+///      merged table and clears its own grant — the build partitions are
+///      pinned for the phase).
 ///   3. Barrier + gather: morsel outputs are concatenated in morsel-id
 ///      order (== table order, so the row stream is byte-identical to the
 ///      serial scan at every DOP); partial-aggregate tables are merged in
@@ -54,7 +55,9 @@ namespace rqp {
 /// The phase's total work lands on the cost clock; the deterministic
 /// list-schedule makespan of the per-morsel costs is recorded through
 /// RecordParallelPhase so simulated elapsed time reflects the overlap.
-class GatherOp : public Operator, public MemoryRevocable {
+/// Aggregate state holds one MemoryGrant per worker plus one for the merged
+/// table; the joins hold their own.
+class GatherOp : public Operator {
  public:
   /// Optional aggregation at the top of the parallel pipeline.
   struct AggStage {
@@ -68,7 +71,6 @@ class GatherOp : public Operator, public MemoryRevocable {
   GatherOp(OperatorPtr serial, std::vector<HashJoinOp*> joins,
            const Table* table, PredicatePtr filter, int scan_node_id,
            std::optional<AggStage> agg, ParallelOptions opts);
-  ~GatherOp() override;
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
@@ -79,17 +81,6 @@ class GatherOp : public Operator, public MemoryRevocable {
   std::string name() const override {
     return "Gather(" + table_->name() + ", dop=" +
            std::to_string(opts_.num_threads) + ")";
-  }
-
-  /// MemoryRevocable: the build partitions are pinned for the phase and
-  /// worker-local aggregate state sheds itself at morsel boundaries, so the
-  /// operator never sheds through this path. Registration exists for the
-  /// broker-destroyed-first unwind (OnBrokerDestroyed) like every other
-  /// grant-holding operator.
-  int64_t ShedPages(int64_t) override { return 0; }
-  void OnBrokerDestroyed() override {
-    broker_ = nullptr;
-    registered_ = false;
   }
 
  private:
@@ -125,7 +116,6 @@ class GatherOp : public Operator, public MemoryRevocable {
   void ShedLocalGroups(int worker_id, FlatGroups* local, WorkerCharge* charge);
   void MergeIntoShared(const FlatGroups& local);
   void PublishActuals();
-  void ReleaseAllMemory();
 
   // -- construction-time configuration --------------------------------------
   OperatorPtr serial_;
@@ -148,9 +138,7 @@ class GatherOp : public Operator, public MemoryRevocable {
   std::vector<SlotRef> fold_refs_;
   std::vector<size_t> fold_idx_;
   ExecContext* ctx_ = nullptr;
-  MemoryBroker* broker_ = nullptr;
-  bool registered_ = false;
-  int64_t merged_charged_pages_ = 0;
+  MemoryGrant merged_grant_;  ///< pages of merged_
 
   // -- parallel-phase state --------------------------------------------------
   std::unique_ptr<MorselCursor> cursor_;
@@ -158,7 +146,7 @@ class GatherOp : public Operator, public MemoryRevocable {
   std::vector<double> ledger_;          ///< per-morsel cost, by morsel id
   std::vector<RowBuffer> morsel_out_;   ///< per-morsel output (no-agg mode)
   std::vector<FlatGroups> worker_groups_;
-  std::vector<int64_t> worker_pages_;
+  std::vector<MemoryGrant> worker_grants_;  ///< pages of worker_groups_
   std::atomic<int64_t> scan_produced_{0};
   /// Per-stage produced-row totals (parallel to joins_); shared across
   /// workers, reported to the node fuses at flush boundaries.

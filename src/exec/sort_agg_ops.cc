@@ -26,32 +26,14 @@ SortOp::SortOp(OperatorPtr child, std::string key_slot, Options options)
   if (options_.merge_fanin < 2) options_.merge_fanin = 2;
 }
 
-SortOp::~SortOp() {
-  // DrainOperator does not Close() on error paths: grants and registration
-  // must not outlive the operator.
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-}
-
-void SortOp::ReleaseAllMemory() {
-  if (broker_ == nullptr) return;
-  broker_->Release(buffer_pages_);
-  buffer_pages_ = 0;
-  broker_->Release(merge_pages_);
-  merge_pages_ = 0;
-}
-
 Status SortOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  broker_ = ctx->memory();
   ResetCount();
   next_ = 0;
   external_ = false;
   external_passes_ = 0;
-  shed_error_ = Status::OK();
+  buffer_ = MemoryGrant(ctx->memory());
+  merge_ = MemoryGrant(ctx->memory());
   rows_ = RowBuffer{};
   order_.clear();
   runs_.clear();
@@ -61,11 +43,7 @@ Status SortOp::Open(ExecContext* ctx) {
   key_idx_ = static_cast<size_t>(k);
   cols_ = child_->output_slots().size();
   rows_.num_cols = cols_;
-  open_capacity_ = broker_->capacity();
-  if (options_.dynamic_memory && !registered_) {
-    broker_->Register(this);
-    registered_ = true;
-  }
+  open_capacity_ = ctx->memory()->capacity();
 
   RQP_RETURN_IF_ERROR(ConsumeInput(ctx));
 
@@ -95,26 +73,22 @@ Status SortOp::ConsumeInput(ExecContext* ctx) {
     // the clock during the child's Next, so poll before absorbing rows —
     // otherwise the grow path below resolves the deficit incidentally and
     // the revocation is never observed.
-    RQP_RETURN_IF_ERROR(PollRevocation());
+    RQP_RETURN_IF_ERROR(Shed());
     for (size_t r = 0; r < in.num_rows(); ++r) {
       // Pages needed once this row lands in the buffer.
       const int64_t needed =
           (static_cast<int64_t>(rows_.num_rows()) + kRowsPerPage) /
           kRowsPerPage;
-      if (needed > buffer_pages_) {
+      if (needed > buffer_.pages()) {
         // The static policy is a one-shot deal struck at Open(): it never
         // grows into memory freed later; only the dynamic policy does.
-        const bool headroom =
-            broker_->available() > 0 &&
-            (options_.dynamic_memory || buffer_pages_ < open_capacity_);
-        if (headroom || rows_.num_rows() == 0) {
-          // Grow — or, with an empty buffer, take the 1-page progress
-          // minimum even over-committed.
-          buffer_pages_ += broker_->Grant(1);
-        } else {
-          // No headroom: cut the buffer as a sorted run and start fresh.
+        const bool may_grow =
+            options_.dynamic_memory || buffer_.pages() < open_capacity_;
+        if (!(may_grow && buffer_.TryGrow(1))) {
+          // No headroom: cut the buffer (if any) as a sorted run and start
+          // fresh on the 1-page progress minimum, taken even over-committed.
           RQP_RETURN_IF_ERROR(FlushRun());
-          buffer_pages_ += broker_->Grant(1);
+          buffer_.Grow(1);
         }
       }
       rows_.Append(in.row(r));
@@ -155,8 +129,7 @@ Status SortOp::FlushRun() {
   ++ctx_->counters().spill_partitions;
   rows_.data.clear();
   order_.clear();
-  broker_->Release(buffer_pages_);
-  buffer_pages_ = 0;
+  buffer_.Clear();
   return Status::OK();
 }
 
@@ -170,14 +143,14 @@ Status SortOp::MergeRuns() {
     if (!options_.dynamic_memory) {
       want = std::min(want, std::max<int64_t>(open_capacity_, 2));
     }
-    if (options_.dynamic_memory || merge_pages_ == 0) {
+    if (options_.dynamic_memory || merge_.pages() == 0) {
       // Grow & shrink: renegotiate before every generation, so capacity
       // changes mid-merge adjust the fan-in instead of failing.
-      broker_->Release(merge_pages_);
-      merge_pages_ = broker_->Grant(want);
+      merge_.Clear();
+      merge_.Grow(want);
     }
     const int64_t fanin =
-        std::clamp<int64_t>(merge_pages_ - 1, 2, options_.merge_fanin);
+        std::clamp<int64_t>(merge_.pages() - 1, 2, options_.merge_fanin);
     ++external_passes_;
     if (static_cast<int64_t>(runs_.size()) <= fanin) break;
     RQP_RETURN_IF_ERROR(MergeGeneration(fanin));
@@ -254,7 +227,7 @@ Status SortOp::MergeGeneration(int64_t fanin) {
     for (size_t i = base; i < end; ++i) runs_[i].reset();
   }
   runs_ = std::move(next_runs);
-  return PollRevocation();
+  return Shed();
 }
 
 Status SortOp::Next(RowBatch* out) {
@@ -296,41 +269,21 @@ Status SortOp::Next(RowBatch* out) {
   return Status::OK();
 }
 
-Status SortOp::PollRevocation() {
-  if (!registered_ || broker_ == nullptr || !broker_->overcommitted()) {
+Status SortOp::Shed() {
+  // Only the run-formation buffer is sheddable; merge generations already
+  // renegotiate their grant at every generation boundary.
+  if (!options_.dynamic_memory || external_ || rows_.num_rows() == 0 ||
+      buffer_.pages() == 0 || ctx_->memory()->deficit() == 0) {
     return Status::OK();
   }
-  const int64_t shed = broker_->PollRevocation(this);
-  if (shed > 0) ++ctx_->counters().memory_revocations;
-  if (!shed_error_.ok()) {
-    Status s = shed_error_;
-    shed_error_ = Status::OK();
-    return s;
-  }
+  RQP_RETURN_IF_ERROR(FlushRun());  // returns the buffer's pages
+  ++ctx_->counters().memory_revocations;
   return Status::OK();
 }
 
-int64_t SortOp::ShedPages(int64_t deficit) {
-  (void)deficit;
-  // Only the run-formation buffer is sheddable; merge generations already
-  // renegotiate their grant at every generation boundary.
-  if (external_ || rows_.num_rows() == 0 || buffer_pages_ == 0) return 0;
-  const int64_t released = buffer_pages_;
-  Status st = FlushRun();  // releases the buffer's pages
-  if (!st.ok()) {
-    shed_error_ = st;
-    return 0;
-  }
-  return released;
-}
-
 void SortOp::Close() {
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-  broker_ = nullptr;  // the broker may not outlive this operator
+  buffer_.Clear();
+  merge_.Clear();
   rows_ = RowBuffer{};
   order_.clear();
   cursors_.clear();
@@ -464,20 +417,6 @@ HashAggOp::HashAggOp(OperatorPtr child, std::vector<std::string> group_slots,
   if (options_.max_recursion < 1) options_.max_recursion = 1;
 }
 
-HashAggOp::~HashAggOp() {
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-}
-
-void HashAggOp::ReleaseAllMemory() {
-  if (broker_ == nullptr) return;
-  broker_->Release(charged_pages_);
-  charged_pages_ = 0;
-}
-
 size_t HashAggOp::PartitionOfKey(const int64_t* key, size_t n) const {
   uint64_t h = Mix64(static_cast<uint64_t>(depth_) + 1);
   for (size_t i = 0; i < n; ++i) h = Mix64(h ^ static_cast<uint64_t>(key[i]));
@@ -571,11 +510,8 @@ Status HashAggOp::EnsureGroupCapacity() {
     const int64_t needed = std::max<int64_t>(
         1, (static_cast<int64_t>(flat_.num_groups) + kRowsPerPage - 1) /
                kRowsPerPage);
-    if (needed <= charged_pages_) return Status::OK();
-    if (broker_->available() > 0) {
-      charged_pages_ += broker_->Grant(1);
-      continue;
-    }
+    if (needed <= groups_.pages()) return Status::OK();
+    if (groups_.TryGrow(1)) continue;
     if (depth_ < options_.max_recursion && !slots_.empty() &&
         flat_.num_groups > 1) {
       RQP_RETURN_IF_ERROR(ShedGroups());
@@ -583,7 +519,7 @@ Status HashAggOp::EnsureGroupCapacity() {
     }
     // Out of levels (or nothing sheddable): over-commit rather than fail —
     // completion at degraded speed beats an error.
-    charged_pages_ += broker_->Grant(1);
+    groups_.Grow(1);
   }
 }
 
@@ -607,8 +543,7 @@ Status HashAggOp::ShedGroups() {
     RQP_RETURN_IF_ERROR(file->AppendRow(row.data()));
   }
   flat_.Reset(kw, aggs_.size());
-  broker_->Release(charged_pages_);
-  charged_pages_ = 0;
+  groups_.Clear();
   shed_this_level_ = true;
   return Status::OK();
 }
@@ -627,14 +562,13 @@ Status HashAggOp::SealShedFiles() {
 
 Status HashAggOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
-  broker_ = ctx->memory();
+  groups_ = MemoryGrant(ctx->memory());
   ResetCount();
   emit_order_.clear();
   emit_pos_ = 0;
   emitting_ = false;
   depth_ = 0;
   shed_this_level_ = false;
-  shed_error_ = Status::OK();
   shed_files_.clear();
   pending_.clear();
   group_idx_.clear();
@@ -654,10 +588,6 @@ Status HashAggOp::Open(ExecContext* ctx) {
     if (i < 0) return Status::InvalidArgument("agg slot not found: " + a.slot);
     agg_idx_.push_back(static_cast<size_t>(i));
   }
-  if (!registered_) {
-    broker_->Register(this);
-    registered_ = true;
-  }
 
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   flat_.Reset(group_idx_.size(), aggs_.size());
@@ -669,7 +599,7 @@ Status HashAggOp::Open(ExecContext* ctx) {
     // Poll at batch start (the phase boundary) before absorbing rows, so a
     // capacity drop charged during the child's Next is shed as a revocation
     // rather than resolved incidentally by the grow path.
-    RQP_RETURN_IF_ERROR(PollRevocation());
+    RQP_RETURN_IF_ERROR(Shed());
     // One hash-op flush per input batch (DESIGN.md §10), then the batched
     // flat-table kernel.
     ctx->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
@@ -710,7 +640,7 @@ Status HashAggOp::ProcessPending() {
       RowBatch in;
       RQP_RETURN_IF_ERROR(task.file->ReadBatch(&in));
       if (in.empty()) break;
-      RQP_RETURN_IF_ERROR(PollRevocation());
+      RQP_RETURN_IF_ERROR(Shed());
       ctx_->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
       RQP_RETURN_IF_ERROR(AbsorbBatch(in, /*partial=*/true));
     }
@@ -747,10 +677,7 @@ Status HashAggOp::Next(RowBatch* out) {
       flat_.Reset(group_idx_.size(), aggs_.size());
       emit_order_.clear();
       emit_pos_ = 0;
-      if (broker_ != nullptr) {
-        broker_->Release(charged_pages_);
-        charged_pages_ = 0;
-      }
+      groups_.Clear();
     }
     if (pending_.empty()) break;
     RQP_RETURN_IF_ERROR(ProcessPending());
@@ -761,42 +688,19 @@ Status HashAggOp::Next(RowBatch* out) {
   return Status::OK();
 }
 
-Status HashAggOp::PollRevocation() {
-  if (!registered_ || broker_ == nullptr || !broker_->overcommitted()) {
+Status HashAggOp::Shed() {
+  if (emitting_ || flat_.num_groups <= 1 || groups_.pages() <= 1 ||
+      depth_ >= options_.max_recursion || slots_.empty() ||
+      ctx_->memory()->deficit() == 0) {
     return Status::OK();
   }
-  const int64_t shed = broker_->PollRevocation(this);
-  if (shed > 0) ++ctx_->counters().memory_revocations;
-  if (!shed_error_.ok()) {
-    Status s = shed_error_;
-    shed_error_ = Status::OK();
-    return s;
-  }
+  RQP_RETURN_IF_ERROR(ShedGroups());  // returns the group state's pages
+  ++ctx_->counters().memory_revocations;
   return Status::OK();
 }
 
-int64_t HashAggOp::ShedPages(int64_t deficit) {
-  (void)deficit;
-  if (emitting_ || flat_.num_groups <= 1 || charged_pages_ <= 1 ||
-      depth_ >= options_.max_recursion || slots_.empty()) {
-    return 0;
-  }
-  const int64_t released = charged_pages_;
-  Status st = ShedGroups();
-  if (!st.ok()) {
-    shed_error_ = st;
-    return 0;
-  }
-  return released;
-}
-
 void HashAggOp::Close() {
-  ReleaseAllMemory();
-  if (registered_ && broker_ != nullptr) {
-    broker_->Unregister(this);
-    registered_ = false;
-  }
-  broker_ = nullptr;  // the broker may not outlive this operator
+  groups_.Clear();
   flat_.Reset(0, 0);
   emit_order_.clear();
   emit_pos_ = 0;

@@ -18,8 +18,11 @@ namespace rqp {
 /// Supports the dynamic "grow & shrink" policy: with `dynamic_memory`, the
 /// grant is re-negotiated per merge generation, so a mid-query capacity
 /// change (the FMT test) changes the fan-in of later generations instead of
-/// failing or thrashing; the static policy keeps its initial grant.
-class SortOp : public Operator, public MemoryRevocable {
+/// failing or thrashing, and a capacity shrink during run formation sheds
+/// the buffer as a run at the next batch boundary; the static policy keeps
+/// its initial grant and never sheds. Its pages are two MemoryGrants: the
+/// run-formation buffer and the merge pages.
+class SortOp : public Operator {
  public:
   struct Options {
     bool dynamic_memory = true;
@@ -29,7 +32,6 @@ class SortOp : public Operator, public MemoryRevocable {
   SortOp(OperatorPtr child, std::string key_slot, Options options);
   SortOp(OperatorPtr child, std::string key_slot)
       : SortOp(std::move(child), std::move(key_slot), Options()) {}
-  ~SortOp() override;
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
@@ -41,14 +43,6 @@ class SortOp : public Operator, public MemoryRevocable {
 
   /// Merge generations run after run formation (0 = fully in memory).
   int external_passes() const { return external_passes_; }
-
-  /// MemoryRevocable: sheds the in-flight run-formation buffer as a sorted
-  /// run, releasing its pages (progress continues on fresh 1-page grants).
-  int64_t ShedPages(int64_t deficit) override;
-  void OnBrokerDestroyed() override {
-    broker_ = nullptr;
-    registered_ = false;
-  }
 
  private:
   /// One open run in a k-way merge; holds one page of rows at a time.
@@ -66,8 +60,10 @@ class SortOp : public Operator, public MemoryRevocable {
   Status FlushRun();
   Status MergeRuns();
   Status MergeGeneration(int64_t fanin);
-  Status PollRevocation();
-  void ReleaseAllMemory();
+  /// Phase-boundary revocation (dynamic policy): when the broker is
+  /// over-committed, cuts the run-formation buffer as a sorted run,
+  /// returning its pages (progress continues on fresh 1-page grants).
+  Status Shed();
 
   OperatorPtr child_;
   std::string key_;
@@ -75,17 +71,14 @@ class SortOp : public Operator, public MemoryRevocable {
   size_t key_idx_ = 0;
   size_t cols_ = 0;
   ExecContext* ctx_ = nullptr;
-  MemoryBroker* broker_ = nullptr;
-  bool registered_ = false;
-  Status shed_error_;
 
   // In-memory path (doubles as the run-formation buffer).
   RowBuffer rows_;
   std::vector<size_t> order_;
   std::vector<int64_t> key_gather_;  ///< contiguous sort keys
   size_t next_ = 0;
-  int64_t buffer_pages_ = 0;
-  int64_t merge_pages_ = 0;
+  MemoryGrant buffer_;  ///< pages of the run-formation buffer
+  MemoryGrant merge_;   ///< one page per merged run plus the output page
   /// Broker capacity at Open(); the static policy never grows past it, so
   /// memory freed mid-query is captured only by the dynamic policy.
   int64_t open_capacity_ = 0;
@@ -177,9 +170,11 @@ struct FlatGroups {
 /// hash-partitioned into SpillManager files; partitions are re-aggregated
 /// recursively (with a depth-salted hash) and at `max_recursion` the
 /// operator over-commits the broker instead of shedding, guaranteeing
-/// completion. Queries that never spill emit groups in key order, exactly
-/// like the in-memory implementation.
-class HashAggOp : public Operator, public MemoryRevocable {
+/// completion. A capacity shrink makes it shed the group state at the next
+/// batch boundary. Queries that never spill emit groups in key order,
+/// exactly like the in-memory implementation. The group state's pages are
+/// one MemoryGrant.
+class HashAggOp : public Operator {
  public:
   struct Options {
     int fan_out = 8;        ///< shed partitions per recursion level
@@ -192,7 +187,6 @@ class HashAggOp : public Operator, public MemoryRevocable {
             std::vector<AggSpec> aggregates)
       : HashAggOp(std::move(child), std::move(group_slots),
                   std::move(aggregates), Options()) {}
-  ~HashAggOp() override;
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
@@ -201,14 +195,6 @@ class HashAggOp : public Operator, public MemoryRevocable {
     return slots_;
   }
   std::string name() const override { return "HashAgg"; }
-
-  /// MemoryRevocable: sheds the resident group state as partial-aggregate
-  /// partitions at the next batch boundary.
-  int64_t ShedPages(int64_t deficit) override;
-  void OnBrokerDestroyed() override {
-    broker_ = nullptr;
-    registered_ = false;
-  }
 
  private:
   /// A shed partition awaiting recursive re-aggregation.
@@ -232,8 +218,9 @@ class HashAggOp : public Operator, public MemoryRevocable {
   Status ShedGroups();
   Status SealShedFiles();
   Status ProcessPending();
-  Status PollRevocation();
-  void ReleaseAllMemory();
+  /// Phase-boundary revocation: when the broker is over-committed, sheds
+  /// the resident group state as partial-aggregate partitions.
+  Status Shed();
 
   OperatorPtr child_;
   std::vector<std::string> group_slots_;
@@ -249,10 +236,7 @@ class HashAggOp : public Operator, public MemoryRevocable {
   std::vector<uint32_t> def_rows_, def_grps_;  ///< deferred batch rows
   bool emitting_ = false;
   ExecContext* ctx_ = nullptr;
-  MemoryBroker* broker_ = nullptr;
-  bool registered_ = false;
-  Status shed_error_;
-  int64_t charged_pages_ = 0;
+  MemoryGrant groups_;  ///< pages of the resident group state
   int depth_ = 0;  ///< recursion depth of the partition being absorbed
   bool shed_this_level_ = false;
   std::vector<std::unique_ptr<SpillFile>> shed_files_;

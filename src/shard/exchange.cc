@@ -11,11 +11,8 @@ ExchangeChannel::ExchangeChannel(ExchangeBuffers* sink, ExecContext* ctx,
     : sink_(sink), ctx_(ctx),
       queue_pages_(std::max<int64_t>(1, queue_pages)),
       staged_owned_(static_cast<size_t>(sink->num_shards())),
-      staged_broadcast_(static_cast<size_t>(sink->num_shards())) {}
-
-ExchangeChannel::~ExchangeChannel() {
-  Flush();  // idempotent; releases any residual grant on error unwinds
-}
+      staged_broadcast_(static_cast<size_t>(sink->num_shards())),
+      staging_(ctx->memory()) {}
 
 int64_t ExchangeChannel::StagedPages() const {
   return (staged_rows_ + kRowsPerPage - 1) / kRowsPerPage;
@@ -43,18 +40,13 @@ void ExchangeChannel::MaybeFlush() {
   // network buffer. Grant growth is page-at-a-time; under pressure the
   // broker may short the grant (progress minimum), which only means the
   // accounting shows overcommit until the next flush.
-  if (staged > granted_pages_) {
-    granted_pages_ += ctx_->memory()->Grant(staged - granted_pages_);
-  }
+  if (staged > staging_.pages()) staging_.Grow(staged - staging_.pages());
   if (staged >= queue_pages_) Flush();
 }
 
 void ExchangeChannel::Flush() {
   if (staged_rows_ == 0) {
-    if (granted_pages_ > 0) {
-      ctx_->memory()->Release(granted_pages_);
-      granted_pages_ = 0;
-    }
+    staging_.Clear();
     return;
   }
   const size_t ncols = sink_->num_cols();
@@ -89,10 +81,7 @@ void ExchangeChannel::Flush() {
   if (bcast_rows > 0) {
     ctx_->ChargeExchange(bcast_rows, bcast_pages, /*broadcast=*/true);
   }
-  if (granted_pages_ > 0) {
-    ctx_->memory()->Release(granted_pages_);
-    granted_pages_ = 0;
-  }
+  staging_.Clear();
 }
 
 Status ShuffleExchangeOp::Open(ExecContext* ctx) {

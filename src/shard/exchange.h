@@ -59,9 +59,9 @@ class ExchangeBuffers {
 };
 
 /// Bounded per-sender staging queue in front of an ExchangeBuffers. Staged
-/// rows hold MemoryBroker pages (the in-flight network buffer of a real
+/// rows hold a MemoryGrant (the in-flight network buffer of a real
 /// exchange); once the staged footprint reaches `queue_pages` the channel
-/// flushes into the destination buffers, releasing the grant and paying the
+/// flushes into the destination buffers, clearing the grant and paying the
 /// transfer on the sender's cost clock (ChargeExchange: hash route + row
 /// copy per shuffled row, row copy per broadcast row, exchange_page per
 /// destination page). Everything is serial per sender, so the charges — and
@@ -70,7 +70,6 @@ class ExchangeChannel {
  public:
   ExchangeChannel(ExchangeBuffers* sink, ExecContext* ctx,
                   int64_t queue_pages);
-  ~ExchangeChannel();
 
   /// Stages one row for `dest`'s owned part (hash/range shuffle traffic).
   void StageOwned(int dest, const int64_t* row);
@@ -93,7 +92,7 @@ class ExchangeChannel {
   std::vector<std::vector<int64_t>> staged_owned_;      ///< [dest] cells
   std::vector<std::vector<int64_t>> staged_broadcast_;  ///< [dest] cells
   int64_t staged_rows_ = 0;
-  int64_t granted_pages_ = 0;
+  MemoryGrant staging_;  ///< pages of the staged rows
   int64_t peak_staged_pages_ = 0;
 };
 

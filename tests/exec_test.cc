@@ -697,47 +697,52 @@ TEST(AdaptiveFilterTest, SurvivorsMatchReferenceInInputOrder) {
 
 TEST(MemoryBrokerTest, GrantAndRelease) {
   MemoryBroker broker(100);
-  EXPECT_EQ(broker.Grant(40), 40);
-  EXPECT_EQ(broker.available(), 60);
-  EXPECT_EQ(broker.Grant(100), 60);
-  EXPECT_EQ(broker.Grant(10), 1);  // floor grant of 1 page
-  broker.Release(40);
-  broker.Release(61);
+  MemoryGrant a(&broker), b(&broker);
+  EXPECT_EQ(a.Grow(40), 40);
+  EXPECT_EQ(broker.used(), 40);
+  EXPECT_EQ(b.Grow(100), 60);
+  EXPECT_EQ(b.Grow(10), 1);  // floor grant of 1 page
+  EXPECT_EQ(b.pages(), 61);
+  a.Clear();
+  b.Clear();
   EXPECT_EQ(broker.used(), 0);
 }
 
 TEST(MemoryBrokerTest, CapacityFluctuation) {
   MemoryBroker broker(100);
-  EXPECT_EQ(broker.Grant(50), 50);
+  MemoryGrant g(&broker);
+  EXPECT_EQ(g.Grow(50), 50);
   broker.set_capacity(40);  // shrink below current usage
-  EXPECT_EQ(broker.available(), 0);
-  EXPECT_EQ(broker.Grant(10), 1);
+  EXPECT_EQ(broker.deficit(), 10);
+  EXPECT_EQ(g.Grow(10), 1);
 }
 
 TEST(MemoryBrokerTest, ShrinkBelowUsageClamps) {
   MemoryBroker broker(100);
-  EXPECT_EQ(broker.Grant(80), 80);
+  MemoryGrant g(&broker);
+  EXPECT_EQ(g.Grow(80), 80);
   // Shrinking far below outstanding grants must not assert or underflow:
-  // the broker stays over-committed until enough pages are released.
+  // the broker stays over-committed until enough pages are returned.
   broker.set_capacity(40);
   EXPECT_EQ(broker.capacity(), 40);
   EXPECT_EQ(broker.used(), 80);
-  EXPECT_EQ(broker.available(), 0);
-  EXPECT_EQ(broker.Grant(10), 1);  // progress minimum, at spill speed
+  EXPECT_EQ(broker.deficit(), 40);
+  EXPECT_EQ(g.Grow(10), 1);  // progress minimum, at spill speed
   EXPECT_EQ(broker.used(), 81);
 
   // Negative capacities clamp to zero.
   broker.set_capacity(-5);
   EXPECT_EQ(broker.capacity(), 0);
-  EXPECT_EQ(broker.available(), 0);
+  EXPECT_EQ(broker.deficit(), 81);
 
-  // Releasing more than used clamps at zero rather than going negative.
-  broker.Release(500);
+  // Shrinking a grant by more than it holds returns exactly what it holds.
+  g.Shrink(500);
+  EXPECT_EQ(g.pages(), 0);
   EXPECT_EQ(broker.used(), 0);
 
   // Once capacity recovers, normal grants resume.
   broker.set_capacity(100);
-  EXPECT_EQ(broker.Grant(60), 60);
+  EXPECT_EQ(g.Grow(60), 60);
 }
 
 }  // namespace

@@ -679,6 +679,61 @@ TEST(GJoinTest, BuildsOnActuallySmallerSide) {
   EXPECT_EQ(join.chosen_strategy(), "hash(build=left)");
 }
 
+TEST(GJoinTest, BudgetTripInsideTheHashProbeReturnsTheBuildGrant) {
+  // build=right holds its 32 build pages through the probe loop; a cost
+  // budget that trips inside that loop must not leave them in a broker
+  // that later queries share.
+  JoinFixture f(1000, 50000, 1000);
+  MemoryBroker broker;
+  double full_cost = 0;
+  {
+    ExecContext ctx(&broker);
+    GJoinOp join(f.ScanS(), f.ScanR(), "s.fk", "r.id");
+    ASSERT_TRUE(DrainOperator(&join, &ctx, nullptr).ok());
+    ASSERT_EQ(join.chosen_strategy(), "hash(build=right)");
+    full_cost = ctx.cost();
+  }
+  ASSERT_EQ(broker.used(), 0);
+  for (const double fraction : {0.90, 0.95, 0.99}) {
+    {
+      ExecContext ctx(&broker);
+      ctx.set_cost_budget(fraction * full_cost);
+      GJoinOp join(f.ScanS(), f.ScanR(), "s.fk", "r.id");
+      ASSERT_FALSE(DrainOperator(&join, &ctx, nullptr).ok());
+      ASSERT_TRUE(ctx.has_trip());
+      EXPECT_EQ(broker.used(), 0) << "budget at " << fraction << "x";
+    }
+    EXPECT_EQ(broker.used(), 0) << "budget at " << fraction << "x";
+  }
+}
+
+TEST(StreamedChildTest, NestedLoopJoinsCloseTheirHashJoinInputAtEof) {
+  // A hash join streamed as the outer input holds its 1-page progress
+  // minimum until it is closed: the consumer closes it at EOF, as HashJoinOp
+  // does with its probe input, so a drained tree holds no pages.
+  JoinFixture f(100, 500, 100);
+  MemoryBroker broker;
+  ExecContext ctx(&broker);
+  {
+    IndexNLJoinOp join(
+        std::make_unique<HashJoinOp>(f.ScanS(), f.ScanR(), "s.fk", "r.id"),
+        f.r.get(), f.r_index.get(), "s.fk");
+    auto drained = DrainOperator(&join, &ctx, nullptr);
+    ASSERT_TRUE(drained.ok());
+    EXPECT_EQ(*drained, 500);
+    EXPECT_EQ(broker.used(), 0);
+  }
+  {
+    NestedLoopsJoinOp join(
+        std::make_unique<HashJoinOp>(f.ScanS(), f.ScanR(), "s.fk", "r.id"),
+        f.ScanR(), nullptr);
+    auto drained = DrainOperator(&join, &ctx, nullptr);
+    ASSERT_TRUE(drained.ok());
+    EXPECT_EQ(*drained, 500 * 100);
+    EXPECT_EQ(broker.used(), 0);
+  }
+}
+
 TEST(JoinPipelineTest, JoinFeedsAggregation) {
   JoinFixture f(100, 10000, 100);
   auto join = std::make_unique<HashJoinOp>(f.ScanS(), f.ScanR(), "s.fk",

@@ -420,11 +420,13 @@ TEST_F(ResultCacheFixture, RevocationShedsLruEntriesDownToOnePage) {
   // Revoke down to a single page: the cache sheds LRU entries instead of
   // holding the broker over-committed.
   engine.memory()->set_capacity(1);
-  const int64_t shed = engine.memory()->PollRevocation(engine.result_cache());
+  EXPECT_EQ(engine.memory()->deficit(), cached_pages - 1);
+  const int64_t shed =
+      engine.result_cache()->ShedPages(engine.memory()->deficit());
   EXPECT_GT(shed, 0);
   EXPECT_LE(engine.memory()->used(), 1);
+  EXPECT_EQ(engine.memory()->deficit(), 0);
   EXPECT_GE(engine.result_cache()->stats().evictions, 2);
-  EXPECT_GE(engine.memory()->revocations_honored(), 1);
 
   // The engine keeps working at a 1-page grant: small results still cache
   // (and hit), oversized results skip insertion, and nothing fails.

@@ -490,7 +490,8 @@ TEST_F(ServerFixture, ArbitrationRobsRichestTenantThenRestores) {
   // memory-hungry query holding grants).
   MemoryBroker* rich = scheduler.tenant_broker("a");
   ASSERT_EQ(rich->capacity(), 64);
-  rich->Grant(60);
+  MemoryGrant held(rich);
+  held.Grow(60);
   // Dispatching tenant b's query with a 32-page estimate forces a 28-page
   // deficit: the scheduler robs the richest broker's capacity.
   QueryScheduler::Request req;
@@ -501,7 +502,7 @@ TEST_F(ServerFixture, ArbitrationRobsRichestTenantThenRestores) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GE(scheduler.stats().capacity_revocations, 1);
   // Once global usage fits the budget again the quota is restored.
-  rich->Release(60);
+  held.Clear();
   QueryScheduler::Request again;
   again.spec = LightQuery();
   again.tenant = "b";
@@ -519,7 +520,8 @@ TEST_F(ServerFixture, HardShedCancelsRichestTenantAndRetries) {
   QueryScheduler scheduler(engine.get(), o);
   // Tenant a holds 100 pages — past the hard ceiling on its own.
   MemoryBroker* rich = scheduler.tenant_broker("a");
-  rich->Grant(100);
+  MemoryGrant held(rich);
+  held.Grow(100);
   // Q1 (tenant a) starts running; Q2's dispatch finds actual usage past the
   // ceiling and sheds tenant a's youngest running query — Q1 — outright.
   QueryScheduler::Request q1;
@@ -541,7 +543,7 @@ TEST_F(ServerFixture, HardShedCancelsRichestTenantAndRetries) {
   EXPECT_GE(stats.hard_sheds, 1);
   EXPECT_GE(stats.shed_retries, 1);
   EXPECT_EQ(stats.overload_sheds, 0);  // the retry absorbed the shed
-  rich->Release(100);
+  held.Clear();
 }
 
 TEST_F(ServerFixture, ConcurrentSubmissionsFromManyThreads) {

@@ -10,16 +10,21 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/result_cache.h"
 #include "engine/engine.h"
 #include "exec/join_ops.h"
+#include "exec/parallel_ops.h"
 #include "exec/scan_ops.h"
 #include "exec/sort_agg_ops.h"
+#include "exec/thread_pool.h"
+#include "shard/exchange.h"
 #include "storage/data_generator.h"
 #include "storage/spill.h"
 #include "util/rng.h"
@@ -338,62 +343,113 @@ TEST(SpillCleanupTest, CostBudgetAbortLeavesNoFilesBehind) {
   fs::remove_all(dir);
 }
 
-// ---- memory revocation -----------------------------------------------------
+// ---- memory grants and revocation ------------------------------------------
 
-TEST(MemoryRevocationTest, BrokerGrantFloorShedAndClamps) {
-  struct StubRevocable : MemoryRevocable {
-    MemoryBroker* broker = nullptr;
-    int64_t held = 0;
-    int64_t ShedPages(int64_t deficit) override {
-      // Shed up to the deficit, keeping the 1-page progress minimum.
-      const int64_t shed = std::min(deficit, held - 1);
-      if (shed <= 0) return 0;
-      broker->Release(shed);
-      held -= shed;
-      return shed;
-    }
-  };
-
+TEST(MemoryGrantTest, GrowKeepsTheFloorWhenOvercommitted) {
   MemoryBroker broker(8);
-  StubRevocable op;
-  op.broker = &broker;
-  broker.Register(&op);
-  EXPECT_EQ(broker.registered_revocables(), 1);
-
-  op.held = broker.Grant(8);
-  EXPECT_EQ(op.held, 8);
-  EXPECT_EQ(broker.available(), 0);
+  MemoryGrant held(&broker);
+  EXPECT_EQ(held.Grow(8), 8);
+  EXPECT_EQ(broker.deficit(), 0);
   // Grants never go below the 1-page progress minimum, even over-committed.
-  const int64_t floor_grant = broker.Grant(4);
-  EXPECT_EQ(floor_grant, 1);
-  EXPECT_TRUE(broker.overcommitted());
-  EXPECT_EQ(broker.peak_used(), 9);
-  broker.Release(floor_grant);
+  MemoryGrant floor(&broker);
+  EXPECT_EQ(floor.Grow(4), 1);
+  EXPECT_EQ(floor.Grow(4), 1);
+  EXPECT_EQ(floor.pages(), 2);
+  EXPECT_EQ(broker.used(), 10);
+  EXPECT_EQ(broker.deficit(), 2);
+  EXPECT_EQ(broker.peak_used(), 10);
+}
 
-  // Capacity shrink below used(): poll makes the operator shed the deficit.
-  broker.set_capacity(2);
-  EXPECT_TRUE(broker.overcommitted());
-  EXPECT_EQ(broker.PollRevocation(&op), 6);
-  EXPECT_EQ(op.held, 2);
-  EXPECT_EQ(broker.used(), 2);
-  EXPECT_FALSE(broker.overcommitted());
-  EXPECT_EQ(broker.revocations_honored(), 1);
+TEST(MemoryGrantTest, TryGrowIsAllOrNothing) {
+  MemoryBroker broker(10);
+  MemoryGrant a(&broker), b(&broker);
+  EXPECT_TRUE(a.TryGrow(6));
+  EXPECT_FALSE(b.TryGrow(5));  // only 4 fit: takes nothing
+  EXPECT_EQ(b.pages(), 0);
+  EXPECT_EQ(broker.used(), 6);
+  EXPECT_TRUE(b.TryGrow(4));
+  EXPECT_FALSE(b.TryGrow(1));  // no progress floor
+  EXPECT_EQ(broker.used(), 10);
+  // No over-commit: an over-committed broker refuses every TryGrow.
+  broker.set_capacity(5);
+  EXPECT_FALSE(a.TryGrow(1));
+  EXPECT_EQ(broker.used(), 10);
+}
 
-  // Shrink to zero: the operator refuses to go below one page.
-  broker.set_capacity(0);
-  EXPECT_EQ(broker.PollRevocation(&op), 1);
-  EXPECT_EQ(op.held, 1);
-  EXPECT_EQ(broker.PollRevocation(&op), 0);  // 1-page minimum holds
-  EXPECT_EQ(broker.used(), 1);
+TEST(MemoryGrantTest, ShrinkClearMoveAndDestructionReturnPages) {
+  MemoryBroker broker(100);
+  {
+    MemoryGrant g(&broker);
+    g.Grow(30);
+    g.Shrink(10);
+    EXPECT_EQ(g.pages(), 20);
+    EXPECT_EQ(broker.used(), 20);
+    g.Shrink(50);  // returns what it holds, never more
+    EXPECT_EQ(g.pages(), 0);
+    EXPECT_EQ(broker.used(), 0);
+    g.Grow(7);
+    g.Clear();
+    EXPECT_EQ(broker.used(), 0);
 
-  // Release never drives used() negative.
-  broker.Release(100);
+    // Pages follow a move; a move-assignment first returns the target's own.
+    g.Grow(12);
+    MemoryGrant moved(std::move(g));
+    EXPECT_EQ(moved.pages(), 12);
+    MemoryGrant other(&broker);
+    other.Grow(3);
+    EXPECT_EQ(broker.used(), 15);
+    other = std::move(moved);
+    EXPECT_EQ(other.pages(), 12);
+    EXPECT_EQ(broker.used(), 12);
+    MemoryGrant survivor(&broker);
+    survivor.Grow(5);
+  }
+  // Destruction returned every page.
   EXPECT_EQ(broker.used(), 0);
-  broker.Release(5);
-  EXPECT_EQ(broker.used(), 0);
-  broker.Unregister(&op);
-  broker.Unregister(&op);  // idempotent
-  EXPECT_EQ(broker.registered_revocables(), 0);
+}
+
+TEST(MemoryGrantTest, DeficitIsTheOvercommitAfterAShrink) {
+  MemoryBroker broker(16);
+  MemoryGrant g(&broker);
+  g.Grow(16);
+  EXPECT_EQ(broker.deficit(), 0);
+  broker.set_capacity(10);
+  EXPECT_EQ(broker.deficit(), 6);
+  g.Shrink(4);
+  EXPECT_EQ(broker.deficit(), 2);
+  broker.set_capacity(-1);  // clamps to zero
+  EXPECT_EQ(broker.deficit(), 12);
+  g.Clear();
+  EXPECT_EQ(broker.deficit(), 0);
+}
+
+TEST(MemoryGrantTest, BrokerDestroyedFirstDetachesLiveGrants) {
+  // Declared before the broker, so they outlive it — the shape of an
+  // operator tree destroyed after its stack-scoped ExecContext.
+  MemoryGrant live[3];
+  MemoryGrant emptied;
+  {
+    MemoryBroker broker(64);
+    for (int i = 0; i < 3; ++i) {
+      live[i] = MemoryGrant(&broker);
+      live[i].Grow(i + 1);
+    }
+    emptied = MemoryGrant(&broker);
+    emptied.Grow(4);
+    emptied.Clear();
+    live[1].Clear();
+    live[1].Grow(2);
+    EXPECT_EQ(broker.used(), 1 + 2 + 3);
+  }
+  // Detached: each holds nothing from no broker, and clearing or growing it
+  // touches no freed memory (the sanitizer builds check this).
+  for (MemoryGrant& g : live) {
+    EXPECT_EQ(g.pages(), 0);
+    g.Clear();
+    EXPECT_EQ(g.Grow(1), 0);
+    EXPECT_FALSE(g.TryGrow(1));
+  }
+  EXPECT_EQ(emptied.pages(), 0);
 }
 
 TEST(MemoryRevocationTest, SortShedsAtPhaseBoundaryOnCapacityShrink) {
@@ -420,7 +476,6 @@ TEST(MemoryRevocationTest, SortShedsAtPhaseBoundaryOnCapacityShrink) {
   }
   EXPECT_EQ(expected, 50000);
   EXPECT_GT(ctx.counters().memory_revocations, 0);
-  EXPECT_GT(broker.revocations_honored(), 0);
   EXPECT_GT(sort.external_passes(), 0);
   EXPECT_GT(ctx.counters().spill_pages, 0);
   EXPECT_EQ(broker.used(), 0);  // everything released on Close
@@ -497,6 +552,241 @@ TEST(MemoryRevocationTest, FaultMemoryDropMidBuildSpillsForReal) {
   EXPECT_GT(result->counters.spill_partitions, 0);
   EXPECT_GT(result->counters.memory_revocations, 0) << result->final_plan;
   EXPECT_GT(result->cost, base->cost);
+}
+
+// ---- every broker page comes back ------------------------------------------
+// Each grant holder drains to completion and then again under a cost budget
+// that aborts it halfway, on one broker. Every page must come back: right
+// after the successful drain, and once the aborted tree is destroyed (an
+// error unwinds without Close()).
+
+/// Returns the successful drain's counters.
+ExecCounters ExpectEveryPageComesBack(
+    int64_t capacity, const std::function<OperatorPtr()>& make,
+    const std::string& tag,
+    const std::function<void(ExecContext*)>& setup = nullptr) {
+  const std::string dir = TestSpillDir(tag);
+  MemoryBroker broker(capacity);
+  ExecCounters counters;
+  {
+    ExecContext ctx(&broker);
+    ctx.set_spill_dir(dir);
+    if (setup) setup(&ctx);
+    OperatorPtr op = make();
+    auto drained = DrainOperator(op.get(), &ctx, nullptr);
+    EXPECT_TRUE(drained.ok()) << tag << ": " << drained.status().ToString();
+    EXPECT_EQ(broker.used(), 0) << tag << ": after a successful drain";
+    counters = ctx.counters();
+  }
+  {
+    broker.set_capacity(capacity);  // undo any scheduled drop
+    ExecContext ctx(&broker);
+    ctx.set_spill_dir(dir);
+    if (setup) setup(&ctx);
+    ctx.set_cost_budget(counters.cost_units / 2);
+    OperatorPtr op = make();
+    EXPECT_FALSE(DrainOperator(op.get(), &ctx, nullptr).ok()) << tag;
+    EXPECT_TRUE(ctx.has_trip()) << tag;
+    op.reset();
+    EXPECT_EQ(broker.used(), 0) << tag << ": after a budget-aborted drain";
+  }
+  fs::remove_all(dir);
+  return counters;
+}
+
+TEST(EveryPageComesBackTest, HashJoinThroughRecursionAndChunkedFallback) {
+  JoinFixture f(20000, 20000, 20000);
+  HashJoinOp::Options opts;
+  opts.max_recursion = 2;
+  const ExecCounters c = ExpectEveryPageComesBack(
+      4,
+      [&] {
+        return std::make_unique<HashJoinOp>(f.ScanS(), f.ScanR(), "s.fk",
+                                            "r.id", opts);
+      },
+      "pages-join");
+  // Level 1 re-partitioned and level 2 ran the chunked fallback.
+  EXPECT_EQ(c.spill_recursion_depth, 2);
+}
+
+TEST(EveryPageComesBackTest, ExternalSortStaticAndDynamic) {
+  auto t = std::make_unique<Table>(
+      "t", Schema({{"a", LogicalType::kInt64, 0, nullptr}}));
+  Rng rng(29);
+  t->SetColumnData(0, gen::Permutation(&rng, 50000));
+  for (const bool dynamic : {false, true}) {
+    SortOp::Options opts;
+    opts.dynamic_memory = dynamic;
+    const ExecCounters c = ExpectEveryPageComesBack(
+        4,
+        [&] {
+          return std::make_unique<SortOp>(
+              std::make_unique<TableScanOp>(t.get()), "t.a", opts);
+        },
+        dynamic ? "pages-sort-dynamic" : "pages-sort-static");
+    EXPECT_GT(c.spill_pages, 0) << (dynamic ? "dynamic" : "static");
+  }
+}
+
+TEST(EveryPageComesBackTest, SpillingHashAggregate) {
+  JoinFixture f(10, 20000, 5000);
+  const ExecCounters c = ExpectEveryPageComesBack(
+      2,
+      [&] {
+        return std::make_unique<HashAggOp>(
+            f.ScanS(), std::vector<std::string>{"s.fk"},
+            std::vector<AggSpec>{{AggFn::kCount, "", "cnt"},
+                                 {AggFn::kSum, "s.w", "sum_w"}});
+      },
+      "pages-agg");
+  EXPECT_GT(c.spill_partitions, 0);
+}
+
+TEST(EveryPageComesBackTest, GatherAggregationUnderMidPhaseDrop) {
+  // DOP 4: each worker's group table and the merged table hold grants; the
+  // drop over-commits the broker mid-phase so the workers shed theirs.
+  JoinFixture f(2000, 50000, 2000);
+  ThreadPool pool(4);
+  ParallelOptions par;
+  par.num_threads = 4;
+  par.pool = &pool;
+  const std::vector<std::string> groups = {"s.w"};
+  const std::vector<AggSpec> aggs = {{AggFn::kCount, "", "cnt"},
+                                     {AggFn::kSum, "r.v", "sum_v"}};
+  const ExecCounters c = ExpectEveryPageComesBack(
+      1 << 20,
+      [&] {
+        auto join = std::make_unique<HashJoinOp>(f.ScanS(), f.ScanR(), "s.fk",
+                                                 "r.id");
+        HashJoinOp* j = join.get();
+        auto serial = std::make_unique<HashAggOp>(std::move(join), groups, aggs);
+        return std::make_unique<GatherOp>(std::move(serial),
+                                          std::vector<HashJoinOp*>{j},
+                                          f.s.get(), nullptr, -1,
+                                          GatherOp::AggStage{groups, aggs}, par);
+      },
+      "pages-gather",
+      [](ExecContext* ctx) { ctx->SetMemorySchedule({{600, 16}}); });
+  EXPECT_GT(c.parallel_phases, 0);
+  EXPECT_GT(c.memory_revocations, 0);
+}
+
+TEST(EveryPageComesBackTest, GJoinStrategies) {
+  JoinFixture f(1000, 50000, 1000);
+  auto r_index = std::make_unique<SortedIndex>("r.id", 0);
+  r_index->Build(*f.r);
+  // Hash: the build pages are held through the probe loop.
+  ExpectEveryPageComesBack(
+      1 << 20,
+      [&] { return std::make_unique<GJoinOp>(f.ScanS(), f.ScanR(), "s.fk",
+                                             "r.id"); },
+      "pages-gjoin-hash");
+  // Merge, over sorts that hold their own grants.
+  GJoinOp::Hints sorted;
+  sorted.left_sorted = sorted.right_sorted = true;
+  ExpectEveryPageComesBack(
+      64,
+      [&] {
+        return std::make_unique<GJoinOp>(
+            std::make_unique<SortOp>(f.ScanS(), "s.fk"),
+            std::make_unique<SortOp>(f.ScanR(), "r.id"), "s.fk", "r.id",
+            sorted);
+      },
+      "pages-gjoin-merge");
+  // Index probes for a tiny outer.
+  GJoinOp::Hints indexed;
+  indexed.right_table = f.r.get();
+  indexed.right_index = r_index.get();
+  ExpectEveryPageComesBack(
+      1 << 20,
+      [&] {
+        return std::make_unique<GJoinOp>(
+            std::make_unique<TableScanOp>(f.s.get(),
+                                          MakeCmp("w", CmpOp::kLt, 200)),
+            f.ScanR(), "s.fk", "r.id", indexed);
+      },
+      "pages-gjoin-index");
+}
+
+TEST(EveryPageComesBackTest, ExchangeChannelStaging) {
+  JoinFixture f(10, 20000, 20000);
+  MemoryBroker broker(1 << 20);
+  const RouteFn route = [](int64_t key) { return static_cast<int>(key % 4); };
+  double full_cost = 0;
+  for (const bool abort : {false, true}) {
+    ExecContext ctx(&broker);
+    if (abort) ctx.set_cost_budget(full_cost / 2);
+    ExchangeBuffers buffers(4, 2);
+    auto channel = std::make_unique<ExchangeChannel>(&buffers, &ctx,
+                                                     /*queue_pages=*/1 << 20);
+    auto op = std::make_unique<ShuffleExchangeOp>(f.ScanS(), 0, 0, route,
+                                                  channel.get());
+    const bool ok = DrainOperator(op.get(), &ctx, nullptr).ok();
+    EXPECT_EQ(ok, !abort);
+    if (abort) {
+      EXPECT_GT(broker.used(), 0);  // staged rows still held
+    }
+    op.reset();
+    channel.reset();
+    EXPECT_EQ(broker.used(), 0) << (abort ? "aborted" : "drained");
+    full_cost = ctx.cost();
+  }
+}
+
+TEST(EveryPageComesBackTest, ResultCache) {
+  Catalog catalog;
+  Table* t = catalog
+                 .AddTable("t", Schema({{"a", LogicalType::kInt64, 0,
+                                          nullptr}}))
+                 .value();
+  t->SetColumnData(0, gen::Sequential(1000));
+  QuerySpec spec;
+  spec.tables.push_back({"t", nullptr});
+  std::vector<RowBatch> rows;
+  RowBatch batch(1);
+  for (int64_t i = 0; i < 100; ++i) batch.AppendRow(&i);
+  rows.push_back(batch);
+
+  MemoryBroker broker(1 << 20);
+  auto cache = std::make_unique<ResultCache>(&broker);
+  for (const char* key : {"k1", "k2", "k3"}) {
+    cache->Insert(key, spec, catalog, ResultCache::TakeSnapshot(spec, catalog),
+                  {"t.a"}, rows, 100);
+  }
+  EXPECT_EQ(cache->size(), 3u);
+  EXPECT_EQ(broker.used(), 3 * ResultCache::PagesFor(100));
+  // A capacity drop: the owner of the broker reads the deficit and the cache
+  // sheds LRU entries to cover it.
+  broker.set_capacity(ResultCache::PagesFor(100));
+  EXPECT_EQ(cache->ShedPages(broker.deficit()), 2 * ResultCache::PagesFor(100));
+  EXPECT_EQ(broker.deficit(), 0);
+  EXPECT_EQ(cache->stats().evictions, 2);
+  EXPECT_EQ(broker.used(), cache->total_pages());
+  // Destroying the cache returns the rest.
+  cache.reset();
+  EXPECT_EQ(broker.used(), 0);
+
+  // Through the engine: after a run whose first attempt a cost budget
+  // aborted (the trip downgrades to an unguarded re-run), the broker holds
+  // exactly the cache's pages; clearing the cache returns them all.
+  EngineOptions options;
+  options.use_result_cache = 1;
+  options.num_threads = 1;
+  options.guardrails.enabled = true;
+  options.guardrails.cost_budget = 1;
+  options.guardrails.safe_plan_retry = false;
+  Engine engine(&catalog, options);
+  engine.AnalyzeAll();
+  QuerySpec grouped = spec;
+  grouped.group_by = {"t.a"};
+  grouped.aggregates = {{AggFn::kCount, "", "cnt"}};
+  auto run = engine.Run(grouped);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->budget_aborts, 1);
+  EXPECT_GT(engine.result_cache()->total_pages(), 0);
+  EXPECT_EQ(engine.memory()->used(), engine.result_cache()->total_pages());
+  engine.result_cache()->Clear();
+  EXPECT_EQ(engine.memory()->used(), 0);
 }
 
 // Two engines sharing one spill base directory (the $RQP_SPILL_DIR

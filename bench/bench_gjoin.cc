@@ -1,12 +1,18 @@
 // E15 — "A generalized join algorithm" (Graefe, §5.3): end mistaken choices
-// among index-nested-loops, merge, and hash join by replacing all three
-// with one algorithm that decides from *actual* input sizes at run time.
+// among index-nested-loops, merge, and hash join with one operator that
+// decides from *actual* input sizes at run time (index probes, or a hash
+// join built on the smaller input).
 // We sweep the outer size across four orders of magnitude: each
 // traditional algorithm has a region where it is the winner and a region
 // where a mistaken (compile-time) commitment to it is a disaster; g-join
 // tracks the winner within a small factor everywhere.
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "exec/join_ops.h"
@@ -62,30 +68,45 @@ void Run() {
   double worst_gjoin_ratio = 1.0;
   double worst_committed_ratio = 1.0;
   for (int64_t outer_rows : {100L, 1000L, 10000L, 100000L}) {
-    auto measure = [&](Operator* op) {
+    // Every algorithm emits (s.fk, s.w, r.id, r.v); all four must return the
+    // same sorted rows.
+    std::optional<std::vector<std::vector<int64_t>>> reference;
+    auto measure = [&](Operator* op, const char* algorithm) {
       ExecContext ctx;
-      bench::ValueOrDie(DrainOperator(op, &ctx, nullptr), "drain");
+      std::vector<RowBatch> batches;
+      bench::ValueOrDie(DrainOperator(op, &ctx, &batches), "drain");
+      std::vector<std::vector<int64_t>> rows;
+      for (const RowBatch& b : batches) {
+        for (size_t r = 0; r < b.num_rows(); ++r) {
+          rows.emplace_back(b.row(r), b.row(r) + b.num_cols());
+        }
+      }
+      std::sort(rows.begin(), rows.end());
+      if (!reference) {
+        reference = std::move(rows);
+      } else if (rows != *reference) {
+        std::fprintf(stderr, "FATAL: %s disagrees at %lld outer rows\n",
+                     algorithm, static_cast<long long>(outer_rows));
+        std::abort();
+      }
       return ctx.cost();
     };
 
     IndexNLJoinOp inlj(f.OuterScan(outer_rows), f.inner, f.inner_index,
                        "s.fk");
-    const double t_inlj = measure(&inlj);
+    const double t_inlj = measure(&inlj, "INLJ");
 
     MergeJoinOp merge(
         std::make_unique<SortOp>(f.OuterScan(outer_rows), "s.fk"),
         std::make_unique<SortOp>(f.InnerScan(), "r.id"), "s.fk", "r.id");
-    const double t_merge = measure(&merge);
+    const double t_merge = measure(&merge, "merge join");
 
     HashJoinOp hash(f.OuterScan(outer_rows), f.InnerScan(), "s.fk", "r.id");
-    const double t_hash = measure(&hash);
+    const double t_hash = measure(&hash, "hash join");
 
-    GJoinOp::Hints hints;
-    hints.right_table = f.inner;
-    hints.right_index = f.inner_index;
     GJoinOp gjoin(f.OuterScan(outer_rows), f.InnerScan(), "s.fk", "r.id",
-                  hints);
-    const double t_gjoin = measure(&gjoin);
+                  f.inner_index);
+    const double t_gjoin = measure(&gjoin, "g-join");
 
     const double winner = std::min({t_inlj, t_merge, t_hash});
     const double loser = std::max({t_inlj, t_merge, t_hash});

@@ -1,8 +1,6 @@
 #include "exec/join_ops.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <limits>
 
 #include "exec/scan_ops.h"
@@ -955,10 +953,10 @@ void IndexNLJoinOp::Close() {}
 
 GJoinOp::GJoinOp(OperatorPtr left, OperatorPtr right,
                  std::string left_key_slot, std::string right_key_slot,
-                 Hints hints)
+                 const SortedIndex* right_index)
     : left_child_(std::move(left)), right_child_(std::move(right)),
       left_key_(std::move(left_key_slot)),
-      right_key_(std::move(right_key_slot)), hints_(hints) {
+      right_key_(std::move(right_key_slot)), right_index_(right_index) {
   slots_ = ConcatSlots(left_child_->output_slots(),
                        right_child_->output_slots());
 }
@@ -966,182 +964,85 @@ GJoinOp::GJoinOp(OperatorPtr left, OperatorPtr right,
 Status GJoinOp::Open(ExecContext* ctx) {
   ctx_ = ctx;
   ResetCount();
-  spool_.clear();
-  spool_next_ = 0;
-  const int lk = FindSlot(left_child_->output_slots(), left_key_);
-  const int rk = FindSlot(right_child_->output_slots(), right_key_);
-  if (lk < 0 || rk < 0) {
+  join_.reset();
+  swap_ = false;
+  if (FindSlot(left_child_->output_slots(), left_key_) < 0 ||
+      FindSlot(right_child_->output_slots(), right_key_) < 0) {
     return Status::InvalidArgument("g-join key slot not found");
   }
-  left_key_idx_ = static_cast<size_t>(lk);
-  right_key_idx_ = static_cast<size_t>(rk);
+  auto replay = [](const OperatorPtr& child,
+                   std::shared_ptr<std::vector<RowBatch>> rows) {
+    return std::make_unique<VectorSourceOp>(std::move(rows),
+                                            child->output_slots());
+  };
   // The left (outer) input is always consumed first; its *actual* size then
   // drives the strategy choice — this is what makes the operator robust
   // against optimizer size-estimate mistakes.
-  RQP_RETURN_IF_ERROR(MaterializeChild(left_child_.get(), ctx, &left_));
+  auto left = std::make_shared<std::vector<RowBatch>>();
+  auto left_rows = DrainOperator(left_child_.get(), ctx, left.get());
+  if (!left_rows.ok()) return left_rows.status();
+  const double nl = static_cast<double>(left_rows.value());
 
-  const CostModel& cm = ctx->cost_model();
-  const bool can_index =
-      hints_.right_index != nullptr && hints_.right_table != nullptr;
-  if (can_index) {
-    // Probing the persistent index avoids reading the inner input at all;
-    // compare against the cheapest alternative that must consume it.
-    const double nl = static_cast<double>(left_.num_rows());
-    const double nr = static_cast<double>(hints_.right_table->num_rows());
-    const double index_cost =
-        nl * (cm.index_descend + cm.random_page_read);
+  // The index probes the raw table, so it stands in for the right child only
+  // when that child scans the whole table. Probing it avoids reading the
+  // inner input at all; compare against the cheapest alternative that must
+  // consume it.
+  const auto* scan = dynamic_cast<const TableScanOp*>(right_child_.get());
+  if (right_index_ != nullptr && scan != nullptr && scan->ScansWholeTable() &&
+      scan->table()->num_rows() > 0) {
+    const CostModel& cm = ctx->cost_model();
+    const Table* table = scan->table();
+    const double nr = static_cast<double>(table->num_rows());
+    const double index_cost = nl * (cm.index_descend + cm.random_page_read);
     const double consume_inner_cost =
-        static_cast<double>(hints_.right_table->num_pages()) *
-            cm.seq_page_read +
+        static_cast<double>(table->num_pages()) * cm.seq_page_read +
         (std::min(nl, nr) + nl + nr) * cm.hash_op;
     if (index_cost < consume_inner_cost) {
-      right_.num_cols = right_child_->output_slots().size();
-      return EmitAll();  // EmitAll sees an empty right_ and probes the index
+      strategy_ = "index";
+      join_ = std::make_unique<IndexNLJoinOp>(replay(left_child_, left), table,
+                                              right_index_, left_key_);
+      return join_->Open(ctx);
     }
   }
-  RQP_RETURN_IF_ERROR(MaterializeChild(right_child_.get(), ctx, &right_));
-  return EmitAll();
-}
-
-Status GJoinOp::EmitAll() {
-  const double nl = static_cast<double>(left_.num_rows());
-  const double nr = static_cast<double>(right_.num_rows());
-  const CostModel& cm = ctx_->cost_model();
-
-  const bool index_mode = right_.data.empty() && hints_.right_index != nullptr &&
-                          hints_.right_table != nullptr &&
-                          hints_.right_table->num_rows() > 0;
-  const bool can_merge =
-      !index_mode && hints_.left_sorted && hints_.right_sorted;
-  const double merge_cost = can_merge ? (nl + nr) * cm.compare_op : 1e300;
-  const double hash_cost =
-      index_mode ? 1e300 : (std::min(nl, nr) + nl + nr) * cm.hash_op;
-
-  RowBatch batch(slots_.size());
-  auto flush = [&]() {
-    if (!batch.empty()) {
-      spool_.push_back(std::move(batch));
-      batch = RowBatch(slots_.size());
-    }
-  };
-  const size_t right_cols = right_.num_cols;
-  auto emit = [&](const int64_t* l, const int64_t* r) {
-    batch.AppendConcat(l, left_.num_cols, r, right_cols);
-    if (batch.full()) flush();
-  };
-
-  if (index_mode) {
-    strategy_ = "index";
-    std::vector<int64_t> matches;
-    std::vector<int64_t> inner_row(right_cols);
-    for (size_t a = 0; a < left_.num_rows(); ++a) {
-      if ((a & (kBatchRows - 1)) == 0) {
-        RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-      }
-      matches.clear();
-      ctx_->ChargeIndexDescend();
-      hints_.right_index->LookupRange(left_.row(a)[left_key_idx_],
-                                      left_.row(a)[left_key_idx_], &matches);
-      for (int64_t r : matches) {
-        ctx_->ChargeRandomReads(1, hints_.right_table->name());
-        for (size_t c = 0; c < right_cols; ++c) {
-          inner_row[c] = hints_.right_table->Value(c, r);
-        }
-        emit(left_.row(a), inner_row.data());
-      }
-    }
-    flush();
-    return Status::OK();
-  }
-
-  if (can_merge && merge_cost <= hash_cost) {
-    strategy_ = "merge";
-    size_t li = 0, ri = 0;
-    size_t steps = 0;
-    while (li < left_.num_rows() && ri < right_.num_rows()) {
-      if ((steps++ & (kBatchRows - 1)) == 0) {
-        RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-      }
-      const int64_t lk = left_.row(li)[left_key_idx_];
-      const int64_t rk = right_.row(ri)[right_key_idx_];
-      ctx_->ChargeCompareOps(1);
-      if (lk < rk) { ++li; continue; }
-      if (lk > rk) { ++ri; continue; }
-      size_t r_end = ri;
-      while (r_end < right_.num_rows() &&
-             right_.row(r_end)[right_key_idx_] == lk) {
-        ++r_end;
-      }
-      size_t l_end = li;
-      while (l_end < left_.num_rows() &&
-             left_.row(l_end)[left_key_idx_] == lk) {
-        ++l_end;
-      }
-      for (size_t a = li; a < l_end; ++a) {
-        for (size_t b = ri; b < r_end; ++b) {
-          emit(left_.row(a), right_.row(b));
-        }
-      }
-      li = l_end;
-      ri = r_end;
-    }
+  auto right = std::make_shared<std::vector<RowBatch>>();
+  auto right_rows = DrainOperator(right_child_.get(), ctx, right.get());
+  if (!right_rows.ok()) return right_rows.status();
+  // Hash with the build on the actually-smaller side.
+  if (left_rows.value() <= right_rows.value()) {
+    strategy_ = "hash(build=left)";
+    swap_ = true;
+    join_ = std::make_unique<HashJoinOp>(replay(right_child_, right),
+                                         replay(left_child_, left), right_key_,
+                                         left_key_);
   } else {
-    // Hash with the build on the actually-smaller side.
-    const bool build_left = left_.num_rows() <= right_.num_rows();
-    strategy_ = build_left ? "hash(build=left)" : "hash(build=right)";
-    const RowBuffer& build = build_left ? left_ : right_;
-    const RowBuffer& probe = build_left ? right_ : left_;
-    const size_t build_key = build_left ? left_key_idx_ : right_key_idx_;
-    const size_t probe_key = build_left ? right_key_idx_ : left_key_idx_;
-    const int64_t build_pages = std::max<int64_t>(1, build.num_pages());
-    // Held for the build and probe; returned on every exit, guardrail trips
-    // inside the probe loop included.
-    MemoryGrant grant(ctx_->memory());
-    const int64_t granted = grant.Grow(build_pages);
-    if (granted < build_pages) {
-      const double f = 1.0 - static_cast<double>(granted) /
-                                 static_cast<double>(build_pages);
-      const int64_t spill = static_cast<int64_t>(
-          std::ceil(f * static_cast<double>(build_pages + probe.num_pages())));
-      ctx_->ChargeSpill(spill, spill);
-    }
-    JoinHashTable table;
-    table.Build(build, build_key);
-    ctx_->ChargeHashOps(static_cast<int64_t>(
-        static_cast<double>(build.num_rows()) * cm.hash_build_factor));
-    for (size_t p = 0; p < probe.num_rows(); ++p) {
-      if ((p & (kBatchRows - 1)) == 0) {
-        RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-      }
-      ctx_->ChargeHashOps(1);
-      table.ForEachMatch(build, build_key, probe.row(p)[probe_key],
-                         [&](size_t m) {
-                           const int64_t* l =
-                               build_left ? build.row(m) : probe.row(p);
-                           const int64_t* r =
-                               build_left ? probe.row(p) : build.row(m);
-                           emit(l, r);
-                         });
-    }
+    strategy_ = "hash(build=right)";
+    join_ = std::make_unique<HashJoinOp>(replay(left_child_, left),
+                                         replay(right_child_, right),
+                                         left_key_, right_key_);
   }
-  flush();
-  return Status::OK();
+  return join_->Open(ctx);
 }
 
 Status GJoinOp::Next(RowBatch* out) {
-  if (spool_next_ < spool_.size()) {
-    *out = spool_[spool_next_++];
+  if (!swap_) {
+    RQP_RETURN_IF_ERROR(join_->Next(out));
   } else {
+    RQP_RETURN_IF_ERROR(join_->Next(&swapped_));
+    const size_t left_cols = left_child_->output_slots().size();
+    const size_t right_cols = right_child_->output_slots().size();
     out->Reset(slots_.size());
+    for (size_t r = 0; r < swapped_.num_rows(); ++r) {
+      const int64_t* row = swapped_.row(r);
+      out->AppendConcat(row + right_cols, left_cols, row, right_cols);
+    }
   }
   CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
 void GJoinOp::Close() {
-  left_ = RowBuffer{};
-  right_ = RowBuffer{};
-  spool_.clear();
+  if (join_ != nullptr) join_->Close();
+  join_.reset();
 }
 
 }  // namespace rqp

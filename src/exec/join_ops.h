@@ -399,29 +399,25 @@ class IndexNLJoinOp : public Operator {
 };
 
 /// Graefe's generalized join (§5.3 "A generalized join algorithm"): one
-/// operator that replaces the mistaken-choice risk among hash, merge, and
-/// index nested-loops joins. It materializes both inputs, then picks the
-/// cheapest strategy from *actual* input sizes at run time:
-///   - merge pass when both inputs arrive sorted on the key,
-///   - index probes into a persistent inner index when the outer is tiny,
-///   - otherwise an in-memory/hybrid hash join built on the truly smaller
-///     input.
+/// operator that removes the mistaken-choice risk between index
+/// nested-loops and hash join. It materializes its left input, then picks
+/// the cheaper strategy from *actual* input sizes at run time:
+///   - index probes into the right table's persistent index when the outer
+///     is small, an index was passed and the right child is a TableScanOp
+///     that emits its whole table (TableScanOp::ScansWholeTable);
+///   - otherwise it materializes the right input too and runs a hash join
+///     built on the truly smaller input.
+/// The strategy runs as the engine's own IndexNLJoinOp or HashJoinOp over
+/// VectorSourceOp replays of the materialized inputs, so it charges, holds
+/// memory grants and spills exactly as that join does. The materialized
+/// inputs themselves are held outside the broker, as MergeJoinOp's are.
 class GJoinOp : public Operator {
  public:
-  struct Hints {
-    bool left_sorted = false;   ///< left input sorted on its key slot
-    bool right_sorted = false;  ///< right input sorted on its key slot
-    /// Persistent index on the right table's key column (optional).
-    const Table* right_table = nullptr;
-    const SortedIndex* right_index = nullptr;
-  };
-
+  /// `right_index` (optional) indexes the right child's table on
+  /// `right_key_slot`.
   GJoinOp(OperatorPtr left, OperatorPtr right, std::string left_key_slot,
-          std::string right_key_slot, Hints hints);
-  GJoinOp(OperatorPtr left, OperatorPtr right, std::string left_key_slot,
-          std::string right_key_slot)
-      : GJoinOp(std::move(left), std::move(right), std::move(left_key_slot),
-                std::move(right_key_slot), Hints()) {}
+          std::string right_key_slot,
+          const SortedIndex* right_index = nullptr);
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
@@ -431,24 +427,22 @@ class GJoinOp : public Operator {
   }
   std::string name() const override { return "GJoin"; }
 
-  /// Strategy chosen at Open (for tests/EXPLAIN): "merge", "index", or
+  /// Strategy chosen at Open (for tests/EXPLAIN): "index", or
   /// "hash(build=left)" / "hash(build=right)".
   const std::string& chosen_strategy() const { return strategy_; }
 
  private:
-  Status EmitAll();
-
   OperatorPtr left_child_, right_child_;
   std::string left_key_, right_key_;
-  Hints hints_;
+  const SortedIndex* right_index_;
   std::vector<std::string> slots_;
-  size_t left_key_idx_ = 0, right_key_idx_ = 0;
-  RowBuffer left_, right_;
   std::string strategy_;
   ExecContext* ctx_ = nullptr;
-  // Results are produced eagerly into a spool replayed by Next().
-  std::vector<RowBatch> spool_;
-  size_t spool_next_ = 0;
+  /// The delegated join, built at Open.
+  OperatorPtr join_;
+  /// build=left: join_ emits (right, left) rows, which Next swaps back.
+  bool swap_ = false;
+  RowBatch swapped_;
 };
 
 }  // namespace rqp

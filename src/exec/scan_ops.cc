@@ -138,6 +138,17 @@ Status TableScanOp::NextColumnar(ColumnBatch* out) {
 
 void TableScanOp::Close() {}
 
+bool TableScanOp::ScansWholeTable() const {
+  if (filter_ != nullptr || projection_error_ ||
+      columns_.size() != table_->schema().num_columns()) {
+    return false;
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    if (columns_[c] != c) return false;
+  }
+  return true;
+}
+
 IndexScanOp::IndexScanOp(const Table* table, const SortedIndex* index,
                          int64_t lo, int64_t hi, PredicatePtr residual_filter,
                          std::vector<std::string> projection)

@@ -36,6 +36,11 @@ class TableScanOp : public Operator {
   }
   std::string name() const override { return "TableScan(" + table_->name() + ")"; }
 
+  const Table* table() const { return table_; }
+  /// True when the scan emits every row and column of its table in table
+  /// order: no filter and the full projection.
+  bool ScansWholeTable() const;
+
  private:
   const Table* table_;
   PredicatePtr filter_;

@@ -55,7 +55,6 @@ StatusOr<std::vector<PlanSample>> SamplePlanSpace(
   for (double percentile : percentiles) {
     for (int mask = 0; mask < 8; ++mask) {
       for (size_t perturb = 0; perturb < perturbations.size(); ++perturb) {
-      for (int gjoin = 0; gjoin <= (options.include_gjoin ? 1 : 0); ++gjoin) {
         CardinalityOptions card_opts = engine->options().cardinality;
         card_opts.percentile = percentile;
         CardinalityModel model(
@@ -66,7 +65,8 @@ StatusOr<std::vector<PlanSample>> SamplePlanSpace(
         opts.consider_index_scan = (mask & 1) != 0;
         opts.consider_sort_merge = (mask & 2) != 0;
         opts.consider_index_nl = (mask & 4) != 0;
-        opts.use_gjoin = gjoin != 0;
+        // The traditional repertoire, even for an engine that runs g-join.
+        opts.use_gjoin = false;
         opts.add_pop_checks = false;
         opts.cost.memory_pages = engine->memory()->capacity();
         opts.cost.exec = perturbations[perturb];
@@ -107,7 +107,6 @@ StatusOr<std::vector<PlanSample>> SamplePlanSpace(
         CollectCards(*result->plan, ctx.actual_cardinalities(), &cards);
         sample.op_error_sum = CardinalityErrorSum(cards);
         samples.push_back(std::move(sample));
-      }
       }
     }
   }

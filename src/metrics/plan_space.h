@@ -21,8 +21,6 @@ struct PlanSample {
 };
 
 struct PlanSpaceOptions {
-  /// Also force the GJoin-only repertoire.
-  bool include_gjoin = false;
   /// Extra cardinality percentiles to optimize at (0.5 always included).
   std::vector<double> extra_percentiles = {0.9};
 };

@@ -171,21 +171,18 @@ StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
     case PlanOp::kGJoin: {
       auto left = build_child(0);
       if (!left.ok()) return left.status();
-      auto right = build_child(1);
+      // plan.table names a plain base-table right child with an index on
+      // the key. That child stays a serial TableScanOp at every DOP, so the
+      // index strategy can stand in for it.
+      const bool indexed = !plan.table.empty();
+      auto right = Lower(*plan.children[1], catalog, params,
+                         indexed ? nullptr : parallel, segment_joins);
       if (!right.ok()) return right.status();
-      GJoinOp::Hints hints;
-      if (!plan.table.empty()) {
-        auto table = catalog->GetTable(plan.table);
-        if (!table.ok()) return table.status();
-        hints.right_table = table.value();
-        hints.right_index = catalog->FindIndex(plan.table, plan.index_column);
-      }
-      // Sort children announce sortedness to enable the merge strategy.
-      hints.left_sorted = plan.children[0]->op == PlanOp::kSort;
-      hints.right_sorted = plan.children[1]->op == PlanOp::kSort;
-      op = std::make_unique<GJoinOp>(std::move(left.value()),
-                                     std::move(right.value()), plan.left_key,
-                                     plan.right_key, hints);
+      op = std::make_unique<GJoinOp>(
+          std::move(left.value()), std::move(right.value()), plan.left_key,
+          plan.right_key,
+          indexed ? catalog->FindIndex(plan.table, plan.index_column)
+                  : nullptr);
       break;
     }
     case PlanOp::kMap: {

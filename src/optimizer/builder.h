@@ -19,8 +19,9 @@ namespace rqp {
 /// When `parallel` requests DOP > 1, each right-deep table-scan →
 /// hash-join* → hash-agg? segment is lowered to its serial operators wrapped
 /// in a morsel-driven GatherOp; every other plan shape builds unchanged (the
-/// parallel options simply don't apply). Passing nullptr or num_threads <= 1
-/// reproduces the classic single-threaded tree exactly.
+/// parallel options simply don't apply). A g-join's right child stays serial
+/// when the g-join carries an index to probe in its place. Passing nullptr
+/// or num_threads <= 1 reproduces the classic single-threaded tree exactly.
 StatusOr<OperatorPtr> BuildExecutable(const PlanNode& plan,
                                       const Catalog* catalog,
                                       const std::vector<int64_t>& params = {},

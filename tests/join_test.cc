@@ -621,49 +621,104 @@ TEST(IndexNLJoinTest, CheapForTinyOuterExpensiveForLargeOuter) {
   }
 }
 
+/// Reference join rows (s.fk, s.w, r.id, r.v), sorted, over the s rows with
+/// w < `w_below`.
+std::vector<std::vector<int64_t>> ReferenceRows(
+    const JoinFixture& f,
+    int64_t w_below = std::numeric_limits<int64_t>::max()) {
+  std::vector<std::vector<int64_t>> rows;
+  for (int64_t i = 0; i < f.s->num_rows(); ++i) {
+    const int64_t fk = f.s->Value(0, i);
+    const int64_t w = f.s->Value(1, i);
+    if (w < w_below && fk < f.r->num_rows()) {
+      rows.push_back({fk, w, fk, fk * 2});
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// An operator's output rows, whole and in slot order, sorted.
+std::vector<std::vector<int64_t>> SortedRows(Operator* op, ExecContext* ctx) {
+  std::vector<RowBatch> out;
+  EXPECT_TRUE(DrainOperator(op, ctx, &out).ok());
+  std::vector<std::vector<int64_t>> rows;
+  for (const auto& b : out) {
+    for (size_t r = 0; r < b.num_rows(); ++r) {
+      rows.emplace_back(b.row(r), b.row(r) + b.num_cols());
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
 TEST(GJoinTest, MatchesReferenceAllStrategies) {
+  // Full rows, column order included: build=left runs the hash join with
+  // its inputs swapped and writes each pair back in (left, right) order.
   JoinFixture f(1000, 5000, 1000);
-  const auto expected = ReferenceJoin(f);
-  // Hash path (unsorted, no index hints).
+  auto small_outer = [&] {
+    return std::make_unique<TableScanOp>(f.s.get(),
+                                         MakeCmp("w", CmpOp::kLt, 3));
+  };
   {
     GJoinOp join(f.ScanS(), f.ScanR(), "s.fk", "r.id");
     ExecContext ctx;
-    auto got = CollectPairs(&join, 0, 3, &ctx);
-    EXPECT_EQ(got, expected);
+    EXPECT_EQ(SortedRows(&join, &ctx), ReferenceRows(f));
     EXPECT_EQ(join.chosen_strategy(), "hash(build=right)");
   }
-  // Merge path.
   {
-    GJoinOp::Hints hints;
-    hints.left_sorted = true;
-    hints.right_sorted = true;
-    GJoinOp join(std::make_unique<SortOp>(f.ScanS(), "s.fk"),
-                 std::make_unique<SortOp>(f.ScanR(), "r.id"), "s.fk", "r.id",
-                 hints);
+    GJoinOp join(small_outer(), f.ScanR(), "s.fk", "r.id");
     ExecContext ctx;
-    auto got = CollectPairs(&join, 0, 3, &ctx);
-    EXPECT_EQ(got, expected);
-    EXPECT_EQ(join.chosen_strategy(), "merge");
+    EXPECT_EQ(SortedRows(&join, &ctx), ReferenceRows(f, 3));
+    EXPECT_EQ(join.chosen_strategy(), "hash(build=left)");
   }
-  // Index path (tiny outer).
   {
-    GJoinOp::Hints hints;
-    hints.right_table = f.r.get();
-    hints.right_index = f.r_index.get();
-    auto outer = std::make_unique<TableScanOp>(
-        f.s.get(), MakeCmp("w", CmpOp::kLt, 3));
-    GJoinOp join(std::move(outer), f.ScanR(), "s.fk", "r.id", hints);
+    GJoinOp join(small_outer(), f.ScanR(), "s.fk", "r.id", f.r_index.get());
     ExecContext ctx;
-    std::vector<RowBatch> out;
-    ASSERT_TRUE(DrainOperator(&join, &ctx, &out).ok());
+    EXPECT_EQ(SortedRows(&join, &ctx), ReferenceRows(f, 3));
     EXPECT_EQ(join.chosen_strategy(), "index");
-    int64_t n = 0;
-    for (const auto& b : out) n += static_cast<int64_t>(b.num_rows());
-    int64_t expected_n = 0;
-    for (int64_t i = 0; i < f.s->num_rows(); ++i) {
-      if (f.s->Value(1, i) < 3) ++expected_n;
-    }
-    EXPECT_EQ(n, expected_n);
+  }
+  EXPECT_FALSE(ReferenceRows(f, 3).empty());
+}
+
+TEST(GJoinTest, IndexStandsInOnlyForAWholeTableScan) {
+  // The index probes the raw table, so a right child that filters or
+  // reorders the table's columns must be joined by hash.
+  JoinFixture f(1000, 5000, 1000);
+  {
+    // Large outer, right filter rejects everything: the join is empty.
+    GJoinOp join(f.ScanS(),
+                 std::make_unique<TableScanOp>(f.r.get(),
+                                               MakeCmp("v", CmpOp::kLt, -1)),
+                 "s.fk", "r.id", f.r_index.get());
+    ExecContext ctx;
+    EXPECT_EQ(DrainOperator(&join, &ctx, nullptr).value(), 0);
+    EXPECT_EQ(join.chosen_strategy(), "hash(build=right)");
+  }
+  {
+    // Tiny outer (fk < 3), right keeps only v >= 100 (id >= 50): empty.
+    GJoinOp join(std::make_unique<TableScanOp>(f.s.get(),
+                                               MakeCmp("w", CmpOp::kLt, 3)),
+                 std::make_unique<TableScanOp>(f.r.get(),
+                                               MakeCmp("v", CmpOp::kGe, 100)),
+                 "s.fk", "r.id", f.r_index.get());
+    ExecContext ctx;
+    EXPECT_EQ(DrainOperator(&join, &ctx, nullptr).value(), 0);
+    EXPECT_EQ(join.chosen_strategy(), "hash(build=left)");
+  }
+  {
+    // Every row, columns reordered: the rows keep the child's (v, id) order.
+    GJoinOp join(std::make_unique<TableScanOp>(f.s.get(),
+                                               MakeCmp("w", CmpOp::kLt, 3)),
+                 std::make_unique<TableScanOp>(
+                     f.r.get(), nullptr, std::vector<std::string>{"v", "id"}),
+                 "s.fk", "r.id", f.r_index.get());
+    ExecContext ctx;
+    auto expected = ReferenceRows(f, 3);
+    for (auto& row : expected) std::swap(row[2], row[3]);
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(SortedRows(&join, &ctx), expected);
+    EXPECT_EQ(join.chosen_strategy(), "hash(build=left)");
   }
 }
 
@@ -679,10 +734,24 @@ TEST(GJoinTest, BuildsOnActuallySmallerSide) {
   EXPECT_EQ(join.chosen_strategy(), "hash(build=left)");
 }
 
+TEST(GJoinTest, HashStrategySpillsUnderAnEightPageGrant) {
+  // The hash strategy is HashJoinOp: under memory pressure it writes real
+  // spill partitions and still returns the reference rows.
+  JoinFixture f(20000, 50000, 20000);
+  MemoryBroker broker(8);
+  ExecContext ctx(&broker);
+  GJoinOp join(f.ScanS(), f.ScanR(), "s.fk", "r.id");
+  EXPECT_EQ(SortedRows(&join, &ctx), ReferenceRows(f));
+  EXPECT_EQ(join.chosen_strategy(), "hash(build=right)");
+  EXPECT_GT(ctx.counters().spill_partitions, 0);
+  EXPECT_GT(ctx.counters().spill_pages, 0);
+  EXPECT_EQ(broker.used(), 0);
+}
+
 TEST(GJoinTest, BudgetTripInsideTheHashProbeReturnsTheBuildGrant) {
-  // build=right holds its 32 build pages through the probe loop; a cost
-  // budget that trips inside that loop must not leave them in a broker
-  // that later queries share.
+  // build=right holds its build pages, in HashJoinOp's grants, through the
+  // probe; after a cost budget trips inside the probe, Close() must return
+  // them to a broker that later queries share.
   JoinFixture f(1000, 50000, 1000);
   MemoryBroker broker;
   double full_cost = 0;
@@ -701,6 +770,8 @@ TEST(GJoinTest, BudgetTripInsideTheHashProbeReturnsTheBuildGrant) {
       GJoinOp join(f.ScanS(), f.ScanR(), "s.fk", "r.id");
       ASSERT_FALSE(DrainOperator(&join, &ctx, nullptr).ok());
       ASSERT_TRUE(ctx.has_trip());
+      EXPECT_GT(broker.used(), 0) << "budget at " << fraction << "x";
+      join.Close();
       EXPECT_EQ(broker.used(), 0) << "budget at " << fraction << "x";
     }
     EXPECT_EQ(broker.used(), 0) << "budget at " << fraction << "x";

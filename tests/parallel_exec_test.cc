@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "exec/join_ops.h"
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
+#include "optimizer/builder.h"
 #include "reference_eval.h"
 #include "storage/data_generator.h"
 #include "workload/workloads.h"
@@ -183,6 +185,43 @@ TEST_F(ParallelFixture, FilteredScanByteIdentical) {
 TEST_F(ParallelFixture, StarJoinByteIdentical) {
   // Three dimension joins (unique build keys) with dimension filters.
   CheckByteIdentical(workload::StarQuery(3, {5000, 7000, 9000}));
+}
+
+TEST_F(ParallelFixture, GJoinRightScanStaysSerialForItsIndex) {
+  // The index can stand in for a g-join's right child only when that child
+  // is a TableScanOp of the whole table, so the builder keeps that scan
+  // serial at DOP > 1: the g-join probes the index and does the same work
+  // at every DOP.
+  ASSERT_TRUE(catalog.BuildIndex("fact", "fk0").ok());
+  int ids = 0;
+  auto left = NewPlanNode(PlanOp::kTableScan, &ids);
+  left->table = "dim0";
+  left->predicate = MakeBetween("attr", 0, 20);
+  auto right = NewPlanNode(PlanOp::kTableScan, &ids);
+  right->table = "fact";
+  auto join = NewPlanNode(PlanOp::kGJoin, &ids);
+  join->left_key = "dim0.id";
+  join->right_key = "fact.fk0";
+  join->table = "fact";
+  join->index_column = "fk0";
+  join->children.push_back(std::move(left));
+  join->children.push_back(std::move(right));
+  ThreadPool pool(4);
+  double serial_cost = 0;
+  for (int dop : {1, 4}) {
+    ParallelOptions par;
+    par.num_threads = dop;
+    par.pool = &pool;
+    auto op = BuildExecutable(*join, &catalog, {}, &par);
+    ASSERT_TRUE(op.ok()) << op.status().ToString();
+    ExecContext ctx;
+    ASSERT_TRUE(DrainOperator(op->get(), &ctx, nullptr).ok());
+    auto* gjoin = dynamic_cast<GJoinOp*>(op->get());
+    ASSERT_NE(gjoin, nullptr);
+    EXPECT_EQ(gjoin->chosen_strategy(), "index") << "dop " << dop;
+    if (dop == 1) serial_cost = ctx.cost();
+    EXPECT_EQ(ctx.cost(), serial_cost) << "dop " << dop;
+  }
 }
 
 TEST_F(ParallelFixture, StarJoinGroupByByteIdentical) {

@@ -681,29 +681,14 @@ TEST(EveryPageComesBackTest, GJoinStrategies) {
       [&] { return std::make_unique<GJoinOp>(f.ScanS(), f.ScanR(), "s.fk",
                                              "r.id"); },
       "pages-gjoin-hash");
-  // Merge, over sorts that hold their own grants.
-  GJoinOp::Hints sorted;
-  sorted.left_sorted = sorted.right_sorted = true;
-  ExpectEveryPageComesBack(
-      64,
-      [&] {
-        return std::make_unique<GJoinOp>(
-            std::make_unique<SortOp>(f.ScanS(), "s.fk"),
-            std::make_unique<SortOp>(f.ScanR(), "r.id"), "s.fk", "r.id",
-            sorted);
-      },
-      "pages-gjoin-merge");
   // Index probes for a tiny outer.
-  GJoinOp::Hints indexed;
-  indexed.right_table = f.r.get();
-  indexed.right_index = r_index.get();
   ExpectEveryPageComesBack(
       1 << 20,
       [&] {
         return std::make_unique<GJoinOp>(
             std::make_unique<TableScanOp>(f.s.get(),
                                           MakeCmp("w", CmpOp::kLt, 200)),
-            f.ScanR(), "s.fk", "r.id", indexed);
+            f.ScanR(), "s.fk", "r.id", r_index.get());
       },
       "pages-gjoin-index");
 }

@@ -6,9 +6,10 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <functional>
 #include <limits>
+
+#include "util/env.h"
 
 namespace rqp {
 
@@ -26,35 +27,16 @@ std::string MakeEngineTag() {
 /// Resolves EngineOptions::num_threads: 0 defers to $RQP_THREADS (unset or
 /// unparsable → 1); the result is clamped to [1, 64].
 int ResolveNumThreads(int configured) {
-  int dop = configured;
-  if (dop <= 0) {
-    dop = 1;
-    if (const char* env = std::getenv("RQP_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) dop = static_cast<int>(v);
-    }
-  }
-  return std::clamp(dop, 1, 64);
+  const int64_t dop =
+      configured > 0 ? configured : EnvInt64("RQP_THREADS", 1);
+  return static_cast<int>(std::clamp<int64_t>(dop, 1, 64));
 }
 
 /// Resolves EngineOptions::use_result_cache: -1 defers to $RQP_RESULT_CACHE
 /// (off unless set to something other than "0" or "").
 bool ResolveResultCacheEnabled(int configured) {
   if (configured >= 0) return configured != 0;
-  const char* env = std::getenv("RQP_RESULT_CACHE");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-/// Applies the $RQP_RESULT_CACHE_PAGES override to the configured budget.
-int64_t ResolveResultCachePages(int64_t configured) {
-  if (const char* env = std::getenv("RQP_RESULT_CACHE_PAGES")) {
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<int64_t>(v);
-  }
-  return configured;
+  return EnvFlag("RQP_RESULT_CACHE", /*if_unset=*/false);
 }
 
 }  // namespace
@@ -74,7 +56,8 @@ Engine::Engine(Catalog* catalog, EngineOptions options)
   result_cache_enabled_ = ResolveResultCacheEnabled(options_.use_result_cache);
   simd_level_ = ResolveSimdLevel(options_.simd);
   ResultCache::Options ro = options_.result_cache;
-  ro.max_pages = ResolveResultCachePages(ro.max_pages);
+  // $RQP_RESULT_CACHE_PAGES overrides the configured budget.
+  ro.max_pages = EnvInt64("RQP_RESULT_CACHE_PAGES", ro.max_pages);
   ro.max_staleness = options_.result_cache_max_staleness;
   ro.cost_model = options_.cost_model;
   // Cached results are charged against query memory: they compete with

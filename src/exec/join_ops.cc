@@ -111,7 +111,7 @@ Status HashJoinOp::SpillPartition(size_t part_idx) {
   resident_.Shrink(part.charged_pages);
   part.charged_pages = 0;
   part.rows.data.clear();
-  part.table.clear();
+  part.table.Build(part.rows, build_key_idx_);
   part.same.clear();
   part.spilled = true;
   dense_dir_.clear();
@@ -167,29 +167,17 @@ Status HashJoinOp::PartitionBuildRow(const int64_t* row) {
   return Status::OK();
 }
 
-Status HashJoinOp::FinishBuildPhase() {
-  for (Partition& part : parts_) {
-    if (part.spilled) continue;
-    // Empty resident partitions get a 1-bucket table whose single head is
-    // kEmpty: the fused probe's head-fetch pass can then load every
-    // partition's bucket unconditionally instead of branching on emptiness.
-    part.table.Build(part.rows, build_key_idx_);
-    if (part.rows.num_rows() == 0) continue;
-    ctx_->ChargeHashOps(static_cast<int64_t>(
-        static_cast<double>(part.rows.num_rows()) *
-        ctx_->cost_model().hash_build_factor));
-  }
-  BuildDenseDirectory();
-  return Status::OK();
-}
-
-void HashJoinOp::BuildDenseDirectory() {
+void HashJoinOp::BuildTables() {
+  // Empty and spilled partitions get a 1-bucket table whose single head is
+  // kEmpty: the hashed kernel's head-fetch pass can then load every key's
+  // bucket unconditionally instead of branching on emptiness.
+  for (Partition& part : parts_) part.table.Build(part.rows, build_key_idx_);
   dense_dir_.clear();
+  if (!build_resident()) return;
   uint64_t rows = 0;
   int64_t lo = std::numeric_limits<int64_t>::max();
   int64_t hi = std::numeric_limits<int64_t>::min();
   for (const Partition& part : parts_) {
-    if (part.spilled) return;
     for (size_t r = 0; r < part.rows.num_rows(); ++r) {
       lo = std::min(lo, part.rows.row(r)[build_key_idx_]);
       hi = std::max(hi, part.rows.row(r)[build_key_idx_]);
@@ -219,50 +207,36 @@ void HashJoinOp::BuildDenseDirectory() {
   }
 }
 
-Status HashJoinOp::RunBuildFromChild(ExecContext* ctx) {
+template <typename NextBatch>
+Status HashJoinOp::RunBuild(NextBatch next) {
   parts_ = std::vector<Partition>(static_cast<size_t>(options_.fan_out));
   for (Partition& part : parts_) part.rows.num_cols = build_cols_;
-  RQP_RETURN_IF_ERROR(build_child_->Open(ctx));
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-    RowBatch batch;
-    RQP_RETURN_IF_ERROR(build_child_->Next(&batch));
-    if (batch.empty()) break;
-    // Poll at batch start (the phase boundary) before absorbing rows, so a
-    // capacity drop charged during the child's Next is shed as a revocation
-    // rather than resolved incidentally by the eviction path.
-    RQP_RETURN_IF_ERROR(Shed());
-    ctx->ChargeHashOps(static_cast<int64_t>(batch.num_rows()));
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      ++build_rows_total_;
-      RQP_RETURN_IF_ERROR(PartitionBuildRow(batch.row(r)));
-    }
-  }
-  build_child_->Close();
-  spill_fraction_ =
-      build_rows_total_ == 0
-          ? 0.0
-          : static_cast<double>(build_rows_spilled_) /
-                static_cast<double>(build_rows_total_);
-  return FinishBuildPhase();
-}
-
-Status HashJoinOp::RunBuildFromFile(SpillFile* file) {
-  parts_ = std::vector<Partition>(static_cast<size_t>(options_.fan_out));
-  for (Partition& part : parts_) part.rows.num_cols = build_cols_;
-  RQP_RETURN_IF_ERROR(file->Rewind());
   while (true) {
     RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
     RowBatch batch;
-    RQP_RETURN_IF_ERROR(file->ReadBatch(&batch));
+    RQP_RETURN_IF_ERROR(next(&batch));
     if (batch.empty()) break;
+    // Poll at batch start (the phase boundary) before absorbing rows, so a
+    // capacity drop charged during the input's Next is shed as a revocation
+    // rather than resolved incidentally by the eviction path.
     RQP_RETURN_IF_ERROR(Shed());
     ctx_->ChargeHashOps(static_cast<int64_t>(batch.num_rows()));
+    if (depth_ == 0) {
+      build_rows_total_ += static_cast<int64_t>(batch.num_rows());
+    }
     for (size_t r = 0; r < batch.num_rows(); ++r) {
       RQP_RETURN_IF_ERROR(PartitionBuildRow(batch.row(r)));
     }
   }
-  return FinishBuildPhase();
+  BuildTables();
+  // One charge per partition, in partition order; spilled and empty ones
+  // charge nothing.
+  for (const Partition& part : parts_) {
+    ctx_->ChargeHashOps(static_cast<int64_t>(
+        static_cast<double>(part.rows.num_rows()) *
+        ctx_->cost_model().hash_build_factor));
+  }
+  return Status::OK();
 }
 
 Status HashJoinOp::FetchProbeBatch(bool* eof) {
@@ -306,49 +280,32 @@ Status HashJoinOp::FetchProbeBatch(bool* eof) {
   }
   // Batch boundary = phase boundary: no live match references, safe to shed.
   RQP_RETURN_IF_ERROR(Shed());
-  // Fused whole-batch probe: charge every probe in one flush, then either
-  // run ProbeResident (no partition spilled) or compute every row's
-  // partition in one pass, route spilled-partition rows to their probe
-  // files in row order and walk the hash chains for resident rows. Either
-  // way the matches land in probe_.pairs, and emission is a bare cursor
-  // over precomputed (probe row, build row) pairs.
+  // Fused whole-batch probe: charge every probe in one flush and gather the
+  // matches into probe_.pairs, so emission is a bare cursor over
+  // precomputed (probe row, build row) pairs. A spilled partition's table
+  // is empty, so its rows match nothing here and are routed to its probe
+  // file in row order.
   ctx_->ChargeHashOps(static_cast<int64_t>(n));
   fused_next_ = 0;
-  if (build_resident()) {
-    ProbeResident(probe_keys_.data(), n, ctx_->simd(), &probe_);
-    return Status::OK();
-  }
-  // Spill path: partitions precompute in one pass; routing then appends
-  // spilled-partition rows in row order.
-  probe_.pairs.clear();
-  probe_.parts.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    probe_.parts[i] = static_cast<uint32_t>(PartitionOf(probe_keys_[i]));
-  }
+  ProbeResident(probe_keys_.data(), n, ctx_->simd(), &probe_);
+  if (build_resident()) return Status::OK();
   row_scratch_.resize(probe_cols_);
   for (size_t i = 0; i < n; ++i) {
     Partition& part = parts_[probe_.parts[i]];
-    if (part.spilled) {
-      if (part.probe_spill == nullptr) {
-        auto file = ctx_->spill()->Create(probe_cols_);
-        if (!file.ok()) return file.status();
-        part.probe_spill = std::move(file).value();
-      }
-      const int64_t* row = row_scratch_.data();
-      if (probe_via_views_) {
-        probe_col_.GatherRow(i, row_scratch_.data());
-        ctx_->counters().rows_materialized += 1;
-      } else {
-        row = probe_batch_.row(i);
-      }
-      RQP_RETURN_IF_ERROR(part.probe_spill->AppendRow(row));
-      continue;
+    if (!part.spilled) continue;
+    if (part.probe_spill == nullptr) {
+      auto file = ctx_->spill()->Create(probe_cols_);
+      if (!file.ok()) return file.status();
+      part.probe_spill = std::move(file).value();
     }
-    part.table.ForEachMatch(
-        part.rows, build_key_idx_, probe_keys_[i], [&](size_t r) {
-          probe_.pairs.emplace_back(static_cast<uint32_t>(i),
-                                    static_cast<uint32_t>(r));
-        });
+    const int64_t* row = row_scratch_.data();
+    if (probe_via_views_) {
+      probe_col_.GatherRow(i, row_scratch_.data());
+      ctx_->counters().rows_materialized += 1;
+    } else {
+      row = probe_batch_.row(i);
+    }
+    RQP_RETURN_IF_ERROR(part.probe_spill->AppendRow(row));
   }
   return Status::OK();
 }
@@ -401,10 +358,10 @@ void HashJoinOp::ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
     return;
   }
   // Hashed kernel. Pass 1 fuses the partition precompute with the
-  // bucket-head fetch (every resident partition has a built table, even the
-  // empty ones). Whole-batch hash mix; the SIMD kernel is integer-exact, so
-  // bucket choice, chain walks, and match order are bit-identical at every
-  // level.
+  // bucket-head fetch (every partition has a built table; an empty or
+  // spilled one's single head is kEmpty). Whole-batch hash mix; the SIMD
+  // kernel is integer-exact, so bucket choice, chain walks, and match order
+  // are bit-identical at every level.
   s->mixes.resize(n);
   SimdMixBatch(keys, n, s->mixes.data(), simd);
   for (size_t i = 0; i < n; ++i) {
@@ -436,30 +393,6 @@ void HashJoinOp::ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
   pairs.resize(k);
 }
 
-Status HashJoinOp::FetchChunkProbeBatch() {
-  RQP_RETURN_IF_ERROR(probe_file_->ReadBatch(&probe_batch_));
-  probe_.pairs.clear();
-  fused_next_ = 0;
-  if (probe_batch_.empty()) {
-    phase_ = Phase::kChunkLoad;
-    return Status::OK();
-  }
-  // Whole-batch fused probe against the resident chunk, exactly like the
-  // partition probe above.
-  const size_t n = probe_batch_.num_rows();
-  ctx_->ChargeHashOps(static_cast<int64_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    chunk_table_.ForEachMatch(chunk_, build_key_idx_,
-                              probe_batch_.row(i)[probe_key_idx_],
-                              [&](size_t r) {
-                                probe_.pairs.emplace_back(
-                                    static_cast<uint32_t>(i),
-                                    static_cast<uint32_t>(r));
-                              });
-  }
-  return Status::OK();
-}
-
 Status HashJoinOp::FinishProbePhase() {
   if (depth_ == 0) probe_child_->Close();
   for (Partition& part : parts_) {
@@ -489,7 +422,6 @@ Status HashJoinOp::FinishProbePhase() {
 Status HashJoinOp::SetupNextTask() {
   if (tasks_.empty()) {
     phase_ = Phase::kDone;
-    done_ = true;
     return Status::OK();
   }
   PendingTask task = std::move(tasks_.back());
@@ -510,7 +442,9 @@ Status HashJoinOp::SetupNextTask() {
     RQP_RETURN_IF_ERROR(fb_build_->Rewind());
     phase_ = Phase::kChunkLoad;
   } else {
-    RQP_RETURN_IF_ERROR(RunBuildFromFile(task.build.get()));
+    RQP_RETURN_IF_ERROR(task.build->Rewind());
+    RQP_RETURN_IF_ERROR(RunBuild(
+        [&task](RowBatch* batch) { return task.build->ReadBatch(batch); }));
     // task.build is destroyed here, removing the re-partitioned temp file.
     phase_ = Phase::kProbe;
   }
@@ -522,37 +456,45 @@ Status HashJoinOp::LoadNextChunk() {
   // changes (grow or shrink) take effect on the next chunk. The chunk takes
   // everything available, or the 1-page floor.
   chunk_grant_.Clear();
-  chunk_ = RowBuffer{};
-  chunk_.num_cols = build_cols_;
-  chunk_table_.clear();
   chunk_grant_.Grow(std::numeric_limits<int64_t>::max());
+  // The chunk is loaded as a resident level. Its pages are chunk_grant_'s,
+  // so its partitions hold no charged_pages and Shed frees nothing while it
+  // is probed.
+  parts_ = std::vector<Partition>(static_cast<size_t>(options_.fan_out));
+  for (Partition& part : parts_) part.rows.num_cols = build_cols_;
   const int64_t max_rows = chunk_grant_.pages() * kRowsPerPage;
-  while (static_cast<int64_t>(chunk_.num_rows()) < max_rows) {
+  int64_t rows = 0;
+  while (rows < max_rows) {
     RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
     RowBatch batch;
-    RQP_RETURN_IF_ERROR(fb_build_->ReadBatch(
-        &batch, max_rows - static_cast<int64_t>(chunk_.num_rows())));
+    RQP_RETURN_IF_ERROR(fb_build_->ReadBatch(&batch, max_rows - rows));
     if (batch.empty()) break;
-    for (size_t r = 0; r < batch.num_rows(); ++r) chunk_.Append(batch.row(r));
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      const int64_t* row = batch.row(r);
+      parts_[PartitionOf(row[build_key_idx_])].rows.Append(row);
+    }
+    rows += static_cast<int64_t>(batch.num_rows());
   }
-  if (chunk_.num_rows() == 0) {
+  if (rows == 0) {
     // Build file exhausted: this fallback task is complete.
     chunk_grant_.Clear();
+    parts_.clear();
+    dense_dir_.clear();
     fb_build_.reset();
     probe_file_.reset();
     phase_ = Phase::kTaskSetup;
     return Status::OK();
   }
-  chunk_table_.Build(chunk_, build_key_idx_);
-  ctx_->ChargeHashOps(
-      static_cast<int64_t>(static_cast<double>(chunk_.num_rows()) *
-                           ctx_->cost_model().hash_build_factor));
+  BuildTables();
+  // One build charge for the whole chunk.
+  ctx_->ChargeHashOps(static_cast<int64_t>(
+      static_cast<double>(rows) * ctx_->cost_model().hash_build_factor));
   // One full probe pass per chunk; Rewind makes the re-read pay again.
   RQP_RETURN_IF_ERROR(probe_file_->Rewind());
   probe_batch_.Clear();
   probe_.pairs.clear();
   fused_next_ = 0;
-  phase_ = Phase::kChunkProbe;
+  phase_ = Phase::kProbe;
   return Status::OK();
 }
 
@@ -573,15 +515,12 @@ Status HashJoinOp::Shed() {
 Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   ctx_ = ctx;
   ResetCount();
-  done_ = false;
   depth_ = 0;
   parts_.clear();
   dense_dir_.clear();
   tasks_.clear();
   probe_file_.reset();
   fb_build_.reset();
-  chunk_ = RowBuffer{};
-  chunk_table_.clear();
   probe_batch_.Clear();
   probe_.pairs.clear();
   fused_next_ = 0;
@@ -607,7 +546,15 @@ Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   resident_ = MemoryGrant(ctx->memory());
   chunk_grant_ = MemoryGrant(ctx->memory());
 
-  RQP_RETURN_IF_ERROR(RunBuildFromChild(ctx));
+  RQP_RETURN_IF_ERROR(build_child_->Open(ctx));
+  RQP_RETURN_IF_ERROR(RunBuild(
+      [this](RowBatch* batch) { return build_child_->Next(batch); }));
+  build_child_->Close();
+  spill_fraction_ =
+      build_rows_total_ == 0
+          ? 0.0
+          : static_cast<double>(build_rows_spilled_) /
+                static_cast<double>(build_rows_total_);
   build_ready_ = true;
   return Status::OK();
 }
@@ -628,8 +575,7 @@ Status HashJoinOp::Open(ExecContext* ctx) {
 // probe rows are written column-at-a-time through the chunk's absolute row
 // ids (computed once); row probe rows are copied whole. Then each build row
 // is copied beside its probe row.
-template <typename BuildRowFn>
-void HashJoinOp::EmitPairs(RowBatch* out, BuildRowFn build_row) {
+void HashJoinOp::EmitPairs(RowBatch* out) {
   const size_t take = std::min(probe_.pairs.size() - fused_next_,
                                out->capacity_remaining());
   const auto* pairs = probe_.pairs.data() + fused_next_;
@@ -656,7 +602,8 @@ void HashJoinOp::EmitPairs(RowBatch* out, BuildRowFn build_row) {
     }
   }
   for (size_t j = 0; j < take; ++j) {
-    const int64_t* brow = build_row(pairs[j]);
+    const int64_t* brow =
+        BuildRow(probe_.parts[pairs[j].first], pairs[j].second);
     std::copy(brow, brow + build_cols_, dst + j * width + probe_cols_);
   }
   fused_next_ += take;
@@ -668,18 +615,22 @@ Status HashJoinOp::Next(RowBatch* out) {
   // Everything per-row was precomputed at fetch time; emission walks a
   // cursor over (probe row, build row) pairs, resumable when the output
   // batch fills mid-batch.
-  while (!out->full() && !done_) {
+  while (!out->full() && phase_ != Phase::kDone) {
     switch (phase_) {
       case Phase::kProbe:
         if (fused_next_ >= probe_.pairs.size()) {
           bool eof = false;
           RQP_RETURN_IF_ERROR(FetchProbeBatch(&eof));
-          if (eof) RQP_RETURN_IF_ERROR(FinishProbePhase());
+          // A fallback chunk's pass ends in the next chunk; a level's probe
+          // in its spilled partition pairs.
+          if (eof && fb_build_ != nullptr) {
+            phase_ = Phase::kChunkLoad;
+          } else if (eof) {
+            RQP_RETURN_IF_ERROR(FinishProbePhase());
+          }
           continue;
         }
-        EmitPairs(out, [this](const std::pair<uint32_t, uint32_t>& p) {
-          return parts_[probe_.parts[p.first]].rows.row(p.second);
-        });
+        EmitPairs(out);
         continue;
       case Phase::kTaskSetup:
         RQP_RETURN_IF_ERROR(SetupNextTask());
@@ -687,18 +638,8 @@ Status HashJoinOp::Next(RowBatch* out) {
       case Phase::kChunkLoad:
         RQP_RETURN_IF_ERROR(LoadNextChunk());
         continue;
-      case Phase::kChunkProbe:
-        if (fused_next_ >= probe_.pairs.size()) {
-          RQP_RETURN_IF_ERROR(FetchChunkProbeBatch());
-          continue;
-        }
-        EmitPairs(out, [this](const std::pair<uint32_t, uint32_t>& p) {
-          return chunk_.row(p.second);
-        });
-        continue;
       case Phase::kDone:
-        done_ = true;
-        continue;
+        break;
     }
   }
   CountProduced(ctx_, *out, /*eof=*/out->empty());
@@ -715,8 +656,6 @@ void HashJoinOp::Close() {
   tasks_.clear();
   probe_file_.reset();
   fb_build_.reset();
-  chunk_ = RowBuffer{};
-  chunk_table_.clear();
   phase_ = Phase::kDone;
 }
 

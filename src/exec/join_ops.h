@@ -49,7 +49,7 @@ Status MaterializeChild(Operator* child, ExecContext* ctx, RowBuffer* buf);
 ///    implementation-defined.
 ///  - Probe cost: a probe is one mix, one head load, and a short chain walk
 ///    over 8-byte indexes — no node allocations, no pointer-heavy buckets —
-///    which is what the fused whole-batch probe runs over.
+///    which is what HashJoinOp::ProbeResident runs over.
 ///
 /// Buckets mix arbitrary keys together, so every chain visit re-checks the
 /// row's actual key.
@@ -61,13 +61,6 @@ struct JoinHashTable {
   std::vector<uint32_t> heads;  ///< bucket -> first row index (or kEmpty)
   std::vector<uint32_t> nexts;  ///< row index -> next row in chain
   uint64_t bucket_mask = 0;
-
-  bool empty() const { return nexts.empty(); }
-  void clear() {
-    heads.clear();
-    nexts.clear();
-    bucket_mask = 0;
-  }
 
   /// murmur3 fmix64 — deliberately a different finalizer from the
   /// depth-salted splitmix64 that grace partitioning uses, so bucket
@@ -86,18 +79,9 @@ struct JoinHashTable {
   }
 
   /// (Re)builds the table over all rows of `rows`, keyed on `key_idx`.
+  /// Zero rows give one bucket whose head is kEmpty, so every key's bucket
+  /// load is valid and misses.
   void Build(const RowBuffer& rows, size_t key_idx);
-
-  /// Invokes `fn(row_index)` for every row whose key equals `key`, in
-  /// build-row order.
-  template <typename Fn>
-  void ForEachMatch(const RowBuffer& rows, size_t key_idx, int64_t key,
-                    Fn fn) const {
-    if (heads.empty()) return;
-    for (uint32_t r = heads[BucketOf(key)]; r != kEmpty; r = nexts[r]) {
-      if (rows.row(r)[key_idx] == key) fn(static_cast<size_t>(r));
-    }
-  }
 };
 
 /// Hybrid hash join with recursive grace partitioning: builds on the right
@@ -114,14 +98,19 @@ struct JoinHashTable {
 ///
 /// This is the hash join at every DOP: GatherOp runs the build half
 /// (OpenBuild) of the joins in its segment and has its workers probe their
-/// resident partitions through ProbeResident, the kernel FetchProbeBatch
-/// runs in memory.
+/// resident partitions through ProbeResident.
+///
+/// Every probe batch of every phase goes through ProbeResident. A level
+/// with spilled partitions probes the whole batch (a spilled partition's
+/// table is empty, so its rows match nothing) and then routes the spilled
+/// partitions' rows to their probe files; a fallback chunk is loaded into
+/// the partitions as a resident level of its own.
 ///
 /// The probe fetch takes views from a TableScanOp probe child (gathering
 /// only the key column) and rows from any other child and from spill files.
-/// Every phase — resident probe, recursion, chunked fallback — has one
-/// emission: it writes (probe row, build row) pairs into the output
-/// RowBatch, view probe rows column-at-a-time through their row ids.
+/// Every phase has one emission: it writes (probe row, build row) pairs
+/// into the output RowBatch, view probe rows column-at-a-time through their
+/// row ids.
 class HashJoinOp : public Operator {
  public:
   struct Options {
@@ -129,8 +118,8 @@ class HashJoinOp : public Operator {
     int max_recursion = 4;  ///< levels before the chunked-hash fallback
   };
 
-  /// Caller-owned scratch of the in-memory fused probe, one per probing
-  /// thread, so many threads can probe one build.
+  /// Caller-owned scratch of ProbeResident, one per probing thread, so many
+  /// threads can probe one build.
   struct ProbeScratch {
     std::vector<uint32_t> parts;  ///< partition of each key that matched
     std::vector<uint64_t> mixes;  ///< fmix64 of each probe key (hashed)
@@ -176,12 +165,14 @@ class HashJoinOp : public Operator {
   /// so ProbeResident indexes it by key − min instead of hashing.
   bool dense_probe() const { return !dense_dir_.empty(); }
 
-  /// The in-memory two-pass fused probe of `n` keys against the resident
-  /// partitions (requires build_resident()). Fills s->pairs with the
-  /// matches, key-major and in build-row order within a key, and s->parts
-  /// with the partition of each key that matched (other keys' entries are
-  /// unspecified). Runs the dense kernel when dense_probe(), else the hashed
-  /// one; both give the same pairs. Reads only the built partitions, so any
+  /// The two-pass fused probe of `n` keys against the level's partitions.
+  /// Fills s->pairs with the matches, key-major and in build-row order
+  /// within a key, and s->parts with the partition of each key that matched
+  /// (other keys' entries are unspecified). Runs the dense kernel when
+  /// dense_probe(), else the hashed one; both give the same pairs. A level
+  /// with a spilled partition never has the dense directory, so the hashed
+  /// kernel runs: it fills s->parts for every key, and the keys of spilled
+  /// partitions match nothing. Reads only the built partitions, so any
   /// number of threads may probe concurrently, each with its own scratch.
   void ProbeResident(const int64_t* keys, size_t n, SimdLevel simd,
                      ProbeScratch* s) const;
@@ -191,10 +182,11 @@ class HashJoinOp : public Operator {
   }
 
  private:
-  /// One grace partition at the current recursion level.
+  /// One grace partition at the current recursion level, or of the
+  /// fallback's current chunk.
   struct Partition {
     RowBuffer rows;  ///< resident build rows (empty once spilled)
-    JoinHashTable table;
+    JoinHashTable table;  ///< over `rows`: one empty bucket once spilled
     /// Dense kernel: row -> next row with the same key, or kEmpty.
     std::vector<uint32_t> same;
     std::unique_ptr<SpillFile> build_spill;
@@ -209,7 +201,7 @@ class HashJoinOp : public Operator {
     int depth = 0;
   };
 
-  enum class Phase { kProbe, kTaskSetup, kChunkLoad, kChunkProbe, kDone };
+  enum class Phase { kProbe, kTaskSetup, kChunkLoad, kDone };
 
   size_t PartitionOf(int64_t key) const;
   Status PartitionBuildRow(const int64_t* row);
@@ -222,23 +214,22 @@ class HashJoinOp : public Operator {
   /// until the broker's deficit is covered. The chunk and the progress
   /// minimum renegotiate at their own boundaries.
   Status Shed();
-  Status FinishBuildPhase();
-  /// Builds dense_dir_ when every partition is resident and the level's
-  /// build keys span fewer than kDenseSpanFactor values per row.
-  void BuildDenseDirectory();
-  Status RunBuildFromChild(ExecContext* ctx);
-  Status RunBuildFromFile(SpillFile* file);
+  /// Builds every partition's table, then the dense directory when every
+  /// partition is resident and the level's build keys span fewer than
+  /// kDenseSpanFactor values per row. Charges nothing.
+  void BuildTables();
+  /// Partitions every batch `next(&batch)` yields until an empty one, then
+  /// builds the tables and charges each partition's build.
+  template <typename NextBatch>
+  Status RunBuild(NextBatch next);
   /// Fetches the next probe batch (column views from a scan probe child,
-  /// else rows from the child or a recursive task's spill file) and runs the
-  /// fused whole-batch probe into probe_.pairs. Sets `*eof` when the input
-  /// is exhausted.
+  /// else rows from the child or a spill file), runs ProbeResident over it
+  /// into probe_.pairs and routes spilled partitions' rows to their probe
+  /// files. Sets `*eof` when the input is exhausted.
   Status FetchProbeBatch(bool* eof);
   /// Writes the next pairs of probe_.pairs that fit in `out`, each as the
-  /// probe row followed by `build_row(pair)`.
-  template <typename BuildRowFn>
-  void EmitPairs(RowBatch* out, BuildRowFn build_row);
-  /// Chunked-fallback analogue: next probe-file batch against chunk_table_.
-  Status FetchChunkProbeBatch();
+  /// probe row followed by its build row.
+  void EmitPairs(RowBatch* out);
   Status FinishProbePhase();
   Status SetupNextTask();
   Status LoadNextChunk();
@@ -269,8 +260,8 @@ class HashJoinOp : public Operator {
   /// Dense-key directory over the resident level: slot key − dense_min_
   /// holds (partition << 32) | the key's first build row, or kDenseEmpty.
   /// The last slot is always empty; out-of-range keys clamp to it. Built
-  /// beside the bucket tables, which the spill path keeps using, and
-  /// dropped whenever a partition spills or the level ends.
+  /// beside the bucket tables, which the hashed kernel uses once a
+  /// partition spills, and dropped whenever one spills or the level ends.
   std::vector<uint64_t> dense_dir_;
   int64_t dense_min_ = 0;
   std::vector<PendingTask> tasks_;  ///< LIFO: bounds live spill files
@@ -279,11 +270,9 @@ class HashJoinOp : public Operator {
   int64_t build_rows_spilled_ = 0;  ///< depth-0 build rows spilled
 
   // Probe state. The whole probe batch is processed at fetch time — hash
-  // charges flushed in one call, partitions computed in one pass, spilled
-  // rows routed to their probe files in row order, and resident rows'
-  // matches gathered into probe_.pairs (build rows index parts_ in the
-  // probe phases, chunk_ in the chunked fallback) so emission is a
-  // branch-free cursor walk.
+  // charges flushed in one call, matches gathered into probe_.pairs by
+  // ProbeResident, and spilled partitions' rows routed to their probe files
+  // in row order — so emission is a branch-free cursor walk.
   std::unique_ptr<SpillFile> probe_file_;  ///< recursive probe input
   RowBatch probe_batch_;
   std::vector<int64_t> probe_keys_;  ///< contiguous key-column gather
@@ -298,12 +287,8 @@ class HashJoinOp : public Operator {
   ColumnBatch probe_col_;         ///< reused view probe input
   std::vector<uint32_t> row_ids_;     ///< emitted chunk's probe row ids
   std::vector<int64_t> row_scratch_;  ///< one gathered row (spill routing)
-  bool done_ = false;
-
-  // Chunked-hash fallback state.
+  /// The chunked fallback's build file, set while its chunks are probed.
   std::unique_ptr<SpillFile> fb_build_;
-  RowBuffer chunk_;
-  JoinHashTable chunk_table_;
 };
 
 /// Sort-merge join over inputs already sorted on their key slots.

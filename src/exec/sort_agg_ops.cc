@@ -170,6 +170,30 @@ Status SortOp::MergeRuns() {
   return Status::OK();
 }
 
+template <typename Emit>
+Status SortOp::MergeStep(std::vector<MergeCursor>* cursors, bool* done,
+                         Emit emit) {
+  // Lowest key wins; ties go to the earliest run, which — with runs kept in
+  // formation order — reproduces a global stable sort.
+  MergeCursor* best = nullptr;
+  for (MergeCursor& c : *cursors) {
+    if (c.file == nullptr) continue;
+    if (best == nullptr ||
+        c.batch.row(c.pos)[key_idx_] < best->batch.row(best->pos)[key_idx_]) {
+      best = &c;
+    }
+  }
+  *done = best == nullptr;
+  if (*done) return Status::OK();
+  RQP_RETURN_IF_ERROR(emit(best->batch.row(best->pos)));
+  if (++best->pos >= best->batch.num_rows()) {
+    RQP_RETURN_IF_ERROR(best->file->ReadBatch(&best->batch, kRowsPerPage));
+    best->pos = 0;
+    if (best->batch.empty()) best->file = nullptr;
+  }
+  return Status::OK();
+}
+
 Status SortOp::MergeGeneration(int64_t fanin) {
   std::vector<std::unique_ptr<SpillFile>> next_runs;
   for (size_t base = 0; base < runs_.size();
@@ -194,30 +218,14 @@ Status SortOp::MergeGeneration(int64_t fanin) {
     auto merged = ctx_->spill()->Create(cols_);
     if (!merged.ok()) return merged.status();
     int64_t rows_merged = 0;
+    auto append = [out = merged->get()](const int64_t* row) {
+      return out->AppendRow(row);
+    };
+    bool done = false;
     while (true) {
-      // Lowest key wins; ties go to the earliest run, which — with runs
-      // kept in formation order — reproduces a global stable sort.
-      int best = -1;
-      for (size_t i = 0; i < cursors.size(); ++i) {
-        const MergeCursor& c = cursors[i];
-        if (c.file == nullptr) continue;
-        if (best < 0 ||
-            c.batch.row(c.pos)[key_idx_] <
-                cursors[static_cast<size_t>(best)]
-                    .batch.row(cursors[static_cast<size_t>(best)].pos)
-                        [key_idx_]) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) break;
-      MergeCursor& c = cursors[static_cast<size_t>(best)];
-      RQP_RETURN_IF_ERROR((*merged)->AppendRow(c.batch.row(c.pos)));
+      RQP_RETURN_IF_ERROR(MergeStep(&cursors, &done, append));
+      if (done) break;
       ++rows_merged;
-      if (++c.pos >= c.batch.num_rows()) {
-        RQP_RETURN_IF_ERROR(c.file->ReadBatch(&c.batch, kRowsPerPage));
-        c.pos = 0;
-        if (c.batch.empty()) c.file = nullptr;
-      }
     }
     ctx_->ChargeCompareOps(rows_merged *
                            static_cast<int64_t>(cursors.size() - 1));
@@ -239,28 +247,15 @@ Status SortOp::Next(RowBatch* out) {
   } else {
     int64_t compares = 0;
     const int64_t k = static_cast<int64_t>(cursors_.size());
+    auto append = [out](const int64_t* row) {
+      out->AppendRow(row);
+      return Status::OK();
+    };
+    bool done = false;
     while (!out->full()) {
-      int best = -1;
-      for (size_t i = 0; i < cursors_.size(); ++i) {
-        const MergeCursor& c = cursors_[i];
-        if (c.file == nullptr) continue;
-        if (best < 0 ||
-            c.batch.row(c.pos)[key_idx_] <
-                cursors_[static_cast<size_t>(best)]
-                    .batch.row(cursors_[static_cast<size_t>(best)].pos)
-                        [key_idx_]) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) break;
-      MergeCursor& c = cursors_[static_cast<size_t>(best)];
-      out->AppendRow(c.batch.row(c.pos));
+      RQP_RETURN_IF_ERROR(MergeStep(&cursors_, &done, append));
+      if (done) break;
       compares += k - 1;
-      if (++c.pos >= c.batch.num_rows()) {
-        RQP_RETURN_IF_ERROR(c.file->ReadBatch(&c.batch, kRowsPerPage));
-        c.pos = 0;
-        if (c.batch.empty()) c.file = nullptr;
-      }
     }
     if (compares > 0) ctx_->ChargeCompareOps(compares);
   }
@@ -408,19 +403,17 @@ void AggFoldPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
 // ---- HashAggOp -------------------------------------------------------------
 
 HashAggOp::HashAggOp(OperatorPtr child, std::vector<std::string> group_slots,
-                     std::vector<AggSpec> aggregates, Options options)
+                     std::vector<AggSpec> aggregates)
     : child_(std::move(child)), group_slots_(std::move(group_slots)),
-      aggs_(std::move(aggregates)), options_(options) {
+      aggs_(std::move(aggregates)) {
   slots_ = group_slots_;
   for (const auto& a : aggs_) slots_.push_back(a.output_name);
-  if (options_.fan_out < 2) options_.fan_out = 2;
-  if (options_.max_recursion < 1) options_.max_recursion = 1;
 }
 
 size_t HashAggOp::PartitionOfKey(const int64_t* key, size_t n) const {
   uint64_t h = Mix64(static_cast<uint64_t>(depth_) + 1);
   for (size_t i = 0; i < n; ++i) h = Mix64(h ^ static_cast<uint64_t>(key[i]));
-  return static_cast<size_t>(h % static_cast<uint64_t>(options_.fan_out));
+  return static_cast<size_t>(h % kFanOut);
 }
 
 void HashAggOp::FlushDeferred(const RowBatch& in, bool partial) {
@@ -512,7 +505,7 @@ Status HashAggOp::EnsureGroupCapacity() {
                kRowsPerPage);
     if (needed <= groups_.pages()) return Status::OK();
     if (groups_.TryGrow(1)) continue;
-    if (depth_ < options_.max_recursion && !slots_.empty() &&
+    if (depth_ < kMaxRecursion && !slots_.empty() &&
         flat_.num_groups > 1) {
       RQP_RETURN_IF_ERROR(ShedGroups());
       continue;
@@ -525,7 +518,7 @@ Status HashAggOp::EnsureGroupCapacity() {
 
 Status HashAggOp::ShedGroups() {
   if (shed_files_.empty()) {
-    shed_files_.resize(static_cast<size_t>(options_.fan_out));
+    shed_files_.resize(kFanOut);
   }
   const size_t kw = group_idx_.size();
   std::vector<int64_t> row(slots_.size());
@@ -690,7 +683,7 @@ Status HashAggOp::Next(RowBatch* out) {
 
 Status HashAggOp::Shed() {
   if (emitting_ || flat_.num_groups <= 1 || groups_.pages() <= 1 ||
-      depth_ >= options_.max_recursion || slots_.empty() ||
+      depth_ >= kMaxRecursion || slots_.empty() ||
       ctx_->memory()->deficit() == 0) {
     return Status::OK();
   }

@@ -60,6 +60,12 @@ class SortOp : public Operator {
   Status FlushRun();
   Status MergeRuns();
   Status MergeGeneration(int64_t fanin);
+  /// One k-way merge step: hands the lowest-key row of `cursors` to
+  /// `emit(row)` (ties go to the earliest cursor, the stability contract),
+  /// then advances that cursor, refilling its page from its run. Sets
+  /// `*done` instead when every cursor is exhausted. Charges nothing.
+  template <typename Emit>
+  Status MergeStep(std::vector<MergeCursor>* cursors, bool* done, Emit emit);
   /// Phase-boundary revocation (dynamic policy): when the broker is
   /// over-committed, cuts the run-formation buffer as a sorted run,
   /// returning its pages (progress continues on fresh 1-page grants).
@@ -167,26 +173,17 @@ struct FlatGroups {
 /// Hash aggregation on zero or more group-by slots. All four aggregate
 /// functions are decomposable, so when the group state outgrows the memory
 /// grant the operator sheds it as mergeable partial-aggregate rows,
-/// hash-partitioned into SpillManager files; partitions are re-aggregated
-/// recursively (with a depth-salted hash) and at `max_recursion` the
-/// operator over-commits the broker instead of shedding, guaranteeing
-/// completion. A capacity shrink makes it shed the group state at the next
-/// batch boundary. Queries that never spill emit groups in key order,
-/// exactly like the in-memory implementation. The group state's pages are
-/// one MemoryGrant.
+/// hash-partitioned into kFanOut SpillManager files; partitions are
+/// re-aggregated recursively (with a depth-salted hash) and at
+/// kMaxRecursion the operator over-commits the broker instead of shedding,
+/// guaranteeing completion. A capacity shrink makes it shed the group state
+/// at the next batch boundary. Queries that never spill emit groups in key
+/// order, exactly like the in-memory implementation. The group state's
+/// pages are one MemoryGrant.
 class HashAggOp : public Operator {
  public:
-  struct Options {
-    int fan_out = 8;        ///< shed partitions per recursion level
-    int max_recursion = 4;  ///< levels before over-commit completion
-  };
-
   HashAggOp(OperatorPtr child, std::vector<std::string> group_slots,
-            std::vector<AggSpec> aggregates, Options options);
-  HashAggOp(OperatorPtr child, std::vector<std::string> group_slots,
-            std::vector<AggSpec> aggregates)
-      : HashAggOp(std::move(child), std::move(group_slots),
-                  std::move(aggregates), Options()) {}
+            std::vector<AggSpec> aggregates);
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
@@ -202,6 +199,9 @@ class HashAggOp : public Operator {
     std::unique_ptr<SpillFile> file;
     int depth = 0;
   };
+
+  static constexpr size_t kFanOut = 8;     ///< shed partitions per level
+  static constexpr int kMaxRecursion = 4;  ///< levels before over-commit
 
   size_t PartitionOfKey(const int64_t* key, size_t n) const;
   /// Batch kernel: per-row key assembly + flat-table upsert; rows landing
@@ -225,7 +225,6 @@ class HashAggOp : public Operator {
   OperatorPtr child_;
   std::vector<std::string> group_slots_;
   std::vector<AggSpec> aggs_;
-  Options options_;
   std::vector<std::string> slots_;
   std::vector<size_t> group_idx_;
   std::vector<size_t> agg_idx_;

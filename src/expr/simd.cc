@@ -1,13 +1,13 @@
 #include "expr/simd.h"
 
-#include <cstdlib>
-
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define RQP_SIMD_X86 1
 #else
 #define RQP_SIMD_X86 0
 #endif
+
+#include "util/env.h"
 
 namespace rqp {
 
@@ -216,11 +216,8 @@ Avx2MixBatch(const int64_t* keys, size_t n, uint64_t* out) {
 
 SimdLevel ResolveSimdLevel(int configured) {
   if (configured == 0) return SimdLevel::kScalar;
-  if (configured < 0) {
-    const char* env = std::getenv("RQP_SIMD");
-    if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-      return SimdLevel::kScalar;
-    }
+  if (configured < 0 && !EnvFlag("RQP_SIMD", /*if_unset=*/true)) {
+    return SimdLevel::kScalar;
   }
   return CpuHasAvx2() ? SimdLevel::kAVX2 : SimdLevel::kScalar;
 }

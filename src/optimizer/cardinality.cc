@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
+
+#include "util/env.h"
 
 namespace rqp {
-
-namespace {
-
-double EnvDouble(const char* name, double fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (end == env || *end != '\0') return fallback;
-  return v;
-}
-
-}  // namespace
 
 CardinalityOptions ResolveCardinalityOptions(CardinalityOptions options) {
   if (options.percentile <= 0.0) {

@@ -394,7 +394,7 @@ PlanNodePtr Optimizer::MakeJoinPlan(const PlanNode& left,
   return best;
 }
 
-void Optimizer::InsertChecks(PlanNode* node) const {
+void Optimizer::InsertChecks(PlanNode* node, int* next_check_id) const {
   auto is_join = [](PlanOp op) {
     return op == PlanOp::kHashJoin || op == PlanOp::kMergeJoin ||
            op == PlanOp::kIndexNLJoin || op == PlanOp::kNestedLoopsJoin ||
@@ -417,7 +417,7 @@ void Optimizer::InsertChecks(PlanNode* node) const {
   };
 
   for (auto& child : node->children) {
-    InsertChecks(child.get());
+    InsertChecks(child.get(), next_check_id);
   }
   if (!is_join(node->op)) return;
   // Cross products have no alternative join method to switch to.
@@ -487,10 +487,9 @@ void Optimizer::InsertChecks(PlanNode* node) const {
                : range.second;
     }
 
-    static int check_ids = 1 << 20;  // distinct from optimizer-assigned ids
     auto check = std::make_unique<PlanNode>();
     check->op = PlanOp::kCheck;
-    check->id = check_ids++;
+    check->id = (*next_check_id)++;
     check->check_lo = lo;
     check->check_hi = hi;
     check->est_rows = child->est_rows;
@@ -830,7 +829,10 @@ StatusOr<OptimizationResult> Optimizer::Optimize(
 
   // 6. POP checkpoints. A hedged robust winner arms CHECKs even when POP is
   // off — the probes are what trigger the switch to the fallback.
-  if (options_.add_pop_checks || result.hedged) InsertChecks(root.get());
+  if (options_.add_pop_checks || result.hedged) {
+    int next_check_id = 1 << 20;  // distinct from optimizer-assigned ids
+    InsertChecks(root.get(), &next_check_id);
+  }
 
   coster_.Cost(root.get());
   result.plan = std::move(root);

@@ -167,7 +167,10 @@ class Optimizer {
                            const std::vector<Unit>& units,
                            int64_t* plans_considered, int* id_counter,
                            std::vector<PlanNodePtr>* sink = nullptr) const;
-  void InsertChecks(PlanNode* node) const;
+  /// Wraps each uncertain join input in a CHECK node, numbering the CHECKs
+  /// from `*next_check_id` (one counter per Optimize call, so ids repeat
+  /// across optimizations of the same query).
+  void InsertChecks(PlanNode* node, int* next_check_id) const;
 
   const Catalog* catalog_;
   const CardinalityModel* card_;

@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
+#include "util/env.h"
 #include "util/rng.h"
 
 namespace rqp {
 
 bool RobustSelectionEnabled(int enabled) {
   if (enabled >= 0) return enabled != 0;
-  const char* env = std::getenv("RQP_ROBUST_PLAN");
-  if (env == nullptr || *env == '\0') return false;
-  return !(env[0] == '0' && env[1] == '\0');
+  return EnvFlag("RQP_ROBUST_PLAN", /*if_unset=*/false);
 }
 
 double BandSigma(const SelEstimate& e, double sigma_per_term) {

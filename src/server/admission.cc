@@ -1,29 +1,17 @@
 #include "server/admission.h"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "util/env.h"
 
 namespace rqp {
 
-namespace {
-
-int64_t EnvInt64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) return fallback;
-  return static_cast<int64_t>(v);
-}
-
-}  // namespace
-
 AdmissionOptions ResolveAdmissionOptions(AdmissionOptions options) {
-  if (options.max_concurrent <= 0) {
-    options.max_concurrent =
-        static_cast<int>(EnvInt64("RQP_MAX_CONCURRENT", 4));
-  }
-  options.max_concurrent = std::clamp(options.max_concurrent, 1, 256);
+  const int64_t max_concurrent = options.max_concurrent > 0
+                                     ? options.max_concurrent
+                                     : EnvInt64("RQP_MAX_CONCURRENT", 4);
+  options.max_concurrent =
+      static_cast<int>(std::clamp<int64_t>(max_concurrent, 1, 256));
   if (options.tenant_quota_pages <= 0) {
     options.tenant_quota_pages =
         EnvInt64("RQP_TENANT_QUOTA_PAGES", options.total_memory_pages);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <optional>
 #include <set>
 #include <thread>
@@ -11,33 +10,23 @@
 #include "exec/scan_ops.h"
 #include "exec/sort_agg_ops.h"
 #include "shard/exchange.h"
+#include "util/env.h"
 
 namespace rqp {
 
 int ResolveShards(int num_shards) {
-  if (num_shards <= 0) {
-    const char* e = std::getenv("RQP_SHARDS");
-    num_shards = e != nullptr ? std::atoi(e) : 1;
-    if (num_shards <= 0) num_shards = 1;
-  }
-  return std::clamp(num_shards, 1, 64);
+  const int64_t shards =
+      num_shards > 0 ? num_shards : EnvInt64("RQP_SHARDS", 1);
+  return static_cast<int>(std::clamp<int64_t>(shards, 1, 64));
 }
 
 int64_t ResolveExchangeQueuePages(int64_t pages) {
-  if (pages <= 0) {
-    const char* e = std::getenv("RQP_EXCHANGE_QUEUE_PAGES");
-    pages = e != nullptr ? std::atoll(e) : 64;
-    if (pages <= 0) pages = 64;
-  }
-  return pages;
+  return pages > 0 ? pages : EnvInt64("RQP_EXCHANGE_QUEUE_PAGES", 64);
 }
 
 double ResolveHotkeyThreshold(double fraction) {
-  if (fraction <= 0) {
-    const char* e = std::getenv("RQP_HOTKEY_THRESHOLD");
-    fraction = e != nullptr ? std::atof(e) : 0.05;
-    if (fraction <= 0) fraction = 0.05;
-  }
+  if (fraction <= 0) fraction = EnvDouble("RQP_HOTKEY_THRESHOLD", 0.05);
+  if (fraction <= 0) fraction = 0.05;
   return std::min(fraction, 1.0);
 }
 

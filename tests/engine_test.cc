@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "engine/engine.h"
 #include "storage/data_generator.h"
@@ -110,6 +113,32 @@ TEST_F(EngineFixture, PopReoptimizesOnBadEstimates) {
   ASSERT_TRUE(result2.ok());
   EXPECT_EQ(result2->output_rows, result->output_rows);
   EXPECT_EQ(result2->reoptimizations, 0);
+}
+
+TEST_F(EngineFixture, CheckNodeIdsRepeatAcrossRuns) {
+  // POP wraps the star query's join inputs in CHECK nodes. Their ids are
+  // numbered per optimization, so a second run of the same query on the
+  // same engine reports the same nodes.
+  EngineOptions opts;
+  opts.use_pop = true;
+  Engine engine(&catalog_, opts);
+  engine.AnalyzeAll();
+  auto first = engine.Run(StarQuery(500));
+  auto second = engine.Run(StarQuery(500));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  auto cards = [](const QueryResult& r) {
+    std::vector<std::tuple<int, double, int64_t>> out;
+    for (const auto& nc : r.node_cards) {
+      out.emplace_back(nc.node_id, nc.estimated, nc.actual);
+    }
+    return out;
+  };
+  const auto want = cards(*first);
+  EXPECT_TRUE(std::any_of(want.begin(), want.end(), [](const auto& nc) {
+    return std::get<0>(nc) >= (1 << 20);
+  })) << "no CHECK node";
+  EXPECT_EQ(cards(*second), want);
 }
 
 /// The cost-model-weighted sum of the charge counters. Equals cost_units

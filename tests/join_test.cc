@@ -315,6 +315,57 @@ TEST(ProbeResidentTest, ShrinkAfterDenseBuildFallsBackToSpillPath) {
   EXPECT_EQ(got, NestedLoopPairs(probe, build));
 }
 
+TEST(ProbeResidentTest, SpilledLevelMatchesOnlyResidentPartitions) {
+  // A build twice its grant: OpenBuild spills some partitions, and the
+  // hashed kernel probes the level as it stands. A spilled partition keeps
+  // an empty table, so each key gets all of its nested-loop matches, in
+  // build-row order, or none.
+  std::vector<int64_t> build;
+  for (int64_t i = 0; i < 3000; ++i) build.push_back((i % 1000) * 3);
+  Rng(8).Shuffle(&build);
+  const std::vector<int64_t> probe = ProbeKeysFor(build);
+  auto b = KeyTable("b", build);
+  auto p = KeyTable("p", probe);
+  MemoryBroker broker(48);
+  ExecContext ctx(&broker);
+  HashJoinOp join(std::make_unique<TableScanOp>(p.get()),
+                  std::make_unique<TableScanOp>(b.get()), "p.k", "b.k");
+  ASSERT_TRUE(join.OpenBuild(&ctx).ok());
+  ASSERT_FALSE(join.build_resident());
+  ASSERT_FALSE(join.dense_probe());
+  // Each probe key's build ords, in nested-loop order.
+  std::vector<std::vector<int64_t>> want(probe.size());
+  for (const auto& [i, j] : NestedLoopPairs(probe, build)) {
+    want[static_cast<size_t>(i)].push_back(j);
+  }
+  for (const SimdLevel simd : {SimdLevel::kScalar, ResolveSimdLevel(1)}) {
+    HashJoinOp::ProbeScratch s;
+    join.ProbeResident(probe.data(), probe.size(), simd, &s);
+    std::vector<std::vector<int64_t>> got(probe.size());
+    uint32_t last = 0;
+    for (const auto& [i, r] : s.pairs) {
+      ASSERT_GE(i, last) << "pairs are not key-major";
+      last = i;
+      const int64_t* row = join.BuildRow(s.parts[i], r);
+      EXPECT_EQ(row[0], probe[i]);
+      got[i].push_back(row[1]);
+    }
+    int all = 0, none = 0;
+    for (size_t i = 0; i < probe.size(); ++i) {
+      if (want[i].empty() || got[i].empty()) {
+        EXPECT_TRUE(got[i].empty()) << "probe key " << probe[i];
+        none += !want[i].empty();
+        continue;
+      }
+      EXPECT_EQ(got[i], want[i]) << "probe key " << probe[i];
+      ++all;
+    }
+    EXPECT_GT(all, 0);
+    EXPECT_GT(none, 0);
+  }
+  join.Close();
+}
+
 // ---- One emission: scan views and rows give the same batches --------------
 
 /// What one drain of a spilling HashJoinOp produced.

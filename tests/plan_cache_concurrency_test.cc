@@ -1,11 +1,16 @@
 // Plan-cache concurrency: sessions on different threads look up, insert,
 // and invalidate concurrently. Phase 1 proves no lost updates (every
 // session finds its own freshly-inserted plans); phase 2 hammers a shared
-// key set with eviction mixed in. Runs under the `parallel` ctest label —
-// the TSan CI job is the real referee here.
+// key set with eviction mixed in. A third test runs one POP query from
+// several sessions at once and checks each run's CHECK node ids. Runs
+// under the `parallel` ctest label — the TSan CI job is the real referee
+// here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/engine.h"
@@ -143,6 +148,60 @@ TEST_F(PlanCacheConcurrencyFixture, SharedKeysWithEvictionStayCoherent) {
   }
   for (auto& th : threads) th.join();
   EXPECT_LE(cache.size(), options.max_entries);
+}
+
+// POP plants CHECK nodes numbered per optimization: sessions running the
+// same query on one engine concurrently must each number them as a serial
+// run does, without sharing a counter.
+TEST(PopConcurrencyTest, ConcurrentRunsReportTheSerialNodeCards) {
+  Catalog catalog;
+  StarSchemaSpec spec;
+  spec.fact_rows = 20000;
+  spec.dim_rows = 500;
+  spec.num_dimensions = 2;
+  BuildStarSchema(&catalog, spec);
+  EngineOptions options;
+  options.use_pop = true;
+  Engine engine(&catalog, options);
+  engine.AnalyzeAll();
+  QuerySpec q;
+  q.tables.push_back({"fact", nullptr});
+  for (int d = 0; d < 2; ++d) {
+    const std::string dim = "dim" + std::to_string(d);
+    q.tables.push_back({dim, MakeBetween("attr", 0, 500)});
+    q.joins.push_back({"fact", "fk" + std::to_string(d), dim, "id"});
+  }
+  using Cards = std::vector<std::tuple<int, double, int64_t>>;
+  auto run = [&] {
+    Cards cards;
+    auto result = engine.Run(q);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return cards;
+    for (const auto& nc : result->node_cards) {
+      cards.emplace_back(nc.node_id, nc.estimated, nc.actual);
+    }
+    return cards;
+  };
+  const Cards serial = run();
+  ASSERT_TRUE(std::any_of(serial.begin(), serial.end(), [](const auto& nc) {
+    return std::get<0>(nc) >= (1 << 20);
+  })) << "no CHECK node";
+
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 10;
+  std::vector<std::vector<Cards>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRuns; ++i) got[t].push_back(run());
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (const Cards& cards : got[t]) {
+      EXPECT_EQ(cards, serial) << "thread " << t;
+    }
+  }
 }
 
 }  // namespace

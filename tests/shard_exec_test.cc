@@ -412,6 +412,18 @@ TEST(ShardKnobsTest, EnvironmentFallbacks) {
 
   setenv("RQP_SHARDS", "garbage", 1);
   EXPECT_EQ(ResolveShards(0), 1);
+
+  // A number must be the whole string.
+  setenv("RQP_SHARDS", "4x", 1);
+  setenv("RQP_EXCHANGE_QUEUE_PAGES", "4x", 1);
+  setenv("RQP_HOTKEY_THRESHOLD", "4x", 1);
+  EXPECT_EQ(ResolveShards(0), 1);
+  EXPECT_EQ(ResolveExchangeQueuePages(0), 64);
+  EXPECT_DOUBLE_EQ(ResolveHotkeyThreshold(0), 0.05);
+  setenv("RQP_SHARDS", "2.5", 1);
+  setenv("RQP_EXCHANGE_QUEUE_PAGES", "2.5", 1);
+  EXPECT_EQ(ResolveShards(0), 1);
+  EXPECT_EQ(ResolveExchangeQueuePages(0), 64);
   unsetenv("RQP_SHARDS");
   unsetenv("RQP_EXCHANGE_QUEUE_PAGES");
   unsetenv("RQP_HOTKEY_THRESHOLD");

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 
+#include "util/env.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/summary.h"
@@ -45,6 +47,53 @@ TEST(StatusOrTest, HoldsError) {
   StatusOr<int> v = Status::InvalidArgument("bad");
   EXPECT_FALSE(v.ok());
   EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EnvTest, Int64TakesOnlyWholePositiveIntegers) {
+  constexpr const char* kKnob = "RQP_UTIL_TEST_KNOB";
+  unsetenv(kKnob);
+  EXPECT_EQ(EnvInt64(kKnob, 7), 7);
+  for (const char* bad : {"", "0", "-3", "4x", "2.5", " ", "x4"}) {
+    setenv(kKnob, bad, 1);
+    EXPECT_EQ(EnvInt64(kKnob, 7), 7) << '"' << bad << '"';
+  }
+  setenv(kKnob, "12", 1);
+  EXPECT_EQ(EnvInt64(kKnob, 7), 12);
+  setenv(kKnob, "8589934592", 1);  // 2^33: past int, within int64
+  EXPECT_EQ(EnvInt64(kKnob, 7), int64_t{1} << 33);
+  unsetenv(kKnob);
+}
+
+TEST(EnvTest, DoubleTakesOnlyWholeNumbers) {
+  constexpr const char* kKnob = "RQP_UTIL_TEST_KNOB";
+  unsetenv(kKnob);
+  EXPECT_DOUBLE_EQ(EnvDouble(kKnob, 0.5), 0.5);
+  for (const char* bad : {"", "4x", "0.2.1", "x", "nan", "inf", "-inf"}) {
+    setenv(kKnob, bad, 1);
+    EXPECT_DOUBLE_EQ(EnvDouble(kKnob, 0.5), 0.5) << '"' << bad << '"';
+  }
+  setenv(kKnob, "0.2", 1);
+  EXPECT_DOUBLE_EQ(EnvDouble(kKnob, 0.5), 0.2);
+  setenv(kKnob, "-1", 1);  // the sign is the caller's to clamp
+  EXPECT_DOUBLE_EQ(EnvDouble(kKnob, 0.5), -1.0);
+  unsetenv(kKnob);
+}
+
+TEST(EnvTest, FlagIsOffOnlyAtZero) {
+  constexpr const char* kKnob = "RQP_UTIL_TEST_KNOB";
+  unsetenv(kKnob);
+  EXPECT_FALSE(EnvFlag(kKnob, false));
+  EXPECT_TRUE(EnvFlag(kKnob, true));
+  setenv(kKnob, "", 1);
+  EXPECT_FALSE(EnvFlag(kKnob, false));
+  EXPECT_TRUE(EnvFlag(kKnob, true));
+  setenv(kKnob, "0", 1);
+  EXPECT_FALSE(EnvFlag(kKnob, true));
+  for (const char* on : {"1", "yes", "00", "0x"}) {
+    setenv(kKnob, on, 1);
+    EXPECT_TRUE(EnvFlag(kKnob, false)) << '"' << on << '"';
+  }
+  unsetenv(kKnob);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

@@ -163,7 +163,7 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
   if (agg_.has_value()) {
     // Fold the workers' partial tables (and anything revocation already
     // shed) into the merged table. The aggregate functions are commutative
-    // and associative in exact int64 arithmetic, so merge order cannot
+    // and associative (sums wrap in two's complement), so merge order cannot
     // change the result; worker-id order keeps it deterministic anyway. The
     // merge itself is free on the cost clock: it is O(groups × DOP)
     // bookkeeping next to the probe work, and charging it would make total
@@ -310,18 +310,16 @@ Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
   const size_t n = w->rows.size();
   if (n == 0) return Status::OK();
   if (local_groups != nullptr) {
-    // Gather only the fold cells, column by column, then fold row by row.
+    // Gather only the fold cells, column by column, then fold the morsel in
+    // one batch call.
     const size_t width = fold_refs_.size();
     w->keys.resize(n * width);
     for (size_t f = 0; f < width; ++f) {
       Gather(*w, fold_refs_[f], w->keys.data() + f, width);
     }
     charge->ChargeHashOps(static_cast<int64_t>(n));
-    for (size_t t = 0; t < n; ++t) {
-      const int64_t* cells = w->keys.data() + t * width;
-      AggFoldInput(agg_->aggregates, fold_idx_, cells,
-                   local_groups->UpsertAcc(cells, agg_->aggregates));
-    }
+    local_groups->FoldBatch(w->keys.data(), n, width, agg_->aggregates,
+                            fold_idx_);
     return Status::OK();
   }
   // Whole pipeline rows: the scan columns, then each stage's build row.

@@ -39,18 +39,19 @@ namespace rqp {
 ///      HashJoinOp::ProbeResident (the kernel of the serial in-memory
 ///      probe), carrying one scan row and one build row per stage. It then
 ///      either appends whole rows to its morsel's private output slot or
-///      folds the group and aggregate inputs into a thread-local FlatGroups
-///      table. Charges accumulate in thread-local counters flushed at morsel
-///      boundaries; workers poll cancellation and the broker's deficit there
-///      too (a worker sheds its thread-local aggregate state into the shared
-///      merged table and clears its own grant — the build partitions are
-///      pinned for the phase).
+///      gathers the group and aggregate inputs and folds them into a
+///      thread-local FlatGroups table in one FlatGroups::FoldBatch call per
+///      morsel. Charges accumulate in thread-local counters flushed at
+///      morsel boundaries; workers poll cancellation and the broker's
+///      deficit there too (a worker sheds its thread-local aggregate state
+///      into the shared merged table and clears its own grant — the build
+///      partitions are pinned for the phase).
 ///   3. Barrier + gather: morsel outputs are concatenated in morsel-id
 ///      order (== table order, so the row stream is byte-identical to the
 ///      serial scan at every DOP); partial-aggregate tables are merged in
 ///      worker-id order (order-insensitive anyway: the aggregate functions
-///      are commutative in exact int64 arithmetic) and emitted in
-///      SortedIds() key order, exactly like HashAggOp.
+///      are commutative, with sums wrapping in two's complement) and
+///      emitted in SortedIds() key order, exactly like HashAggOp.
 ///
 /// The phase's total work lands on the cost clock; the deterministic
 /// list-schedule makespan of the per-morsel costs is recorded through

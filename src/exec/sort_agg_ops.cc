@@ -7,6 +7,8 @@
 #include <limits>
 #include <numeric>
 
+#include "expr/expr.h"
+
 namespace rqp {
 namespace {
 // splitmix64 finalizer; the aggregation partitioner salts it with the
@@ -291,10 +293,12 @@ void FlatGroups::Reset(size_t kw, size_t aw) {
   key_width = kw;
   acc_width = aw;
   num_groups = 0;
-  keys.clear();
+  keys_.clear();
   accs.clear();
-  buckets.assign(16, kEmpty);
-  mask = buckets.size() - 1;
+  buckets_.assign(16, kEmpty);
+  mask_ = buckets_.size() - 1;
+  dir_ = {};
+  dir_stale_ = false;
 }
 
 uint64_t FlatGroups::Hash(const int64_t* k) const {
@@ -309,32 +313,108 @@ uint64_t FlatGroups::Hash(const int64_t* k) const {
 }
 
 void FlatGroups::Grow() {
-  buckets.assign(buckets.size() * 2, kEmpty);
-  mask = buckets.size() - 1;
+  buckets_.assign(buckets_.size() * 2, kEmpty);
+  mask_ = buckets_.size() - 1;
   for (uint32_t g = 0; g < static_cast<uint32_t>(num_groups); ++g) {
-    size_t b = static_cast<size_t>(Hash(key(g)) & mask);
-    while (buckets[b] != kEmpty) b = (b + 1) & mask;
-    buckets[b] = g;
+    size_t b = static_cast<size_t>(Hash(key(g)) & mask_);
+    while (buckets_[b] != kEmpty) b = (b + 1) & mask_;
+    buckets_[b] = g;
+  }
+}
+
+size_t FlatGroups::DirSlot(const int64_t* k) const {
+  // Unsigned offsets: a key below lo_c wraps to a huge offset, so one
+  // compare per column rejects both sides of the window. The slot of a key
+  // outside it is garbage (unsigned wraparound) and is replaced.
+  uint64_t slot = 0;
+  bool inside = true;
+  for (size_t c = 0; c < key_width; ++c) {
+    const uint64_t off = static_cast<uint64_t>(k[c]) - dir_lo_[c];
+    inside &= off < dir_span_[c];
+    slot = slot * dir_span_[c] + off;
+  }
+  return inside ? static_cast<size_t>(slot) : dir_.size() - 1;
+}
+
+void FlatGroups::BuildDirectory() {
+  dir_stale_ = false;
+  dir_ = {};  // a window that no longer qualifies frees its slots
+  const uint64_t cap = std::max<uint64_t>(uint64_t{1} << 16,
+                                          2 * static_cast<uint64_t>(num_groups));
+  dir_lo_.resize(key_width);
+  dir_span_.resize(key_width);
+  uint64_t slots = 1;
+  for (size_t c = 0; c < key_width; ++c) {
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    for (size_t g = 0; g < num_groups; ++g) {
+      lo = std::min(lo, key(g)[c]);
+      hi = std::max(hi, key(g)[c]);
+    }
+    // Overflow-safe: the unsigned difference of an INT64_MIN..INT64_MAX
+    // column is 2^64 − 1, which reaches the cap instead of wrapping the
+    // span to 0, and the product is bounded by dividing the cap.
+    const uint64_t diff = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (diff >= cap || diff + 1 > cap / slots) return;
+    dir_lo_[c] = static_cast<uint64_t>(lo);
+    dir_span_[c] = diff + 1;
+    slots *= diff + 1;
+  }
+  dir_.assign(slots + 1, kEmpty);
+  for (uint32_t g = 0; g < static_cast<uint32_t>(num_groups); ++g) {
+    dir_[DirSlot(key(g))] = g;
   }
 }
 
 uint32_t FlatGroups::Upsert(const int64_t* k, bool* inserted) {
-  if ((num_groups + 1) * 4 >= buckets.size() * 3) Grow();  // load < 3/4
-  size_t b = static_cast<size_t>(Hash(k) & mask);
-  while (buckets[b] != kEmpty) {
-    const uint32_t g = buckets[b];
+  const size_t slot = dir_.empty() ? 0 : DirSlot(k);
+  if (!dir_.empty() && dir_[slot] != kEmpty) {
+    *inserted = false;
+    return dir_[slot];
+  }
+  if ((num_groups + 1) * 4 >= buckets_.size() * 3) Grow();  // load < 3/4
+  size_t b = static_cast<size_t>(Hash(k) & mask_);
+  while (buckets_[b] != kEmpty) {
+    const uint32_t g = buckets_[b];
     if (std::equal(k, k + key_width, key(g))) {
       *inserted = false;
       return g;
     }
-    b = (b + 1) & mask;
+    b = (b + 1) & mask_;
   }
   const uint32_t g = static_cast<uint32_t>(num_groups++);
-  buckets[b] = g;
-  keys.insert(keys.end(), k, k + key_width);
+  buckets_[b] = g;
+  keys_.insert(keys_.end(), k, k + key_width);
   accs.resize(accs.size() + acc_width);
+  if (!dir_.empty() && slot + 1 < dir_.size()) {
+    dir_[slot] = g;
+  } else {
+    dir_stale_ = true;
+  }
+  // Doubling checkpoints keep rebuild work amortized O(groups).
+  if ((num_groups & (num_groups - 1)) == 0 && dir_stale_) BuildDirectory();
   *inserted = true;
   return g;
+}
+
+void FlatGroups::FoldBatch(const int64_t* cells, size_t n, size_t width,
+                           const std::vector<AggSpec>& aggs,
+                           const std::vector<size_t>& agg_idx) {
+  gids_.resize(n);
+  uint32_t* gids = gids_.data();
+  if (dir_.empty()) {
+    std::fill(gids, gids + n, kEmpty);
+  } else {
+    for (size_t t = 0; t < n; ++t) gids[t] = dir_[DirSlot(cells + t * width)];
+  }
+  for (size_t t = 0; t < n; ++t) {
+    if (gids[t] != kEmpty) continue;
+    bool inserted = false;
+    gids[t] = Upsert(cells + t * width, &inserted);
+    if (inserted) AggInit(aggs, acc(gids[t]));
+  }
+  AggFoldBatch(aggs, agg_idx, /*partial=*/false, cells, width,
+               /*rows=*/nullptr, gids, n, accs.data());
 }
 
 int64_t* FlatGroups::UpsertAcc(const int64_t* k,
@@ -379,7 +459,7 @@ void AggFoldInput(const std::vector<AggSpec>& aggs,
   for (size_t a = 0; a < aggs.size(); ++a) {
     switch (aggs[a].fn) {
       case AggFn::kCount: ++acc[a]; break;
-      case AggFn::kSum: acc[a] += row[agg_idx[a]]; break;
+      case AggFn::kSum: acc[a] = WrapAdd(acc[a], row[agg_idx[a]]); break;
       case AggFn::kMin: acc[a] = std::min(acc[a], row[agg_idx[a]]); break;
       case AggFn::kMax: acc[a] = std::max(acc[a], row[agg_idx[a]]); break;
     }
@@ -393,10 +473,65 @@ void AggFoldPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
   for (size_t a = 0; a < aggs.size(); ++a) {
     switch (aggs[a].fn) {
       case AggFn::kCount:
-      case AggFn::kSum: acc[a] += partial[a]; break;
+      case AggFn::kSum: acc[a] = WrapAdd(acc[a], partial[a]); break;
       case AggFn::kMin: acc[a] = std::min(acc[a], partial[a]); break;
       case AggFn::kMax: acc[a] = std::max(acc[a], partial[a]); break;
     }
+  }
+}
+
+namespace {
+// AggFoldBatch's loops, once per row addressing: `row_of(i)` is the row of
+// `cells` that folds into group gids[i].
+template <typename RowOf>
+void FoldOpMajor(const std::vector<AggSpec>& aggs,
+                 const std::vector<size_t>& src, bool partial,
+                 const int64_t* cells, size_t stride, RowOf row_of,
+                 const uint32_t* gids, size_t n, int64_t* accs) {
+  const size_t width = aggs.size();
+  for (size_t a = 0; a < width; ++a) {
+    int64_t* col = accs + a;
+    const int64_t* in = cells + src[a];
+    switch (aggs[a].fn) {
+      case AggFn::kCount:
+        if (!partial) {
+          for (size_t i = 0; i < n; ++i) ++col[gids[i] * width];
+          break;
+        }
+        [[fallthrough]];
+      case AggFn::kSum:
+        for (size_t i = 0; i < n; ++i) {
+          int64_t& c = col[gids[i] * width];
+          c = WrapAdd(c, in[row_of(i) * stride]);
+        }
+        break;
+      case AggFn::kMin:
+        for (size_t i = 0; i < n; ++i) {
+          int64_t& c = col[gids[i] * width];
+          c = std::min(c, in[row_of(i) * stride]);
+        }
+        break;
+      case AggFn::kMax:
+        for (size_t i = 0; i < n; ++i) {
+          int64_t& c = col[gids[i] * width];
+          c = std::max(c, in[row_of(i) * stride]);
+        }
+        break;
+    }
+  }
+}
+}  // namespace
+
+void AggFoldBatch(const std::vector<AggSpec>& aggs,
+                  const std::vector<size_t>& src, bool partial,
+                  const int64_t* cells, size_t stride, const uint32_t* rows,
+                  const uint32_t* gids, size_t n, int64_t* accs) {
+  if (rows == nullptr) {
+    FoldOpMajor(aggs, src, partial, cells, stride,
+                [](size_t i) { return i; }, gids, n, accs);
+  } else {
+    FoldOpMajor(aggs, src, partial, cells, stride,
+                [rows](size_t i) { return size_t{rows[i]}; }, gids, n, accs);
   }
 }
 
@@ -418,46 +553,9 @@ size_t HashAggOp::PartitionOfKey(const int64_t* key, size_t n) const {
 
 void HashAggOp::FlushDeferred(const RowBatch& in, bool partial) {
   if (def_rows_.empty()) return;
-  const size_t n = def_rows_.size();
-  const size_t kw = group_idx_.size();
-  const size_t stride = aggs_.size();
-  // Op-major: one aggregate-function dispatch per column, then a tight
-  // gather-accumulate loop over the deferred selection — no per-row switch.
-  // All four functions are commutative and associative in exact int64
-  // arithmetic, so regrouping rows per column produces the same
-  // accumulator bytes as a row-at-a-time fold.
-  for (size_t a = 0; a < stride; ++a) {
-    int64_t* cells = flat_.accs.data() + a;
-    const size_t src = partial ? kw + a : agg_idx_[a];
-    switch (aggs_[a].fn) {
-      case AggFn::kCount:
-        if (partial) {
-          for (size_t i = 0; i < n; ++i) {
-            cells[def_grps_[i] * stride] += in.row(def_rows_[i])[src];
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) ++cells[def_grps_[i] * stride];
-        }
-        break;
-      case AggFn::kSum:
-        for (size_t i = 0; i < n; ++i) {
-          cells[def_grps_[i] * stride] += in.row(def_rows_[i])[src];
-        }
-        break;
-      case AggFn::kMin:
-        for (size_t i = 0; i < n; ++i) {
-          int64_t& c = cells[def_grps_[i] * stride];
-          c = std::min(c, in.row(def_rows_[i])[src]);
-        }
-        break;
-      case AggFn::kMax:
-        for (size_t i = 0; i < n; ++i) {
-          int64_t& c = cells[def_grps_[i] * stride];
-          c = std::max(c, in.row(def_rows_[i])[src]);
-        }
-        break;
-    }
-  }
+  AggFoldBatch(aggs_, partial ? partial_idx_ : agg_idx_, partial,
+               in.data().data(), in.num_cols(), def_rows_.data(),
+               def_grps_.data(), def_rows_.size(), flat_.accs.data());
   def_rows_.clear();
   def_grps_.clear();
 }
@@ -581,6 +679,9 @@ Status HashAggOp::Open(ExecContext* ctx) {
     if (i < 0) return Status::InvalidArgument("agg slot not found: " + a.slot);
     agg_idx_.push_back(static_cast<size_t>(i));
   }
+  // A spilled partial row: the group keys, then one cell per aggregate.
+  partial_idx_.resize(aggs_.size());
+  std::iota(partial_idx_.begin(), partial_idx_.end(), group_idx_.size());
 
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   flat_.Reset(group_idx_.size(), aggs_.size());

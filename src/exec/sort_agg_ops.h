@@ -1,6 +1,7 @@
 #ifndef RQP_EXEC_SORT_AGG_OPS_H_
 #define RQP_EXEC_SORT_AGG_OPS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,16 +110,20 @@ struct AggSpec {
 // definition behind every group-by: HashAggOp, GatherOp's worker and merged
 // tables, the shard merge and the result-cache patch, so every path
 // produces bit-identical results. All four functions are decomposable:
-// partials merge commutatively and associatively in exact int64
-// arithmetic, which is what makes merge-order-independent parallel
-// aggregation deterministic.
+// COUNT and SUM add with two's-complement wraparound (WrapAdd, the
+// expression VM's arithmetic, so an overflowing SUM wraps instead of being
+// undefined), MIN and MAX fold, and partials therefore merge commutatively
+// and associatively, which is what makes merge-order-independent parallel
+// and sharded aggregation deterministic.
 
 /// Initializes one group's accumulator cells (COUNT/SUM start at 0, MIN at
 /// INT64_MAX, MAX at INT64_MIN).
 void AggInit(const std::vector<AggSpec>& aggs, int64_t* acc);
 
-/// Folds one *input* row into accumulator cells. `agg_idx[a]` is the
-/// input-slot index of aggregate `a` (unused for COUNT).
+/// Folds one *input* row into accumulator cells (COUNT increments, SUM adds
+/// with wraparound, MIN/MAX fold). `agg_idx[a]` is the input-slot index of
+/// aggregate `a` (unused for COUNT). GatherOp's workers and HashAggOp's
+/// deferred rows fold through the op-major AggFoldBatch instead.
 void AggFoldInput(const std::vector<AggSpec>& aggs,
                   const std::vector<size_t>& agg_idx, const int64_t* row,
                   int64_t* acc);
@@ -129,11 +134,27 @@ void AggFoldInput(const std::vector<AggSpec>& aggs,
 void AggFoldPartial(const std::vector<AggSpec>& aggs, const int64_t* partial,
                     int64_t* acc);
 
+/// Op-major fold of `n` rows into a flat accumulator array `accs` (one row
+/// of aggs.size() cells per group): row i is row `rows[i]` of the row-major
+/// `cells` (stride `stride`), or row i itself when `rows` is null, and it
+/// folds into group `gids[i]`. Each aggregate dispatches once and then runs
+/// a tight gather-accumulate loop over all n rows. `src[a]` is aggregate
+/// a's cell within a row (unused for an input COUNT); `partial` selects
+/// AggFoldPartial semantics (counts add the cell instead of incrementing).
+/// The accumulator bytes equal n row-at-a-time folds: the folds commute.
+void AggFoldBatch(const std::vector<AggSpec>& aggs,
+                  const std::vector<size_t>& src, bool partial,
+                  const int64_t* cells, size_t stride, const uint32_t* rows,
+                  const uint32_t* gids, size_t n, int64_t* accs);
+
 /// Flat group table of the aggregation kernel: group keys and accumulators
 /// live in two flat row-major arrays indexed by a dense group id, with an
 /// open-addressing probe table (power-of-two, linear probing) mapping key
 /// hashes to ids — no per-group heap allocations and no O(log n) vector
-/// compares per input row. The probe-table layout never leaks into output:
+/// compares per input row. Small key domains also get a direct-address
+/// directory (see directory()), which Upsert consults before hashing; the
+/// hashed table always holds every group and is the fallback. Group ids are
+/// assigned in first-occurrence order and neither layout leaks into output:
 /// emission and shedding walk SortedIds(), the lexicographic key order.
 struct FlatGroups {
   static constexpr uint32_t kEmpty = 0xffffffffu;
@@ -141,13 +162,12 @@ struct FlatGroups {
   size_t key_width = 0;
   size_t acc_width = 0;
   size_t num_groups = 0;
-  std::vector<int64_t> keys;      ///< num_groups * key_width, row-major
-  std::vector<int64_t> accs;      ///< num_groups * acc_width, row-major
-  std::vector<uint32_t> buckets;  ///< open addressing, power-of-two
-  uint64_t mask = 0;
+  std::vector<int64_t> accs;  ///< num_groups * acc_width, row-major
 
+  /// Empties the table for keys of `kw` cells and `aw` accumulator cells,
+  /// and drops the directory.
   void Reset(size_t kw, size_t aw);
-  const int64_t* key(size_t g) const { return keys.data() + g * key_width; }
+  const int64_t* key(size_t g) const { return keys_.data() + g * key_width; }
   int64_t* acc(size_t g) { return accs.data() + g * acc_width; }
   const int64_t* acc(size_t g) const { return accs.data() + g * acc_width; }
 
@@ -159,15 +179,55 @@ struct FlatGroups {
   /// group's accumulator cells.
   int64_t* UpsertAcc(const int64_t* k, const std::vector<AggSpec>& aggs);
 
+  /// Folds `n` input rows, the same groups and accumulator bytes as n calls
+  /// of UpsertAcc + AggFoldInput in row order. Row t is cells[t * width ..]:
+  /// its group key in the first key_width cells, aggregate a's input at
+  /// cell agg_idx[a]. One loop resolves every row's group through the
+  /// directory, the misses go through Upsert in row order (so new groups
+  /// still get first-occurrence ids), then AggFoldBatch accumulates.
+  void FoldBatch(const int64_t* cells, size_t n, size_t width,
+                 const std::vector<AggSpec>& aggs,
+                 const std::vector<size_t>& agg_idx);
+
   /// Group ids sorted lexicographically by key.
   std::vector<uint32_t> SortedIds() const;
 
   /// Writes group `g` as one output row: key cells, then accumulator cells.
   void CopyRow(uint32_t g, int64_t* out) const;
 
+  /// The direct-address directory in slot order, empty when the table has
+  /// none (read-only, for tests). Key k's slot is the row-major composite
+  /// of its per-column offsets uint64(k_c) − lo_c, each below the column's
+  /// span_c; it holds k's group id or kEmpty. With key width 0 it is one
+  /// slot.
+  std::span<const uint32_t> directory() const {
+    return {dir_.data(), dir_.empty() ? 0 : dir_.size() - 1};
+  }
+
  private:
   uint64_t Hash(const int64_t* k) const;
   void Grow();
+  /// Rebuilds the directory over the current groups' exact per-column
+  /// min/max window, or drops it when the window has more than
+  /// max(2^16, 2 · num_groups) slots.
+  void BuildDirectory();
+  /// Key k's directory slot, or the always-empty last slot when k lies
+  /// outside the window. Requires a directory.
+  size_t DirSlot(const int64_t* k) const;
+
+  std::vector<int64_t> keys_;      ///< num_groups * key_width, row-major
+  std::vector<uint32_t> buckets_;  ///< open addressing, power-of-two
+  uint64_t mask_ = 0;
+  /// Slots in row-major composite order plus one always-empty slot at the
+  /// end, which keys outside the window read. Rebuilt when num_groups
+  /// reaches a power of two and a group inserted since the last build is
+  /// missing from it (dir_stale_); between builds a new group inside the
+  /// window takes its slot and one outside is found by hashing.
+  std::vector<uint32_t> dir_;
+  std::vector<uint64_t> dir_lo_;    ///< per-column window minimum
+  std::vector<uint64_t> dir_span_;  ///< per-column window size
+  bool dir_stale_ = false;
+  std::vector<uint32_t> gids_;  ///< FoldBatch's group id per row
 };
 
 /// Hash aggregation on zero or more group-by slots. All four aggregate
@@ -205,8 +265,9 @@ class HashAggOp : public Operator {
 
   size_t PartitionOfKey(const int64_t* key, size_t n) const;
   /// Batch kernel: per-row key assembly + flat-table upsert; rows landing
-  /// on existing groups are deferred and accumulated op-major (one
-  /// aggregate-function dispatch per column per flush) instead of per-row.
+  /// on existing groups are deferred and accumulated op-major
+  /// (AggFoldBatch: one aggregate-function dispatch per column per flush)
+  /// instead of per-row.
   /// Deferred rows are flushed before every insertion's capacity check, so
   /// a shed triggered mid-batch writes exactly the state a one-row-at-a-time
   /// fold would have had at the same point. `partial` selects partial-row
@@ -228,6 +289,7 @@ class HashAggOp : public Operator {
   std::vector<std::string> slots_;
   std::vector<size_t> group_idx_;
   std::vector<size_t> agg_idx_;
+  std::vector<size_t> partial_idx_;  ///< aggregate a's cell in a partial row
   FlatGroups flat_;                   ///< resident group state
   std::vector<uint32_t> emit_order_;  ///< emission order (sorted ids)
   size_t emit_pos_ = 0;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -404,6 +406,288 @@ TEST(HashAggTest, GlobalAggregateOnEmptyInput) {
   ASSERT_TRUE(DrainOperator(&agg, &ctx, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].row(0)[0], 0);
+}
+
+TEST(HashAggTest, SumWrapsAroundInt64) {
+  // SUM adds with two's-complement wraparound, like the expression VM:
+  // INT64_MAX + 1 is INT64_MIN, not undefined behaviour.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto t = std::make_unique<Table>(
+      "t", Schema({{"g", LogicalType::kInt64, 0, nullptr},
+                   {"v", LogicalType::kInt64, 0, nullptr}}));
+  t->SetColumnData(0, {1, 1, 2, 2});
+  t->SetColumnData(1, {kMax, 1, kMin, -1});
+  const std::vector<AggSpec> aggs = {{AggFn::kCount, "", "cnt"},
+                                     {AggFn::kSum, "t.v", "sum_v"}};
+  {
+    HashAggOp agg(std::make_unique<TableScanOp>(t.get()), {"t.g"}, aggs);
+    ExecContext ctx;
+    std::vector<RowBatch> out;
+    ASSERT_TRUE(DrainOperator(&agg, &ctx, &out).ok());
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].num_rows(), 2u);
+    EXPECT_EQ(std::vector<int64_t>(out[0].row(0), out[0].row(0) + 3),
+              (std::vector<int64_t>{1, 2, kMin}));
+    EXPECT_EQ(std::vector<int64_t>(out[0].row(1), out[0].row(1) + 3),
+              (std::vector<int64_t>{2, 2, kMax}));
+  }
+  {
+    // Scalar: MAX + 1 + MIN + (-1) wraps through MIN and 0 to -1.
+    HashAggOp agg(std::make_unique<TableScanOp>(t.get()), {}, aggs);
+    ExecContext ctx;
+    std::vector<RowBatch> out;
+    ASSERT_TRUE(DrainOperator(&agg, &ctx, &out).ok());
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].row(0)[0], 4);
+    EXPECT_EQ(out[0].row(0)[1], -1);
+  }
+}
+
+// ---- FlatGroups ------------------------------------------------------------
+
+// COUNT, SUM, MIN and MAX over the one value cell that follows a row's key.
+const std::vector<AggSpec>& FoldAggs() {
+  static const std::vector<AggSpec> aggs = {{AggFn::kCount, "", "cnt"},
+                                            {AggFn::kSum, "v", "sum"},
+                                            {AggFn::kMin, "v", "min"},
+                                            {AggFn::kMax, "v", "max"}};
+  return aggs;
+}
+
+/// Fold input: rows of `kw` key cells followed by one value cell.
+struct FoldInput {
+  size_t kw = 1;
+  std::vector<int64_t> cells;
+
+  FoldInput(size_t key_width, const std::vector<std::vector<int64_t>>& keys)
+      : kw(key_width) {
+    int64_t v = std::numeric_limits<int64_t>::max() - 3;
+    for (const auto& k : keys) {
+      cells.insert(cells.end(), k.begin(), k.end());
+      cells.push_back(v);  // near INT64_MAX, so the sums wrap
+      v = WrapAdd(v, 7919);
+    }
+  }
+  size_t rows() const { return cells.size() / (kw + 1); }
+};
+
+/// Folds `in` into `groups` through FoldBatch calls of up to `batch` rows,
+/// or row at a time through UpsertAcc + AggFoldInput when `batch` is 0.
+void Fold(const FoldInput& in, size_t batch, FlatGroups* groups) {
+  const size_t width = in.kw + 1;
+  const std::vector<size_t> idx(FoldAggs().size(), in.kw);
+  for (size_t r = 0; r < in.rows(); r += std::max<size_t>(batch, 1)) {
+    const int64_t* cells = in.cells.data() + r * width;
+    if (batch == 0) {
+      AggFoldInput(FoldAggs(), idx, cells,
+                   groups->UpsertAcc(cells, FoldAggs()));
+    } else {
+      groups->FoldBatch(cells, std::min(batch, in.rows() - r), width,
+                        FoldAggs(), idx);
+    }
+  }
+}
+
+/// Requires `groups` to hold exactly the std::map fold of `in`: group ids in
+/// first-occurrence order, and SortedIds() rows equal to the map's rows.
+void ExpectMapFold(const FoldInput& in, const FlatGroups& groups) {
+  std::map<std::vector<int64_t>, std::vector<int64_t>> want;
+  std::vector<std::vector<int64_t>> first;
+  for (size_t r = 0; r < in.rows(); ++r) {
+    const int64_t* row = in.cells.data() + r * (in.kw + 1);
+    std::vector<int64_t> key(row, row + in.kw);
+    auto [it, inserted] = want.try_emplace(
+        key, std::vector<int64_t>{0, 0, std::numeric_limits<int64_t>::max(),
+                                  std::numeric_limits<int64_t>::min()});
+    if (inserted) first.push_back(key);
+    std::vector<int64_t>& acc = it->second;
+    const int64_t v = row[in.kw];
+    ++acc[0];
+    acc[1] = WrapAdd(acc[1], v);
+    acc[2] = std::min(acc[2], v);
+    acc[3] = std::max(acc[3], v);
+  }
+  ASSERT_EQ(groups.num_groups, want.size());
+  for (uint32_t g = 0; g < groups.num_groups; ++g) {
+    EXPECT_EQ(std::vector<int64_t>(groups.key(g), groups.key(g) + in.kw),
+              first[g])
+        << "group " << g;
+  }
+  const std::vector<uint32_t> ids = groups.SortedIds();
+  std::vector<int64_t> got(in.kw + FoldAggs().size());
+  size_t i = 0;
+  for (const auto& [key, acc] : want) {
+    groups.CopyRow(ids[i++], got.data());
+    std::vector<int64_t> row = key;
+    row.insert(row.end(), acc.begin(), acc.end());
+    EXPECT_EQ(got, row);
+  }
+}
+
+/// Folds `in` row at a time and in batches of 1000, requires both to match
+/// the map fold and to end with the same directory, and returns the
+/// batch-folded table.
+FlatGroups FoldBothWays(const FoldInput& in) {
+  FlatGroups rowwise, batched;
+  rowwise.Reset(in.kw, FoldAggs().size());
+  batched.Reset(in.kw, FoldAggs().size());
+  Fold(in, 0, &rowwise);
+  Fold(in, 1000, &batched);
+  ExpectMapFold(in, rowwise);
+  ExpectMapFold(in, batched);
+  EXPECT_TRUE(std::ranges::equal(rowwise.directory(), batched.directory()));
+  return batched;
+}
+
+/// Requires the directory to cover lo[c] .. lo[c] + span[c] − 1 per column
+/// in row-major slot order: every group whose key lies inside holds its
+/// slot, and no other slot is filled.
+void ExpectDirectory(const FlatGroups& groups, const std::vector<int64_t>& lo,
+                     const std::vector<uint64_t>& span) {
+  const std::span<const uint32_t> dir = groups.directory();
+  uint64_t slots = 1;
+  for (const uint64_t s : span) slots *= s;
+  ASSERT_EQ(dir.size(), slots);
+  size_t inside = 0;
+  for (uint32_t g = 0; g < groups.num_groups; ++g) {
+    uint64_t slot = 0;
+    bool in = true;
+    for (size_t c = 0; c < lo.size(); ++c) {
+      const uint64_t off = static_cast<uint64_t>(groups.key(g)[c]) -
+                           static_cast<uint64_t>(lo[c]);
+      in = in && off < span[c];
+      slot = slot * span[c] + off;
+    }
+    if (!in) continue;
+    ++inside;
+    EXPECT_EQ(dir[slot], g) << "group " << g;
+  }
+  EXPECT_EQ(static_cast<size_t>(std::count_if(
+                dir.begin(), dir.end(),
+                [](uint32_t s) { return s != FlatGroups::kEmpty; })),
+            inside);
+}
+
+/// `n` keys drawn uniformly from [lo, hi] after `lead`.
+std::vector<std::vector<int64_t>> UniformKeys(
+    std::vector<std::vector<int64_t>> lead, int64_t lo, int64_t hi, int n) {
+  Rng rng(7);
+  for (int i = 0; i < n; ++i) lead.push_back({rng.Uniform(lo, hi)});
+  return lead;
+}
+
+TEST(FlatGroupsTest, DenseColumnResolvesByDirectAddress) {
+  // The first two keys fix the window at [0, 69] (checkpoint 2); every
+  // later group is inside it and takes its slot between checkpoints.
+  const FlatGroups groups =
+      FoldBothWays(FoldInput(1, UniformKeys({{0}, {69}}, 0, 69, 5000)));
+  EXPECT_EQ(groups.num_groups, 70u);
+  ExpectDirectory(groups, {0}, {70});
+}
+
+TEST(FlatGroupsTest, NegativeKeysOffsetByTheWindowMinimum) {
+  const FlatGroups groups =
+      FoldBothWays(FoldInput(1, UniformKeys({{-35}, {34}}, -35, 34, 5000)));
+  EXPECT_EQ(groups.num_groups, 70u);
+  ExpectDirectory(groups, {-35}, {70});
+}
+
+TEST(FlatGroupsTest, CompositeKeysAreRowMajor) {
+  // 65 × 65 keys, (a, b) with a in [10, 74] and b in [-20, 44], each twice
+  // in shuffled order after the two corners.
+  std::vector<std::vector<int64_t>> keys = {{10, -20}, {74, 44}};
+  std::vector<std::vector<int64_t>> rest;
+  for (int64_t a = 10; a <= 74; ++a) {
+    for (int64_t b = -20; b <= 44; ++b) {
+      rest.push_back({a, b});
+      rest.push_back({a, b});
+    }
+  }
+  Rng rng(11);
+  rng.Shuffle(&rest);
+  keys.insert(keys.end(), rest.begin(), rest.end());
+  const FlatGroups groups = FoldBothWays(FoldInput(2, keys));
+  EXPECT_EQ(groups.num_groups, 65u * 65u);
+  ExpectDirectory(groups, {10, -20}, {65, 65});
+}
+
+TEST(FlatGroupsTest, SparseKeysStayHashed) {
+  // Ids × 10^6, each id five times in shuffled order.
+  std::vector<std::vector<int64_t>> keys;
+  for (int64_t i = 0; i < 5000; ++i) keys.push_back({i % 1000 * 1000000});
+  Rng rng(13);
+  rng.Shuffle(&keys);
+  const FlatGroups groups = FoldBothWays(FoldInput(1, keys));
+  EXPECT_EQ(groups.num_groups, 1000u);
+  EXPECT_TRUE(groups.directory().empty());
+}
+
+TEST(FlatGroupsTest, TopOfInt64IsATwoSlotDirectory) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const FlatGroups groups = FoldBothWays(
+      FoldInput(1, UniformKeys({{kMax}, {kMax - 1}}, kMax - 1, kMax, 300)));
+  EXPECT_EQ(groups.num_groups, 2u);
+  ExpectDirectory(groups, {kMax - 1}, {2});
+}
+
+TEST(FlatGroupsTest, BothInt64EndsNeverGetADirectory) {
+  // The unsigned span of INT64_MIN..INT64_MAX is 2^64 − 1: it reaches the
+  // cap instead of wrapping to a tiny window.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  FlatGroups one = FoldBothWays(FoldInput(1, {{kMin}, {kMin}}));
+  ExpectDirectory(one, {kMin}, {1});
+  const FlatGroups groups =
+      FoldBothWays(FoldInput(1, {{kMin}, {kMax}, {0}, {kMax}, {kMin}, {-1}}));
+  EXPECT_EQ(groups.num_groups, 4u);
+  EXPECT_TRUE(groups.directory().empty());
+}
+
+TEST(FlatGroupsTest, WidthZeroIsOneSlot) {
+  const FlatGroups groups =
+      FoldBothWays(FoldInput(0, std::vector<std::vector<int64_t>>(3000)));
+  EXPECT_EQ(groups.num_groups, 1u);
+  ExpectDirectory(groups, {}, {});
+}
+
+TEST(FlatGroupsTest, AscendingKeysKeepTheDirectory) {
+  // Each new key lies outside the window, so it is hashed until the next
+  // doubling checkpoint rebuilds: 18 rebuilds for 200k groups, and the last
+  // one (at 131072 groups) is kept.
+  std::vector<std::vector<int64_t>> keys;
+  for (int64_t k = 0; k < 200000; ++k) keys.push_back({k});
+  const FlatGroups groups = FoldBothWays(FoldInput(1, keys));
+  EXPECT_EQ(groups.num_groups, 200000u);
+  ExpectDirectory(groups, {0}, {131072});
+}
+
+TEST(FlatGroupsTest, KeyOutsideTheWindowIsHashedUntilTheNextCheckpoint) {
+  // 0 and 63 fix the window at [0, 63]; 1..62 fill it without a rebuild.
+  std::vector<std::vector<int64_t>> keys = {{0}, {63}};
+  for (int64_t k = 1; k < 63; ++k) keys.push_back({k});
+  // Group 64 (key 100) lies outside: found by hashing, window unchanged.
+  for (const int64_t k : {100, 5, 100, 63, 100}) keys.push_back({k});
+  ExpectDirectory(FoldBothWays(FoldInput(1, keys)), {0}, {64});
+  // Groups 65..127 (keys 101..163) reach the 128 checkpoint: the rebuild
+  // takes the new exact window, which holds key 100 too.
+  for (int64_t k = 101; k <= 163; ++k) keys.push_back({k});
+  keys.push_back({100});
+  ExpectDirectory(FoldBothWays(FoldInput(1, keys)), {0}, {164});
+}
+
+TEST(FlatGroupsTest, ResetDropsTheDirectory) {
+  FlatGroups groups;
+  groups.Reset(1, FoldAggs().size());
+  Fold(FoldInput(1, UniformKeys({{0}, {69}}, 0, 69, 2000)), 1000, &groups);
+  ASSERT_FALSE(groups.directory().empty());
+  groups.Reset(1, FoldAggs().size());
+  EXPECT_TRUE(groups.directory().empty());
+  // Reuse over a different domain.
+  const FoldInput other(1, UniformKeys({{5000}, {5099}}, 5000, 5099, 3000));
+  Fold(other, 1000, &groups);
+  ExpectMapFold(other, groups);
+  ExpectDirectory(groups, {5000}, {100});
 }
 
 TEST(CheckOpTest, PassesThroughWithinRange) {

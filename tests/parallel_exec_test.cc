@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -232,6 +233,72 @@ TEST_F(ParallelFixture, StarJoinGroupByByteIdentical) {
                   {AggFn::kMin, "fact.measure", "min_m"},
                   {AggFn::kMax, "fact.measure", "max_m"}};
   CheckByteIdentical(q);
+}
+
+TEST_F(ParallelFixture, CompositeGroupByByteIdentical) {
+  // Two dimension bands (51 × 71 values): the workers' and the merged
+  // tables resolve the composite key through the direct-address directory.
+  QuerySpec q = workload::StarQuery(3, {5000, 7000, 9000});
+  q.group_by = {"dim0.band", "dim1.band"};
+  q.aggregates = {{AggFn::kCount, "", "cnt"},
+                  {AggFn::kSum, "fact.measure", "sum_m"},
+                  {AggFn::kMin, "fact.measure", "min_m"},
+                  {AggFn::kMax, "fact.measure", "max_m"}};
+  CheckByteIdentical(q);
+}
+
+TEST_F(ParallelFixture, WideGroupByStaysHashedAndByteIdentical) {
+  // fk0 × fk1 × measure spans ~10^10 key slots, far past the directory's
+  // cap, so every lookup goes through the hashed table.
+  QuerySpec q = workload::StarQuery(3, {5000, 7000, 9000});
+  q.group_by = {"fact.fk0", "fact.fk1", "fact.measure"};
+  q.aggregates = {{AggFn::kCount, "", "cnt"},
+                  {AggFn::kSum, "dim2.attr", "sum_attr"},
+                  {AggFn::kMin, "dim1.attr", "min_attr"},
+                  {AggFn::kMax, "dim0.attr", "max_attr"}};
+  CheckByteIdentical(q);
+}
+
+TEST(ParallelWrapTest, SumsWrapInWorkerFoldsAndTheirMerge) {
+  // Measures just below INT64_MAX: every group's SUM wraps in the workers'
+  // op-major folds and again when their partials merge, and the answer at
+  // DOP 1 and 4 must equal the oracle's wrapping sum.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Catalog catalog;
+  Table* dim = catalog
+                   .AddTable("d", Schema({{"id", LogicalType::kInt64, 0,
+                                           nullptr},
+                                          {"band", LogicalType::kInt64, 0,
+                                           nullptr}}))
+                   .value();
+  for (int64_t i = 0; i < 100; ++i) dim->AppendRow({i, i / 10});
+  Table* fact = catalog
+                    .AddTable("f", Schema({{"fk", LogicalType::kInt64, 0,
+                                            nullptr},
+                                           {"v", LogicalType::kInt64, 0,
+                                            nullptr}}))
+                    .value();
+  for (int64_t i = 0; i < 20000; ++i) fact->AppendRow({i % 100, kMax - i});
+  QuerySpec grouped;
+  grouped.tables = {{"f", nullptr}, {"d", nullptr}};
+  grouped.joins = {{"f", "fk", "d", "id"}};
+  grouped.group_by = {"d.band"};
+  grouped.aggregates = {{AggFn::kCount, "", "cnt"},
+                        {AggFn::kSum, "f.v", "sum_v"},
+                        {AggFn::kMin, "f.v", "min_v"},
+                        {AggFn::kMax, "f.v", "max_v"}};
+  ref::CheckAgainstReference(&catalog, grouped);
+  QuerySpec scalar = grouped;
+  scalar.group_by.clear();
+  ref::CheckAgainstReference(&catalog, scalar);
+
+  EngineOptions options;
+  options.num_threads = 4;
+  Engine engine(&catalog, options);
+  engine.AnalyzeAll();
+  auto got = engine.Run(grouped, /*keep_rows=*/false);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_GT(got->counters.parallel_phases, 0);
 }
 
 TEST_F(ParallelFixture, DuplicateBuildKeysByteIdentical) {

@@ -157,7 +157,8 @@ inline StatusOr<Relation> ReferenceEval(const Catalog& catalog,
           agg_idx[a] < 0 ? 0 : row[static_cast<size_t>(agg_idx[a])];
       switch (spec.aggregates[a].fn) {
         case AggFn::kCount: ++acc; break;
-        case AggFn::kSum: acc += v; break;
+        // SUM wraps in two's complement, like the expression VM's adds.
+        case AggFn::kSum: acc = WrapAdd(acc, v); break;
         case AggFn::kMin: acc = std::min(acc, v); break;
         case AggFn::kMax: acc = std::max(acc, v); break;
       }

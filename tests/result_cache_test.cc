@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -321,6 +322,26 @@ TEST_F(ResultCacheFixture, ScalarAggregatePatchedAfterAppend) {
   EXPECT_TRUE(r.result_cache_hit);
   EXPECT_TRUE(r.result_cache_patched);
   EXPECT_EQ(got, want);
+}
+
+TEST_F(ResultCacheFixture, PatchedSumsWrapLikeARecompute) {
+  // An appended INT64_MAX wraps the cached sums: the patch adds with the
+  // same wraparound as a recompute, grouped and scalar.
+  Engine cached(&catalog_, CachedOptions());
+  Engine plain(&catalog_, PlainOptions());
+  cached.AnalyzeAll();
+  plain.AnalyzeAll();
+  MustRun(&cached, GroupedAggQuery());
+  MustRun(&cached, ScalarAggQuery());
+  Table* sales = catalog_.GetTable("sales").value();
+  sales->AppendRow({20, 2, std::numeric_limits<int64_t>::max()});
+  sales->AppendRow({30, 2, std::numeric_limits<int64_t>::max()});
+  for (const QuerySpec& q : {GroupedAggQuery(), ScalarAggQuery()}) {
+    QueryResult r;
+    const auto got = MustRun(&cached, q, &r);
+    EXPECT_TRUE(r.result_cache_patched);
+    EXPECT_EQ(got, MustRun(&plain, q));
+  }
 }
 
 TEST_F(ResultCacheFixture, AppendInvalidatesOrderSensitiveResults) {

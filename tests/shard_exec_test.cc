@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "expr/expr.h"
 #include "shard/exchange.h"
 #include "shard/partition.h"
 #include "shard/planner.h"
@@ -544,6 +546,56 @@ TEST_F(ShardFixture, ShardsOneIsByteIdenticalToPlainEngine) {
 
 TEST_F(ShardFixture, ColocatedAggByteIdenticalAcrossShardCounts) {
   CheckAggByteIdentical(GroupByQuery(), Colocated());
+}
+
+TEST_F(ShardFixture, SumsWrapInTheShardMerge) {
+  // Values just below INT64_MAX: each shard's partial SUM wraps, and the
+  // merge adds the partials with the same wraparound, so 3 shards return
+  // the plain engine's rows and the wrapped sums computed here.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Catalog wrap;
+  Table* t = wrap.AddTable("w", Schema({{"k", LogicalType::kInt64, 0,
+                                         nullptr},
+                                        {"g", LogicalType::kInt64, 0,
+                                         nullptr},
+                                        {"v", LogicalType::kInt64, 0,
+                                         nullptr}}))
+                 .value();
+  std::vector<int64_t> sums(7, 0);
+  int64_t total = 0;
+  for (int64_t i = 0; i < 3000; ++i) {
+    t->AppendRow({i, i % 7, kMax - i});
+    int64_t& sum = sums[static_cast<size_t>(i % 7)];
+    sum = WrapAdd(sum, kMax - i);
+    total = WrapAdd(total, kMax - i);
+  }
+  PartitionMap parts;
+  parts["w"] = {PartitionSpec::Kind::kHash, "k"};
+  QuerySpec grouped;
+  grouped.tables.push_back({"w", nullptr});
+  grouped.group_by = {"w.g"};
+  grouped.aggregates = {{AggFn::kCount, "", "cnt"},
+                        {AggFn::kSum, "w.v", "sum_v"}};
+  QuerySpec scalar = grouped;
+  scalar.group_by.clear();
+  std::vector<int64_t> grouped_want, scalar_want = {3000, total};
+  for (int64_t g = 0; g < 7; ++g) {
+    grouped_want.insert(grouped_want.end(),
+                        {g, 3000 / 7 + (g < 3000 % 7),
+                         sums[static_cast<size_t>(g)]});
+  }
+  for (const auto& [q, want] :
+       {std::pair{grouped, grouped_want}, std::pair{scalar, scalar_want}}) {
+    Engine plain(&wrap);
+    plain.AnalyzeAll();
+    auto serial = plain.Run(q, /*keep_rows=*/true);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_EQ(Flatten(*serial), want);
+    auto got = RunAtShards(&wrap, q, 3, parts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->shard_stats.size(), 3u);
+    EXPECT_EQ(Flatten(*got), want);
+  }
 }
 
 TEST_F(ShardFixture, ColocatedJoinShowsShardSpeedup) {

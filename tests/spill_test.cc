@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "exec/scan_ops.h"
 #include "exec/sort_agg_ops.h"
 #include "exec/thread_pool.h"
+#include "expr/expr.h"
 #include "shard/exchange.h"
 #include "storage/data_generator.h"
 #include "storage/spill.h"
@@ -290,6 +292,45 @@ TEST(SpillSweepTest, AggregationMatchesInMemoryUnderPressure) {
   EXPECT_EQ(poor, rich);
   EXPECT_GT(poor_counters.spill_pages, 0);
   EXPECT_GT(poor_counters.spill_partitions, 0);
+  fs::remove_all(dir);
+}
+
+TEST(SpillSweepTest, AggregationSumsWrapUnderPressure) {
+  // Values just below INT64_MAX: the in-memory fold, the op-major flush of
+  // spilled partial rows and their re-aggregation all add with wraparound,
+  // so a 2-page grant returns the sums computed here.
+  const std::string dir = TestSpillDir("agg-wrap");
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto t = std::make_unique<Table>(
+      "t", Schema({{"g", LogicalType::kInt64, 0, nullptr},
+                   {"x", LogicalType::kInt64, 0, nullptr}}));
+  const int64_t n = 20000, groups = 997;
+  std::vector<int64_t> g(n), x(n);
+  std::map<int64_t, int64_t> want;
+  for (int64_t i = 0; i < n; ++i) {
+    g[i] = i % groups;
+    x[i] = kMax - i;
+    want[g[i]] = WrapAdd(want[g[i]], x[i]);
+  }
+  t->SetColumnData(0, std::move(g));
+  t->SetColumnData(1, std::move(x));
+  for (const int64_t pages : {int64_t{1} << 20, int64_t{2}}) {
+    MemoryBroker broker(pages);
+    ExecContext ctx(&broker);
+    ctx.set_spill_dir(dir);
+    HashAggOp agg(std::make_unique<TableScanOp>(t.get()), {"t.g"},
+                  {{AggFn::kSum, "t.x", "sum_x"}});
+    std::vector<RowBatch> out;
+    ASSERT_TRUE(DrainOperator(&agg, &ctx, &out).ok());
+    std::map<int64_t, int64_t> got;
+    for (const auto& b : out) {
+      for (size_t r = 0; r < b.num_rows(); ++r) got[b.row(r)[0]] = b.row(r)[1];
+    }
+    EXPECT_EQ(got, want) << pages << " pages";
+    if (pages == 2) {
+      EXPECT_GT(ctx.counters().spill_pages, 0);
+    }
+  }
   fs::remove_all(dir);
 }
 

@@ -819,14 +819,14 @@ void NestedLoopsJoinOp::Close() { right_ = RowBuffer{}; }
 
 IndexNLJoinOp::IndexNLJoinOp(OperatorPtr outer, const Table* inner,
                              const SortedIndex* inner_index,
-                             std::string outer_key_slot)
+                             std::string outer_key_slot,
+                             std::vector<std::string> inner_projection)
     : outer_child_(std::move(outer)), inner_(inner), index_(inner_index),
       outer_key_(std::move(outer_key_slot)) {
   std::vector<std::string> inner_slots;
-  for (size_t c = 0; c < inner_->schema().num_columns(); ++c) {
-    inner_slots.push_back(inner_->name() + "." +
-                          inner_->schema().column(c).name);
-  }
+  projection_error_ = !ResolveProjection(*inner_, inner_projection,
+                                         &inner_cols_, &inner_slots)
+                           .ok();
   slots_ = ConcatSlots(outer_child_->output_slots(), inner_slots);
 }
 
@@ -838,6 +838,10 @@ Status IndexNLJoinOp::Open(ExecContext* ctx) {
   match_next_ = 0;
   inner_matches_.clear();
   outer_batch_.Clear();
+  if (projection_error_) {
+    return Status::InvalidArgument("bad projection for table " +
+                                   inner_->name());
+  }
   const int ok = FindSlot(outer_child_->output_slots(), outer_key_);
   if (ok < 0) {
     return Status::InvalidArgument("index NL join outer key slot not found: " +
@@ -852,7 +856,7 @@ Status IndexNLJoinOp::Next(RowBatch* out) {
   RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
   out->Reset(slots_.size());
   const size_t ln = outer_child_->output_slots().size();
-  const size_t in_cols = inner_->schema().num_columns();
+  const size_t in_cols = inner_cols_.size();
   std::vector<int64_t> inner_row(in_cols);
   while (!out->full() && !done_) {
     if (match_next_ < inner_matches_.size()) {
@@ -860,7 +864,7 @@ Status IndexNLJoinOp::Next(RowBatch* out) {
       // Random page fetch for the inner row.
       ctx_->ChargeRandomReads(1, inner_->name());
       for (size_t c = 0; c < in_cols; ++c) {
-        inner_row[c] = inner_->Value(c, r);
+        inner_row[c] = inner_->Value(inner_cols_[c], r);
       }
       out->AppendConcat(outer_batch_.row(outer_row_), ln, inner_row.data(),
                         in_cols);

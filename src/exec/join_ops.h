@@ -355,8 +355,11 @@ class NestedLoopsJoinOp : public Operator {
 /// underestimate tricks the optimizer into.
 class IndexNLJoinOp : public Operator {
  public:
+  /// `inner_projection` lists the inner table's columns each fetch copies
+  /// (empty = all), resolved as TableScanOp resolves its projection.
   IndexNLJoinOp(OperatorPtr outer, const Table* inner,
-                const SortedIndex* inner_index, std::string outer_key_slot);
+                const SortedIndex* inner_index, std::string outer_key_slot,
+                std::vector<std::string> inner_projection = {});
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
@@ -374,6 +377,8 @@ class IndexNLJoinOp : public Operator {
   const SortedIndex* index_;
   std::string outer_key_;
   size_t outer_key_idx_ = 0;
+  std::vector<size_t> inner_cols_;  ///< projected inner column indices
+  bool projection_error_ = false;
   std::vector<std::string> slots_;
   ExecContext* ctx_ = nullptr;
   RowBatch outer_batch_;

@@ -3,18 +3,15 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/scan_ops.h"
-
 namespace rqp {
 
 GatherOp::GatherOp(OperatorPtr serial, std::vector<HashJoinOp*> joins,
-                   const Table* table, PredicatePtr filter, int scan_node_id,
-                   std::optional<AggStage> agg, ParallelOptions opts)
+                   const TableScanOp* scan, std::optional<AggStage> agg,
+                   ParallelOptions opts)
     : serial_(std::move(serial)),
       joins_(std::move(joins)),
-      table_(table),
-      filter_(std::move(filter)),
-      scan_node_id_(scan_node_id),
+      scan_(scan),
+      table_(scan->table()),
       agg_(std::move(agg)),
       opts_(opts) {}
 
@@ -57,8 +54,8 @@ Status GatherOp::Open(ExecContext* ctx) {
   }
 
   program_.reset();
-  if (filter_ != nullptr) {
-    auto program = PredicateProgram::Compile(filter_, *table_);
+  if (scan_->filter() != nullptr) {
+    auto program = PredicateProgram::Compile(scan_->filter(), *table_);
     if (!program.ok()) return program.status();
     program_ = std::move(program.value());
   }
@@ -67,20 +64,19 @@ Status GatherOp::Open(ExecContext* ctx) {
     probe_refs_.push_back(Resolve(j->probe_key_idx()));
   }
   if (agg_.has_value()) {
-    // The aggregation input: every column of the driving table, qualified
-    // (a projection-free TableScanOp's layout), then each join's build row.
-    std::vector<std::string> scan_slots;
-    std::vector<size_t> cols;
-    RQP_RETURN_IF_ERROR(ResolveProjection(*table_, {}, &cols, &scan_slots));
-    RQP_RETURN_IF_ERROR(ResolveFold(
-        joins_.empty() ? scan_slots : joins_.back()->output_slots()));
+    // The aggregation input: the driving scan's layout, then each join's
+    // build row.
+    RQP_RETURN_IF_ERROR(ResolveFold(joins_.empty()
+                                        ? scan_->output_slots()
+                                        : joins_.back()->output_slots()));
   }
   return RunParallelPhase(ctx);
 }
 
 GatherOp::SlotRef GatherOp::Resolve(size_t pipeline_idx) const {
-  size_t base = table_->schema().num_columns();
-  if (pipeline_idx < base) return {0, pipeline_idx};
+  const std::vector<size_t>& scan_cols = scan_->columns();
+  if (pipeline_idx < scan_cols.size()) return {0, scan_cols[pipeline_idx]};
+  size_t base = scan_cols.size();
   for (size_t j = 0; j < joins_.size(); ++j) {
     const size_t width = joins_[j]->build_width();
     if (pipeline_idx < base + width) return {j + 1, pipeline_idx - base};
@@ -218,9 +214,10 @@ void GatherOp::WorkerLoop(int worker_id) {
     // Report produced totals to the node fuses at the flush boundary: the
     // trip lags production by at most one morsel per worker — the same
     // batching tolerance as the serial per-batch check.
-    if (scan_node_id_ >= 0) {
+    if (scan_->plan_node_id() >= 0) {
       ctx_->ObserveProducedParallel(
-          scan_node_id_, scan_produced_.load(std::memory_order_relaxed));
+          scan_->plan_node_id(),
+          scan_produced_.load(std::memory_order_relaxed));
     }
     for (size_t i = 0; i < joins_.size(); ++i) {
       int64_t& count = w.stage_counts[i];
@@ -322,16 +319,16 @@ Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
                             fold_idx_);
     return Status::OK();
   }
-  // Whole pipeline rows: the scan columns, then each stage's build row.
+  // Whole pipeline rows: the scan's columns, then each stage's build row.
   RowBuffer& out = morsel_out_[static_cast<size_t>(m.id)];
   const size_t row_width = out.num_cols;
   out.data.resize(n * row_width);
   int64_t* dst = out.data.data();
-  const size_t scan_cols = table_->schema().num_columns();
-  for (size_t c = 0; c < scan_cols; ++c) {
-    Gather(*w, {0, c}, dst + c, row_width);
+  const size_t scan_width = scan_->columns().size();
+  for (size_t c = 0; c < scan_width; ++c) {
+    Gather(*w, Resolve(c), dst + c, row_width);
   }
-  size_t base = scan_cols;
+  size_t base = scan_width;
   for (size_t j = 0; j < joins_.size(); ++j) {
     const size_t width = joins_[j]->build_width();
     for (size_t t = 0; t < n; ++t) {
@@ -403,8 +400,9 @@ Status GatherOp::Next(RowBatch* out) {
 void GatherOp::PublishActuals() {
   actuals_published_ = true;
   auto& actuals = ctx_->actual_cardinalities();
-  if (scan_node_id_ >= 0 && scan_node_id_ != plan_node_id()) {
-    actuals[scan_node_id_] = scan_produced_.load(std::memory_order_relaxed);
+  const int scan_id = scan_->plan_node_id();
+  if (scan_id >= 0 && scan_id != plan_node_id()) {
+    actuals[scan_id] = scan_produced_.load(std::memory_order_relaxed);
   }
   for (size_t i = 0; i < joins_.size(); ++i) {
     const int id = joins_[i]->plan_node_id();

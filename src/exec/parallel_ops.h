@@ -11,6 +11,7 @@
 #include "exec/join_ops.h"
 #include "exec/operator.h"
 #include "exec/parallel.h"
+#include "exec/scan_ops.h"
 #include "exec/sort_agg_ops.h"
 #include "expr/pred_program.h"
 #include "expr/predicate.h"
@@ -66,12 +67,13 @@ class GatherOp : public Operator {
     std::vector<AggSpec> aggregates;
   };
 
-  /// `serial` is the segment as DOP 1 lowers it: a TableScanOp over `table`
-  /// filtered by `filter`, the hash joins `joins` (bottom-up: joins[0]
-  /// probes the scan) and, when `agg` is set, a HashAggOp on top.
+  /// `serial` is the segment as DOP 1 lowers it: the driving `scan`, the
+  /// hash joins `joins` (bottom-up: joins[0] probes the scan) and, when
+  /// `agg` is set, a HashAggOp on top. Workers read the scan's table,
+  /// filter, projected columns and plan node id; the serial tree owns it.
   GatherOp(OperatorPtr serial, std::vector<HashJoinOp*> joins,
-           const Table* table, PredicatePtr filter, int scan_node_id,
-           std::optional<AggStage> agg, ParallelOptions opts);
+           const TableScanOp* scan, std::optional<AggStage> agg,
+           ParallelOptions opts);
 
   Status Open(ExecContext* ctx) override;
   Status Next(RowBatch* out) override;
@@ -85,8 +87,8 @@ class GatherOp : public Operator {
   }
 
  private:
-  /// Where a pipeline slot's value lives: column `col` of the scanned table
-  /// (stage 0) or of join stage-1's build row.
+  /// Where a pipeline slot's value lives: source column `col` of the
+  /// scanned table (stage 0) or column `col` of join stage-1's build row.
   struct SlotRef {
     size_t stage = 0;
     size_t col = 0;
@@ -104,6 +106,7 @@ class GatherOp : public Operator {
     std::vector<int64_t> stage_counts;  ///< rows produced per stage
   };
 
+  /// Pipeline index i < the scan's width is the scan's i-th source column.
   SlotRef Resolve(size_t pipeline_idx) const;
   Status ResolveFold(const std::vector<std::string>& pipeline);
   /// Writes `ref`'s value for every tuple in flight to out[t * stride].
@@ -121,9 +124,8 @@ class GatherOp : public Operator {
   // -- construction-time configuration --------------------------------------
   OperatorPtr serial_;
   std::vector<HashJoinOp*> joins_;  ///< owned by serial_
-  const Table* table_;
-  PredicatePtr filter_;
-  int scan_node_id_;
+  const TableScanOp* scan_;         ///< owned by serial_
+  const Table* table_;              ///< scan_'s table
   std::optional<AggStage> agg_;
   ParallelOptions opts_;
 

@@ -37,6 +37,10 @@ class TableScanOp : public Operator {
   std::string name() const override { return "TableScan(" + table_->name() + ")"; }
 
   const Table* table() const { return table_; }
+  /// The bound filter, over the whole table's unqualified column names.
+  const PredicatePtr& filter() const { return filter_; }
+  /// The projected source column of each output slot, in output order.
+  const std::vector<size_t>& columns() const { return columns_; }
   /// True when the scan emits every row and column of its table in table
   /// order: no filter and the full projection.
   bool ScansWholeTable() const;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "expr/expr.h"
 
@@ -845,8 +846,10 @@ Status CheckOp::Open(ExecContext* ctx) {
 }
 
 Status CheckOp::Next(RowBatch* out) {
+  // A CHECK that passed is this buffer's only reader (one that fired never
+  // gets here), so each batch moves out instead of being copied.
   if (next_ < buffer_->size()) {
-    *out = (*buffer_)[next_++];
+    *out = std::move((*buffer_)[next_++]);
     ctx_->ChargeSeqPages(
         (static_cast<int64_t>(out->num_rows()) + kRowsPerPage - 1) /
         kRowsPerPage);

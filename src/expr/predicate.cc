@@ -133,6 +133,7 @@ std::string ToString(const PredicatePtr& p) {
 
 namespace {
 void CollectColumns(const PredicatePtr& p, std::set<std::string>* out) {
+  if (p == nullptr) return;
   std::visit(
       [&](const auto& n) {
         using T = std::decay_t<decltype(n)>;

@@ -86,7 +86,8 @@ PredicatePtr MakeConst(bool value);
 /// equivalence experiment (two formulations normalize to the same string).
 std::string ToString(const PredicatePtr& p);
 
-/// Column names referenced by the predicate (deduplicated, sorted).
+/// Column names referenced by the predicate (deduplicated, sorted); none
+/// for a null predicate.
 std::vector<std::string> ReferencedColumns(const PredicatePtr& p);
 
 /// True if the tree contains unbound parameters.

@@ -1,6 +1,7 @@
 #include "optimizer/builder.h"
 
 #include <optional>
+#include <string>
 
 #include "exec/filter_ops.h"
 #include "exec/join_ops.h"
@@ -17,75 +18,134 @@ PredicatePtr Bind(const PredicatePtr& p, const std::vector<int64_t>& params) {
   return BindParams(p, params);
 }
 
-/// The plan shape GatherOp executes: an optional hash aggregation over a
-/// right-deep hash-join chain whose probe spine bottoms out in a table scan
-/// (children[0] is always the probe side). Anything else — index scans,
-/// filters, checks, other join algorithms — keeps the serial lowering.
-struct ParallelSegment {
-  const PlanNode* agg = nullptr;
-  const PlanNode* scan = nullptr;
-};
-
-bool MatchParallelSegment(const PlanNode& plan, ParallelSegment* seg) {
+/// True when `plan` has the shape GatherOp executes: an optional hash
+/// aggregation over a right-deep hash-join chain whose probe spine bottoms
+/// out in a table scan (children[0] is always the probe side). Anything
+/// else — index scans, filters, checks, other join algorithms — keeps the
+/// serial lowering.
+bool IsParallelSegment(const PlanNode& plan) {
   const PlanNode* cur = &plan;
-  if (cur->op == PlanOp::kHashAgg) {
-    seg->agg = cur;
-    cur = cur->children[0].get();
-  }
+  if (cur->op == PlanOp::kHashAgg) cur = cur->children[0].get();
   while (cur->op == PlanOp::kHashJoin) cur = cur->children[0].get();
-  if (cur->op != PlanOp::kTableScan) return false;
-  seg->scan = cur;
-  return true;
+  return cur->op == PlanOp::kTableScan;
 }
 
-/// Lowers `plan`. A non-null `segment_joins` means `plan` lies on the probe
-/// spine of a matched parallel segment: it is lowered exactly as at DOP 1
-/// and its HashJoinOps are recorded bottom-up for GatherOp. Build sides are
-/// lowered on their own and may form segments of their own.
-StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
-                            const std::vector<int64_t>& params,
-                            const ParallelOptions* parallel,
-                            std::vector<HashJoinOp*>* segment_joins) {
+/// What every node of one plan is lowered with.
+struct Lowering {
+  const Catalog* catalog;
+  const std::vector<int64_t>& params;
+  const ParallelOptions* parallel;
+  /// The plan's read set; null lowers every scan with all its columns.
+  const std::set<std::string>* read;
+};
+
+/// The operators of a matched parallel segment's probe spine, which
+/// GatherOp drives: its HashJoinOps bottom-up and the scan under them.
+struct SpineOps {
+  std::vector<HashJoinOp*> joins;
+  const TableScanOp* scan = nullptr;
+};
+
+/// The columns of `table` that `read` names, in table order and never fewer
+/// than one (the first column stands in when none is read). Empty — every
+/// column — when `read` is null.
+std::vector<std::string> PrunedColumns(const Table& table,
+                                       const std::set<std::string>* read) {
+  std::vector<std::string> columns;
+  if (read == nullptr || table.schema().num_columns() == 0) return columns;
+  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+    const std::string& name = table.schema().column(c).name;
+    if (read->count(table.name() + "." + name) > 0) columns.push_back(name);
+  }
+  if (columns.empty()) columns.push_back(table.schema().column(0).name);
+  return columns;
+}
+
+void CollectReads(const PlanNode& plan, std::set<std::string>* read) {
+  const auto add = [read](const std::vector<std::string>& slots) {
+    read->insert(slots.begin(), slots.end());
+  };
+  switch (plan.op) {
+    case PlanOp::kHashJoin:
+    case PlanOp::kMergeJoin:
+    case PlanOp::kGJoin:
+      read->insert(plan.left_key);
+      read->insert(plan.right_key);
+      break;
+    case PlanOp::kIndexNLJoin:
+      read->insert(plan.left_key);
+      read->insert(plan.table + "." + plan.index_column);
+      break;
+    case PlanOp::kFilter:
+    case PlanOp::kNestedLoopsJoin:
+      add(ReferencedColumns(plan.predicate));
+      break;
+    case PlanOp::kMap:
+      for (const auto& d : plan.derived) add(ExprReferencedColumns(d.expr));
+      break;
+    case PlanOp::kSort:
+      read->insert(plan.sort_key);
+      break;
+    case PlanOp::kHashAgg:
+      add(plan.group_by);
+      for (const auto& a : plan.aggregates) {
+        if (a.fn != AggFn::kCount) read->insert(a.slot);
+      }
+      break;
+    case PlanOp::kTableScan:  // filters are unqualified, over the whole table
+    case PlanOp::kIndexScan:
+    case PlanOp::kMaterializedSource:
+    case PlanOp::kCheck:
+      break;
+  }
+  for (const auto& c : plan.children) CollectReads(*c, read);
+}
+
+/// Lowers `plan`. A non-null `spine` means `plan` lies on the probe spine of
+/// a matched parallel segment: it is lowered exactly as at DOP 1 and its
+/// HashJoinOps (bottom-up) and driving scan are recorded for GatherOp. Build
+/// sides are lowered on their own and may form segments of their own.
+StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Lowering& env,
+                            SpineOps* spine) {
+  const std::vector<int64_t>& params = env.params;
   auto build_child = [&](size_t i) -> StatusOr<OperatorPtr> {
-    return Lower(*plan.children[i], catalog, params, parallel, segment_joins);
+    return Lower(*plan.children[i], env, spine);
   };
 
-  if (segment_joins == nullptr && parallel != nullptr &&
-      parallel->num_threads > 1 && parallel->pool != nullptr) {
-    ParallelSegment seg;
-    if (MatchParallelSegment(plan, &seg)) {
-      auto table = catalog->GetTable(seg.scan->table);
-      if (!table.ok()) return table.status();
-      std::vector<HashJoinOp*> joins;
-      auto serial = Lower(plan, catalog, params, parallel, &joins);
-      if (!serial.ok()) return serial.status();
-      std::optional<GatherOp::AggStage> agg;
-      if (seg.agg != nullptr) {
-        agg = GatherOp::AggStage{seg.agg->group_by, seg.agg->aggregates};
-      }
-      OperatorPtr op = std::make_unique<GatherOp>(
-          std::move(serial.value()), std::move(joins), table.value(),
-          Bind(seg.scan->predicate, params), seg.scan->id, std::move(agg),
-          *parallel);
-      op->set_plan_node_id(plan.id);
-      return op;
+  if (spine == nullptr && env.parallel != nullptr &&
+      env.parallel->num_threads > 1 && env.parallel->pool != nullptr &&
+      IsParallelSegment(plan)) {
+    SpineOps ops;
+    auto serial = Lower(plan, env, &ops);
+    if (!serial.ok()) return serial.status();
+    std::optional<GatherOp::AggStage> agg;
+    if (plan.op == PlanOp::kHashAgg) {
+      agg = GatherOp::AggStage{plan.group_by, plan.aggregates};
     }
+    OperatorPtr op = std::make_unique<GatherOp>(
+        std::move(serial.value()), std::move(ops.joins), ops.scan,
+        std::move(agg), *env.parallel);
+    op->set_plan_node_id(plan.id);
+    return op;
   }
 
   OperatorPtr op;
   switch (plan.op) {
     case PlanOp::kTableScan: {
-      auto table = catalog->GetTable(plan.table);
+      auto table = env.catalog->GetTable(plan.table);
       if (!table.ok()) return table.status();
-      op = std::make_unique<TableScanOp>(table.value(),
-                                         Bind(plan.predicate, params));
+      auto scan = std::make_unique<TableScanOp>(
+          table.value(), Bind(plan.predicate, params),
+          PrunedColumns(*table.value(), env.read));
+      if (spine != nullptr) spine->scan = scan.get();
+      op = std::move(scan);
       break;
     }
     case PlanOp::kIndexScan: {
-      auto table = catalog->GetTable(plan.table);
+      auto table = env.catalog->GetTable(plan.table);
       if (!table.ok()) return table.status();
       const SortedIndex* index =
-          catalog->FindIndex(plan.table, plan.index_column);
+          env.catalog->FindIndex(plan.table, plan.index_column);
       if (index == nullptr) {
         return Status::NotFound("no index on " + plan.table + "." +
                                 plan.index_column);
@@ -103,8 +163,9 @@ StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
         }
         hi = params[static_cast<size_t>(plan.index_hi_param)];
       }
-      op = std::make_unique<IndexScanOp>(table.value(), index, lo, hi,
-                                         Bind(plan.predicate, params));
+      op = std::make_unique<IndexScanOp>(
+          table.value(), index, lo, hi, Bind(plan.predicate, params),
+          PrunedColumns(*table.value(), env.read));
       break;
     }
     case PlanOp::kMaterializedSource: {
@@ -122,13 +183,12 @@ StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
     case PlanOp::kHashJoin: {
       auto probe = build_child(0);
       if (!probe.ok()) return probe.status();
-      auto build = Lower(*plan.children[1], catalog, params, parallel,
-                         /*segment_joins=*/nullptr);
+      auto build = Lower(*plan.children[1], env, /*spine=*/nullptr);
       if (!build.ok()) return build.status();
       auto join = std::make_unique<HashJoinOp>(std::move(probe.value()),
                                                std::move(build.value()),
                                                plan.left_key, plan.right_key);
-      if (segment_joins != nullptr) segment_joins->push_back(join.get());
+      if (spine != nullptr) spine->joins.push_back(join.get());
       op = std::move(join);
       break;
     }
@@ -145,17 +205,17 @@ StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
     case PlanOp::kIndexNLJoin: {
       auto outer = build_child(0);
       if (!outer.ok()) return outer.status();
-      auto table = catalog->GetTable(plan.table);
+      auto table = env.catalog->GetTable(plan.table);
       if (!table.ok()) return table.status();
       const SortedIndex* index =
-          catalog->FindIndex(plan.table, plan.index_column);
+          env.catalog->FindIndex(plan.table, plan.index_column);
       if (index == nullptr) {
         return Status::NotFound("no index on " + plan.table + "." +
                                 plan.index_column);
       }
-      op = std::make_unique<IndexNLJoinOp>(std::move(outer.value()),
-                                           table.value(), index,
-                                           plan.left_key);
+      op = std::make_unique<IndexNLJoinOp>(
+          std::move(outer.value()), table.value(), index, plan.left_key,
+          PrunedColumns(*table.value(), env.read));
       break;
     }
     case PlanOp::kNestedLoopsJoin: {
@@ -172,16 +232,17 @@ StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
       auto left = build_child(0);
       if (!left.ok()) return left.status();
       // plan.table names a plain base-table right child with an index on
-      // the key. That child stays a serial TableScanOp at every DOP, so the
-      // index strategy can stand in for it.
+      // the key. That child stays a serial, unpruned TableScanOp at every
+      // DOP (TableScanOp::ScansWholeTable), so the index strategy can stand
+      // in for it.
       const bool indexed = !plan.table.empty();
-      auto right = Lower(*plan.children[1], catalog, params,
-                         indexed ? nullptr : parallel, segment_joins);
+      const Lowering whole{env.catalog, params, nullptr, nullptr};
+      auto right = Lower(*plan.children[1], indexed ? whole : env, spine);
       if (!right.ok()) return right.status();
       op = std::make_unique<GJoinOp>(
           std::move(left.value()), std::move(right.value()), plan.left_key,
           plan.right_key,
-          indexed ? catalog->FindIndex(plan.table, plan.index_column)
+          indexed ? env.catalog->FindIndex(plan.table, plan.index_column)
                   : nullptr);
       break;
     }
@@ -219,11 +280,21 @@ StatusOr<OperatorPtr> Lower(const PlanNode& plan, const Catalog* catalog,
 
 }  // namespace
 
+std::optional<std::set<std::string>> PlanReadSet(const PlanNode& plan) {
+  if (plan.op != PlanOp::kHashAgg) return std::nullopt;
+  std::set<std::string> read;
+  CollectReads(plan, &read);
+  return read;
+}
+
 StatusOr<OperatorPtr> BuildExecutable(const PlanNode& plan,
                                       const Catalog* catalog,
                                       const std::vector<int64_t>& params,
                                       const ParallelOptions* parallel) {
-  return Lower(plan, catalog, params, parallel, /*segment_joins=*/nullptr);
+  const auto read = PlanReadSet(plan);
+  const Lowering env{catalog, params, parallel,
+                     read.has_value() ? &*read : nullptr};
+  return Lower(plan, env, /*spine=*/nullptr);
 }
 
 }  // namespace rqp

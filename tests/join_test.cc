@@ -644,6 +644,45 @@ TEST(IndexNLJoinTest, MatchesReference) {
   EXPECT_EQ(ctx.counters().random_reads, 5000);
 }
 
+TEST(IndexNLJoinTest, InnerProjectionFetchesOnlyItsColumns) {
+  JoinFixture f(1000, 5000, 1000);
+  IndexNLJoinOp full(f.ScanS(), f.r.get(), f.r_index.get(), "s.fk");
+  IndexNLJoinOp pruned(f.ScanS(), f.r.get(), f.r_index.get(), "s.fk", {"v"});
+  EXPECT_EQ(pruned.output_slots(),
+            (std::vector<std::string>{"s.fk", "s.w", "r.v"}));
+  ExecContext full_ctx, pruned_ctx;
+  std::vector<RowBatch> full_rows, pruned_rows;
+  ASSERT_TRUE(DrainOperator(&full, &full_ctx, &full_rows).ok());
+  ASSERT_TRUE(DrainOperator(&pruned, &pruned_ctx, &pruned_rows).ok());
+  // The same matches in the same order, minus the unprojected r.id.
+  std::vector<std::vector<int64_t>> want, got;
+  for (const RowBatch& b : full_rows) {
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      want.push_back({b.row(i)[0], b.row(i)[1], b.row(i)[3]});
+    }
+  }
+  for (const RowBatch& b : pruned_rows) {
+    ASSERT_EQ(b.num_cols(), 3u);
+    for (size_t i = 0; i < b.num_rows(); ++i) {
+      got.emplace_back(b.row(i), b.row(i) + 3);
+    }
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.size(), 5000u);
+  // Row width moves no charge.
+  EXPECT_EQ(pruned_ctx.cost(), full_ctx.cost());
+  EXPECT_EQ(pruned_ctx.counters().random_reads,
+            full_ctx.counters().random_reads);
+}
+
+TEST(IndexNLJoinTest, UnknownInnerProjectionFailsAtOpen) {
+  JoinFixture f(10, 10, 10);
+  IndexNLJoinOp join(f.ScanS(), f.r.get(), f.r_index.get(), "s.fk",
+                     {"nope"});
+  ExecContext ctx;
+  EXPECT_EQ(join.Open(&ctx).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(IndexNLJoinTest, CheapForTinyOuterExpensiveForLargeOuter) {
   JoinFixture f(50000, 50000, 50000);
   // Tiny outer.

@@ -259,6 +259,36 @@ TEST_F(ParallelFixture, WideGroupByStaysHashedAndByteIdentical) {
   CheckByteIdentical(q);
 }
 
+TEST_F(ParallelFixture, PrunedAggregateSegmentByteIdentical) {
+  // Under the aggregate the fact scan emits fk0, fk1, fk2 and corr (source
+  // column 4 at pipeline index 3) and each dimension only what is read:
+  // workers must resolve the scan's projected columns, not table order.
+  QuerySpec q = workload::StarQuery(3, {5000, 7000, 9000});
+  q.group_by = {"dim1.band"};
+  q.aggregates = {{AggFn::kCount, "", "cnt"},
+                  {AggFn::kSum, "fact.corr", "sum_corr"},
+                  {AggFn::kMax, "dim2.attr", "max_attr"}};
+  CheckByteIdentical(q);
+}
+
+TEST_F(ParallelFixture, PrunedRowSegmentUnderCheckByteIdentical) {
+  // POP CHECKs break the spine, so the join under the lower CHECK runs as a
+  // GatherOp without an aggregate. Its workers write whole pipeline rows in
+  // the scan's pruned layout. Validity ranges of x1000 never fire.
+  QuerySpec q = workload::StarQuery(3, {5000, 7000, 9000});
+  q.group_by = {"dim1.band"};
+  q.aggregates = {{AggFn::kCount, "", "cnt"},
+                  {AggFn::kSum, "fact.corr", "sum_corr"}};
+  EngineOptions options;
+  options.use_pop = true;
+  options.optimizer.check_factor = 1000;
+  auto planned = RunAtDop(q, 1, options);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_NE(planned->first_plan.find("Check"), std::string::npos);
+  EXPECT_EQ(planned->reoptimizations, 0);
+  CheckByteIdentical(q, options);
+}
+
 TEST(ParallelWrapTest, SumsWrapInWorkerFoldsAndTheirMerge) {
   // Measures just below INT64_MAX: every group's SUM wraps in the workers'
   // op-major folds and again when their partials merge, and the answer at

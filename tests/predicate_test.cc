@@ -98,6 +98,12 @@ TEST(PredicateTest, ReferencedColumnsDeduplicated) {
   EXPECT_EQ(ReferencedColumns(p), (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(PredicateTest, ReferencedColumnsOfNullPredicateIsEmpty) {
+  // Index-NL joins and cross products carry no predicate; plan walks ask
+  // every node for its columns.
+  EXPECT_TRUE(ReferencedColumns(nullptr).empty());
+}
+
 TEST(PredicateTest, ParamsBindAndDetect) {
   auto p = MakeAnd(
       {MakeParamCmp("a", CmpOp::kGe, 0), MakeParamCmp("a", CmpOp::kLe, 1)});

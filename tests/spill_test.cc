@@ -697,13 +697,14 @@ TEST(EveryPageComesBackTest, GatherAggregationUnderMidPhaseDrop) {
   const ExecCounters c = ExpectEveryPageComesBack(
       1 << 20,
       [&] {
-        auto join = std::make_unique<HashJoinOp>(f.ScanS(), f.ScanR(), "s.fk",
-                                                 "r.id");
+        auto scan = std::make_unique<TableScanOp>(f.s.get());
+        const TableScanOp* s = scan.get();
+        auto join = std::make_unique<HashJoinOp>(std::move(scan), f.ScanR(),
+                                                 "s.fk", "r.id");
         HashJoinOp* j = join.get();
         auto serial = std::make_unique<HashAggOp>(std::move(join), groups, aggs);
         return std::make_unique<GatherOp>(std::move(serial),
-                                          std::vector<HashJoinOp*>{j},
-                                          f.s.get(), nullptr, -1,
+                                          std::vector<HashJoinOp*>{j}, s,
                                           GatherOp::AggStage{groups, aggs}, par);
       },
       "pages-gather",

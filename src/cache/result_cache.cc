@@ -244,8 +244,7 @@ bool ResultCache::Lookup(const std::string& key, const Catalog& catalog,
   hit->rows = entry->rows;
   // A hit costs only the re-emit work: one row_cpu per served row (the
   // patch charges, if any, were added by PatchLocked).
-  hit->rows_processed += entry->rows;
-  hit->cost_units += options_.cost_model.row_cpu * entry->rows;
+  hit->counters.AddRowCpu(options_.cost_model, entry->rows);
   ++stats_.hits;
   return true;
 }
@@ -299,7 +298,7 @@ bool ResultCache::PatchLocked(const std::string& key, Entry* entry,
       EraseLocked(key);
       return false;
     }
-    hit->predicate_evals += delta_rows;
+    hit->counters.predicate_evals += delta_rows;
     std::vector<const int64_t*> cols(t->schema().num_columns());
     for (size_t c = 0; c < cols.size(); ++c) {
       cols[c] = t->column(c).data() + snap->rows;
@@ -368,10 +367,8 @@ bool ResultCache::PatchLocked(const std::string& key, Entry* entry,
   // at seq_page_read) plus one row_cpu per delta row folded.
   const int64_t delta_pages = (delta_rows + kRowsPerPage - 1) / kRowsPerPage;
   hit->patched = true;
-  hit->pages_read += delta_pages;
-  hit->rows_processed += delta_rows;
-  hit->cost_units += options_.cost_model.seq_page_read * delta_pages +
-                     options_.cost_model.row_cpu * delta_rows;
+  hit->counters.AddSeqPages(options_.cost_model, delta_pages);
+  hit->counters.AddRowCpu(options_.cost_model, delta_rows);
   return true;
 }
 

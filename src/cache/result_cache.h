@@ -86,10 +86,10 @@ class ResultCache {
     int64_t rows = 0;
     bool patched = false;
     bool stale = false;
-    double cost_units = 0;
-    int64_t pages_read = 0;       ///< delta pages scanned by a patch
-    int64_t rows_processed = 0;
-    int64_t predicate_evals = 0;  ///< delta rows filtered by a patch
+    /// The hit's charges: re-emit row CPU, plus a patch's delta pages and
+    /// rows; predicate_evals counts the delta rows a patch filtered, which
+    /// the clock does not charge.
+    ExecCounters counters;
   };
 
   /// Epoch snapshot of one referenced table at result-computation time.

@@ -399,12 +399,9 @@ StatusOr<QueryResult> Engine::Run(const QuerySpec& spec, bool keep_rows,
       result.result_cache_stale = hit.stale;
       result.output_rows = hit.rows;
       result.output_slots = std::move(hit.slots);
-      result.counters.cost_units = hit.cost_units;
-      result.counters.pages_read = hit.pages_read;
-      result.counters.rows_processed = hit.rows_processed;
-      result.counters.predicate_evals = hit.predicate_evals;
-      result.cost = hit.cost_units;
-      result.elapsed = hit.cost_units;
+      result.counters = hit.counters;
+      result.cost = hit.counters.cost_units;
+      result.elapsed = hit.counters.cost_units;
       result.first_plan = "[ResultCache] hit";
       result.final_plan = result.first_plan;
       if (keep_rows) result.rows = *hit.batches;

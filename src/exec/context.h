@@ -74,6 +74,28 @@ struct ExecCounters {
   int64_t rows_materialized = 0;  ///< rows written row-major from scan views
   int64_t transposes_elided = 0;  ///< scan rows a consumer read as views
 
+  // One formula per shared charge kind: n onto the kind's counter and
+  // unit × n onto the clock. ExecContext's Charge* methods, a parallel
+  // worker's WorkerCharge and the result cache's hit and patch charges all
+  // call these, so the three clocks cannot drift apart.
+  void AddSeqPages(const CostModel& cm, int64_t pages,
+                   double io_multiplier = 1.0) {
+    pages_read += pages;
+    cost_units += cm.seq_page_read * pages * io_multiplier;
+  }
+  void AddRowCpu(const CostModel& cm, int64_t rows) {
+    rows_processed += rows;
+    cost_units += cm.row_cpu * rows;
+  }
+  void AddHashOps(const CostModel& cm, int64_t ops) {
+    hash_ops += ops;
+    cost_units += cm.hash_op * ops;
+  }
+  void AddPredicateEvals(const CostModel& cm, int64_t evals) {
+    predicate_evals += evals;
+    cost_units += cm.row_cpu * evals;
+  }
+
   void Merge(const ExecCounters& o) {
     cost_units += o.cost_units;
     pages_read += o.pages_read;
@@ -402,9 +424,7 @@ class ExecContext {
   // Page-read charges optionally carry the table being read so scheduled
   // per-table I/O slowdowns can tax them.
   void ChargeSeqPages(int64_t pages, const std::string& table = {}) {
-    counters_.pages_read += pages;
-    counters_.cost_units +=
-        cost_model_.seq_page_read * pages * IoMultiplier(table, pages);
+    counters_.AddSeqPages(cost_model_, pages, IoMultiplier(table, pages));
     ApplyScheduledEvents();
   }
   void ChargeRandomReads(int64_t reads, const std::string& table = {}) {
@@ -415,14 +435,8 @@ class ExecContext {
   void ChargeIndexDescend(int64_t descends = 1) {
     counters_.cost_units += cost_model_.index_descend * descends;
   }
-  void ChargeRowCpu(int64_t rows) {
-    counters_.rows_processed += rows;
-    counters_.cost_units += cost_model_.row_cpu * rows;
-  }
-  void ChargeHashOps(int64_t ops) {
-    counters_.hash_ops += ops;
-    counters_.cost_units += cost_model_.hash_op * ops;
-  }
+  void ChargeRowCpu(int64_t rows) { counters_.AddRowCpu(cost_model_, rows); }
+  void ChargeHashOps(int64_t ops) { counters_.AddHashOps(cost_model_, ops); }
   void ChargeCompareOps(int64_t ops) {
     counters_.compare_ops += ops;
     counters_.cost_units += cost_model_.compare_op * ops;
@@ -435,8 +449,7 @@ class ExecContext {
     ApplyScheduledEvents();
   }
   void ChargePredicateEvals(int64_t evals) {
-    counters_.predicate_evals += evals;
-    counters_.cost_units += cost_model_.row_cpu * evals;
+    counters_.AddPredicateEvals(cost_model_, evals);
     ApplyScheduledEvents();
   }
   /// Cross-shard exchange traffic (PR 9): shuffles pay a hash op (route
@@ -548,8 +561,9 @@ class ExecContext {
     return Status::ResourceExhausted("query cost budget exceeded");
   }
 
-  /// Called by Operator::CountProduced with the running production count;
-  /// trips the node's fuse (if armed) when the count exceeds its limit.
+  /// Called by Operator::Next (through Operator::Count) with the node's
+  /// running production count; trips the node's fuse (if armed) when the
+  /// count exceeds its limit.
   void ObserveProduced(int plan_node_id, int64_t rows) {
     if (trip_ != nullptr || fuses_.empty()) return;
     auto it = fuses_.find(plan_node_id);

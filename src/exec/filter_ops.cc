@@ -8,9 +8,7 @@
 
 namespace rqp {
 
-Status FilterOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status FilterOp::DoOpen(ExecContext* ctx) {
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   auto program = PredicateProgram::Compile(predicate_, child_->output_slots());
   if (!program.ok()) return program.status();
@@ -18,12 +16,12 @@ Status FilterOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status FilterOp::Next(RowBatch* out) {
+Status FilterOp::DoNext(RowBatch* out) {
   out->Reset(output_slots().size());
   while (!out->full()) {
     RQP_RETURN_IF_ERROR(child_->Next(&in_));
     if (in_.empty()) break;
-    ctx_->ChargePredicateEvals(static_cast<int64_t>(in_.num_rows()));
+    ctx()->ChargePredicateEvals(static_cast<int64_t>(in_.num_rows()));
     const size_t ncols = in_.num_cols();
     col_ptrs_.resize(ncols);
     const int64_t* base = in_.data().data();
@@ -32,7 +30,6 @@ Status FilterOp::Next(RowBatch* out) {
                              in_.num_rows(), &sel_);
     for (const uint32_t r : sel_) out->AppendRow(in_.row(r));
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -42,9 +39,7 @@ MapOp::MapOp(OperatorPtr child, std::vector<DerivedColumn> derived)
   for (const auto& d : derived_) slots_.push_back(d.name);
 }
 
-Status MapOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status MapOp::DoOpen(ExecContext* ctx) {
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   slots_ = child_->output_slots();
   for (const auto& d : derived_) slots_.push_back(d.name);
@@ -65,13 +60,13 @@ Status MapOp::Open(ExecContext* ctx) {
 // input rows at stride = width. Each output row is then written once,
 // straight into the batch. Charge order: whole-batch eval charge before
 // evaluation, per-row CPU after.
-Status MapOp::Next(RowBatch* out) {
+Status MapOp::DoNext(RowBatch* out) {
   out->Reset(slots_.size());
   size_t n = 0;
   if (scan_ != nullptr) {
     RQP_RETURN_IF_ERROR(scan_->NextColumnar(&in_col_));
     n = in_col_.num_rows();
-    ctx_->counters().transposes_elided += static_cast<int64_t>(n);
+    ctx()->counters().transposes_elided += static_cast<int64_t>(n);
   } else {
     RQP_RETURN_IF_ERROR(child_->Next(&in_));
     n = in_.num_rows();
@@ -81,7 +76,7 @@ Status MapOp::Next(RowBatch* out) {
   // every guardrail and fault point is the same whether an expression
   // errors mid-batch or not.
   if (n > 0 && !derived_.empty()) {
-    ctx_->ChargePredicateEvals(static_cast<int64_t>(n * derived_.size()));
+    ctx()->ChargePredicateEvals(static_cast<int64_t>(n * derived_.size()));
   }
   derived_vals_.resize(programs_.size());
   if (n > 0) {
@@ -109,7 +104,7 @@ Status MapOp::Next(RowBatch* out) {
   int64_t* dst = data.data();
   if (scan_ != nullptr) {
     in_col_.WriteRows(dst, out_width);
-    ctx_->counters().rows_materialized += static_cast<int64_t>(n);
+    ctx()->counters().rows_materialized += static_cast<int64_t>(n);
   } else {
     for (size_t r = 0; r < n; ++r) {
       const int64_t* src = in_.row(r);
@@ -121,14 +116,11 @@ Status MapOp::Next(RowBatch* out) {
     int64_t* col = dst + width + d;
     for (size_t r = 0; r < n; ++r) col[r * out_width] = vals[r];
   }
-  ctx_->ChargeRowCpu(static_cast<int64_t>(n));
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
+  ctx()->ChargeRowCpu(static_cast<int64_t>(n));
   return Status::OK();
 }
 
-Status AdaptiveFilterOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status AdaptiveFilterOp::DoOpen(ExecContext* ctx) {
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   programs_.clear();
   for (const auto& p : predicates_) {
@@ -160,7 +152,7 @@ void AdaptiveFilterOp::MaybeReorder() {
   }
 }
 
-Status AdaptiveFilterOp::Next(RowBatch* out) {
+Status AdaptiveFilterOp::DoNext(RowBatch* out) {
   // Per-row by design: its whole point is adaptive predicate ordering with
   // per-predicate pass-rate statistics.
   out->Reset(output_slots().size());
@@ -170,7 +162,7 @@ Status AdaptiveFilterOp::Next(RowBatch* out) {
     for (size_t r = 0; r < in_.num_rows(); ++r) {
       bool pass = true;
       for (size_t k : order_) {
-        ctx_->ChargePredicateEvals(1);
+        ctx()->ChargePredicateEvals(1);
         evals_[k] += 1.0;
         const bool ok = programs_[k].EvalRow(in_.row(r));
         if (ok) passes_[k] += 1.0;
@@ -181,7 +173,6 @@ Status AdaptiveFilterOp::Next(RowBatch* out) {
       MaybeReorder();
     }
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 

@@ -27,8 +27,6 @@ class FilterOp : public Operator {
   FilterOp(OperatorPtr child, PredicatePtr predicate)
       : child_(std::move(child)), predicate_(std::move(predicate)) {}
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override { child_->Close(); }
   const std::vector<std::string>& output_slots() const override {
     return child_->output_slots();
@@ -36,9 +34,11 @@ class FilterOp : public Operator {
   std::string name() const override { return "Filter"; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr child_;
   PredicatePtr predicate_;
-  ExecContext* ctx_ = nullptr;
   std::optional<PredicateProgram> program_;
   RowBatch in_;  ///< reused input batch — no per-Next allocation
   std::vector<const int64_t*> col_ptrs_;
@@ -63,8 +63,6 @@ class MapOp : public Operator {
  public:
   MapOp(OperatorPtr child, std::vector<DerivedColumn> derived);
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override { child_->Close(); }
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -72,10 +70,12 @@ class MapOp : public Operator {
   std::string name() const override { return "Map"; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr child_;
   std::vector<DerivedColumn> derived_;
   std::vector<std::string> slots_;  ///< child slots + derived names
-  ExecContext* ctx_ = nullptr;
   /// One VM program per derived column.
   std::vector<ExprProgram> programs_;
   ExprScratch scratch_;
@@ -106,8 +106,6 @@ class AdaptiveFilterOp : public Operator {
       : child_(std::move(child)), predicates_(std::move(predicates)),
         options_(options) {}
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override { child_->Close(); }
   const std::vector<std::string>& output_slots() const override {
     return child_->output_slots();
@@ -120,6 +118,8 @@ class AdaptiveFilterOp : public Operator {
   const std::vector<size_t>& evaluation_order() const { return order_; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
   void MaybeReorder();
 
   OperatorPtr child_;
@@ -130,7 +130,6 @@ class AdaptiveFilterOp : public Operator {
   std::vector<double> evals_;   // decayed evaluation counts per predicate
   std::vector<double> passes_;  // decayed pass counts per predicate
   int64_t rows_since_reorder_ = 0;
-  ExecContext* ctx_ = nullptr;
   RowBatch in_;  ///< reused input batch — no per-Next allocation
 };
 

@@ -40,42 +40,16 @@ void JoinHashTable::Build(const RowBuffer& rows, size_t key_idx) {
   }
 }
 
-Status MaterializeChild(Operator* child, ExecContext* ctx, RowBuffer* buf) {
-  buf->num_cols = child->output_slots().size();
-  buf->data.clear();
-  RQP_RETURN_IF_ERROR(child->Open(ctx));
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-    RowBatch batch;
-    RQP_RETURN_IF_ERROR(child->Next(&batch));
-    if (batch.empty()) break;
-    buf->data.insert(buf->data.end(), batch.data().begin(),
-                     batch.data().end());
-  }
-  child->Close();
-  return Status::OK();
-}
-
 // ---- HashJoinOp ------------------------------------------------------------
 
 HashJoinOp::HashJoinOp(OperatorPtr probe_child, OperatorPtr build_child,
-                       std::string probe_key_slot, std::string build_key_slot,
-                       Options options)
+                       std::string probe_key_slot, std::string build_key_slot)
     : probe_child_(std::move(probe_child)),
       build_child_(std::move(build_child)),
       probe_key_(std::move(probe_key_slot)),
-      build_key_(std::move(build_key_slot)),
-      options_(options) {
+      build_key_(std::move(build_key_slot)) {
   slots_ = ConcatSlots(probe_child_->output_slots(),
                        build_child_->output_slots());
-  if (options_.fan_out < 2) options_.fan_out = 2;
-  if (options_.max_recursion < 1) options_.max_recursion = 1;
-  // x % 2^k == x & (2^k - 1) for unsigned x: for the (default) power-of-two
-  // fan-out the partition reduction is a mask instead of a hardware divide.
-  // PartitionOf runs once per build row and once per probe row, and a
-  // runtime-divisor div is ~25 cycles the probe loop otherwise eats.
-  const uint64_t f = static_cast<uint64_t>(options_.fan_out);
-  fan_mask_ = (f & (f - 1)) == 0 ? f - 1 : 0;
 }
 
 size_t HashJoinOp::PartitionOf(int64_t key) const {
@@ -89,18 +63,17 @@ size_t HashJoinOp::PartitionOf(int64_t key) const {
   x ^= x >> 27;
   x *= 0x94d049bb133111ebULL;
   x ^= x >> 31;
-  if (fan_mask_ != 0) return static_cast<size_t>(x & fan_mask_);
-  return static_cast<size_t>(x % static_cast<uint64_t>(options_.fan_out));
+  return static_cast<size_t>(x & (kFanOut - 1));
 }
 
 Status HashJoinOp::SpillPartition(size_t part_idx) {
   Partition& part = parts_[part_idx];
   if (part.spilled) return Status::OK();
   if (part.build_spill == nullptr) {
-    auto file = ctx_->spill()->Create(build_cols_);
+    auto file = ctx()->spill()->Create(build_cols_);
     if (!file.ok()) return file.status();
     part.build_spill = std::move(file).value();
-    ++ctx_->counters().spill_partitions;
+    ++ctx()->counters().spill_partitions;
   }
   for (size_t r = 0; r < part.rows.num_rows(); ++r) {
     RQP_RETURN_IF_ERROR(part.build_spill->AppendRow(part.rows.row(r)));
@@ -209,32 +182,30 @@ void HashJoinOp::BuildTables() {
 
 template <typename NextBatch>
 Status HashJoinOp::RunBuild(NextBatch next) {
-  parts_ = std::vector<Partition>(static_cast<size_t>(options_.fan_out));
+  parts_ = std::vector<Partition>(kFanOut);
   for (Partition& part : parts_) part.rows.num_cols = build_cols_;
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-    RowBatch batch;
-    RQP_RETURN_IF_ERROR(next(&batch));
-    if (batch.empty()) break;
-    // Poll at batch start (the phase boundary) before absorbing rows, so a
-    // capacity drop charged during the input's Next is shed as a revocation
-    // rather than resolved incidentally by the eviction path.
-    RQP_RETURN_IF_ERROR(Shed());
-    ctx_->ChargeHashOps(static_cast<int64_t>(batch.num_rows()));
-    if (depth_ == 0) {
-      build_rows_total_ += static_cast<int64_t>(batch.num_rows());
-    }
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      RQP_RETURN_IF_ERROR(PartitionBuildRow(batch.row(r)));
-    }
-  }
+  RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+      ctx(), next, [this](const RowBatch& batch) {
+        // Poll at batch start (the phase boundary) before absorbing rows, so
+        // a capacity drop charged during the input's Next is shed as a
+        // revocation rather than resolved incidentally by the eviction path.
+        RQP_RETURN_IF_ERROR(Shed());
+        ctx()->ChargeHashOps(static_cast<int64_t>(batch.num_rows()));
+        if (depth_ == 0) {
+          build_rows_total_ += static_cast<int64_t>(batch.num_rows());
+        }
+        for (size_t r = 0; r < batch.num_rows(); ++r) {
+          RQP_RETURN_IF_ERROR(PartitionBuildRow(batch.row(r)));
+        }
+        return Status::OK();
+      }));
   BuildTables();
   // One charge per partition, in partition order; spilled and empty ones
   // charge nothing.
   for (const Partition& part : parts_) {
-    ctx_->ChargeHashOps(static_cast<int64_t>(
+    ctx()->ChargeHashOps(static_cast<int64_t>(
         static_cast<double>(part.rows.num_rows()) *
-        ctx_->cost_model().hash_build_factor));
+        ctx()->cost_model().hash_build_factor));
   }
   return Status::OK();
 }
@@ -252,7 +223,7 @@ Status HashJoinOp::FetchProbeBatch(bool* eof) {
     n = probe_col_.num_rows();
     *eof = n == 0;
     if (n == 0) return Status::OK();
-    ctx_->counters().transposes_elided += static_cast<int64_t>(n);
+    ctx()->counters().transposes_elided += static_cast<int64_t>(n);
     probe_keys_.resize(n);
     const int64_t* key_base = probe_col_.base(probe_key_idx_);
     if (probe_col_.has_selection()) {
@@ -285,23 +256,23 @@ Status HashJoinOp::FetchProbeBatch(bool* eof) {
   // precomputed (probe row, build row) pairs. A spilled partition's table
   // is empty, so its rows match nothing here and are routed to its probe
   // file in row order.
-  ctx_->ChargeHashOps(static_cast<int64_t>(n));
+  ctx()->ChargeHashOps(static_cast<int64_t>(n));
   fused_next_ = 0;
-  ProbeResident(probe_keys_.data(), n, ctx_->simd(), &probe_);
+  ProbeResident(probe_keys_.data(), n, ctx()->simd(), &probe_);
   if (build_resident()) return Status::OK();
   row_scratch_.resize(probe_cols_);
   for (size_t i = 0; i < n; ++i) {
     Partition& part = parts_[probe_.parts[i]];
     if (!part.spilled) continue;
     if (part.probe_spill == nullptr) {
-      auto file = ctx_->spill()->Create(probe_cols_);
+      auto file = ctx()->spill()->Create(probe_cols_);
       if (!file.ok()) return file.status();
       part.probe_spill = std::move(file).value();
     }
     const int64_t* row = row_scratch_.data();
     if (probe_via_views_) {
       probe_col_.GatherRow(i, row_scratch_.data());
-      ctx_->counters().rows_materialized += 1;
+      ctx()->counters().rows_materialized += 1;
     } else {
       row = probe_batch_.row(i);
     }
@@ -427,15 +398,15 @@ Status HashJoinOp::SetupNextTask() {
   PendingTask task = std::move(tasks_.back());
   tasks_.pop_back();
   depth_ = task.depth;
-  ctx_->counters().spill_recursion_depth = std::max(
-      ctx_->counters().spill_recursion_depth, static_cast<int64_t>(depth_));
+  ctx()->counters().spill_recursion_depth = std::max(
+      ctx()->counters().spill_recursion_depth, static_cast<int64_t>(depth_));
   probe_file_ = std::move(task.probe);
   RQP_RETURN_IF_ERROR(probe_file_->Rewind());
   probe_batch_.Clear();
   probe_via_views_ = false;
   probe_.pairs.clear();
   fused_next_ = 0;
-  if (depth_ >= options_.max_recursion) {
+  if (depth_ >= kMaxRecursion) {
     // Duplicate-heavy keys defeat re-partitioning; chunked hash probing
     // guarantees progress at any grant.
     fb_build_ = std::move(task.build);
@@ -460,12 +431,14 @@ Status HashJoinOp::LoadNextChunk() {
   // The chunk is loaded as a resident level. Its pages are chunk_grant_'s,
   // so its partitions hold no charged_pages and Shed frees nothing while it
   // is probed.
-  parts_ = std::vector<Partition>(static_cast<size_t>(options_.fan_out));
+  parts_ = std::vector<Partition>(kFanOut);
   for (Partition& part : parts_) part.rows.num_cols = build_cols_;
   const int64_t max_rows = chunk_grant_.pages() * kRowsPerPage;
   int64_t rows = 0;
+  // Not DrainBatches: the loop also ends at the chunk's row bound, where a
+  // guarded loop would run one more guardrail check.
   while (rows < max_rows) {
-    RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+    RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
     RowBatch batch;
     RQP_RETURN_IF_ERROR(fb_build_->ReadBatch(&batch, max_rows - rows));
     if (batch.empty()) break;
@@ -487,8 +460,8 @@ Status HashJoinOp::LoadNextChunk() {
   }
   BuildTables();
   // One build charge for the whole chunk.
-  ctx_->ChargeHashOps(static_cast<int64_t>(
-      static_cast<double>(rows) * ctx_->cost_model().hash_build_factor));
+  ctx()->ChargeHashOps(static_cast<int64_t>(
+      static_cast<double>(rows) * ctx()->cost_model().hash_build_factor));
   // One full probe pass per chunk; Rewind makes the re-read pay again.
   RQP_RETURN_IF_ERROR(probe_file_->Rewind());
   probe_batch_.Clear();
@@ -499,7 +472,7 @@ Status HashJoinOp::LoadNextChunk() {
 }
 
 Status HashJoinOp::Shed() {
-  const int64_t deficit = ctx_->memory()->deficit();
+  const int64_t deficit = ctx()->memory()->deficit();
   int64_t released = 0;
   Status s;
   while (s.ok() && released < deficit) {
@@ -508,13 +481,12 @@ Status HashJoinOp::Shed() {
     released += parts_[static_cast<size_t>(victim)].charged_pages;
     s = SpillPartition(static_cast<size_t>(victim));
   }
-  if (released > 0) ++ctx_->counters().memory_revocations;
+  if (released > 0) ++ctx()->counters().memory_revocations;
   return s;
 }
 
 Status HashJoinOp::OpenBuild(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+  Bind(ctx);
   depth_ = 0;
   parts_.clear();
   dense_dir_.clear();
@@ -559,7 +531,7 @@ Status HashJoinOp::OpenBuild(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status HashJoinOp::Open(ExecContext* ctx) {
+Status HashJoinOp::DoOpen(ExecContext* ctx) {
   // A GatherOp that degrades to this serial tree has already run the build;
   // the probe then starts against exactly the partitions it left.
   if (!build_ready_) RQP_RETURN_IF_ERROR(OpenBuild(ctx));
@@ -594,7 +566,7 @@ void HashJoinOp::EmitPairs(RowBatch* out) {
       for (size_t j = 0; j < take; ++j) row_ids_[j] = begin + pairs[j].first;
     }
     probe_col_.WriteRowIds(row_ids_.data(), take, dst, width);
-    ctx_->counters().rows_materialized += static_cast<int64_t>(take);
+    ctx()->counters().rows_materialized += static_cast<int64_t>(take);
   } else {
     for (size_t j = 0; j < take; ++j) {
       const int64_t* prow = probe_batch_.row(pairs[j].first);
@@ -609,8 +581,8 @@ void HashJoinOp::EmitPairs(RowBatch* out) {
   fused_next_ += take;
 }
 
-Status HashJoinOp::Next(RowBatch* out) {
-  RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+Status HashJoinOp::DoNext(RowBatch* out) {
+  RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
   out->Reset(slots_.size());
   // Everything per-row was precomputed at fetch time; emission walks a
   // cursor over (probe row, build row) pairs, resumable when the output
@@ -642,7 +614,6 @@ Status HashJoinOp::Next(RowBatch* out) {
         break;
     }
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -671,9 +642,7 @@ MergeJoinOp::MergeJoinOp(OperatorPtr left, OperatorPtr right,
                        right_child_->output_slots());
 }
 
-Status MergeJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status MergeJoinOp::DoOpen(ExecContext* ctx) {
   li_ = ri_ = 0;
   in_group_ = false;
   const int lk = FindSlot(left_child_->output_slots(), left_key_);
@@ -683,13 +652,25 @@ Status MergeJoinOp::Open(ExecContext* ctx) {
   }
   left_key_idx_ = static_cast<size_t>(lk);
   right_key_idx_ = static_cast<size_t>(rk);
-  RQP_RETURN_IF_ERROR(MaterializeChild(left_child_.get(), ctx, &left_));
-  RQP_RETURN_IF_ERROR(MaterializeChild(right_child_.get(), ctx, &right_));
+  // Both inputs are drained whole, left first, each closed at its EOF.
+  for (const auto& [child, buf] :
+       {std::pair(left_child_.get(), &left_),
+        std::pair(right_child_.get(), &right_)}) {
+    *buf = RowBuffer{child->output_slots().size(), {}};
+    RQP_RETURN_IF_ERROR(child->Open(ctx));
+    RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+        ctx, [op = child](RowBatch* batch) { return op->Next(batch); },
+        [rows = buf](const RowBatch& batch) {
+          rows->AppendBatch(batch);
+          return Status::OK();
+        }));
+    child->Close();
+  }
   return Status::OK();
 }
 
-Status MergeJoinOp::Next(RowBatch* out) {
-  RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+Status MergeJoinOp::DoNext(RowBatch* out) {
+  RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
   out->Reset(slots_.size());
   const size_t ln = left_.num_cols;
   while (!out->full()) {
@@ -718,7 +699,7 @@ Status MergeJoinOp::Next(RowBatch* out) {
     if (li_ >= left_.num_rows() || ri_ >= right_.num_rows()) break;
     const int64_t lk = left_.row(li_)[left_key_idx_];
     const int64_t rk = right_.row(ri_)[right_key_idx_];
-    ctx_->ChargeCompareOps(1);
+    ctx()->ChargeCompareOps(1);
     if (lk < rk) {
       ++li_;
     } else if (lk > rk) {
@@ -729,14 +710,13 @@ Status MergeJoinOp::Next(RowBatch* out) {
       while (group_r_end_ < right_.num_rows() &&
              right_.row(group_r_end_)[right_key_idx_] == rk) {
         ++group_r_end_;
-        ctx_->ChargeCompareOps(1);
+        ctx()->ChargeCompareOps(1);
       }
       group_l_ = li_;
       group_r_ = ri_;
       in_group_ = true;
     }
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -755,9 +735,7 @@ NestedLoopsJoinOp::NestedLoopsJoinOp(OperatorPtr left, OperatorPtr right,
                        right_child_->output_slots());
 }
 
-Status NestedLoopsJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status NestedLoopsJoinOp::DoOpen(ExecContext* ctx) {
   done_ = false;
   left_row_ = 0;
   right_row_ = 0;
@@ -768,13 +746,22 @@ Status NestedLoopsJoinOp::Open(ExecContext* ctx) {
     if (!program.ok()) return program.status();
     program_ = std::move(program.value());
   }
-  RQP_RETURN_IF_ERROR(MaterializeChild(right_child_.get(), ctx, &right_));
+  // The inner input is drained whole and closed; the outer streams.
+  right_ = RowBuffer{right_child_->output_slots().size(), {}};
+  RQP_RETURN_IF_ERROR(right_child_->Open(ctx));
+  RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+      ctx, [this](RowBatch* batch) { return right_child_->Next(batch); },
+      [this](const RowBatch& batch) {
+        right_.AppendBatch(batch);
+        return Status::OK();
+      }));
+  right_child_->Close();
   RQP_RETURN_IF_ERROR(left_child_->Open(ctx));
   return Status::OK();
 }
 
-Status NestedLoopsJoinOp::Next(RowBatch* out) {
-  RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+Status NestedLoopsJoinOp::DoNext(RowBatch* out) {
+  RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
   out->Reset(slots_.size());
   const size_t ln = left_child_->output_slots().size();
   std::vector<int64_t> joined(slots_.size());
@@ -797,10 +784,10 @@ Status NestedLoopsJoinOp::Next(RowBatch* out) {
         std::copy(lrow, lrow + ln, joined.begin());
         std::copy(rrow, rrow + right_.num_cols,
                   joined.begin() + static_cast<long>(ln));
-        ctx_->ChargePredicateEvals(1);
+        ctx()->ChargePredicateEvals(1);
         pass = program_->EvalRow(joined.data());
       } else {
-        ctx_->ChargeRowCpu(1);
+        ctx()->ChargeRowCpu(1);
       }
       if (pass) out->AppendConcat(lrow, ln, rrow, right_.num_cols);
     }
@@ -809,7 +796,6 @@ Status NestedLoopsJoinOp::Next(RowBatch* out) {
       right_row_ = 0;
     }
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -830,9 +816,7 @@ IndexNLJoinOp::IndexNLJoinOp(OperatorPtr outer, const Table* inner,
   slots_ = ConcatSlots(outer_child_->output_slots(), inner_slots);
 }
 
-Status IndexNLJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status IndexNLJoinOp::DoOpen(ExecContext* ctx) {
   done_ = false;
   outer_row_ = 0;
   match_next_ = 0;
@@ -852,8 +836,8 @@ Status IndexNLJoinOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status IndexNLJoinOp::Next(RowBatch* out) {
-  RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+Status IndexNLJoinOp::DoNext(RowBatch* out) {
+  RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
   out->Reset(slots_.size());
   const size_t ln = outer_child_->output_slots().size();
   const size_t in_cols = inner_cols_.size();
@@ -862,7 +846,7 @@ Status IndexNLJoinOp::Next(RowBatch* out) {
     if (match_next_ < inner_matches_.size()) {
       const int64_t r = inner_matches_[match_next_++];
       // Random page fetch for the inner row.
-      ctx_->ChargeRandomReads(1, inner_->name());
+      ctx()->ChargeRandomReads(1, inner_->name());
       for (size_t c = 0; c < in_cols; ++c) {
         inner_row[c] = inner_->Value(inner_cols_[c], r);
       }
@@ -883,10 +867,9 @@ Status IndexNLJoinOp::Next(RowBatch* out) {
     const int64_t key = outer_batch_.row(outer_row_)[outer_key_idx_];
     inner_matches_.clear();
     match_next_ = 0;
-    ctx_->ChargeIndexDescend();
+    ctx()->ChargeIndexDescend();
     index_->LookupRange(key, key, &inner_matches_);
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -904,9 +887,7 @@ GJoinOp::GJoinOp(OperatorPtr left, OperatorPtr right,
                        right_child_->output_slots());
 }
 
-Status GJoinOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status GJoinOp::DoOpen(ExecContext* ctx) {
   join_.reset();
   swap_ = false;
   if (FindSlot(left_child_->output_slots(), left_key_) < 0 ||
@@ -966,7 +947,7 @@ Status GJoinOp::Open(ExecContext* ctx) {
   return join_->Open(ctx);
 }
 
-Status GJoinOp::Next(RowBatch* out) {
+Status GJoinOp::DoNext(RowBatch* out) {
   if (!swap_) {
     RQP_RETURN_IF_ERROR(join_->Next(out));
   } else {
@@ -979,7 +960,6 @@ Status GJoinOp::Next(RowBatch* out) {
       out->AppendConcat(row + right_cols, left_cols, row, right_cols);
     }
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 

@@ -29,14 +29,15 @@ struct RowBuffer {
   void Append(const int64_t* row) {
     data.insert(data.end(), row, row + num_cols);
   }
+  /// Appends every row of `batch`, which has num_cols columns.
+  void AppendBatch(const RowBatch& batch) {
+    data.insert(data.end(), batch.data().begin(), batch.data().end());
+  }
   int64_t num_pages() const {
     return (static_cast<int64_t>(num_rows()) + kRowsPerPage - 1) /
            kRowsPerPage;
   }
 };
-
-/// Drains `child` into `buf`. Sets buf.num_cols from the child's slots.
-Status MaterializeChild(Operator* child, ExecContext* ctx, RowBuffer* buf);
 
 /// Deterministic chained hash table over a RowBuffer's key column — flat
 /// head/next arrays with power-of-two buckets, replacing the
@@ -88,7 +89,7 @@ struct JoinHashTable {
 /// child, probes with the left. Build rows are hash-partitioned; partitions
 /// stay resident under the MemoryBroker grant and overflow partitions spill
 /// to real SpillManager files. Spilled (build, probe) partition pairs are
-/// processed recursively with a level-dependent hash; at `max_recursion`
+/// processed recursively with a level-dependent hash; at kMaxRecursion
 /// the operator falls back to chunked hash probing (memory-sized build
 /// chunks, one probe-file pass per chunk), which completes at a 1-page
 /// grant. Its pages are three MemoryGrants: the 1-page progress minimum,
@@ -113,10 +114,10 @@ struct JoinHashTable {
 /// row ids.
 class HashJoinOp : public Operator {
  public:
-  struct Options {
-    int fan_out = 8;        ///< grace partitions per recursion level
-    int max_recursion = 4;  ///< levels before the chunked-hash fallback
-  };
+  static constexpr size_t kFanOut = 8;     ///< grace partitions per level
+  static constexpr int kMaxRecursion = 4;  ///< levels before the fallback
+  static_assert((kFanOut & (kFanOut - 1)) == 0,
+                "PartitionOf reduces by mask: kFanOut is a power of two");
 
   /// Caller-owned scratch of ProbeResident, one per probing thread, so many
   /// threads can probe one build.
@@ -129,20 +130,13 @@ class HashJoinOp : public Operator {
   };
 
   HashJoinOp(OperatorPtr probe_child, OperatorPtr build_child,
-             std::string probe_key_slot, std::string build_key_slot,
-             Options options);
-  HashJoinOp(OperatorPtr probe_child, OperatorPtr build_child,
-             std::string probe_key_slot, std::string build_key_slot)
-      : HashJoinOp(std::move(probe_child), std::move(build_child),
-                   std::move(probe_key_slot), std::move(build_key_slot),
-                   Options()) {}
+             std::string probe_key_slot, std::string build_key_slot);
 
-  /// The build half of Open: resolves the key slots, takes the 1-page
-  /// progress grant and runs the grace-partitioned build. Open skips the
-  /// build when OpenBuild already ran since the last Open or Close.
+  /// The build half of Open: binds the context, resolves the key slots,
+  /// takes the 1-page progress grant and runs the grace-partitioned build.
+  /// Open skips the build when OpenBuild already ran since the last Open or
+  /// Close.
   Status OpenBuild(ExecContext* ctx);
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -203,6 +197,8 @@ class HashJoinOp : public Operator {
 
   enum class Phase { kProbe, kTaskSetup, kChunkLoad, kDone };
 
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
   size_t PartitionOf(int64_t key) const;
   Status PartitionBuildRow(const int64_t* row);
   Status EnsurePartitionPage(size_t part_idx);
@@ -236,14 +232,9 @@ class HashJoinOp : public Operator {
 
   OperatorPtr probe_child_, build_child_;
   std::string probe_key_, build_key_;
-  Options options_;
-  /// fan_out - 1 when fan_out is a power of two (mask reduction in
-  /// PartitionOf, bit-identical to the modulo), 0 otherwise.
-  uint64_t fan_mask_ = 0;
   std::vector<std::string> slots_;
   size_t probe_key_idx_ = 0, build_key_idx_ = 0;
   size_t probe_cols_ = 0, build_cols_ = 0;
-  ExecContext* ctx_ = nullptr;
   MemoryGrant base_;      ///< 1-page progress minimum, held until Close
   MemoryGrant resident_;  ///< Σ charged_pages of the level's partitions
   MemoryGrant chunk_grant_;  ///< the chunked fallback's chunk
@@ -299,8 +290,6 @@ class MergeJoinOp : public Operator {
   MergeJoinOp(OperatorPtr left, OperatorPtr right, std::string left_key_slot,
               std::string right_key_slot);
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -308,6 +297,9 @@ class MergeJoinOp : public Operator {
   std::string name() const override { return "MergeJoin"; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr left_child_, right_child_;
   std::string left_key_, right_key_;
   std::vector<std::string> slots_;
@@ -316,7 +308,6 @@ class MergeJoinOp : public Operator {
   size_t li_ = 0, ri_ = 0;
   size_t group_l_ = 0, group_r_end_ = 0, group_r_ = 0;
   bool in_group_ = false;
-  ExecContext* ctx_ = nullptr;
 };
 
 /// Block nested-loops join with an arbitrary (possibly empty = cross) join
@@ -327,8 +318,6 @@ class NestedLoopsJoinOp : public Operator {
   NestedLoopsJoinOp(OperatorPtr left, OperatorPtr right,
                     PredicatePtr join_predicate);
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -336,13 +325,15 @@ class NestedLoopsJoinOp : public Operator {
   std::string name() const override { return "NestedLoopsJoin"; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr left_child_, right_child_;
   PredicatePtr predicate_;
   /// The join predicate over the concatenated pair, EvalRow'd per pair.
   std::optional<PredicateProgram> program_;
   std::vector<std::string> slots_;
   RowBuffer right_;
-  ExecContext* ctx_ = nullptr;
   RowBatch left_batch_;
   size_t left_row_ = 0;
   size_t right_row_ = 0;
@@ -361,8 +352,6 @@ class IndexNLJoinOp : public Operator {
                 const SortedIndex* inner_index, std::string outer_key_slot,
                 std::vector<std::string> inner_projection = {});
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -372,6 +361,9 @@ class IndexNLJoinOp : public Operator {
   }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr outer_child_;
   const Table* inner_;
   const SortedIndex* index_;
@@ -380,7 +372,6 @@ class IndexNLJoinOp : public Operator {
   std::vector<size_t> inner_cols_;  ///< projected inner column indices
   bool projection_error_ = false;
   std::vector<std::string> slots_;
-  ExecContext* ctx_ = nullptr;
   RowBatch outer_batch_;
   size_t outer_row_ = 0;
   std::vector<int64_t> inner_matches_;
@@ -409,8 +400,6 @@ class GJoinOp : public Operator {
           std::string right_key_slot,
           const SortedIndex* right_index = nullptr);
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -422,12 +411,14 @@ class GJoinOp : public Operator {
   const std::string& chosen_strategy() const { return strategy_; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr left_child_, right_child_;
   std::string left_key_, right_key_;
   const SortedIndex* right_index_;
   std::vector<std::string> slots_;
   std::string strategy_;
-  ExecContext* ctx_ = nullptr;
   /// The delegated join, built at Open.
   OperatorPtr join_;
   /// build=left: join_ emits (right, left) rows, which Next swaps back.

@@ -59,32 +59,28 @@ class MorselCursor {
 double ScheduleMakespan(const std::vector<double>& costs, int workers);
 
 /// A worker's thread-local charge accumulator (the relaxed-contention
-/// batching layer): mirrors the ExecContext Charge* methods into a local
-/// ExecCounters, and flushes the delta into the shared context under one
-/// lock per morsel instead of one per charge. Fault I/O multipliers are
-/// evaluated at the phase-start clock so every morsel's cost is independent
-/// of worker timing.
+/// batching layer): charges a local ExecCounters through the same formulas
+/// as the ExecContext Charge* methods, and flushes the delta into the shared
+/// context under one lock per morsel instead of one per charge. Fault I/O
+/// multipliers are evaluated at the phase-start clock so every morsel's cost
+/// is independent of worker timing.
 class WorkerCharge {
  public:
   WorkerCharge(ExecContext* ctx, double phase_start_cost)
       : ctx_(ctx), phase_start_(phase_start_cost) {}
 
   void ChargeSeqPages(int64_t pages, const std::string& table) {
-    local_.pages_read += pages;
-    local_.cost_units += ctx_->cost_model().seq_page_read * pages *
-                         ctx_->IoMultiplierAt(table, phase_start_, pages);
+    local_.AddSeqPages(ctx_->cost_model(), pages,
+                       ctx_->IoMultiplierAt(table, phase_start_, pages));
   }
   void ChargeRowCpu(int64_t rows) {
-    local_.rows_processed += rows;
-    local_.cost_units += ctx_->cost_model().row_cpu * rows;
+    local_.AddRowCpu(ctx_->cost_model(), rows);
   }
   void ChargeHashOps(int64_t ops) {
-    local_.hash_ops += ops;
-    local_.cost_units += ctx_->cost_model().hash_op * ops;
+    local_.AddHashOps(ctx_->cost_model(), ops);
   }
   void ChargePredicateEvals(int64_t evals) {
-    local_.predicate_evals += evals;
-    local_.cost_units += ctx_->cost_model().row_cpu * evals;
+    local_.AddPredicateEvals(ctx_->cost_model(), evals);
   }
   /// Raw clock charge (fault-retry backoff).
   void AddCost(double units) { local_.cost_units += units; }

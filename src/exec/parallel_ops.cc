@@ -15,10 +15,8 @@ GatherOp::GatherOp(OperatorPtr serial, std::vector<HashJoinOp*> joins,
       agg_(std::move(agg)),
       opts_(opts) {}
 
-Status GatherOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status GatherOp::DoOpen(ExecContext* ctx) {
   merged_grant_ = MemoryGrant(ctx->memory());
-  ResetCount();
   degraded_ = false;
   merged_.Reset(0, 0);
   emit_order_.clear();
@@ -189,7 +187,7 @@ Status GatherOp::RunParallelPhase(ExecContext* ctx) {
 }
 
 void GatherOp::WorkerLoop(int worker_id) {
-  WorkerCharge charge(ctx_, phase_start_cost_);
+  WorkerCharge charge(ctx(), phase_start_cost_);
   FlatGroups* local =
       agg_.has_value() ? &worker_groups_[static_cast<size_t>(worker_id)]
                        : nullptr;
@@ -199,7 +197,7 @@ void GatherOp::WorkerLoop(int worker_id) {
   w.next_builds.resize(joins_.size());
   w.stage_counts.assign(joins_.size(), 0);
   Morsel m;
-  while (!ctx_->cancelled() && cursor_->Claim(&m)) {
+  while (!ctx()->cancelled() && cursor_->Claim(&m)) {
     const Status s = ProcessMorsel(m, &charge, local, &w);
     ledger_[static_cast<size_t>(m.id)] = charge.cost();
     charge.Flush();
@@ -208,14 +206,14 @@ void GatherOp::WorkerLoop(int worker_id) {
         std::lock_guard<std::mutex> lock(error_mu_);
         if (first_error_.ok()) first_error_ = s;
       }
-      ctx_->CancelParallel();
+      ctx()->CancelParallel();
       break;
     }
     // Report produced totals to the node fuses at the flush boundary: the
     // trip lags production by at most one morsel per worker — the same
     // batching tolerance as the serial per-batch check.
     if (scan_->plan_node_id() >= 0) {
-      ctx_->ObserveProducedParallel(
+      ctx()->ObserveProducedParallel(
           scan_->plan_node_id(),
           scan_produced_.load(std::memory_order_relaxed));
     }
@@ -227,7 +225,7 @@ void GatherOp::WorkerLoop(int worker_id) {
           count;
       count = 0;
       if (joins_[i]->plan_node_id() >= 0) {
-        ctx_->ObserveProducedParallel(joins_[i]->plan_node_id(), total);
+        ctx()->ObserveProducedParallel(joins_[i]->plan_node_id(), total);
       }
     }
     if (local != nullptr) {
@@ -235,7 +233,7 @@ void GatherOp::WorkerLoop(int worker_id) {
       // Morsel-boundary revocation poll: a mid-query capacity drop is
       // honored by shedding this worker's partial-aggregate table into the
       // shared merged table and releasing its pages.
-      if (local->num_groups > 0 && ctx_->memory()->deficit() > 0) {
+      if (local->num_groups > 0 && ctx()->memory()->deficit() > 0) {
         ShedLocalGroups(worker_id, local, &charge);
       }
     }
@@ -249,7 +247,7 @@ Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
   // morsel id, the fault window off the phase-start clock — identical at
   // every DOP and on every replay.
   double backoff = 0;
-  const Status fault = ctx_->MaybeInjectMorselReadFault(
+  const Status fault = ctx()->MaybeInjectMorselReadFault(
       table_->name(), phase_start_cost_, m.id, &backoff);
   if (backoff > 0) charge->AddCost(backoff);
   RQP_RETURN_IF_ERROR(fault);
@@ -271,7 +269,7 @@ Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
     }
     program_->BuildSelection(w->cols.data(), /*stride=*/1,
                              static_cast<size_t>(rows), &w->sel,
-                             ctx_->simd());
+                             ctx()->simd());
     for (const uint32_t s : w->sel) w->rows.push_back(m.begin + s);
   } else {
     for (int64_t r = m.begin; r < m.end; ++r) w->rows.push_back(r);
@@ -289,7 +287,7 @@ Status GatherOp::ProcessMorsel(const Morsel& m, WorkerCharge* charge,
     w->keys.resize(n);
     Gather(*w, probe_refs_[k], w->keys.data(), 1);
     charge->ChargeHashOps(static_cast<int64_t>(n));
-    join.ProbeResident(w->keys.data(), n, ctx_->simd(), &w->probe);
+    join.ProbeResident(w->keys.data(), n, ctx()->simd(), &w->probe);
     const auto& pairs = w->probe.pairs;
     w->next_rows.resize(pairs.size());
     for (size_t j = 0; j <= k; ++j) w->next_builds[j].resize(pairs.size());
@@ -366,17 +364,22 @@ void GatherOp::MergeIntoShared(const FlatGroups& local) {
   }
 }
 
-Status GatherOp::Next(RowBatch* out) {
+Status GatherOp::DoNext(RowBatch* out) {
+  // Degraded: the serial root has this operator's plan node id and has
+  // already counted the batch, so Next's second count of it reaches the
+  // same total. Its fuse observation is then a no-op (the count is under
+  // the limit, or the trip is already recorded), and at EOF it writes the
+  // actual the root just wrote.
   if (degraded_) return serial_->Next(out);
   out->Reset(output_slots().size());
-  RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+  RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
   if (emitting_groups_) {
     std::vector<int64_t> row(output_slots().size());
     while (emit_pos_ < emit_order_.size() && out->capacity_remaining() > 0) {
       merged_.CopyRow(emit_order_[emit_pos_++], row.data());
       out->AppendRow(row);
     }
-    ctx_->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
+    ctx()->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
   } else {
     // Morsel-id order == table order: byte-identical to the serial scan's
     // row stream regardless of which worker ran which morsel.
@@ -391,15 +394,13 @@ Status GatherOp::Next(RowBatch* out) {
       out->AppendRow(rb.row(emit_row_++));
     }
   }
-  const bool eof = out->empty();
-  if (eof && !actuals_published_) PublishActuals();
-  CountProduced(ctx_, *out, eof);
+  if (out->empty() && !actuals_published_) PublishActuals();
   return Status::OK();
 }
 
 void GatherOp::PublishActuals() {
   actuals_published_ = true;
-  auto& actuals = ctx_->actual_cardinalities();
+  auto& actuals = ctx()->actual_cardinalities();
   const int scan_id = scan_->plan_node_id();
   if (scan_id >= 0 && scan_id != plan_node_id()) {
     actuals[scan_id] = scan_produced_.load(std::memory_order_relaxed);

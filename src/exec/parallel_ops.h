@@ -75,8 +75,6 @@ class GatherOp : public Operator {
            const TableScanOp* scan, std::optional<AggStage> agg,
            ParallelOptions opts);
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return serial_->output_slots();
@@ -106,6 +104,8 @@ class GatherOp : public Operator {
     std::vector<int64_t> stage_counts;  ///< rows produced per stage
   };
 
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
   /// Pipeline index i < the scan's width is the scan's i-th source column.
   SlotRef Resolve(size_t pipeline_idx) const;
   Status ResolveFold(const std::vector<std::string>& pipeline);
@@ -140,7 +140,6 @@ class GatherOp : public Operator {
   /// fold_idx_[a] is aggregate a's cell (unused for COUNT).
   std::vector<SlotRef> fold_refs_;
   std::vector<size_t> fold_idx_;
-  ExecContext* ctx_ = nullptr;
   MemoryGrant merged_grant_;  ///< pages of merged_
 
   // -- parallel-phase state --------------------------------------------------

@@ -34,14 +34,12 @@ TableScanOp::TableScanOp(const Table* table, PredicatePtr filter,
   projection_error_ = !s.ok();
 }
 
-Status TableScanOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status TableScanOp::DoOpen(ExecContext*) {
   next_row_ = 0;
   sel_.clear();
   sel_pos_ = 0;
   sel_base_ = 0;
   program_.reset();
-  ResetCount();
   if (projection_error_) {
     return Status::InvalidArgument("bad projection for table " +
                                    table_->name());
@@ -58,11 +56,18 @@ Status TableScanOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status TableScanOp::Next(RowBatch* out) {
-  // Row consumers get the view batch transposed once, here.
-  RQP_RETURN_IF_ERROR(NextColumnar(&col_scratch_));
+Status TableScanOp::DoNext(RowBatch* out) {
+  // Row consumers get the view batch transposed once, here; Next counts the
+  // rows.
+  RQP_RETURN_IF_ERROR(FetchViews(&col_scratch_));
   out->Reset(slots_.size());
-  col_scratch_.MaterializeInto(out, ctx_);
+  col_scratch_.MaterializeInto(out, ctx());
+  return Status::OK();
+}
+
+Status TableScanOp::NextColumnar(ColumnBatch* out) {
+  RQP_RETURN_IF_ERROR(FetchViews(out));
+  Count(static_cast<int64_t>(out->num_rows()), /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -73,7 +78,7 @@ Status TableScanOp::Next(RowBatch* out) {
 // copy), and survivors are *described*, not copied: the dense path emits
 // one chunk as a view range and the filtered path packs absolute surviving
 // row ids into the batch's selection vector (DESIGN.md §15).
-Status TableScanOp::NextColumnar(ColumnBatch* out) {
+Status TableScanOp::FetchViews(ColumnBatch* out) {
   out->Reset(slots_.size());
   const int64_t n = table_->num_rows();
   const size_t ncols = columns_.size();
@@ -83,19 +88,17 @@ Status TableScanOp::NextColumnar(ColumnBatch* out) {
   if (!program_.has_value()) {
     // Dense path (no filter): one chunk per batch, zero copies.
     if (next_row_ < n) {
-      RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+      RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
       const int64_t chunk_end =
           std::min(n, next_row_ + static_cast<int64_t>(kBatchRows));
       const int64_t chunk = chunk_end - next_row_;
-      RQP_RETURN_IF_ERROR(ctx_->MaybeInjectReadFault(table_->name()));
-      ctx_->ChargeSeqPages((chunk + kRowsPerPage - 1) / kRowsPerPage,
-                           table_->name());
-      ctx_->ChargeRowCpu(chunk);
+      RQP_RETURN_IF_ERROR(ctx()->MaybeInjectReadFault(table_->name()));
+      ctx()->ChargeSeqPages((chunk + kRowsPerPage - 1) / kRowsPerPage,
+                            table_->name());
+      ctx()->ChargeRowCpu(chunk);
       out->SetDense(next_row_, static_cast<size_t>(chunk));
       next_row_ = chunk_end;
     }
-    CountProducedRows(ctx_, static_cast<int64_t>(out->num_rows()),
-                      /*eof=*/out->empty());
     return Status::OK();
   }
   out->UseSelection();
@@ -103,21 +106,21 @@ Status TableScanOp::NextColumnar(ColumnBatch* out) {
   while (out->num_rows() < kBatchRows) {
     if (sel_pos_ >= sel_.size()) {
       if (next_row_ >= n) break;
-      RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+      RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
       const int64_t chunk_end =
           std::min(n, next_row_ + static_cast<int64_t>(kBatchRows));
       const int64_t chunk = chunk_end - next_row_;
-      RQP_RETURN_IF_ERROR(ctx_->MaybeInjectReadFault(table_->name()));
-      ctx_->ChargeSeqPages((chunk + kRowsPerPage - 1) / kRowsPerPage,
-                           table_->name());
-      ctx_->ChargeRowCpu(chunk);
-      ctx_->ChargePredicateEvals(chunk);
+      RQP_RETURN_IF_ERROR(ctx()->MaybeInjectReadFault(table_->name()));
+      ctx()->ChargeSeqPages((chunk + kRowsPerPage - 1) / kRowsPerPage,
+                            table_->name());
+      ctx()->ChargeRowCpu(chunk);
+      ctx()->ChargePredicateEvals(chunk);
       for (size_t c = 0; c < chunk_cols_.size(); ++c) {
         chunk_cols_[c] = table_->column(c).data() + next_row_;
       }
       program_->BuildSelection(chunk_cols_.data(), /*stride=*/1,
                                static_cast<size_t>(chunk), &sel_,
-                               ctx_->simd());
+                               ctx()->simd());
       sel_base_ = next_row_;
       sel_pos_ = 0;
       next_row_ = chunk_end;
@@ -131,8 +134,6 @@ Status TableScanOp::NextColumnar(ColumnBatch* out) {
     out->set_num_rows(out->num_rows() + take);
     sel_pos_ += take;
   }
-  CountProducedRows(ctx_, static_cast<int64_t>(out->num_rows()),
-                    /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -158,12 +159,10 @@ IndexScanOp::IndexScanOp(const Table* table, const SortedIndex* index,
   projection_error_ = !s.ok();
 }
 
-Status IndexScanOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status IndexScanOp::DoOpen(ExecContext*) {
   next_ = 0;
   row_ids_.clear();
   program_.reset();
-  ResetCount();
   if (projection_error_) {
     return Status::InvalidArgument("bad projection for table " +
                                    table_->name());
@@ -177,12 +176,12 @@ Status IndexScanOp::Open(ExecContext* ctx) {
       cols_[c] = table_->column(c).data();
     }
   }
-  ctx_->ChargeIndexDescend();
-  RQP_RETURN_IF_ERROR(ctx_->MaybeInjectReadFault(table_->name()));
+  ctx()->ChargeIndexDescend();
+  RQP_RETURN_IF_ERROR(ctx()->MaybeInjectReadFault(table_->name()));
   const int64_t matches = index_->LookupRange(lo_, hi_, &row_ids_);
   // Index leaf pages are read sequentially.
-  ctx_->ChargeSeqPages((matches + kRowsPerPage - 1) / kRowsPerPage,
-                       table_->name());
+  ctx()->ChargeSeqPages((matches + kRowsPerPage - 1) / kRowsPerPage,
+                        table_->name());
   return Status::OK();
 }
 
@@ -192,19 +191,19 @@ Status IndexScanOp::Open(ExecContext* ctx) {
 // the batch and every batch ends on the same fetched row as a
 // row-at-a-time loop would. Each fetched row is charged before its chunk
 // is evaluated.
-Status IndexScanOp::Next(RowBatch* out) {
+Status IndexScanOp::DoNext(RowBatch* out) {
   out->Reset(slots_.size());
   std::vector<int64_t> proj_row(columns_.size());
-  RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+  RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
   while (next_ < row_ids_.size() && !out->full()) {
     const size_t take =
         std::min(row_ids_.size() - next_, out->capacity_remaining());
     sel_.clear();
     for (size_t i = next_; i < next_ + take; ++i) {
       // Each qualifying row costs one random page fetch (unclustered index).
-      ctx_->ChargeRandomReads(1, table_->name());
-      ctx_->ChargeRowCpu(1);
-      if (program_) ctx_->ChargePredicateEvals(1);
+      ctx()->ChargeRandomReads(1, table_->name());
+      ctx()->ChargeRowCpu(1);
+      if (program_) ctx()->ChargePredicateEvals(1);
       sel_.push_back(static_cast<uint32_t>(row_ids_[i]));
     }
     next_ += take;
@@ -216,20 +215,18 @@ Status IndexScanOp::Next(RowBatch* out) {
       out->AppendRow(proj_row);
     }
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
 void IndexScanOp::Close() {}
 
-Status VectorSourceOp::Next(RowBatch* out) {
+Status VectorSourceOp::DoNext(RowBatch* out) {
   if (next_ < batches_->size()) {
     *out = (*batches_)[next_++];
-    ctx_->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
+    ctx()->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
   } else {
     out->Reset(slots_.size());
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 
@@ -242,25 +239,24 @@ StatusOr<int64_t> DrainOperator(Operator* op, ExecContext* ctx,
     // Count-only drain of a scan root: count the views the scan already
     // produces and never transpose them. Charge points (inside
     // NextColumnar) and the guardrail cadence match the row path exactly.
-    ColumnBatch batch;
-    while (true) {
-      RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-      RQP_RETURN_IF_ERROR(scan->NextColumnar(&batch));
-      if (batch.empty()) break;
-      total += static_cast<int64_t>(batch.num_rows());
-      ctx->counters().transposes_elided += static_cast<int64_t>(batch.num_rows());
-    }
+    RQP_RETURN_IF_ERROR(DrainBatches<ColumnBatch>(
+        ctx, [scan](ColumnBatch* batch) { return scan->NextColumnar(batch); },
+        [&](const ColumnBatch& batch) {
+          total += static_cast<int64_t>(batch.num_rows());
+          ctx->counters().transposes_elided +=
+              static_cast<int64_t>(batch.num_rows());
+          return Status::OK();
+        }));
     op->Close();
     return total;
   }
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-    RowBatch batch;
-    RQP_RETURN_IF_ERROR(op->Next(&batch));
-    if (batch.empty()) break;
-    total += static_cast<int64_t>(batch.num_rows());
-    if (out != nullptr) out->push_back(std::move(batch));
-  }
+  RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+      ctx, [op](RowBatch* batch) { return op->Next(batch); },
+      [&](RowBatch& batch) {
+        total += static_cast<int64_t>(batch.num_rows());
+        if (out != nullptr) out->push_back(std::move(batch));
+        return Status::OK();
+      }));
   op->Close();
   return total;
 }

@@ -23,9 +23,6 @@ class TableScanOp : public Operator {
   TableScanOp(const Table* table, PredicatePtr filter = nullptr,
               std::vector<std::string> projection = {});
 
-  Status Open(ExecContext* ctx) override;
-  /// NextColumnar, transposed once with MaterializeInto.
-  Status Next(RowBatch* out) override;
   void Close() override;
   /// The scan's rows as views over the table's column storage: the one
   /// ColumnBatch producer. Next and NextColumnar count, charge and batch
@@ -46,11 +43,17 @@ class TableScanOp : public Operator {
   bool ScansWholeTable() const;
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  /// The fetched views, transposed once with MaterializeInto.
+  Status DoNext(RowBatch* out) override;
+  /// The next view batch, charged but not counted: Next counts the rows it
+  /// transposes, NextColumnar the views it hands out.
+  Status FetchViews(ColumnBatch* out);
+
   const Table* table_;
   PredicatePtr filter_;
   std::vector<size_t> columns_;       // projected source column indices
   std::vector<std::string> slots_;    // qualified output names
-  ExecContext* ctx_ = nullptr;
   int64_t next_row_ = 0;
   bool projection_error_ = false;
   // The filter compiled to flat bytecode, evaluated column-at-a-time
@@ -74,8 +77,6 @@ class IndexScanOp : public Operator {
               int64_t hi, PredicatePtr residual_filter = nullptr,
               std::vector<std::string> projection = {});
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -85,6 +86,9 @@ class IndexScanOp : public Operator {
   }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   const Table* table_;
   const SortedIndex* index_;
   int64_t lo_, hi_;
@@ -95,7 +99,6 @@ class IndexScanOp : public Operator {
   std::optional<PredicateProgram> program_;
   std::vector<const int64_t*> cols_;  ///< every column's base pointer
   SelectionVector sel_;  ///< fetched row ids of the current chunk
-  ExecContext* ctx_ = nullptr;
   std::vector<int64_t> row_ids_;
   size_t next_ = 0;
   bool projection_error_ = false;
@@ -109,22 +112,20 @@ class VectorSourceOp : public Operator {
                  std::vector<std::string> slots)
       : batches_(std::move(batches)), slots_(std::move(slots)) {}
 
-  Status Open(ExecContext* ctx) override {
-    ctx_ = ctx;
-    next_ = 0;
-    ResetCount();
-    return Status::OK();
-  }
-  Status Next(RowBatch* out) override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
   }
   std::string name() const override { return "VectorSource"; }
 
  private:
+  Status DoOpen(ExecContext*) override {
+    next_ = 0;
+    return Status::OK();
+  }
+  Status DoNext(RowBatch* out) override;
+
   std::shared_ptr<std::vector<RowBatch>> batches_;
   std::vector<std::string> slots_;
-  ExecContext* ctx_ = nullptr;
   size_t next_ = 0;
 };
 

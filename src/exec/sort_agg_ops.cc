@@ -25,13 +25,9 @@ uint64_t Mix64(uint64_t x) {
 // ---- SortOp ----------------------------------------------------------------
 
 SortOp::SortOp(OperatorPtr child, std::string key_slot, Options options)
-    : child_(std::move(child)), key_(std::move(key_slot)), options_(options) {
-  if (options_.merge_fanin < 2) options_.merge_fanin = 2;
-}
+    : child_(std::move(child)), key_(std::move(key_slot)), options_(options) {}
 
-Status SortOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status SortOp::DoOpen(ExecContext* ctx) {
   next_ = 0;
   external_ = false;
   external_passes_ = 0;
@@ -48,7 +44,7 @@ Status SortOp::Open(ExecContext* ctx) {
   rows_.num_cols = cols_;
   open_capacity_ = ctx->memory()->capacity();
 
-  RQP_RETURN_IF_ERROR(ConsumeInput(ctx));
+  RQP_RETURN_IF_ERROR(ConsumeInput());
 
   if (runs_.empty()) {
     // Everything fit: one in-memory stable sort, no external passes.
@@ -65,38 +61,39 @@ Status SortOp::Open(ExecContext* ctx) {
   return MergeRuns();
 }
 
-Status SortOp::ConsumeInput(ExecContext* ctx) {
-  RQP_RETURN_IF_ERROR(child_->Open(ctx));
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-    RowBatch in;
-    RQP_RETURN_IF_ERROR(child_->Next(&in));
-    if (in.empty()) break;
-    // Batch start is the phase boundary: scheduled capacity drops land on
-    // the clock during the child's Next, so poll before absorbing rows —
-    // otherwise the grow path below resolves the deficit incidentally and
-    // the revocation is never observed.
-    RQP_RETURN_IF_ERROR(Shed());
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      // Pages needed once this row lands in the buffer.
-      const int64_t needed =
-          (static_cast<int64_t>(rows_.num_rows()) + kRowsPerPage) /
-          kRowsPerPage;
-      if (needed > buffer_.pages()) {
-        // The static policy is a one-shot deal struck at Open(): it never
-        // grows into memory freed later; only the dynamic policy does.
-        const bool may_grow =
-            options_.dynamic_memory || buffer_.pages() < open_capacity_;
-        if (!(may_grow && buffer_.TryGrow(1))) {
-          // No headroom: cut the buffer (if any) as a sorted run and start
-          // fresh on the 1-page progress minimum, taken even over-committed.
-          RQP_RETURN_IF_ERROR(FlushRun());
-          buffer_.Grow(1);
+Status SortOp::ConsumeInput() {
+  RQP_RETURN_IF_ERROR(child_->Open(ctx()));
+  RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+      ctx(), [this](RowBatch* in) { return child_->Next(in); },
+      [this](const RowBatch& in) {
+        // Batch start is the phase boundary: scheduled capacity drops land
+        // on the clock during the child's Next, so poll before absorbing
+        // rows — otherwise the grow path below resolves the deficit
+        // incidentally and the revocation is never observed.
+        RQP_RETURN_IF_ERROR(Shed());
+        for (size_t r = 0; r < in.num_rows(); ++r) {
+          // Pages needed once this row lands in the buffer.
+          const int64_t needed =
+              (static_cast<int64_t>(rows_.num_rows()) + kRowsPerPage) /
+              kRowsPerPage;
+          if (needed > buffer_.pages()) {
+            // The static policy is a one-shot deal struck at Open(): it
+            // never grows into memory freed later; only the dynamic policy
+            // does.
+            const bool may_grow =
+                options_.dynamic_memory || buffer_.pages() < open_capacity_;
+            if (!(may_grow && buffer_.TryGrow(1))) {
+              // No headroom: cut the buffer (if any) as a sorted run and
+              // start fresh on the 1-page progress minimum, taken even
+              // over-committed.
+              RQP_RETURN_IF_ERROR(FlushRun());
+              buffer_.Grow(1);
+            }
+          }
+          rows_.Append(in.row(r));
         }
-      }
-      rows_.Append(in.row(r));
-    }
-  }
+        return Status::OK();
+      }));
   child_->Close();
   return Status::OK();
 }
@@ -119,17 +116,17 @@ Status SortOp::FlushRun() {
   if (n == 0) return Status::OK();
   SortBuffer();
   if (n > 1) {
-    ctx_->ChargeCompareOps(static_cast<int64_t>(
+    ctx()->ChargeCompareOps(static_cast<int64_t>(
         static_cast<double>(n) * std::log2(static_cast<double>(n))));
   }
-  auto file = ctx_->spill()->Create(cols_);
+  auto file = ctx()->spill()->Create(cols_);
   if (!file.ok()) return file.status();
   for (size_t i = 0; i < n; ++i) {
     RQP_RETURN_IF_ERROR((*file)->AppendRow(rows_.row(order_[i])));
   }
   RQP_RETURN_IF_ERROR((*file)->FinishWrite());
   runs_.push_back(std::move(file).value());
-  ++ctx_->counters().spill_partitions;
+  ++ctx()->counters().spill_partitions;
   rows_.data.clear();
   order_.clear();
   buffer_.Clear();
@@ -140,9 +137,9 @@ Status SortOp::MergeRuns() {
   external_ = true;
   while (true) {
     // One cursor page per input run plus the output page.
-    int64_t want = std::min<int64_t>(options_.merge_fanin,
-                                     static_cast<int64_t>(runs_.size())) +
-                   1;
+    int64_t want =
+        std::min<int64_t>(kMergeFanin, static_cast<int64_t>(runs_.size())) +
+        1;
     if (!options_.dynamic_memory) {
       want = std::min(want, std::max<int64_t>(open_capacity_, 2));
     }
@@ -153,7 +150,7 @@ Status SortOp::MergeRuns() {
       merge_.Grow(want);
     }
     const int64_t fanin =
-        std::clamp<int64_t>(merge_.pages() - 1, 2, options_.merge_fanin);
+        std::clamp<int64_t>(merge_.pages() - 1, 2, kMergeFanin);
     ++external_passes_;
     if (static_cast<int64_t>(runs_.size()) <= fanin) break;
     RQP_RETURN_IF_ERROR(MergeGeneration(fanin));
@@ -201,7 +198,7 @@ Status SortOp::MergeGeneration(int64_t fanin) {
   std::vector<std::unique_ptr<SpillFile>> next_runs;
   for (size_t base = 0; base < runs_.size();
        base += static_cast<size_t>(fanin)) {
-    RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+    RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
     const size_t end =
         std::min(runs_.size(), base + static_cast<size_t>(fanin));
     if (end - base == 1) {
@@ -218,7 +215,7 @@ Status SortOp::MergeGeneration(int64_t fanin) {
       if (c.batch.empty()) c.file = nullptr;
       cursors.push_back(std::move(c));
     }
-    auto merged = ctx_->spill()->Create(cols_);
+    auto merged = ctx()->spill()->Create(cols_);
     if (!merged.ok()) return merged.status();
     int64_t rows_merged = 0;
     auto append = [out = merged->get()](const int64_t* row) {
@@ -230,8 +227,8 @@ Status SortOp::MergeGeneration(int64_t fanin) {
       if (done) break;
       ++rows_merged;
     }
-    ctx_->ChargeCompareOps(rows_merged *
-                           static_cast<int64_t>(cursors.size() - 1));
+    ctx()->ChargeCompareOps(rows_merged *
+                            static_cast<int64_t>(cursors.size() - 1));
     RQP_RETURN_IF_ERROR((*merged)->FinishWrite());
     next_runs.push_back(std::move(merged).value());
     // Source runs (and their files) die here.
@@ -241,7 +238,7 @@ Status SortOp::MergeGeneration(int64_t fanin) {
   return Shed();
 }
 
-Status SortOp::Next(RowBatch* out) {
+Status SortOp::DoNext(RowBatch* out) {
   out->Reset(output_slots().size());
   if (!external_) {
     while (next_ < order_.size() && !out->full()) {
@@ -260,10 +257,9 @@ Status SortOp::Next(RowBatch* out) {
       if (done) break;
       compares += k - 1;
     }
-    if (compares > 0) ctx_->ChargeCompareOps(compares);
+    if (compares > 0) ctx()->ChargeCompareOps(compares);
   }
-  ctx_->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
+  ctx()->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
   return Status::OK();
 }
 
@@ -271,11 +267,11 @@ Status SortOp::Shed() {
   // Only the run-formation buffer is sheddable; merge generations already
   // renegotiate their grant at every generation boundary.
   if (!options_.dynamic_memory || external_ || rows_.num_rows() == 0 ||
-      buffer_.pages() == 0 || ctx_->memory()->deficit() == 0) {
+      buffer_.pages() == 0 || ctx()->memory()->deficit() == 0) {
     return Status::OK();
   }
   RQP_RETURN_IF_ERROR(FlushRun());  // returns the buffer's pages
-  ++ctx_->counters().memory_revocations;
+  ++ctx()->counters().memory_revocations;
   return Status::OK();
 }
 
@@ -562,6 +558,13 @@ void HashAggOp::FlushDeferred(const RowBatch& in, bool partial) {
 }
 
 Status HashAggOp::AbsorbBatch(const RowBatch& in, bool partial) {
+  // Poll at batch start (the phase boundary) before absorbing rows, so a
+  // capacity drop charged while the batch was read is shed as a revocation
+  // rather than resolved incidentally by the grow path.
+  RQP_RETURN_IF_ERROR(Shed());
+  // One hash-op flush per input batch (DESIGN.md §10), then the batched
+  // flat-table kernel.
+  ctx()->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
   const size_t kw = group_idx_.size();
   key_scratch_.resize(kw);
   def_rows_.clear();
@@ -626,10 +629,10 @@ Status HashAggOp::ShedGroups() {
   for (uint32_t g : flat_.SortedIds()) {
     auto& file = shed_files_[PartitionOfKey(flat_.key(g), kw)];
     if (file == nullptr) {
-      auto created = ctx_->spill()->Create(slots_.size());
+      auto created = ctx()->spill()->Create(slots_.size());
       if (!created.ok()) return created.status();
       file = std::move(created).value();
-      ++ctx_->counters().spill_partitions;
+      ++ctx()->counters().spill_partitions;
     }
     flat_.CopyRow(g, row.data());
     RQP_RETURN_IF_ERROR(file->AppendRow(row.data()));
@@ -652,10 +655,8 @@ Status HashAggOp::SealShedFiles() {
   return Status::OK();
 }
 
-Status HashAggOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status HashAggOp::DoOpen(ExecContext* ctx) {
   groups_ = MemoryGrant(ctx->memory());
-  ResetCount();
   emit_order_.clear();
   emit_pos_ = 0;
   emitting_ = false;
@@ -686,20 +687,11 @@ Status HashAggOp::Open(ExecContext* ctx) {
 
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   flat_.Reset(group_idx_.size(), aggs_.size());
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-    RowBatch in;
-    RQP_RETURN_IF_ERROR(child_->Next(&in));
-    if (in.empty()) break;
-    // Poll at batch start (the phase boundary) before absorbing rows, so a
-    // capacity drop charged during the child's Next is shed as a revocation
-    // rather than resolved incidentally by the grow path.
-    RQP_RETURN_IF_ERROR(Shed());
-    // One hash-op flush per input batch (DESIGN.md §10), then the batched
-    // flat-table kernel.
-    ctx->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
-    RQP_RETURN_IF_ERROR(AbsorbBatch(in, /*partial=*/false));
-  }
+  RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+      ctx, [this](RowBatch* in) { return child_->Next(in); },
+      [this](const RowBatch& in) {
+        return AbsorbBatch(in, /*partial=*/false);
+      }));
   child_->Close();
 
   if (shed_this_level_ || !shed_files_.empty()) {
@@ -727,18 +719,14 @@ Status HashAggOp::ProcessPending() {
     pending_.pop_back();
     depth_ = task.depth;
     shed_this_level_ = false;
-    ctx_->counters().spill_recursion_depth = std::max<int64_t>(
-        ctx_->counters().spill_recursion_depth, depth_);
+    ctx()->counters().spill_recursion_depth = std::max<int64_t>(
+        ctx()->counters().spill_recursion_depth, depth_);
     RQP_RETURN_IF_ERROR(task.file->Rewind());
-    while (true) {
-      RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-      RowBatch in;
-      RQP_RETURN_IF_ERROR(task.file->ReadBatch(&in));
-      if (in.empty()) break;
-      RQP_RETURN_IF_ERROR(Shed());
-      ctx_->ChargeHashOps(static_cast<int64_t>(in.num_rows()));
-      RQP_RETURN_IF_ERROR(AbsorbBatch(in, /*partial=*/true));
-    }
+    RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+        ctx(), [&task](RowBatch* in) { return task.file->ReadBatch(in); },
+        [this](const RowBatch& in) {
+          return AbsorbBatch(in, /*partial=*/true);
+        }));
     task.file.reset();  // consumed — the temp file is deleted
     if (shed_this_level_) {
       // This partition overflowed again: its state is now split across
@@ -757,7 +745,7 @@ Status HashAggOp::ProcessPending() {
   return Status::OK();
 }
 
-Status HashAggOp::Next(RowBatch* out) {
+Status HashAggOp::DoNext(RowBatch* out) {
   out->Reset(slots_.size());
   std::vector<int64_t> row(slots_.size());
   while (!out->full()) {
@@ -778,19 +766,18 @@ Status HashAggOp::Next(RowBatch* out) {
     RQP_RETURN_IF_ERROR(ProcessPending());
     if (!emitting_) break;
   }
-  ctx_->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
+  ctx()->ChargeRowCpu(static_cast<int64_t>(out->num_rows()));
   return Status::OK();
 }
 
 Status HashAggOp::Shed() {
   if (emitting_ || flat_.num_groups <= 1 || groups_.pages() <= 1 ||
       depth_ >= kMaxRecursion || slots_.empty() ||
-      ctx_->memory()->deficit() == 0) {
+      ctx()->memory()->deficit() == 0) {
     return Status::OK();
   }
   RQP_RETURN_IF_ERROR(ShedGroups());  // returns the group state's pages
-  ++ctx_->counters().memory_revocations;
+  ++ctx()->counters().memory_revocations;
   return Status::OK();
 }
 
@@ -810,21 +797,18 @@ CheckOp::CheckOp(OperatorPtr child, int64_t estimated_rows, int64_t valid_lo,
     : child_(std::move(child)), estimated_rows_(estimated_rows),
       valid_lo_(valid_lo), valid_hi_(valid_hi) {}
 
-Status CheckOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
-  ResetCount();
+Status CheckOp::DoOpen(ExecContext* ctx) {
   next_ = 0;
   buffer_ = std::make_shared<std::vector<RowBatch>>();
   RQP_RETURN_IF_ERROR(child_->Open(ctx));
   int64_t actual = 0;
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx->CheckGuardrails());
-    RowBatch batch;
-    RQP_RETURN_IF_ERROR(child_->Next(&batch));
-    if (batch.empty()) break;
-    actual += static_cast<int64_t>(batch.num_rows());
-    buffer_->push_back(std::move(batch));
-  }
+  RQP_RETURN_IF_ERROR(DrainBatches<RowBatch>(
+      ctx, [this](RowBatch* batch) { return child_->Next(batch); },
+      [&](RowBatch& batch) {
+        actual += static_cast<int64_t>(batch.num_rows());
+        buffer_->push_back(std::move(batch));
+        return Status::OK();
+      }));
   child_->Close();
   // Materialization I/O: the intermediate is written once (and re-read by
   // whoever consumes it — charged on replay below).
@@ -845,18 +829,17 @@ Status CheckOp::Open(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status CheckOp::Next(RowBatch* out) {
+Status CheckOp::DoNext(RowBatch* out) {
   // A CHECK that passed is this buffer's only reader (one that fired never
   // gets here), so each batch moves out instead of being copied.
   if (next_ < buffer_->size()) {
     *out = std::move((*buffer_)[next_++]);
-    ctx_->ChargeSeqPages(
+    ctx()->ChargeSeqPages(
         (static_cast<int64_t>(out->num_rows()) + kRowsPerPage - 1) /
         kRowsPerPage);
   } else {
     out->Reset(output_slots().size());
   }
-  CountProduced(ctx_, *out, /*eof=*/out->empty());
   return Status::OK();
 }
 

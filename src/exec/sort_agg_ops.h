@@ -25,17 +25,16 @@ namespace rqp {
 /// run-formation buffer and the merge pages.
 class SortOp : public Operator {
  public:
+  static constexpr int64_t kMergeFanin = 8;  ///< max runs merged per generation
+
   struct Options {
     bool dynamic_memory = true;
-    int merge_fanin = 8;  ///< max runs merged per external generation
   };
 
   SortOp(OperatorPtr child, std::string key_slot, Options options);
   SortOp(OperatorPtr child, std::string key_slot)
       : SortOp(std::move(child), std::move(key_slot), Options()) {}
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return child_->output_slots();
@@ -53,7 +52,9 @@ class SortOp : public Operator {
     size_t pos = 0;
   };
 
-  Status ConsumeInput(ExecContext* ctx);
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+  Status ConsumeInput();
   /// Stable-sorts the buffered rows into order_, ascending on the key. The
   /// key column is first gathered into one contiguous array so the
   /// comparator's loads are dense instead of striding across full rows.
@@ -77,7 +78,6 @@ class SortOp : public Operator {
   Options options_;
   size_t key_idx_ = 0;
   size_t cols_ = 0;
-  ExecContext* ctx_ = nullptr;
 
   // In-memory path (doubles as the run-formation buffer).
   RowBuffer rows_;
@@ -245,8 +245,6 @@ class HashAggOp : public Operator {
   HashAggOp(OperatorPtr child, std::vector<std::string> group_slots,
             std::vector<AggSpec> aggregates);
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return slots_;
@@ -263,9 +261,13 @@ class HashAggOp : public Operator {
   static constexpr size_t kFanOut = 8;     ///< shed partitions per level
   static constexpr int kMaxRecursion = 4;  ///< levels before over-commit
 
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
   size_t PartitionOfKey(const int64_t* key, size_t n) const;
-  /// Batch kernel: per-row key assembly + flat-table upsert; rows landing
-  /// on existing groups are deferred and accumulated op-major
+  /// Absorbs one input batch (child rows or a shed partition's partial
+  /// rows): polls Shed at the batch boundary, charges one hash op per row,
+  /// then runs the batch kernel: per-row key assembly + flat-table upsert;
+  /// rows landing on existing groups are deferred and accumulated op-major
   /// (AggFoldBatch: one aggregate-function dispatch per column per flush)
   /// instead of per-row.
   /// Deferred rows are flushed before every insertion's capacity check, so
@@ -296,7 +298,6 @@ class HashAggOp : public Operator {
   std::vector<int64_t> key_scratch_;
   std::vector<uint32_t> def_rows_, def_grps_;  ///< deferred batch rows
   bool emitting_ = false;
-  ExecContext* ctx_ = nullptr;
   MemoryGrant groups_;  ///< pages of the resident group state
   int depth_ = 0;  ///< recursion depth of the partition being absorbed
   bool shed_this_level_ = false;
@@ -315,8 +316,6 @@ class CheckOp : public Operator {
   CheckOp(OperatorPtr child, int64_t estimated_rows, int64_t valid_lo,
           int64_t valid_hi);
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
   const std::vector<std::string>& output_slots() const override {
     return child_->output_slots();
@@ -324,11 +323,13 @@ class CheckOp : public Operator {
   std::string name() const override { return "Check"; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr child_;
   int64_t estimated_rows_, valid_lo_, valid_hi_;
   std::shared_ptr<std::vector<RowBatch>> buffer_;
   size_t next_ = 0;
-  ExecContext* ctx_ = nullptr;
 };
 
 }  // namespace rqp

@@ -354,7 +354,7 @@ ExprPtr FoldExprNode(const ExprPtr& e) {
         } else if constexpr (std::is_same_v<T, ExprArith>) {
           ExprPtr left = FoldExprNode(n.left);
           ExprPtr right = FoldExprNode(n.right);
-          int64_t lv, rv;
+          int64_t lv = 0, rv = 0;
           const bool lconst = IsConstExpr(left, &lv);
           const bool rconst = IsConstExpr(right, &rv);
           if (lconst && rconst) {
@@ -409,7 +409,7 @@ ExprPtr FoldExprNode(const ExprPtr& e) {
         } else if constexpr (std::is_same_v<T, ExprCmp>) {
           ExprPtr left = FoldExprNode(n.left);
           ExprPtr right = FoldExprNode(n.right);
-          int64_t lv, rv;
+          int64_t lv = 0, rv = 0;
           const bool lconst = IsConstExpr(left, &lv);
           const bool rconst = IsConstExpr(right, &rv);
           if (lconst && rconst) {

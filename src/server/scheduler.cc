@@ -136,9 +136,12 @@ void QueryScheduler::ArbitrateLocked(const std::string& tenant,
     // 1-page progress minimum. Its running queries observe the shrink at
     // their next phase boundary and shed pages through the existing
     // revocation path — no query is killed, it just runs at spill speed.
+    // The requesting tenant is never robbed: the incoming query runs on its
+    // broker, and its queries contend with each other within its quota
+    // before they contend with anyone else.
     for (const auto& [used, name] : order) {
       if (deficit <= 0) break;
-      if (used <= 1) continue;
+      if (used <= 1 || name == tenant) continue;
       const int64_t take = std::min(deficit, used - 1);
       brokers_[name]->set_capacity(std::max<int64_t>(1, used - take));
       deficit -= take;

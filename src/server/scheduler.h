@@ -113,7 +113,8 @@ class QueryScheduler {
   void RunOne(int64_t id, std::unique_lock<std::mutex>* lock);
   MemoryBroker* BrokerLocked(const std::string& tenant);
   /// Rob-richest memory arbitration before dispatching `est_pages` for
-  /// `tenant`; may shrink broker capacities and hard-shed a running query.
+  /// `tenant`; may shrink other tenants' broker capacities (never
+  /// `tenant`'s own) and hard-shed a running query.
   void ArbitrateLocked(const std::string& tenant, int64_t est_pages,
                        int64_t incoming_id);
   /// Restores robbed broker capacities once global usage is back under the

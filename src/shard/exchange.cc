@@ -84,16 +84,17 @@ void ExchangeChannel::Flush() {
   staging_.Clear();
 }
 
-Status ShuffleExchangeOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status ShuffleExchangeOp::DoOpen(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Status ShuffleExchangeOp::Next(RowBatch* out) {
+// Not DrainBatches: the loop ends at the first child batch that leaves a
+// row home, not at the child's EOF.
+Status ShuffleExchangeOp::DoNext(RowBatch* out) {
   out->Reset(output_slots().size());
   RowBatch in;
   while (out->empty()) {
-    RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
+    RQP_RETURN_IF_ERROR(ctx()->CheckGuardrails());
     RQP_RETURN_IF_ERROR(child_->Next(&in));
     if (in.empty()) break;  // child EOF; out stays empty -> EOF after charge
     for (size_t r = 0; r < in.num_rows(); ++r) {
@@ -108,7 +109,6 @@ Status ShuffleExchangeOp::Next(RowBatch* out) {
       }
     }
   }
-  CountProduced(ctx_, *out, out->empty());
   return Status::OK();
 }
 
@@ -117,24 +117,21 @@ void ShuffleExchangeOp::Close() {
   child_->Close();
 }
 
-Status BroadcastExchangeOp::Open(ExecContext* ctx) {
-  ctx_ = ctx;
+Status BroadcastExchangeOp::DoOpen(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Status BroadcastExchangeOp::Next(RowBatch* out) {
+Status BroadcastExchangeOp::DoNext(RowBatch* out) {
   out->Reset(output_slots().size());
-  RowBatch in;
-  while (true) {
-    RQP_RETURN_IF_ERROR(ctx_->CheckGuardrails());
-    RQP_RETURN_IF_ERROR(child_->Next(&in));
-    if (in.empty()) break;
-    for (size_t r = 0; r < in.num_rows(); ++r) {
-      channel_->StageBroadcast(in.row(r));
-    }
-  }
-  CountProduced(ctx_, *out, /*eof=*/true);
-  return Status::OK();  // out is empty: a pure sink reaches EOF immediately
+  // out stays empty: a pure sink reaches EOF immediately.
+  return DrainBatches<RowBatch>(
+      ctx(), [this](RowBatch* in) { return child_->Next(in); },
+      [this](const RowBatch& in) {
+        for (size_t r = 0; r < in.num_rows(); ++r) {
+          channel_->StageBroadcast(in.row(r));
+        }
+        return Status::OK();
+      });
 }
 
 void BroadcastExchangeOp::Close() {

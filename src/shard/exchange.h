@@ -121,8 +121,6 @@ class ShuffleExchangeOp : public Operator {
       : child_(std::move(child)), key_col_(key_col), self_shard_(self_shard),
         route_(std::move(route)), channel_(channel) {}
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
 
   const std::vector<std::string>& output_slots() const override {
@@ -131,12 +129,14 @@ class ShuffleExchangeOp : public Operator {
   std::string name() const override { return "ShuffleExchange"; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr child_;
   size_t key_col_;
   int self_shard_;
   RouteFn route_;
   ExchangeChannel* channel_;
-  ExecContext* ctx_ = nullptr;
 };
 
 /// Replicating exchange for one sender shard: every child row (read through
@@ -149,8 +149,6 @@ class BroadcastExchangeOp : public Operator {
   BroadcastExchangeOp(OperatorPtr child, ExchangeChannel* channel)
       : child_(std::move(child)), channel_(channel) {}
 
-  Status Open(ExecContext* ctx) override;
-  Status Next(RowBatch* out) override;
   void Close() override;
 
   const std::vector<std::string>& output_slots() const override {
@@ -159,9 +157,11 @@ class BroadcastExchangeOp : public Operator {
   std::string name() const override { return "BroadcastExchange"; }
 
  private:
+  Status DoOpen(ExecContext* ctx) override;
+  Status DoNext(RowBatch* out) override;
+
   OperatorPtr child_;
   ExchangeChannel* channel_;
-  ExecContext* ctx_ = nullptr;
 };
 
 }  // namespace rqp

@@ -389,16 +389,13 @@ bool OrdDecreasesWithin(const RowBatch& b) {
 }
 
 /// Drains a join of `probe` against b(k, ord) under a 16-page grant: part
-/// of the build spills at depth 0, recursion re-partitions it at depth 1,
-/// and the heavy key's partition spills again into the depth-2 chunked
-/// fallback.
+/// of the build spills at depth 0, recursion re-partitions it, and the heavy
+/// key's partition spills again at every level until the chunked fallback
+/// at depth HashJoinOp::kMaxRecursion.
 EmissionRun DrainSpillingJoin(OperatorPtr probe, const Table* build) {
-  constexpr int kMaxRecursion = 2;
-  HashJoinOp::Options options;
-  options.fan_out = 4;
-  options.max_recursion = kMaxRecursion;
+  constexpr int kMaxRecursion = HashJoinOp::kMaxRecursion;
   HashJoinOp join(std::move(probe), std::make_unique<TableScanOp>(build),
-                  "p.k", "b.k", options);
+                  "p.k", "b.k");
   MemoryBroker broker(16);
   ExecContext ctx(&broker);
   EmissionRun run;

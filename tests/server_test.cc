@@ -510,15 +510,42 @@ TEST_F(ServerFixture, ArbitrationRobsRichestTenantThenRestores) {
   EXPECT_EQ(rich->capacity(), 64);
 }
 
+TEST_F(ServerFixture, ArbitrationNeverRobsTheRequestingTenant) {
+  AdmissionOptions o;
+  o.max_concurrent = 2;
+  o.total_memory_pages = 64;
+  o.tenant_quota_pages = 64;
+  QueryScheduler scheduler(engine.get(), o);
+  // Tenant a sits on 60 of the 64 global pages and is the richest tenant;
+  // its own 32-page query forces the same 28-page deficit as above. The
+  // query runs on a's broker, so shrinking that broker would start it in
+  // deficit and charge its estimate twice: a's queries contend within a's
+  // quota, and nobody else holds pages to rob.
+  MemoryBroker* rich = scheduler.tenant_broker("a");
+  MemoryGrant held(rich);
+  held.Grow(60);
+  QueryScheduler::Request req;
+  req.spec = LightQuery();
+  req.tenant = "a";
+  req.est_pages = 32;
+  auto result = scheduler.SubmitAsync(std::move(req)).get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(scheduler.stats().capacity_revocations, 0);
+  EXPECT_EQ(rich->capacity(), 64);
+  held.Clear();
+}
+
 TEST_F(ServerFixture, HardShedCancelsRichestTenantAndRetries) {
   AdmissionOptions o;
   o.max_concurrent = 2;
   o.total_memory_pages = 64;
-  o.tenant_quota_pages = 200;
+  o.tenant_quota_pages = 100;
   o.memory_watermark = 1.5;  // hard ceiling at 96 actual pages
   o.max_shed_retries = 1;
   QueryScheduler scheduler(engine.get(), o);
-  // Tenant a holds 100 pages — past the hard ceiling on its own.
+  // Tenant a holds its whole 100-page quota — past the hard ceiling on its
+  // own — so Q1 runs on 1-page progress grants, at spill speed, and is
+  // still running when Q2 arrives. (Q1's own dispatch never robs tenant a.)
   MemoryBroker* rich = scheduler.tenant_broker("a");
   MemoryGrant held(rich);
   held.Grow(100);

@@ -637,17 +637,15 @@ ExecCounters ExpectEveryPageComesBack(
 
 TEST(EveryPageComesBackTest, HashJoinThroughRecursionAndChunkedFallback) {
   JoinFixture f(20000, 20000, 20000);
-  HashJoinOp::Options opts;
-  opts.max_recursion = 2;
   const ExecCounters c = ExpectEveryPageComesBack(
       4,
       [&] {
         return std::make_unique<HashJoinOp>(f.ScanS(), f.ScanR(), "s.fk",
-                                            "r.id", opts);
+                                            "r.id");
       },
       "pages-join");
-  // Level 1 re-partitioned and level 2 ran the chunked fallback.
-  EXPECT_EQ(c.spill_recursion_depth, 2);
+  // Levels 1 to 3 re-partitioned and level 4 ran the chunked fallback.
+  EXPECT_EQ(c.spill_recursion_depth, HashJoinOp::kMaxRecursion);
 }
 
 TEST(EveryPageComesBackTest, ExternalSortStaticAndDynamic) {
